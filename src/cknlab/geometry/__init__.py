@@ -14,17 +14,16 @@ from .patch import (
     poly_graph_patch,
     sphere_patch,
 )
-from .domain import (Domain, boundary_integral, comparison_margin,
-                     mean_curvature, normal_radial_component,
-                     weighted_integral)
+from .domain import (Domain, GradingStats, boundary_integral,
+                     comparison_margin, mean_curvature, weighted_integral)
 from .fields import Field
 
 __all__ = [
     "AmbientSpace", "radial_data", "SimplicialMesh", "disk_mesh",
     "sphere_mesh", "graph_mesh", "ParametricPatch", "plane_rect",
     "flat_disk_patch", "sphere_patch", "geodesic_disk", "ball_domain",
-    "poly_graph_patch", "Domain", "weighted_integral", "boundary_integral",
-    "comparison_margin", "mean_curvature", "normal_radial_component",
+    "poly_graph_patch", "Domain", "GradingStats", "weighted_integral",
+    "boundary_integral", "comparison_margin", "mean_curvature",
     "divergence_residuals", "divergence_theorem_residual",
     "hessian_comparison_margin",
     "Field",

@@ -5,19 +5,23 @@ inequality evaluator consumes per site: position, radius, warp values,
 tangential/normal split of the radial direction, mean curvature norm, and
 (optionally bound) scalar-field values with tangential gradient norms.
 
-Cells on which the radial weight varies strongly are subdivided recursively
-(bisection per axis, midpoint subdivision for triangles) until the weight
-variation across each piece is mild; this grades geometrically into an
-integrable pole singularity.  Every integral is evaluated with a high- and
-a lower-order rule on the same decomposition, and the difference feeds the
+Cells on which the radial weight varies strongly are subdivided (bisection
+per axis, midpoint subdivision for triangles) until the weight variation
+across each piece is mild; this grades geometrically into an integrable pole
+singularity.  The subdivision runs level by level, one batched corner
+evaluation per depth, and lists the pieces in the order a depth-first
+recursion would.  Every integral is evaluated with a high- and a
+lower-order rule on the same decomposition, and the difference feeds the
 quadrature error estimate.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,6 +47,9 @@ _VAR_TOL = 2.0       # admissible weight ratio across one quadrature piece
 # far below the per-band rule error for admissible weights.
 _DEPTH_CAP = 26
 _TINY = 1e-300
+# chart points per batched corner evaluation while grading: bounds the jets'
+# scratch memory far below the size of the site tables
+_CORNER_CHUNK = 1 << 14
 
 
 @dataclass
@@ -108,6 +115,15 @@ class SiteBatch:
         return w
 
 
+@dataclass(frozen=True)
+class GradingStats:
+    """Size of the graded decomposition behind one weight band's tables."""
+
+    pieces: int      # quadrature pieces: whole cells plus graded pieces
+    max_depth: int   # deepest subdivision level
+    cap_hits: int    # pieces accepted at the depth cap, still too coarse
+
+
 class Domain:
     """A discretized submanifold inside a model ambient space."""
 
@@ -137,6 +153,10 @@ class Domain:
         self._interior_cache = {}
         self._boundary_cache = {}
         self._field_cache = {}
+        self._grading = {}
+        # site tables are built lazily; the lock keeps threads sharing a
+        # domain from building the same table twice
+        self._build_lock = threading.Lock()
         self._prepare()
 
     # -- construction ---------------------------------------------------------
@@ -270,14 +290,25 @@ class Domain:
     def _gamma_band(self, gamma: float) -> int:
         return max(0, int(math.ceil(abs(gamma))))
 
+    @property
+    def grading(self):
+        """Read-only :class:`GradingStats` per weight band built so far."""
+        return MappingProxyType(self._grading)
+
+    def _cached(self, cache, key, build):
+        if key not in cache:
+            with self._build_lock:
+                if key not in cache:
+                    cache[key] = build()
+        return cache[key]
+
     def sites(self, gamma: float = 0.0, bound_field=None):
         """(hi, lo) site batches graded for weight exponents up to ``gamma``."""
         band = self._gamma_band(gamma)
-        if band not in self._interior_cache:
-            self._interior_cache[band] = (
-                self._build_mesh_sites(band) if self.kind == "mesh"
-                else self._build_patch_sites(band))
-        hi, lo = self._interior_cache[band]
+        build = (self._build_mesh_sites if self.kind == "mesh"
+                 else self._build_patch_sites)
+        hi, lo = self._cached(self._interior_cache, band,
+                              lambda: build(band))
         if bound_field is not None:
             hi = self._with_field(hi, bound_field)
             lo = self._with_field(lo, bound_field)
@@ -292,77 +323,74 @@ class Domain:
 
     # ---- graded decomposition helpers
 
-    def _variation(self, corner_r, band):
+    def _variations(self, corner_r, band):
+        """Weight ratio ``(max h / min h) ** band`` over each row of radii."""
         if band == 0:
-            return 1.0
-        h, _ = self.ambient.h_values(np.asarray(corner_r))
-        hmin, hmax = float(np.min(h)), float(np.max(h))
-        if hmin <= 0.0:
-            return math.inf
-        return (hmax / hmin) ** band
+            return np.ones(len(corner_r))
+        h, _ = self.ambient.h_values(corner_r.reshape(-1))
+        h = h.reshape(corner_r.shape)
+        # one float power per row: numpy's ** takes fast paths (square,
+        # SIMD pow) whose rounding need not match pow()
+        return np.array([math.inf if lo <= 0.0 else (hi / lo) ** band
+                         for lo, hi in zip(h.min(axis=1).tolist(),
+                                           h.max(axis=1).tolist())])
 
     def _build_mesh_sites(self, band):
-        mesh, amb = self.mesh, self.ambient
-        k = self.k
-        rule_hi = simplex_rule(k, 2)
-        rule_lo = simplex_rule(k, 1)
-        corners_all = mesh.vertices[mesh.cells]
-        r_corners = amb.radius(corners_all.reshape(-1, self.n)).reshape(
-            len(mesh.cells), k + 1)
-        regular = []
-        graded = []
-        for cid in range(len(mesh.cells)):
-            if self._variation(r_corners[cid], band) <= _VAR_TOL:
-                regular.append(cid)
-            else:
-                graded.append(cid)
-        batches_hi, batches_lo = [], []
-        if regular:
-            reg = np.asarray(regular)
-            for rule, sink in ((rule_hi, batches_hi), (rule_lo, batches_lo)):
-                bary, wts = rule
-                pts = np.einsum("qb,cbn->cqn", bary, corners_all[reg])
-                dens = self._volumes[reg][:, None] * wts[None, :]
-                sink.append(self._mesh_batch(
-                    reg.repeat(len(wts)),
-                    np.broadcast_to(bary, (len(reg),) + bary.shape).reshape(
-                        -1, k + 1),
-                    pts.reshape(-1, self.n), dens.reshape(-1)))
-        for cid in graded:
-            pieces = self._grade_simplex(corners_all[cid], band)
-            for rule, sink in ((rule_hi, batches_hi), (rule_lo, batches_lo)):
-                bary, wts = rule
-                loc, amb_pts, dens = [], [], []
-                for mb in pieces:
-                    sub = mb @ corners_all[cid]
-                    vol = simplex_volume(sub)
-                    comp = bary @ mb
-                    loc.append(comp)
-                    amb_pts.append(comp @ corners_all[cid])
-                    dens.append(vol * wts)
-                loc = np.concatenate(loc)
-                sink.append(self._mesh_batch(
-                    np.full(len(loc), cid), loc,
-                    np.concatenate(amb_pts), np.concatenate(dens)))
-        return (_concat_batches(batches_hi), _concat_batches(batches_lo))
-
-    def _grade_simplex(self, corners, band):
-        """Recursive midpoint subdivision until the weight variation is mild."""
+        mesh, k, n = self.mesh, self.k, self.n
+        corners = mesh.vertices[mesh.cells]
+        regular, owner, mb, stats = self._mesh_pieces(corners, band)
+        graded_corners = corners[owner]
+        vols = simplex_volume(mb @ graded_corners)
         out = []
-        eye = np.eye(self.k + 1)
-        children = split_simplex_bary(self.k)
+        for s_index in (2, 1):
+            bary, wts = simplex_rule(k, s_index)
+            parts = []
+            if len(regular):
+                pts = np.einsum("qb,cbn->cqn", bary, corners[regular])
+                dens = self._volumes[regular][:, None] * wts[None, :]
+                parts.append(self._mesh_batch(
+                    regular.repeat(len(wts)),
+                    np.broadcast_to(bary, (len(regular),) + bary.shape).reshape(
+                        -1, k + 1),
+                    pts.reshape(-1, n), dens.reshape(-1)))
+            if len(owner):
+                comp = bary @ mb                      # (P, q, k+1)
+                parts.append(self._mesh_batch(
+                    owner.repeat(len(wts)), comp.reshape(-1, k + 1),
+                    (comp @ graded_corners).reshape(-1, n),
+                    (vols[:, None] * wts).reshape(-1)))
+            out.append(_concat_batches(parts))
+        self._grading[band] = stats
+        return tuple(out)
 
-        def rec(mb, depth):
-            sub = mb @ corners
-            rr = self.ambient.radius(sub)
-            if depth >= _DEPTH_CAP or self._variation(rr, band) <= _VAR_TOL:
-                out.append(mb)
-                return
-            for child in children:
-                rec(child @ mb, depth + 1)
+    def _mesh_pieces(self, corners, band):
+        """Midpoint-subdivide the cells on which the weight varies strongly.
 
-        rec(eye, 0)
-        return out
+        Returns the ids of the cells kept whole and, per graded piece, its
+        cell id and the barycentric coordinates of its corners with respect
+        to that cell, in depth-first order.
+        """
+        k, n = self.k, self.n
+        radius = self.ambient.radius
+        r = radius(corners.reshape(-1, n)).reshape(len(corners), k + 1)
+        var = self._variations(r, band)
+        mild = var <= _VAR_TOL
+        children = np.stack(split_simplex_bary(k))
+
+        def split(pieces, owner):
+            # dyadic barycentric entries: the products are exact
+            mb = (children @ pieces[0][:, None]).reshape(-1, k + 1, k + 1)
+            sub = mb @ corners[owner.repeat(len(children))]
+            rr = radius(sub.reshape(-1, n)).reshape(len(mb), k + 1)
+            return (mb,), self._variations(rr, band)
+
+        owner = np.flatnonzero(~mild)
+        eye = np.broadcast_to(np.eye(k + 1), (len(owner), k + 1, k + 1))
+        (mb,), owner, stats = _grade((eye,), owner, var[owner], split,
+                                     len(children))
+        regular = np.flatnonzero(mild)
+        return (regular, owner, mb,
+                replace(stats, pieces=stats.pieces + len(regular)))
 
     def _mesh_batch(self, cell_ids, bary, pts, dens) -> SiteBatch:
         amb = self.ambient
@@ -386,73 +414,83 @@ class Domain:
     # ---- patch sites
 
     def _build_patch_sites(self, band):
-        patch, amb = self.patch, self.ambient
-        k = patch.k
-        boxes = patch.cell_boxes()
-        regular, graded = [], []
-        for lo, hi in boxes:
-            rr = amb.radius(patch.jet(_box_corners(lo, hi))[0])
-            if self._variation(rr, band) <= _VAR_TOL:
-                regular.append((lo, hi))
-            else:
-                graded.append((lo, hi))
-        pieces = list(regular)
-        for lo, hi in graded:
-            pieces.extend(self._grade_box(lo, hi, band))
+        lo, hi, stats = self._patch_pieces(band)
+        width = hi - lo
+        volume = np.prod(width, axis=1)
         out = []
         for npts in (self.order, self.order - 1):
-            nodes, wts = box_rule(k, npts)
-            U, dens = [], []
-            for lo, hi in pieces:
-                width = hi - lo
-                U.append(lo + nodes * width)
-                dens.append(wts * np.prod(width))
-            U = np.concatenate(U)
-            dens = np.concatenate(dens)
-            out.append(self._patch_batch(U, dens))
+            nodes, wts = box_rule(self.k, npts)
+            U = lo[:, None] + nodes * width[:, None]           # (P, q, k)
+            out.append(self._patch_batch(U.reshape(-1, self.k),
+                                         (wts * volume[:, None]).reshape(-1)))
+        self._grading[band] = stats
         return tuple(out)
 
-    def _grade_box(self, lo, hi, band):
-        """Bisect one axis at a time, keeping the singular set in one child.
+    def _patch_pieces(self, band):
+        """Chart boxes ``(lo, hi)`` of the graded decomposition.
 
-        Splitting every axis would duplicate a singular edge into several
-        children per level; choosing the axis that leaves the fewest
-        still-singular children keeps the recursion a geometric chain.
+        Cells on which the weight varies mildly come first, in cell order,
+        followed by the pieces of the other cells in depth-first order.
+        Each level bisects one axis per box, keeping the singular set in one
+        child: splitting every axis would duplicate a singular edge into
+        several children per level, while the axis that leaves the fewest
+        still-singular children keeps the subdivision a geometric chain.
         """
-        amb, patch = self.ambient, self.patch
-        out = []
+        k = self.k
+        lo, hi = self.patch.cell_boxes()
+        var = self._box_variations(lo, hi, band)
+        # mild cells first, each group in cell order; a cell's position in
+        # this list is its owner rank
+        cells = np.argsort(~(var <= _VAR_TOL), kind="stable")
+        # children of a box on every axis, (axis, lower/upper child, coord)
+        on_axis = np.eye(k, dtype=bool)[:, None, :]
+        upper = np.array([[False], [True]])
 
-        def children_of(lo, hi, axis):
-            mid = 0.5 * (lo[axis] + hi[axis])
-            alo, ahi = lo.copy(), hi.copy()
-            blo, bhi = lo.copy(), hi.copy()
-            ahi[axis] = mid
-            blo[axis] = mid
-            return (alo, ahi), (blo, bhi)
+        def split(pieces, _owner):
+            lo, hi = pieces
+            mid = 0.5 * (lo + hi)[:, None, None, :]
+            clo = np.where(on_axis & upper, mid, lo[:, None, None, :])
+            chi = np.where(on_axis & ~upper, mid, hi[:, None, None, :])
+            cvar = self._box_variations(clo.reshape(-1, k),
+                                        chi.reshape(-1, k),
+                                        band).reshape(len(lo), k, 2)
+            # score (infinite children, worst finite child, -width) per
+            # axis; variations are >= 1, so 0 stands for "no finite child"
+            inf = np.isinf(cvar)
+            n_inf = inf.sum(axis=2)
+            worst = np.where(inf, 0.0, cvar).max(axis=2)
+            neg_width = -(hi - lo)
+            rows = np.arange(len(lo))
+            best = np.zeros(len(lo), dtype=int)
+            for axis in range(1, k):
+                b_inf, b_worst, b_width = (n_inf[rows, best],
+                                           worst[rows, best],
+                                           neg_width[rows, best])
+                better = ((n_inf[:, axis] < b_inf)
+                          | ((n_inf[:, axis] == b_inf)
+                             & ((worst[:, axis] < b_worst)
+                                | ((worst[:, axis] == b_worst)
+                                   & (neg_width[:, axis] < b_width)))))
+                best = np.where(better, axis, best)
+            return ((clo[rows, best].reshape(-1, k),
+                     chi[rows, best].reshape(-1, k)),
+                    cvar[rows, best].reshape(-1))
 
-        def rec(lo, hi, depth):
-            rr = amb.radius(patch.jet(_box_corners(lo, hi))[0])
-            if depth >= _DEPTH_CAP or self._variation(rr, band) <= _VAR_TOL:
-                out.append((lo, hi))
-                return
-            best = None
-            for axis in range(len(lo)):
-                pair = children_of(lo, hi, axis)
-                variations = []
-                for clo, chi in pair:
-                    rr = amb.radius(patch.jet(_box_corners(clo, chi))[0])
-                    variations.append(self._variation(rr, band))
-                n_inf = sum(1 for v in variations if math.isinf(v))
-                worst_finite = max((v for v in variations
-                                    if not math.isinf(v)), default=0.0)
-                score = (n_inf, worst_finite, -(hi[axis] - lo[axis]))
-                if best is None or score < best[0]:
-                    best = (score, pair)
-            for clo, chi in best[1]:
-                rec(clo, chi, depth + 1)
+        (lo, hi), _, stats = _grade((lo[cells], hi[cells]),
+                                    np.arange(len(cells)), var[cells], split, 2)
+        return lo, hi, stats
 
-        rec(np.asarray(lo, float), np.asarray(hi, float), 0)
-        return out
+    def _box_variations(self, lo, hi, band):
+        """Weight variation over the corners of each chart box."""
+        if band == 0:
+            return np.ones(len(lo))
+        k = lo.shape[1]
+        upper = (np.arange(2 ** k)[:, None] >> np.arange(k) & 1).astype(bool)
+        U = np.where(upper, hi[:, None, :], lo[:, None, :]).reshape(-1, k)
+        r = np.concatenate([
+            self.ambient.radius(self.patch.jet(U[i:i + _CORNER_CHUNK])[0])
+            for i in range(0, len(U), _CORNER_CHUNK)])
+        return self._variations(r.reshape(len(lo), 2 ** k), band)
 
     def _patch_batch(self, U, rule_dens) -> SiteBatch:
         patch, amb = self.patch, self.ambient
@@ -503,11 +541,9 @@ class Domain:
     # -- boundary sites -----------------------------------------------------------
 
     def boundary_sites(self, bound_field=None):
-        if "b" not in self._boundary_cache:
-            self._boundary_cache["b"] = (
-                self._build_mesh_boundary() if self.kind == "mesh"
-                else self._build_patch_boundary())
-        hi, lo = self._boundary_cache["b"]
+        hi, lo = self._cached(self._boundary_cache, "b",
+                              self._build_mesh_boundary if self.kind == "mesh"
+                              else self._build_patch_boundary)
         if bound_field is not None and hi is not None:
             hi = self._with_boundary_field(hi, bound_field)
             lo = self._with_boundary_field(lo, bound_field)
@@ -529,7 +565,7 @@ class Domain:
             bary, wts = simplex_rule(k - 1, s_index)
             corners = mesh.vertices[mesh.boundary_facets]     # (B, k, n)
             pts = np.einsum("qb,fbn->fqn", bary, corners)
-            vols = np.array([simplex_volume(c) for c in corners])
+            vols = simplex_volume(corners)
             dens = vols[:, None] * wts[None, :]
             flat_pts = pts.reshape(-1, self.n)
             r = amb.radius(flat_pts)
@@ -625,13 +661,39 @@ def _copy_batch(batch: SiteBatch) -> SiteBatch:
     return out
 
 
-def _box_corners(lo, hi):
-    k = len(lo)
-    pts = np.zeros((2 ** k, k))
-    for mask in range(2 ** k):
-        for d in range(k):
-            pts[mask, d] = hi[d] if mask >> d & 1 else lo[d]
-    return pts
+def _grade(pieces, owner, var, split, base):
+    """Subdivide pieces level by level until the weight variation is mild.
+
+    ``pieces`` is a tuple of arrays indexed by piece, ``owner`` the cell
+    rank of each piece and ``var`` its weight variation.  ``split(pieces,
+    owner)`` returns every piece's ``base`` children, grouped by parent,
+    with their variations.  A piece is accepted once its variation is at
+    most ``_VAR_TOL``, or at ``_DEPTH_CAP``.  The accepted pieces come back
+    in depth-first order: by owner, then by child-index path, which is
+    packed left-aligned into an int64 key.
+    """
+    key = np.zeros(len(owner), dtype=np.int64)
+    done = []
+    depth = cap_hits = 0
+    while True:
+        accept = var <= _VAR_TOL
+        if depth >= _DEPTH_CAP:
+            cap_hits = int(np.count_nonzero(~accept))
+            accept[:] = True
+        done.append((tuple(p[accept] for p in pieces), owner[accept],
+                     key[accept] * base ** (_DEPTH_CAP - depth)))
+        if accept.all():
+            break
+        keep = ~accept
+        pieces, var = split(tuple(p[keep] for p in pieces), owner[keep])
+        owner = owner[keep].repeat(base)
+        key = (key[keep][:, None] * base + np.arange(base)).reshape(-1)
+        depth += 1
+    owner = np.concatenate([d[1] for d in done])
+    order = np.lexsort((np.concatenate([d[2] for d in done]), owner))
+    pieces = tuple(np.concatenate([d[0][i] for d in done])[order]
+                   for i in range(len(pieces)))
+    return pieces, owner[order], GradingStats(len(order), depth, cap_hits)
 
 
 def _concat_batches(batches) -> SiteBatch:
@@ -712,13 +774,6 @@ def boundary_integral(domain: Domain, integrand, weight_exponent: float,
             contrib = contrib * batch.conormal_dot
         vals.append(float(np.sum(contrib)))
     return Qty(vals[0], abs(vals[0] - vals[1]))
-
-
-def normal_radial_component(domain: Domain, batch: SiteBatch = None) -> np.ndarray:
-    """|normal part of the radial direction| at the domain's sites."""
-    if batch is None:
-        batch, _ = domain.sites()
-    return batch.perp
 
 
 def mean_curvature(domain: Domain, batch: SiteBatch = None) -> np.ndarray:

@@ -54,7 +54,9 @@ class Field:
         return BoundField(self, domain)
 
 
-FAMILY_KINDS = ("radial_power", "radial_bump", "polynomial", "random_smooth")
+# the family kinds and the parameters of one member of each
+DOF_LENGTH = {"radial_power": 1, "radial_bump": 1, "polynomial": 6,
+              "random_smooth": 6}
 
 
 def make_field(kind: str, dof=None, boundary_vanishing: bool = True,
@@ -79,6 +81,9 @@ def make_field(kind: str, dof=None, boundary_vanishing: bool = True,
             dof = tuple(rng.uniform(-1.0, 1.0, size=6))
     else:
         raise InvalidArgument(f"unknown field kind {kind!r}")
+    if len(dof) != DOF_LENGTH[kind]:
+        raise InvalidArgument(f"{kind} takes {DOF_LENGTH[kind]} dof, "
+                              f"got {len(dof)}")
     return Field(kind, tuple(float(x) for x in dof), boundary_vanishing)
 
 

@@ -45,15 +45,12 @@ class ParametricPatch:
                 for (lo, hi), m in zip(self.bounds, self.cells_per_axis)]
 
     def cell_boxes(self):
-        """List of (lo, hi) arrays, one per chart cell."""
+        """Corner arrays ``(lo, hi)`` of shape (cells, k), one row per cell."""
         edges = self.grid()
-        boxes = []
-        idx = np.indices(self.cells_per_axis).reshape(self.k, -1).T
-        for multi in idx:
-            lo = np.array([edges[d][i] for d, i in enumerate(multi)])
-            hi = np.array([edges[d][i + 1] for d, i in enumerate(multi)])
-            boxes.append((lo, hi))
-        return boxes
+        idx = np.indices(self.cells_per_axis).reshape(self.k, -1)
+        lo = np.stack([edges[d][i] for d, i in enumerate(idx)], axis=1)
+        hi = np.stack([edges[d][i + 1] for d, i in enumerate(idx)], axis=1)
+        return lo, hi
 
     def refined(self, factor: int = 2) -> "ParametricPatch":
         return ParametricPatch(self.ambient, self.k, self.bounds, self.jet,

@@ -87,10 +87,10 @@ def split_simplex_bary(k: int):
     raise NotImplementedError(f"simplex subdivision unsupported for k = {k}")
 
 
-def simplex_volume(corners: np.ndarray) -> float:
-    """Volume of a k-simplex with ``corners`` of shape (k+1, n)."""
-    edges = corners[1:] - corners[0]
-    gram = edges @ edges.T
+def simplex_volume(corners: np.ndarray):
+    """Volume of each k-simplex, ``corners`` of shape (..., k+1, n)."""
+    edges = corners[..., 1:, :] - corners[..., :1, :]
+    gram = edges @ np.swapaxes(edges, -1, -2)
     det = np.linalg.det(gram)
-    k = len(corners) - 1
-    return math.sqrt(max(det, 0.0)) / math.factorial(k)
+    k = corners.shape[-2] - 1
+    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(k)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidArgument, PreconditionViolated
 from .geometry.domain import Domain
 from .geometry.fields import Field
-from .inequalities import evaluate
+from .inequalities import DEFAULT_SLACK_FLOOR, evaluate
 
 _DOF_BOUNDS = {
     "radial_power": [(0.5, 8.0)],
@@ -43,6 +43,7 @@ class TightnessResult:
     refinement_trace: list = dc_field(default_factory=list)
     seed: int = 0
     trace: list = dc_field(default_factory=list)
+    slack: float = DEFAULT_SLACK_FLOOR  # the best report's slack
 
     def to_dict(self) -> dict:
         return {
@@ -55,6 +56,7 @@ class TightnessResult:
                                  for l, x in self.refinement_trace],
             "seed": self.seed,
             "trace": [float(x) for x in self.trace],
+            "slack": self.slack,
         }
 
 
@@ -156,12 +158,17 @@ def maximize_ratio(inequality: str, domain: Domain, family: Field,
     if budget > 1:
         x0 = x0 + 0.05 * step * rng.standard_normal(len(x0))
 
+    # slack of each evaluated member's report, so the best ratio is judged
+    # by the same policy as a single report
+    slacks = {}
+
     def objective(dof):
         fld = family.with_dof(dof)
         try:
             rep = evaluate(inequality, domain, fld, options)
         except PreconditionViolated:
             return 0.0
+        slacks[fld.dof] = rep.slack
         if rep.degenerate or not np.isfinite(rep.ratio):
             return 0.0
         return rep.ratio
@@ -180,7 +187,10 @@ def maximize_ratio(inequality: str, domain: Domain, family: Field,
     return TightnessResult(inequality=inequality, best_ratio=best_val,
                            argmax_dof=tuple(float(v) for v in best_x),
                            evaluations=evals, refinement_trace=refinement,
-                           seed=seed, trace=trace)
+                           seed=seed, trace=trace,
+                           slack=slacks.get(best_field.dof,
+                                            options.get("slack",
+                                                        DEFAULT_SLACK_FLOOR)))
 
 
 def refinement_study(inequality: str, domain: Domain, field: Field,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cknlab.cli import main
 
 DISK_CONE_CFG = """
@@ -318,3 +320,83 @@ gamma = 1
     data = json.loads(out_path.read_text())
     ratios = [r["ratio"] for r in data["records"]]
     assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
+
+
+# -- malformed values are configuration errors, found before geometry work
+
+def _verify_and_search(tmp_path, capsys, text):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    return [run([command, str(cfg), "--budget", "1"] if command == "search"
+                else [command, str(cfg)], capsys)
+            for command in ("verify", "search")]
+
+
+def test_non_integer_ring_count_is_a_config_error(tmp_path, capsys):
+    text = DISK_CONE_CFG.replace("rings = 12", "rings = many")
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "rings" in err
+
+
+def test_non_numeric_dof_is_a_config_error(tmp_path, capsys):
+    text = DISK_CONE_CFG.replace("dof = 1.0", "dof = abc")
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "dof" in err
+
+
+def test_dof_length_checked_per_field_kind(tmp_path, capsys):
+    # one dof fits the radial kinds; the polynomial member needs six
+    text = DISK_CONE_CFG + "\n[sweep]\nfield.kind = radial_power, polynomial\n"
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "polynomial takes 6 dof, got 1" in err
+
+
+@pytest.mark.parametrize("line", ["radius = -1.0", "radius = 0",
+                                  "rings = 0"])
+def test_non_positive_size_is_a_config_error(tmp_path, capsys, line):
+    option = line.split()[0]
+    default = {"radius": "radius = 1.0", "rings": "rings = 12"}[option]
+    text = DISK_CONE_CFG.replace(default, line)
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert f"{option} must be positive" in err
+
+
+# -- search judges its best ratio by the report's slack policy
+
+COARSE_PATCH_CFG = """
+[geometry]
+builtin = flat_disk_patch
+radius = 1.0
+cells_r = 2
+cells_theta = 4
+quadrature_order = 3
+
+[field]
+kind = radial_power
+dof = 0.5
+
+[inequality]
+id = hardy
+p = 1
+gamma = 1
+"""
+
+
+def test_search_uses_the_report_slack(tmp_path, capsys):
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text(COARSE_PATCH_CFG)
+    code, out, _ = run(["verify", str(cfg), "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)["records"][0]
+    # coarse quadrature: past the 5e-2 floor, inside 3 * quadrature_error
+    assert 1.05 < report["ratio"] <= 1.0 + report["slack"]
+    code, out, _ = run(["search", str(cfg), "--budget", "1", "--json"],
+                       capsys)
+    assert code == 0
+    record = json.loads(out)["records"][0]
+    assert record["best_ratio"] == report["ratio"]
+    assert record["slack"] == report["slack"]
