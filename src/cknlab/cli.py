@@ -26,6 +26,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .geometry import (
 )
 from .geometry.fields import DOF_LENGTH, make_field
 from .geometry.mesh import read_mesh
-from .inequalities import CATALOG_IDS, evaluate
+from .inequalities import CATALOG, CATALOG_IDS, evaluate
 from .search import maximize_ratio
 from .warp import CurvatureProfile, load_profile, solve_warping
 
@@ -149,31 +150,6 @@ def cmd_constants(args) -> int:
 # configuration handling
 # ---------------------------------------------------------------------------
 
-_GEOMETRY_K = {
-    "disk_mesh": 2, "sphere_mesh": 2, "graph_mesh": 2, "flat_disk_patch": 2,
-    "sphere_patch": 2, "plane_rect": 2, "poly_graph": 2, "geodesic_disk": 2,
-    "ball": 3,
-}
-
-
-# numeric options read by build_ambient, build_domain and build_field:
-# section -> option -> (parser, must be positive)
-_NUMBERS = {
-    "ambient": {"dim": (int, True), "r_max": (float, False),
-                "step": (float, False), "curvature": (float, False)},
-    "geometry": {"radius": (float, True), "half_width": (float, True),
-                 "rings": (int, True), "divisions": (int, True),
-                 "cells": (int, True), "cells_r": (int, True),
-                 "cells_theta": (int, True), "cells_phi": (int, True),
-                 "level": (int, False), "quadrature_order": (int, False),
-                 "height": (float, False), "theta0": (float, False),
-                 "theta1": (float, False)},
-    "field": {"seed": (int, False)},
-}
-# whitespace- or comma-separated vectors and their lengths
-_VECTORS = {"center": 3, "axes": 6, "coeffs": 3}
-
-
 def scenario_dir():
     return resources.files("cknlab") / "scenarios"
 
@@ -200,16 +176,6 @@ def load_config(path: Path) -> configparser.ConfigParser:
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return cfg
-
-
-def _get(cfg, section, option, default=None):
-    if cfg.has_option(section, option):
-        return cfg.get(section, option)
-    return default
-
-
-def _floats(text):
-    return tuple(float(x) for x in text.replace(",", " ").split())
 
 
 def expand_sweep(cfg: configparser.ConfigParser) -> list[dict]:
@@ -240,9 +206,11 @@ def _number(section, option, text, parse=float):
     try:
         return parse(text)
     except ValueError as exc:
-        kind = "an integer" if parse is int else "a number"
-        raise ConfigError(f"[{section}] {option} = {text!r} is not "
-                          f"{kind}") from exc
+        if parse in (int, float):
+            kind = "an integer" if parse is int else "a number"
+            raise ConfigError(f"[{section}] {option} = {text!r} is not "
+                              f"{kind}") from exc
+        raise ConfigError(f"[{section}] {option} = {text!r}: {exc}") from exc
 
 
 def _vector(section, option, text):
@@ -250,44 +218,172 @@ def _vector(section, option, text):
                  for x in text.replace(",", " ").split())
 
 
-def _validate_numbers(case: dict):
-    """Parse every numeric option the builders read, and check its range."""
-    for section, table in _NUMBERS.items():
-        values = case.get(section, {})
-        for option, (parse, positive) in table.items():
-            if option in values:
-                value = _number(section, option, values[option], parse)
-                if positive and not value > 0:
-                    raise ConfigError(f"[{section}] {option} must be "
-                                      f"positive, got {value}")
-    geo = case.get("geometry", {})
-    for option, length in _VECTORS.items():
-        if option in geo and len(_vector("geometry", option,
-                                         geo[option])) != length:
-            raise ConfigError(f"[geometry] {option} needs {length} values")
-    for chunk in geo["poly"].split(";") if "poly" in geo else ():
+def _floats(n):
+    """Parser of ``n`` whitespace- or comma-separated numbers."""
+    def parse(text):
+        values = tuple(float(x) for x in text.replace(",", " ").split())
+        if len(values) != n:
+            raise ValueError(f"needs {n} values, got {len(values)}")
+        return values
+    return parse
+
+
+def _poly(text):
+    """``i j coefficient`` terms separated by semicolons."""
+    coeffs = {}
+    for chunk in text.split(";"):
         parts = chunk.split()
         if len(parts) != 3:
-            raise ConfigError(f"[geometry] poly term {chunk.strip()!r} "
-                              "must be 'i j coefficient'")
-        for text, parse in zip(parts, (int, int, float)):
-            _number("geometry", "poly", text, parse)
+            raise ValueError(f"term {chunk.strip()!r} must be "
+                             "'i j coefficient'")
+        coeffs[(int(parts[0]), int(parts[1]))] = float(parts[2])
+    return coeffs
+
+
+def _flag(text):
+    return text.lower() in ("1", "true", "yes")
+
+
+def _choice(*names):
+    """Parser of one of ``names``."""
+    def parse(text):
+        if text not in names:
+            raise ValueError(f"must be one of {', '.join(names)}")
+        return text
+    return parse
+
+
+def _read(section: str, values: dict, table: dict) -> dict:
+    """Parse the options ``table`` lists, with defaults, checking ranges.
+
+    ``table`` maps option -> (parser, default, must be positive).
+    """
+    out = {}
+    for option, (parse, default, positive) in table.items():
+        if option not in values:
+            out[option] = default
+            continue
+        value = _number(section, option, values[option], parse)
+        if positive and not value > 0:
+            raise ConfigError(f"[{section}] {option} must be positive, "
+                              f"got {value}")
+        out[option] = value
+    return out
+
+
+_AMBIENT = {"kind": (_choice("euclidean", "warped"), "euclidean", False),
+            "dim": (int, 3, True), "r_max": (float, 1.5, False),
+            "step": (float, 1e-3, False), "curvature": (float, 1.0, False)}
+_FIELD = {"kind": (_choice(*DOF_LENGTH), "radial_power", False),
+          "boundary_vanishing": (_flag, True, False),
+          "seed": (int, None, False)}
+
+_RADIUS = (float, 1.0, True)
+_HALF_WIDTH = (float, 1.0, True)
+_HEIGHT = (float, 0.0, False)
+_CENTER = (_floats(3), (0.0, 0.0, 0.0), False)
+
+
+def _count(default):
+    return (int, default, True)
+
+
+class Builtin(NamedTuple):
+    """A builtin geometry: its dimension, its options and its builder."""
+
+    k: int
+    options: dict   # option -> (parser, default, must be positive)
+    # build(ambient, options, level) -> mesh or patch; each refinement
+    # level doubles every cell count
+    build: Callable
+
+
+def _quadratic(c):
+    def height(x, y):
+        return c[0] * x * x + c[1] * y * y + c[2] * x * y
+    return height
+
+
+# Builders look the generators up in this module's globals when they run, so
+# a wrapper installed on a generator after import also wraps these calls.
+BUILTINS = {
+    "disk_mesh": Builtin(
+        2, {"radius": _RADIUS, "rings": _count(8), "center": _CENTER,
+            "axes": (_floats(6), None, False)},
+        lambda amb, o, lv: disk_mesh(
+            o["radius"], rings=o["rings"] << lv, center=o["center"],
+            axes=None if o["axes"] is None
+            else np.array(o["axes"]).reshape(2, 3))),
+    "sphere_mesh": Builtin(
+        2, {"radius": _RADIUS, "level": (int, 3, False), "center": _CENTER},
+        lambda amb, o, lv: sphere_mesh(o["radius"], level=o["level"] + lv,
+                                       center=o["center"])),
+    "graph_mesh": Builtin(
+        2, {"coeffs": (_floats(3), (0.2, -0.1, 0.15), False),
+            "half_width": _HALF_WIDTH, "divisions": _count(8)},
+        lambda amb, o, lv: graph_mesh(_quadratic(o["coeffs"]),
+                                      o["half_width"], o["divisions"] << lv)),
+    "flat_disk_patch": Builtin(
+        2, {"radius": _RADIUS, "height": _HEIGHT, "cells_r": _count(8),
+            "cells_theta": _count(16)},
+        lambda amb, o, lv: flat_disk_patch(
+            amb, o["radius"], o["height"],
+            (o["cells_r"] << lv, o["cells_theta"] << lv))),
+    "sphere_patch": Builtin(
+        2, {"radius": _RADIUS, "center": _CENTER,
+            "theta0": (float, 0.0, False), "theta1": (float, math.pi, False),
+            "cells_theta": _count(8), "cells_phi": _count(16)},
+        lambda amb, o, lv: sphere_patch(
+            amb, o["radius"], o["center"], (o["theta0"], o["theta1"]),
+            (o["cells_theta"] << lv, o["cells_phi"] << lv))),
+    "plane_rect": Builtin(
+        2, {"half_width": _HALF_WIDTH, "height": _HEIGHT, "cells": _count(8)},
+        lambda amb, o, lv: plane_rect(amb, o["half_width"], o["height"],
+                                      o["cells"] << lv)),
+    "poly_graph": Builtin(
+        2, {"poly": (_poly, {(2, 0): 0.25, (0, 2): -0.15}, False),
+            "half_width": _HALF_WIDTH, "cells": _count(8)},
+        lambda amb, o, lv: poly_graph_patch(amb, o["poly"], o["half_width"],
+                                            o["cells"] << lv)),
+    "geodesic_disk": Builtin(
+        2, {"radius": _RADIUS, "cells_r": _count(8), "cells_theta": _count(16)},
+        lambda amb, o, lv: geodesic_disk(
+            amb, o["radius"], (o["cells_r"] << lv, o["cells_theta"] << lv))),
+    "ball": Builtin(
+        3, {"radius": _RADIUS, "cells_r": _count(4), "cells_theta": _count(4),
+            "cells_phi": _count(8)},
+        lambda amb, o, lv: ball_domain(
+            amb, o["radius"],
+            (o["cells_r"] << lv, o["cells_theta"] << lv,
+             o["cells_phi"] << lv))),
+}
+_MESH_FILE_K = 2    # a [geometry] path names a triangle mesh
+_ORDER = {"quadrature_order": (int, 4, False)}
+
+
+def _geometry(case: dict):
+    """The case's builtin (None for a mesh file) and its parsed options."""
+    geo = case.get("geometry", {})
+    name = geo.get("builtin")
+    if name is None:
+        if "path" not in geo:
+            raise ConfigError("[geometry] needs 'builtin' or 'path'")
+        return None, _read("geometry", geo, _ORDER)
+    if name not in BUILTINS:
+        raise ConfigError(f"unknown geometry builtin {name!r}; "
+                          f"choices: {sorted(BUILTINS)}")
+    builtin = BUILTINS[name]
+    return builtin, _read("geometry", geo, {**builtin.options, **_ORDER})
 
 
 def validate_case(case: dict) -> dict:
     """Check a case before any geometry work; returns parsed options."""
-    geo = case.get("geometry", {})
-    builtin = geo.get("builtin")
-    if builtin is None and "path" not in geo:
-        raise ConfigError("[geometry] needs 'builtin' or 'path'")
-    if builtin is not None and builtin not in _GEOMETRY_K:
-        raise ConfigError(f"unknown geometry builtin {builtin!r}; "
-                          f"choices: {sorted(_GEOMETRY_K)}")
-    k = _GEOMETRY_K.get(builtin, 2)
+    builtin, _ = _geometry(case)
+    k = builtin.k if builtin else _MESH_FILE_K
 
     ineq = case.get("inequality", {})
     ineq_id = ineq.get("id")
-    if ineq_id not in CATALOG_IDS:
+    if ineq_id not in CATALOG:
         raise ConfigError(f"unknown inequality id {ineq_id!r}; "
                           f"choices: {CATALOG_IDS}")
     options = {}
@@ -296,160 +392,59 @@ def validate_case(case: dict) -> dict:
         if key in ineq:
             options[key] = float(_frac(ineq[key]))
     if "minimal" in ineq:
-        options["minimal"] = ineq["minimal"].lower() in ("1", "true", "yes")
-    if ineq_id in ("hardy", "hardy_signed", "hardy_hadamard"):
-        if "p" not in options or "gamma" not in options:
-            raise ConfigError(f"{ineq_id} needs p and gamma")
-        if options["p"] < 1:
-            raise ConfigError("invariant violated: p >= 1")
-        if options["gamma"] >= k:
-            raise ConfigError(
-                f"invariant violated: weight exponent gamma = "
-                f"{options['gamma']} must be below the dimension k = {k}")
-    if ineq_id in ("sobolev_hs", "weighted_sobolev", "ckn_single", "ckn"):
-        if "p" not in options:
-            raise ConfigError(f"{ineq_id} needs p")
-        if not 1 <= options["p"] < k:
-            raise ConfigError("invariant violated: 1 <= p < k")
-    if ineq_id == "weighted_sobolev":
-        if "alpha" not in options:
-            raise ConfigError("weighted_sobolev needs alpha")
-        if options["p"] * (options["alpha"] + 1.0) >= k:
-            raise ConfigError("invariant violated: p * (alpha + 1) < k")
-    if ineq_id == "ckn_single" and ("alpha" not in options
-                                    or "sigma" not in options):
-        raise ConfigError("ckn_single needs alpha and sigma")
-    if ineq_id == "ckn":
-        try:
-            if "t" in options and "gamma" in options:
-                cn.solve_balance(k=k, p=options["p"], q=options["q"],
-                                 alpha=options["alpha"], beta=options["beta"],
-                                 gamma=options["gamma"], t=options["t"])
-            else:
-                cn.solve_balance(k=k, p=options["p"], q=options["q"],
-                                 alpha=options["alpha"], beta=options["beta"],
-                                 sigma=options["sigma"], a=options["a"])
-        except KeyError as exc:
-            raise ConfigError(f"ckn closure missing key {exc}") from exc
-        except CknLabError as exc:
-            raise ConfigError(f"invariant violated: {exc}") from exc
+        options["minimal"] = _flag(ineq["minimal"])
+    entry = CATALOG[ineq_id]
+    missing = [key for key in entry.required if key not in options]
+    if missing:
+        raise ConfigError(f"{ineq_id} is missing key(s) {', '.join(missing)}")
+    try:
+        entry.check(k, options)
+    except CknLabError as exc:
+        raise ConfigError(f"invariant violated: {exc}") from exc
 
     fld = case.get("field", {})
-    kind = fld.get("kind", "radial_power")
-    if kind not in DOF_LENGTH:
-        raise ConfigError(f"unknown field kind {kind!r}")
+    kind = _read("field", fld, _FIELD)["kind"]
     if "dof" in fld:
         dof = _vector("field", "dof", fld["dof"])
         if len(dof) != DOF_LENGTH[kind]:
             raise ConfigError(f"[field] {kind} takes {DOF_LENGTH[kind]} "
                               f"dof, got {len(dof)}")
-    _validate_numbers(case)
+    _read("ambient", case.get("ambient", {}), _AMBIENT)
     return options
 
 
 def build_ambient(case: dict) -> AmbientSpace:
     amb = case.get("ambient", {})
-    kind = amb.get("kind", "euclidean")
-    dim = int(amb.get("dim", 3))
-    if kind == "euclidean":
-        return AmbientSpace.euclidean(dim)
-    if kind != "warped":
-        raise ConfigError(f"unknown ambient kind {kind!r}")
-    r_max = float(amb.get("r_max", 1.5))
-    step = float(amb.get("step", 1e-3))
+    o = _read("ambient", amb, _AMBIENT)
+    if o["kind"] == "euclidean":
+        return AmbientSpace.euclidean(o["dim"])
     if "profile_file" in amb:
         profile = load_profile(amb["profile_file"])
     else:
-        profile = CurvatureProfile.constant(float(amb.get("curvature", 1.0)))
-    warp = solve_warping(profile, r_max, step=step)
-    return AmbientSpace.warped(dim, warp)
+        profile = CurvatureProfile.constant(o["curvature"])
+    warp = solve_warping(profile, o["r_max"], step=o["step"])
+    return AmbientSpace.warped(o["dim"], warp)
 
 
 def build_domain(case: dict, level: int = 0) -> Domain:
-    geo = case.get("geometry", {})
+    builtin, o = _geometry(case)
     ambient = build_ambient(case)
-    order = int(geo.get("quadrature_order", 4))
-    scale = 2 ** level
-    builtin = geo.get("builtin")
-    radius = float(geo.get("radius", 1.0))
-    center = _floats(geo.get("center", "0 0 0"))
     if builtin is None:
-        mesh = read_mesh(geo["path"])
+        geometry = read_mesh(case["geometry"]["path"])
         for _ in range(level):
-            mesh = mesh.refine()
-        return Domain(mesh, ambient, order)
-    if builtin == "disk_mesh":
-        axes = None
-        if "axes" in geo:
-            vals = _floats(geo["axes"])
-            axes = np.array(vals).reshape(2, 3)
-        mesh = disk_mesh(radius, rings=int(geo.get("rings", 8)) * scale,
-                         center=center, axes=axes)
-        return Domain(mesh, ambient, order)
-    if builtin == "sphere_mesh":
-        mesh = sphere_mesh(radius, level=int(geo.get("level", 3)) + level,
-                           center=center)
-        return Domain(mesh, ambient, order)
-    if builtin == "graph_mesh":
-        coeffs = _floats(geo.get("coeffs", "0.2 -0.1 0.15"))
-
-        def height(x, y):
-            return coeffs[0] * x * x + coeffs[1] * y * y + coeffs[2] * x * y
-
-        mesh = graph_mesh(height, float(geo.get("half_width", 1.0)),
-                          int(geo.get("divisions", 8)) * scale)
-        return Domain(mesh, ambient, order)
-    if builtin == "flat_disk_patch":
-        cells = (int(geo.get("cells_r", 8)) * scale,
-                 int(geo.get("cells_theta", 16)) * scale)
-        return Domain(flat_disk_patch(ambient, radius,
-                                      float(geo.get("height", 0.0)), cells),
-                      order=order)
-    if builtin == "sphere_patch":
-        cells = (int(geo.get("cells_theta", 8)) * scale,
-                 int(geo.get("cells_phi", 16)) * scale)
-        theta = (float(geo.get("theta0", 0.0)),
-                 float(geo.get("theta1", math.pi)))
-        return Domain(sphere_patch(ambient, radius, center, theta, cells),
-                      order=order)
-    if builtin == "plane_rect":
-        return Domain(plane_rect(ambient, float(geo.get("half_width", 1.0)),
-                                 float(geo.get("height", 0.0)),
-                                 int(geo.get("cells", 8)) * scale),
-                      order=order)
-    if builtin == "poly_graph":
-        pairs = geo.get("poly", "2 0 0.25; 0 2 -0.15").split(";")
-        coeffs = {}
-        for chunk in pairs:
-            i, j, c = chunk.split()
-            coeffs[(int(i), int(j))] = float(c)
-        return Domain(poly_graph_patch(ambient, coeffs,
-                                       float(geo.get("half_width", 1.0)),
-                                       int(geo.get("cells", 8)) * scale),
-                      order=order)
-    if builtin == "geodesic_disk":
-        cells = (int(geo.get("cells_r", 8)) * scale,
-                 int(geo.get("cells_theta", 16)) * scale)
-        return Domain(geodesic_disk(ambient, radius, cells), order=order)
-    if builtin == "ball":
-        cells = (int(geo.get("cells_r", 4)) * scale,
-                 int(geo.get("cells_theta", 4)) * scale,
-                 int(geo.get("cells_phi", 8)) * scale)
-        return Domain(ball_domain(ambient, radius, cells), order=order)
-    raise ConfigError(f"unknown geometry builtin {builtin!r}")
+            geometry = geometry.refine()
+    else:
+        geometry = builtin.build(ambient, o, level)
+    return Domain(geometry, ambient, o["quadrature_order"])
 
 
 def build_field(case: dict, seed: int):
     fld = case.get("field", {})
-    kind = fld.get("kind", "radial_power")
-    vanishing = fld.get("boundary_vanishing", "true").lower() in (
-        "1", "true", "yes")
-    dof = None
-    if "dof" in fld:
-        dof = _floats(fld["dof"])
-    local_seed = int(fld.get("seed", seed))
-    return make_field(kind, dof, boundary_vanishing=vanishing,
-                      seed=local_seed)
+    o = _read("field", fld, _FIELD)
+    dof = _vector("field", "dof", fld["dof"]) if "dof" in fld else None
+    return make_field(o["kind"], dof,
+                      boundary_vanishing=o["boundary_vanishing"],
+                      seed=seed if o["seed"] is None else o["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +480,24 @@ def _write_outputs(records, json_path, csv_path, echo_json):
             Path(csv_path).write_text(buf.getvalue())
 
 
-def cmd_verify(args) -> int:
+def _load_cases(args):
+    """Validated ``(case, options)`` pairs, or None after a config error."""
     try:
-        path = resolve_config_path(args.config)
-        cfg = load_config(path)
-        cases = expand_sweep(cfg)
+        cases = expand_sweep(load_config(resolve_config_path(args.config)))
         parsed = [(case, validate_case(case)) for case in cases]
     except (CknLabError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return None
+    if args.slack is not None:
+        for _, options in parsed:
+            options["slack"] = args.slack
+    return parsed
 
+
+def cmd_verify(args) -> int:
+    parsed = _load_cases(args)
+    if parsed is None:
+        return EXIT_CONFIG
     seed = args.seed if args.seed is not None else 0
     levels = args.levels if args.levels is not None else 0
     records = []
@@ -503,14 +506,11 @@ def cmd_verify(args) -> int:
 
     def run_case(item):
         case, options = item
-        opts = dict(options)
-        if args.slack is not None:
-            opts["slack"] = args.slack
         out = []
         for level in range(levels + 1):
             domain = build_domain(case, level)
             field = build_field(case, seed)
-            rep = evaluate(case["inequality"]["id"], domain, field, opts)
+            rep = evaluate(case["inequality"]["id"], domain, field, options)
             rec = rep.to_dict()
             rec["level"] = level
             rec["seed"] = seed
@@ -560,13 +560,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        path = resolve_config_path(args.config)
-        cfg = load_config(path)
-        cases = expand_sweep(cfg)
-        parsed = [(case, validate_case(case)) for case in cases]
-    except (CknLabError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    parsed = _load_cases(args)
+    if parsed is None:
         return EXIT_CONFIG
     seed = args.seed if args.seed is not None else 0
     levels = args.levels if args.levels is not None else 0
@@ -574,14 +569,11 @@ def cmd_search(args) -> int:
     results = []
     try:
         for case, options in parsed:
-            opts = dict(options)
-            if args.slack is not None:
-                opts["slack"] = args.slack
             budget = args.budget or int(case.get("run", {}).get("budget", 100))
             domain = build_domain(case, 0)
             family = build_field(case, seed)
             result = maximize_ratio(case["inequality"]["id"], domain, family,
-                                    opts, budget=budget, seed=seed,
+                                    options, budget=budget, seed=seed,
                                     refine_levels=levels)
             rec = result.to_dict()
             rec["seed"] = seed

@@ -17,6 +17,7 @@ quadrature error estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import warnings
@@ -50,6 +51,9 @@ _TINY = 1e-300
 # chart points per batched corner evaluation while grading: bounds the jets'
 # scratch memory far below the size of the site tables
 _CORNER_CHUNK = 1 << 14
+# field bindings kept per domain: one evaluation binds one field, and a
+# sweep shares a domain between at most a few cases at a time
+_BIND_CACHE = 8
 
 
 @dataclass
@@ -152,11 +156,15 @@ class Domain:
         self.metadata = dict(geometry.metadata)
         self._interior_cache = {}
         self._boundary_cache = {}
-        self._field_cache = {}
         self._grading = {}
         # site tables are built lazily; the lock keeps threads sharing a
         # domain from building the same table twice
         self._build_lock = threading.Lock()
+        # Field is a frozen dataclass, so equal members share a binding.
+        # lru_cache keeps itself consistent across threads and holds no lock
+        # while a field binds, so binding never waits on a site-table build
+        self._bindings = functools.lru_cache(maxsize=_BIND_CACHE)(
+            lambda field: field.bind(self))
         self._prepare()
 
     # -- construction ---------------------------------------------------------
@@ -280,10 +288,8 @@ class Domain:
     # -- field binding ----------------------------------------------------------
 
     def bind(self, field):
-        key = id(field)
-        if key not in self._field_cache:
-            self._field_cache[key] = field.bind(self)
-        return self._field_cache[key]
+        """The binding of ``field`` to this domain, cached by field value."""
+        return self._bindings(field)
 
     # -- interior sites ---------------------------------------------------------
 

@@ -23,12 +23,19 @@ The catalog ids:
 - ``ckn``: the two-factor Caffarelli-Kohn-Nirenberg type inequality.
 - ``mss_weighted``, ``hardy_derived``, ``gagliardo_nirenberg``, ``nash``,
   ``heisenberg_pauli_weyl``: its classical specializations.
+
+:data:`CATALOG` states, once per id, the options it needs, its hypotheses on
+the exponents, whether its test functions must vanish on the boundary, and
+its evaluator; :func:`evaluate`, the CLI's config validation and the
+tightness search all read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -44,12 +51,6 @@ from .geometry.domain import Domain, Qty, boundary_integral, weighted_integral
 
 MINIMAL_TOL = 1e-4
 DEFAULT_SLACK_FLOOR = 5e-2
-
-CATALOG_IDS = (
-    "hardy_signed", "hardy", "hardy_hadamard", "sobolev_hs",
-    "weighted_sobolev", "ckn_single", "ckn", "mss_weighted", "hardy_derived",
-    "gagliardo_nirenberg", "nash", "heisenberg_pauli_weyl",
-)
 
 
 @dataclass
@@ -92,28 +93,14 @@ class InequalityReport:
             "notes": list(self.notes),
         }
 
-    def csv_row(self) -> dict:
-        return {
-            "id": self.id,
-            "ratio": self.ratio,
-            "lhs_total": self.lhs_total,
-            "rhs_total": self.rhs_total,
-            "quadrature_error": self.quadrature_error,
-            "slack": self.slack,
-            "satisfied": int(self.satisfied),
-            "degenerate": int(self.degenerate),
-            "generator": self.mesh_stats.get("generator", ""),
-            "cells": self.mesh_stats.get("cells", 0),
-        }
 
-
-def _assemble(id, params, constants, lhs_terms, rhs_terms, domain,
-              slack=None, hypothesis=None, notes=None,
-              field_sup=None) -> InequalityReport:
+def _assemble(id, params, constants, lhs_terms, rhs_terms, domain, field,
+              slack=None, hypothesis=None, notes=None) -> InequalityReport:
     lhs = sum(lhs_terms.values(), Qty(0.0))
     rhs = sum(rhs_terms.values(), Qty(0.0))
     degenerate = abs(lhs.value) < 1e-250 and abs(rhs.value) < 1e-250
-    if field_sup is not None and field_sup < 1e-10:
+    psi = _band0(domain, field).psi
+    if len(psi) == 0 or float(np.max(np.abs(psi))) < 1e-10:
         # the discretized test function is numerically zero; any ratio
         # would be roundoff noise
         degenerate = True
@@ -150,10 +137,30 @@ def _jsonable(v):
     return float(v)
 
 
-def _require_vanishing(domain: Domain, field):
-    if domain.has_boundary and not field.boundary_vanishing:
+def _entry(id: str) -> "CatalogEntry":
+    try:
+        return CATALOG[id]
+    except KeyError:
+        raise InvalidArgument(f"unknown inequality id {id!r}") from None
+
+
+def require_vanishing(id: str, domain: Domain, field) -> None:
+    """Raise unless ``field`` meets the boundary hypothesis of ``id``."""
+    if (_entry(id).vanishing and domain.has_boundary
+            and not field.boundary_vanishing):
         raise PreconditionViolated(
-            "this inequality needs a test function vanishing on the boundary")
+            f"{id} needs a test function vanishing on the boundary")
+
+
+def _admit(id: str, domain: Domain, field, options: dict) -> None:
+    """Check the hypotheses of ``id`` on ``domain`` and ``field``."""
+    _entry(id).check(domain.k, options)
+    require_vanishing(id, domain, field)
+
+
+def _band0(domain: Domain, field):
+    """High-order band-0 sites of ``domain`` with ``field`` bound."""
+    return domain.sites(0.0, domain.bind(field))[0]
 
 
 def _resolve_r0(domain: Domain, r0):
@@ -176,7 +183,7 @@ def _resolve_r0(domain: Domain, r0):
     return float(r0), hp0
 
 
-def _minimality(domain: Domain, field, minimal: bool):
+def _minimality(domain: Domain, minimal: bool):
     if not minimal:
         return
     hi, _ = domain.sites(0.0)
@@ -186,43 +193,88 @@ def _minimality(domain: Domain, field, minimal: bool):
             f"max |H| = {worst:.3e} exceeds the minimality tolerance")
 
 
-def _field_sup(domain: Domain, field) -> float:
-    bound = domain.bind(field)
-    hi, _ = domain.sites(0.0, bound)
-    return float(np.max(np.abs(hi.psi))) if len(hi.psi) else 0.0
+# ---------------------------------------------------------------------------
+# Hypotheses on the exponents in dimension k
+# ---------------------------------------------------------------------------
+
+def _check_hardy(k, o):
+    if o["gamma"] >= k:
+        raise InvalidExponent(
+            f"weight exponent gamma = {o['gamma']} must be below the "
+            f"dimension k = {k}")
+    if o["p"] < 1:
+        raise InvalidArgument("p must be >= 1")
 
 
-def _vol_supp(domain: Domain, field) -> float:
-    bound = domain.bind(field)
-    hi, _ = domain.sites(0.0, bound)
-    return float(np.sum(hi.density[np.abs(hi.psi) > 0]))
+def _check_sobolev(k, o):
+    if not 1 <= o["p"] < k:
+        raise InvalidExponent("needs 1 <= p < k")
 
 
-def _check_psi_nonneg(domain: Domain, field):
-    bound = domain.bind(field)
-    hi, _ = domain.sites(0.0, bound)
-    if len(hi.psi) and float(np.min(hi.psi)) < -1e-12:
-        raise PreconditionViolated("test function must be nonnegative")
+def _check_hadamard(k, o):
+    _check_sobolev(k, o)
+    _check_hardy(k, o)
+
+
+def _check_weighted(k, o):
+    _check_sobolev(k, o)
+    if o["p"] * (o["alpha"] + 1.0) >= k:
+        raise InvalidExponent("needs p * (alpha + 1) < k")
+
+
+def _validated(params: cn.ParameterSet) -> cn.ParameterSet:
+    params.validate()
+    return params
+
+
+def _single_params(k, o) -> cn.ParameterSet:
+    return _validated(cn.solve_balance(k=k, p=o["p"], alpha=o["alpha"],
+                                       sigma=o["sigma"]))
+
+
+def _ckn_params(k, o) -> cn.ParameterSet:
+    """Balance closure from (t, gamma) when both are given, else (sigma, a)."""
+    free = ("gamma", "t") if "t" in o and "gamma" in o else ("sigma", "a")
+    known = {key: o[key] for key in ("p", "q", "alpha", "beta", *free)
+             if key in o}
+    return _validated(cn.solve_balance(k=k, **known))
+
+
+def _derived_params(which, k, o) -> cn.ParameterSet:
+    overrides = {key: o[key] for key in ("p", "q", "a", "alpha", "gamma")
+                 if key in o}
+    return _validated(derived_parameters(which, k, **overrides))
 
 
 # ---------------------------------------------------------------------------
 # Hardy family
 # ---------------------------------------------------------------------------
 
-def eval_hardy_signed(domain: Domain, field, p: float, gamma: float,
-                      r0: float = None, slack: float = None) -> InequalityReport:
-    """Sharper Hardy form: nonnegative test functions, signed boundary term."""
-    if gamma >= domain.k:
-        raise InvalidExponent("weight exponent must be below the dimension")
-    if p < 1:
-        raise InvalidArgument("p must be >= 1")
-    if p == 1.0:
-        rep = eval_hardy(domain, field, p, gamma, r0=r0, slack=slack)
-        rep.notes.append("p = 1 routed to the general-sign evaluator")
-        return rep
-    _check_psi_nonneg(domain, field)
+def _hardy(id: str, domain: Domain, field, p: float, gamma: float,
+           r0: float = None, minimal: bool = False,
+           slack: float = None) -> InequalityReport:
+    """The three Hardy forms over one set of constants and integrals.
+
+    ``hardy_signed`` at ``p > 1`` uses the signed boundary term and the
+    combined gradient-curvature integrand; at ``p = 1`` it is routed to the
+    general-sign form.  ``hardy_hadamard`` is the general-sign form in the
+    flat model, always over the smallest ball around the domain.
+    """
+    if id == "hardy_hadamard" and domain.ambient.kind != "euclidean":
+        raise PreconditionViolated(
+            "the flat-weight Hardy form needs the zero-curvature model ambient")
+    _admit(id, domain, field, {"p": p, "gamma": gamma})
     k = domain.k
-    r0, hp0 = _resolve_r0(domain, r0)
+    routed = id == "hardy_signed" and p == 1.0
+    signed = id == "hardy_signed" and not routed
+    minimal = id == "hardy" and bool(minimal)
+    if signed:
+        psi = _band0(domain, field).psi
+        if len(psi) and float(np.min(psi)) < -1e-12:
+            raise PreconditionViolated("test function must be nonnegative")
+    else:
+        _minimality(domain, minimal)
+    r0, hp0 = _resolve_r0(domain, None if id == "hardy_hadamard" else r0)
     c1 = (k - gamma) ** p * hp0 ** (p - 1.0) / p ** p
     c2 = gamma * ((k - gamma) * hp0) ** (p - 1.0) / p ** (p - 1.0)
     cb = ((k - gamma) * hp0) ** (p - 1.0) / p ** (p - 1.0)
@@ -231,87 +283,65 @@ def eval_hardy_signed(domain: Domain, field, p: float, gamma: float,
     i2 = weighted_integral(domain,
                            lambda b: np.abs(b.psi) ** p * b.perp ** 2,
                            gamma, "h_power_times_hprime", field=field)
-    r1 = weighted_integral(
-        domain,
-        lambda b: (b.grad_psi ** 2 + b.psi ** 2 * b.h_norm ** 2 / p ** 2)
-        ** (p / 2.0),
-        gamma - p, "h_power", field=field)
-    bterm = boundary_integral(domain, lambda b: np.abs(b.psi) ** p,
-                              gamma - 1.0, with_radial_conormal=True,
-                              field=field) if domain.has_boundary else Qty(0.0)
+    params = {"p": p, "gamma": gamma, "r0": r0, "k": k}
+    constants = {"hardy_coeff": c1, "perp_coeff": c2, "boundary_coeff": cb}
     notes = []
-    if c2 > 0 and i2.value > 0:
-        notes.append("normal-component term strictly enlarges the left-hand side")
+    if signed:
+        rhs = {"gradient_term": weighted_integral(
+            domain,
+            lambda b: (b.grad_psi ** 2 + b.psi ** 2 * b.h_norm ** 2 / p ** 2)
+            ** (p / 2.0),
+            gamma - p, "h_power", field=field)}
+        if c2 > 0 and i2.value > 0:
+            notes.append("normal-component term strictly enlarges the "
+                         "left-hand side")
+    else:
+        a_p = 1.0 if minimal else cn.pair_power_upper(p)
+        params["minimal"] = minimal
+        constants["split_coeff"] = a_p
+        rhs = {
+            "gradient_term": a_p * weighted_integral(
+                domain, lambda b: b.grad_psi ** p, gamma - p, "h_power",
+                field=field),
+            "curvature_term": a_p * weighted_integral(
+                domain, lambda b: np.abs(b.psi) ** p * b.h_norm ** p / p ** p,
+                gamma - p, "h_power", field=field)}
+        if minimal:
+            notes.append("minimal submanifold: split coefficient taken as 1")
+    constants["h_prime_r0"] = hp0
+    bterm = boundary_integral(domain, lambda b: np.abs(b.psi) ** p,
+                              gamma - 1.0, with_radial_conormal=signed,
+                              field=field) if domain.has_boundary else Qty(0.0)
+    rhs["boundary_term"] = cb * bterm
     if not domain.has_boundary:
         notes.append("closed submanifold: boundary term is zero")
-    return _assemble(
-        "hardy_signed",
-        {"p": p, "gamma": gamma, "r0": r0, "k": k},
-        {"hardy_coeff": c1, "perp_coeff": c2, "boundary_coeff": cb,
-         "h_prime_r0": hp0},
-        {"weighted_norm": c1 * i1, "perp_term": c2 * i2},
-        {"gradient_term": r1, "boundary_term": cb * bterm},
-        domain, slack=slack, notes=notes,
-        field_sup=_field_sup(domain, field))
+    rep = _assemble("hardy" if routed else id, params, constants,
+                    {"weighted_norm": c1 * i1, "perp_term": c2 * i2}, rhs,
+                    domain, field, slack=slack, notes=notes)
+    if id == "hardy_hadamard":
+        rep.notes.append("zero-curvature comparison: weights are distance powers")
+    elif routed:
+        rep.notes.append("p = 1 routed to the general-sign evaluator")
+    return rep
+
+
+def eval_hardy_signed(domain: Domain, field, p: float, gamma: float,
+                      r0: float = None, slack: float = None) -> InequalityReport:
+    """Sharper Hardy form: nonnegative test functions, signed boundary term."""
+    return _hardy("hardy_signed", domain, field, p, gamma, r0, slack=slack)
 
 
 def eval_hardy(domain: Domain, field, p: float, gamma: float,
                r0: float = None, minimal: bool = False,
                slack: float = None) -> InequalityReport:
     """General-sign Hardy form with split right-hand side."""
-    if gamma >= domain.k:
-        raise InvalidExponent("weight exponent must be below the dimension")
-    if p < 1:
-        raise InvalidArgument("p must be >= 1")
-    _minimality(domain, field, minimal)
-    k = domain.k
-    r0, hp0 = _resolve_r0(domain, r0)
-    a_p = 1.0 if minimal else cn.pair_power_upper(p)
-    c1 = (k - gamma) ** p * hp0 ** (p - 1.0) / p ** p
-    c2 = gamma * ((k - gamma) * hp0) ** (p - 1.0) / p ** (p - 1.0)
-    cb = ((k - gamma) * hp0) ** (p - 1.0) / p ** (p - 1.0)
-    i1 = weighted_integral(domain, lambda b: np.abs(b.psi) ** p, gamma,
-                           "h_power_times_hprime", field=field)
-    i2 = weighted_integral(domain,
-                           lambda b: np.abs(b.psi) ** p * b.perp ** 2,
-                           gamma, "h_power_times_hprime", field=field)
-    rgrad = weighted_integral(domain, lambda b: b.grad_psi ** p,
-                              gamma - p, "h_power", field=field)
-    rcurv = weighted_integral(
-        domain, lambda b: np.abs(b.psi) ** p * b.h_norm ** p / p ** p,
-        gamma - p, "h_power", field=field)
-    bterm = boundary_integral(domain, lambda b: np.abs(b.psi) ** p,
-                              gamma - 1.0, with_radial_conormal=False,
-                              field=field) if domain.has_boundary else Qty(0.0)
-    notes = []
-    if minimal:
-        notes.append("minimal submanifold: split coefficient taken as 1")
-    if not domain.has_boundary:
-        notes.append("closed submanifold: boundary term is zero")
-    return _assemble(
-        "hardy",
-        {"p": p, "gamma": gamma, "r0": r0, "k": k, "minimal": minimal},
-        {"hardy_coeff": c1, "perp_coeff": c2, "boundary_coeff": cb,
-         "split_coeff": a_p, "h_prime_r0": hp0},
-        {"weighted_norm": c1 * i1, "perp_term": c2 * i2},
-        {"gradient_term": a_p * rgrad, "curvature_term": a_p * rcurv,
-         "boundary_term": cb * bterm},
-        domain, slack=slack, notes=notes,
-        field_sup=_field_sup(domain, field))
+    return _hardy("hardy", domain, field, p, gamma, r0, minimal, slack)
 
 
 def eval_hardy_hadamard(domain: Domain, field, p: float, gamma: float,
                         slack: float = None) -> InequalityReport:
     """Hardy form in a nonpositively curved model: plain distance powers."""
-    if domain.ambient.kind != "euclidean":
-        raise PreconditionViolated(
-            "the flat-weight Hardy form needs the zero-curvature model ambient")
-    if not 1 <= p < domain.k:
-        raise InvalidExponent("needs 1 <= p < k")
-    rep = eval_hardy(domain, field, p, gamma, slack=slack)
-    rep.id = "hardy_hadamard"
-    rep.notes.append("zero-curvature comparison: weights are distance powers")
-    return rep
+    return _hardy("hardy_hadamard", domain, field, p, gamma, slack=slack)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +357,8 @@ def _sobolev_side_conditions(domain: Domain, field, inj_radius):
     """Support-volume side conditions of the dimensional Sobolev constant."""
     k = domain.k
     reasons = []
-    vol = _vol_supp(domain, field)
+    hi = _band0(domain, field)
+    vol = float(np.sum(hi.density[np.abs(hi.psi) > 0]))
     jbar = ((k + 1) / cn.unit_ball_volume(k) * vol) ** (1.0 / k)
     amb = domain.ambient
     b = 0.0
@@ -376,10 +407,8 @@ def eval_sobolev_hs(domain: Domain, field, p: float, inj_radius: float = None,
                     vol_threshold: float = None,
                     slack: float = None) -> InequalityReport:
     """Dimensional Sobolev inequality for boundary-vanishing test functions."""
+    _admit("sobolev_hs", domain, field, {"p": p})
     k = domain.k
-    if not 1 <= p < k:
-        raise InvalidExponent("needs 1 <= p < k")
-    _require_vanishing(domain, field)
     p_star = k * p / (k - p)
     s_const = _sobolev_constant(domain, p)
     lhs_int = weighted_integral(domain, lambda b: np.abs(b.psi) ** p_star,
@@ -399,20 +428,15 @@ def eval_sobolev_hs(domain: Domain, field, p: float, inj_radius: float = None,
         {"sobolev_const": s_const},
         {"critical_norm": lhs_int.powf(p / p_star)},
         {"gradient_term": s_const * rhs_int},
-        domain, slack=slack, hypothesis=hyp,
-        field_sup=_field_sup(domain, field))
+        domain, field, slack=slack, hypothesis=hyp)
 
 
 def eval_weighted_sobolev(domain: Domain, field, p: float, alpha: float,
                           r0: float = None, vol_threshold: float = None,
                           slack: float = None) -> InequalityReport:
     """Power-weighted Sobolev inequality with normal-component terms."""
+    _admit("weighted_sobolev", domain, field, {"p": p, "alpha": alpha})
     k = domain.k
-    if not 1 <= p < k:
-        raise InvalidExponent("needs 1 <= p < k")
-    if p * (alpha + 1.0) >= k:
-        raise InvalidExponent("needs p * (alpha + 1) < k")
-    _require_vanishing(domain, field)
     r0, hp0 = _resolve_r0(domain, r0)
     p_star = k * p / (k - p)
     s_const = _sobolev_constant(domain, p)
@@ -442,8 +466,7 @@ def eval_weighted_sobolev(domain: Domain, field, p: float, alpha: float,
          "perp_sq_term": wc.perp_sq_coeff * lhs_perp2,
          "perp_p_term": wc.perp_p_coeff * lhs_perpp},
         {"gradient_term": wc.grad_coeff * rhs_int},
-        domain, slack=slack, hypothesis=hyp,
-        field_sup=_field_sup(domain, field))
+        domain, field, slack=slack, hypothesis=hyp)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +489,7 @@ def eval_ckn(domain: Domain, field, params: cn.ParameterSet,
     if params.k != k:
         raise ParameterConflict(
             f"parameter dimension {params.k} != domain dimension {k}")
-    _require_vanishing(domain, field)
+    require_vanishing(_id, domain, field)
     r0, hp0 = _resolve_r0(domain, r0)
     p = float(params.p)
     q = float(params.q)
@@ -498,8 +521,25 @@ def eval_ckn(domain: Domain, field, params: cn.ParameterSet,
          "h_prime_r0": hp0},
         {"interp_norm": lhs},
         {"product_bound": rhs},
-        domain, slack=slack, hypothesis=hyp, notes=_notes,
-        field_sup=_field_sup(domain, field))
+        domain, field, slack=slack, hypothesis=hyp, notes=_notes)
+
+
+_DERIVED_IDS = ("mss_weighted", "hardy_derived", "gagliardo_nirenberg",
+                "nash", "heisenberg_pauli_weyl")
+_INTERPOLATION_NOTES = {
+    "ckn_single": "single-factor path: a = 1, t = s, gamma = sigma",
+    **{which: f"specialization of the two-factor inequality ({which})"
+       for which in _DERIVED_IDS},
+}
+
+
+def _interpolate(id: str, domain: Domain, field, o: dict) -> InequalityReport:
+    """Interpolation-family evaluator: the id's balance closure, then ckn."""
+    note = _INTERPOLATION_NOTES.get(id)
+    return eval_ckn(domain, field, _entry(id).check(domain.k, o),
+                    r0=o.get("r0"), vol_threshold=o.get("vol_threshold"),
+                    slack=o.get("slack"), _id=id,
+                    _notes=[note] if note else None)
 
 
 def eval_ckn_single(domain: Domain, field, p: float, alpha: float,
@@ -507,15 +547,9 @@ def eval_ckn_single(domain: Domain, field, p: float, alpha: float,
                     vol_threshold: float = None,
                     slack: float = None) -> InequalityReport:
     """Single-factor interpolation case (the convex weight sits alone)."""
-    params = cn.solve_balance(k=domain.k, p=p, alpha=alpha, sigma=sigma)
-    return eval_ckn(domain, field, params, r0=r0,
-                    vol_threshold=vol_threshold, slack=slack,
-                    _id="ckn_single",
-                    _notes=["single-factor path: a = 1, t = s, gamma = sigma"])
-
-
-_DERIVED_IDS = ("mss_weighted", "hardy_derived", "gagliardo_nirenberg",
-                "nash", "heisenberg_pauli_weyl")
+    return _interpolate("ckn_single", domain, field,
+                        {"p": p, "alpha": alpha, "sigma": sigma, "r0": r0,
+                         "vol_threshold": vol_threshold, "slack": slack})
 
 
 def derived_parameters(which: str, k: int, p: float = None, q: float = None,
@@ -577,63 +611,59 @@ def eval_derived(which: str, domain: Domain, field, r0: float = None,
     """Evaluate a classical specialization through the interpolation path."""
     if which not in _DERIVED_IDS:
         raise InvalidArgument(f"unknown derived inequality {which!r}")
-    params = derived_parameters(which, domain.k, **overrides)
-    return eval_ckn(domain, field, params, r0=r0,
-                    vol_threshold=vol_threshold, slack=slack, _id=which,
-                    _notes=[f"specialization of the two-factor inequality "
-                            f"({which})"])
+    return _interpolate(which, domain, field,
+                        dict(overrides, r0=r0, vol_threshold=vol_threshold,
+                             slack=slack))
 
 
 # ---------------------------------------------------------------------------
-# Generic entry point
+# The catalog and its entry point
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """What one inequality needs, when it applies and how it is evaluated."""
+
+    required: tuple     # options without a default
+    # check(k, options) raises unless the exponents are admissible in
+    # dimension k; the interpolation ids return their exponent tuple
+    check: Callable
+    vanishing: bool     # test functions must vanish on the boundary
+    evaluate: Callable  # evaluate(id, domain, field, options) -> report
+
+
+def _hardy_options(id, domain, field, o):
+    return _hardy(id, domain, field, o["p"], o["gamma"], o.get("r0"),
+                  o.get("minimal", False), o.get("slack"))
+
+
+CATALOG = {
+    "hardy_signed": CatalogEntry(("p", "gamma"), _check_hardy, False,
+                                 _hardy_options),
+    "hardy": CatalogEntry(("p", "gamma"), _check_hardy, False, _hardy_options),
+    "hardy_hadamard": CatalogEntry(("p", "gamma"), _check_hadamard, False,
+                                   _hardy_options),
+    "sobolev_hs": CatalogEntry(
+        ("p",), _check_sobolev, True,
+        lambda id, d, f, o: eval_sobolev_hs(
+            d, f, o["p"], o.get("inj_radius"), o.get("vol_threshold"),
+            o.get("slack"))),
+    "weighted_sobolev": CatalogEntry(
+        ("p", "alpha"), _check_weighted, True,
+        lambda id, d, f, o: eval_weighted_sobolev(
+            d, f, o["p"], o["alpha"], o.get("r0"), o.get("vol_threshold"),
+            o.get("slack"))),
+    "ckn_single": CatalogEntry(("p", "alpha", "sigma"), _single_params, True,
+                               _interpolate),
+    "ckn": CatalogEntry(("p", "q", "alpha", "beta"), _ckn_params, True,
+                        _interpolate),
+    **{which: CatalogEntry((), partial(_derived_params, which), True,
+                           _interpolate)
+       for which in _DERIVED_IDS},
+}
+CATALOG_IDS = tuple(CATALOG)
+
 
 def evaluate(id: str, domain: Domain, field, options: dict) -> InequalityReport:
     """Dispatch by catalog id with a flat options mapping."""
-    opt = dict(options)
-    slack = opt.pop("slack", None)
-    r0 = opt.pop("r0", None)
-    if id == "hardy_signed":
-        return eval_hardy_signed(domain, field, opt["p"], opt["gamma"],
-                                 r0=r0, slack=slack)
-    if id == "hardy":
-        return eval_hardy(domain, field, opt["p"], opt["gamma"], r0=r0,
-                          minimal=bool(opt.get("minimal", False)), slack=slack)
-    if id == "hardy_hadamard":
-        return eval_hardy_hadamard(domain, field, opt["p"], opt["gamma"],
-                                   slack=slack)
-    if id == "sobolev_hs":
-        return eval_sobolev_hs(domain, field, opt["p"],
-                               inj_radius=opt.get("inj_radius"),
-                               vol_threshold=opt.get("vol_threshold"),
-                               slack=slack)
-    if id == "weighted_sobolev":
-        return eval_weighted_sobolev(domain, field, opt["p"], opt["alpha"],
-                                     r0=r0,
-                                     vol_threshold=opt.get("vol_threshold"),
-                                     slack=slack)
-    if id == "ckn_single":
-        return eval_ckn_single(domain, field, opt["p"], opt["alpha"],
-                               opt["sigma"], r0=r0,
-                               vol_threshold=opt.get("vol_threshold"),
-                               slack=slack)
-    if id == "ckn":
-        if "params" in opt:
-            params = opt["params"]
-        elif "t" in opt and "gamma" in opt:
-            params = cn.solve_balance(k=domain.k, p=opt["p"], q=opt["q"],
-                                      alpha=opt["alpha"], beta=opt["beta"],
-                                      gamma=opt["gamma"], t=opt["t"])
-        else:
-            params = cn.solve_balance(k=domain.k, p=opt["p"], q=opt["q"],
-                                      alpha=opt["alpha"], beta=opt["beta"],
-                                      sigma=opt["sigma"], a=opt["a"])
-        return eval_ckn(domain, field, params, r0=r0,
-                        vol_threshold=opt.get("vol_threshold"), slack=slack)
-    if id in _DERIVED_IDS:
-        keys = ("p", "q", "a", "alpha", "gamma")
-        overrides = {key: opt[key] for key in keys if key in opt}
-        return eval_derived(id, domain, field, r0=r0,
-                            vol_threshold=opt.get("vol_threshold"),
-                            slack=slack, **overrides)
-    raise InvalidArgument(f"unknown inequality id {id!r}")
+    return _entry(id).evaluate(id, domain, field, options)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidArgument, PreconditionViolated
 from .geometry.domain import Domain
 from .geometry.fields import Field
-from .inequalities import DEFAULT_SLACK_FLOOR, evaluate
+from .inequalities import DEFAULT_SLACK_FLOOR, evaluate, require_vanishing
 
 _DOF_BOUNDS = {
     "radial_power": [(0.5, 8.0)],
@@ -146,11 +146,8 @@ def maximize_ratio(inequality: str, domain: Domain, family: Field,
     """
     if budget < 1:
         raise InvalidArgument("budget must be >= 1")
-    needs_vanishing = inequality not in ("hardy_signed", "hardy",
-                                         "hardy_hadamard")
-    if needs_vanishing and domain.has_boundary and not family.boundary_vanishing:
-        raise PreconditionViolated(
-            f"{inequality} needs a boundary-vanishing family")
+    # a family failing the boundary hypothesis would score 0 everywhere
+    require_vanishing(inequality, domain, family)
 
     rng = np.random.default_rng(seed)
     step = _DOF_STEP[family.kind]

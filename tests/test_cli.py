@@ -1,8 +1,13 @@
+import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from cknlab import cli
 from cknlab.cli import main
+from cknlab.inequalities import CATALOG_IDS
 
 DISK_CONE_CFG = """
 [ambient]
@@ -128,6 +133,27 @@ def test_verify_csv_output(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("id,")
     assert len(lines) == 2
+
+
+def test_verify_csv_columns_equal_json_records(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(DISK_CONE_CFG.replace("rings = 12", "rings = 4")
+                   + "\n[sweep]\ninequality.gamma = 0.5, 1.0\n")
+    out_path, csv_path = tmp_path / "out.json", tmp_path / "rows.csv"
+    code, _, _ = run(["verify", str(cfg), "--levels", "1", "--csv",
+                      str(csv_path), "--out", str(out_path)], capsys)
+    assert code == 0
+    records = json.loads(out_path.read_text())["records"]
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(records) == 4
+    assert "level" in rows[0]
+    for row, rec in zip(rows, records):
+        for column, text in row.items():
+            value = rec[column] if column in rec else rec["mesh_stats"][column]
+            if isinstance(value, bool):
+                value = int(value)
+            assert text == str(value), column
 
 
 def test_verify_sweep_section(tmp_path, capsys):
@@ -365,6 +391,13 @@ def test_non_positive_size_is_a_config_error(tmp_path, capsys, line):
         assert f"{option} must be positive" in err
 
 
+def test_unknown_ambient_kind_is_a_config_error(tmp_path, capsys):
+    text = DISK_CONE_CFG.replace("kind = euclidean", "kind = hyperbolic")
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "[ambient] kind" in err
+
+
 # -- search judges its best ratio by the report's slack policy
 
 COARSE_PATCH_CFG = """
@@ -400,3 +433,63 @@ def test_search_uses_the_report_slack(tmp_path, capsys):
     record = json.loads(out)["records"][0]
     assert record["best_ratio"] == report["ratio"]
     assert record["slack"] == report["slack"]
+
+
+# -- every catalog hypothesis is checked before any geometry work
+
+CKN_SINGLE_CFG = DISK_CONE_CFG.replace(
+    "id = hardy\np = 1\ngamma = 1",
+    "id = ckn_single\np = 1.2\nalpha = 0.1\nsigma = 3.0")
+
+
+def test_ckn_single_infeasible_sigma_is_a_config_error(tmp_path, capsys):
+    for code, _, err in _verify_and_search(tmp_path, capsys, CKN_SINGLE_CFG):
+        assert code == 1
+        assert "sigma must lie in [alpha, alpha + 1]" in err
+
+
+def _never_build(case, level=0):
+    raise AssertionError("geometry built for an invalid case")
+
+
+@pytest.mark.parametrize("builtin,ineq", [
+    ("ball", "id = nash\np = 3"),
+    ("flat_disk_patch", "id = hardy_hadamard\np = 2.5\ngamma = 0.5"),
+])
+def test_catalog_check_runs_before_geometry(tmp_path, capsys, monkeypatch,
+                                            builtin, ineq):
+    monkeypatch.setattr(cli, "build_domain", _never_build)
+    text = (DISK_CONE_CFG.replace("builtin = disk_mesh", f"builtin = {builtin}")
+            .replace("rings = 12\n", "")
+            .replace("id = hardy\np = 1\ngamma = 1", ineq))
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "invariant violated" in err
+
+
+# -- the README describes the catalog and the geometry registry
+
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_lists_the_catalog_ids():
+    section = _readme().split("### Inequality catalog ids", 1)[1]
+    section = section.strip().split("\n\n", 1)[0]
+    assert tuple(re.findall(r"`(\w+)`", section)) == CATALOG_IDS
+
+
+def test_readme_lists_the_geometry_builtins():
+    # the comment after `builtin =` runs on while a line ends with "|"
+    lines = iter(_readme().split("builtin = ", 1)[1].splitlines())
+    comment = next(lines).split("#", 1)[1].strip()
+    while comment.endswith("|"):
+        comment += " " + next(lines).split("#", 1)[1].strip()
+    names = [name.strip() for name in comment.split("|")]
+    assert sorted(names) == sorted(cli.BUILTINS)
+    # the options table: one row per builtin with its k and option names
+    rows = re.findall(r"^\| `(\w+)` \| (\d) \| (.*) \|$", _readme(), re.M)
+    table = {name: (int(k), re.findall(r"`(\w+)`", options))
+             for name, k, options in rows}
+    assert table == {name: (b.k, list(b.options))
+                     for name, b in cli.BUILTINS.items()}

@@ -339,6 +339,20 @@ def test_linear_field_gradient_exact(disk_domain):
     assert np.allclose(bf.cell_grad_norm, 1.0, atol=1e-10)
 
 
+def test_bindings_cached_by_value_and_bounded(euclid3):
+    from cknlab.geometry.domain import _BIND_CACHE
+    dom = Domain(disk_mesh(1.0, rings=2), euclid3)
+    family = make_field("radial_power", (1.0,))
+    first = dom.bind(family.with_dof((0.75,)))
+    assert dom.bind(family.with_dof((0.75,))) is first
+    for i in range(1000):
+        dom.bind(family.with_dof((1.0 + i / 1000,)))
+        assert dom._bindings.cache_info().currsize <= _BIND_CACHE
+    assert dom._bindings.cache_info().currsize == _BIND_CACHE
+    # the oldest binding was evicted; an equal field binds afresh
+    assert dom.bind(family.with_dof((0.75,))) is not first
+
+
 def test_rectangle_chart_corner_singularity(euclid3):
     # pole at an interior grid corner of a plane chart: graded quadrature
     # must still resolve the 1/r weight

@@ -346,8 +346,6 @@ def test_report_serialization_roundtrip(disk_domain):
     back = json.loads(payload)
     assert back["id"] == "hardy"
     assert back["satisfied"] is True
-    row = rep.csv_row()
-    assert set(row) >= {"id", "ratio", "satisfied"}
 
 
 def test_dilation_invariance_minimal_domain(euclid3):
