@@ -253,46 +253,54 @@ def _choice(*names):
     return parse
 
 
+# lower bounds of an option: (admits(value), what an admissible value is)
+_POSITIVE = (lambda value: value > 0, "positive")
+
+
+def _at_least(least):
+    return (lambda value: value >= least, f"at least {least}")
+
+
 def _read(section: str, values: dict, table: dict) -> dict:
     """Parse the options ``table`` lists, with defaults, checking ranges.
 
-    ``table`` maps option -> (parser, default, must be positive).
+    ``table`` maps option -> (parser, default, lower bound or None).
     """
     out = {}
-    for option, (parse, default, positive) in table.items():
+    for option, (parse, default, bound) in table.items():
         if option not in values:
             out[option] = default
             continue
         value = _number(section, option, values[option], parse)
-        if positive and not value > 0:
-            raise ConfigError(f"[{section}] {option} must be positive, "
+        if bound is not None and not bound[0](value):
+            raise ConfigError(f"[{section}] {option} must be {bound[1]}, "
                               f"got {value}")
         out[option] = value
     return out
 
 
-_AMBIENT = {"kind": (_choice("euclidean", "warped"), "euclidean", False),
-            "dim": (int, 3, True), "r_max": (float, 1.5, False),
-            "step": (float, 1e-3, False), "curvature": (float, 1.0, False)}
-_FIELD = {"kind": (_choice(*DOF_LENGTH), "radial_power", False),
-          "boundary_vanishing": (_flag, True, False),
-          "seed": (int, None, False)}
+_AMBIENT = {"kind": (_choice("euclidean", "warped"), "euclidean", None),
+            "dim": (int, 3, _POSITIVE), "r_max": (float, 1.5, None),
+            "step": (float, 1e-3, None), "curvature": (float, 1.0, None)}
+_FIELD = {"kind": (_choice(*DOF_LENGTH), "radial_power", None),
+          "boundary_vanishing": (_flag, True, None),
+          "seed": (int, None, None)}
 
-_RADIUS = (float, 1.0, True)
-_HALF_WIDTH = (float, 1.0, True)
-_HEIGHT = (float, 0.0, False)
-_CENTER = (_floats(3), (0.0, 0.0, 0.0), False)
+_RADIUS = (float, 1.0, _POSITIVE)
+_HALF_WIDTH = (float, 1.0, _POSITIVE)
+_HEIGHT = (float, 0.0, None)
+_CENTER = (_floats(3), (0.0, 0.0, 0.0), None)
 
 
 def _count(default):
-    return (int, default, True)
+    return (int, default, _POSITIVE)
 
 
 class Builtin(NamedTuple):
     """A builtin geometry: its dimension, its options and its builder."""
 
     k: int
-    options: dict   # option -> (parser, default, must be positive)
+    options: dict   # option -> (parser, default, lower bound or None)
     # build(ambient, options, level) -> mesh or patch; each refinement
     # level doubles every cell count
     build: Callable
@@ -309,17 +317,17 @@ def _quadratic(c):
 BUILTINS = {
     "disk_mesh": Builtin(
         2, {"radius": _RADIUS, "rings": _count(8), "center": _CENTER,
-            "axes": (_floats(6), None, False)},
+            "axes": (_floats(6), None, None)},
         lambda amb, o, lv: disk_mesh(
             o["radius"], rings=o["rings"] << lv, center=o["center"],
             axes=None if o["axes"] is None
             else np.array(o["axes"]).reshape(2, 3))),
     "sphere_mesh": Builtin(
-        2, {"radius": _RADIUS, "level": (int, 3, False), "center": _CENTER},
+        2, {"radius": _RADIUS, "level": (int, 3, None), "center": _CENTER},
         lambda amb, o, lv: sphere_mesh(o["radius"], level=o["level"] + lv,
                                        center=o["center"])),
     "graph_mesh": Builtin(
-        2, {"coeffs": (_floats(3), (0.2, -0.1, 0.15), False),
+        2, {"coeffs": (_floats(3), (0.2, -0.1, 0.15), None),
             "half_width": _HALF_WIDTH, "divisions": _count(8)},
         lambda amb, o, lv: graph_mesh(_quadratic(o["coeffs"]),
                                       o["half_width"], o["divisions"] << lv)),
@@ -331,7 +339,7 @@ BUILTINS = {
             (o["cells_r"] << lv, o["cells_theta"] << lv))),
     "sphere_patch": Builtin(
         2, {"radius": _RADIUS, "center": _CENTER,
-            "theta0": (float, 0.0, False), "theta1": (float, math.pi, False),
+            "theta0": (float, 0.0, None), "theta1": (float, math.pi, None),
             "cells_theta": _count(8), "cells_phi": _count(16)},
         lambda amb, o, lv: sphere_patch(
             amb, o["radius"], o["center"], (o["theta0"], o["theta1"]),
@@ -341,7 +349,7 @@ BUILTINS = {
         lambda amb, o, lv: plane_rect(amb, o["half_width"], o["height"],
                                       o["cells"] << lv)),
     "poly_graph": Builtin(
-        2, {"poly": (_poly, {(2, 0): 0.25, (0, 2): -0.15}, False),
+        2, {"poly": (_poly, {(2, 0): 0.25, (0, 2): -0.15}, None),
             "half_width": _HALF_WIDTH, "cells": _count(8)},
         lambda amb, o, lv: poly_graph_patch(amb, o["poly"], o["half_width"],
                                             o["cells"] << lv)),
@@ -357,8 +365,8 @@ BUILTINS = {
             (o["cells_r"] << lv, o["cells_theta"] << lv,
              o["cells_phi"] << lv))),
 }
-_MESH_FILE_K = 2    # a [geometry] path names a triangle mesh
-_ORDER = {"quadrature_order": (int, 4, False)}
+# the Domain pairs each rule with one of the next lower order
+_ORDER = {"quadrature_order": (int, 4, _at_least(2))}
 
 
 def _geometry(case: dict):
@@ -379,7 +387,16 @@ def _geometry(case: dict):
 def validate_case(case: dict) -> dict:
     """Check a case before any geometry work; returns parsed options."""
     builtin, _ = _geometry(case)
-    k = builtin.k if builtin else _MESH_FILE_K
+    ambient = _read("ambient", case.get("ambient", {}), _AMBIENT)
+    if builtin is None:
+        try:
+            mesh = read_mesh(case["geometry"]["path"])
+        except InvalidArgument as exc:
+            raise ConfigError(f"[geometry] path: {exc}") from exc
+        if mesh.n != ambient["dim"]:
+            raise ConfigError(f"[geometry] path: the mesh has {mesh.n}-d "
+                              f"vertices in a {ambient['dim']}-d ambient")
+    k = builtin.k if builtin else mesh.k
 
     ineq = case.get("inequality", {})
     ineq_id = ineq.get("id")
@@ -409,7 +426,6 @@ def validate_case(case: dict) -> dict:
         if len(dof) != DOF_LENGTH[kind]:
             raise ConfigError(f"[field] {kind} takes {DOF_LENGTH[kind]} "
                               f"dof, got {len(dof)}")
-    _read("ambient", case.get("ambient", {}), _AMBIENT)
     return options
 
 
@@ -567,10 +583,16 @@ def cmd_search(args) -> int:
     levels = args.levels if args.levels is not None else 0
     records = []
     results = []
+    # consecutive cases on the same geometry share its domain, and with it
+    # the graded site tables; only the current domain is kept
+    domain = geometry = None
     try:
         for case, options in parsed:
             budget = args.budget or int(case.get("run", {}).get("budget", 100))
-            domain = build_domain(case, 0)
+            key = (case.get("ambient"), case.get("geometry"))
+            if key != geometry:
+                domain = None
+                domain, geometry = build_domain(case, 0), key
             family = build_field(case, seed)
             result = maximize_ratio(case["inequality"]["id"], domain, family,
                                     options, budget=budget, seed=seed,

@@ -253,8 +253,9 @@ def run_corpus(cases, level: int = 0, threads: int = None):
             domains[name] = builders[name]()
         return domains[name]
 
-    # domains are built up front; their lazy site tables and field bindings
-    # are cached under per-domain locks, so the sweep parallelizes at case
+    # domains are built up front; their lazy site tables are built under a
+    # per-domain lock, and a field's values live in a slot that each thread
+    # replaces rather than mutates, so the sweep parallelizes at case
     # granularity with an ordered result list
     for case in cases:
         get_domain(case.geometry)

@@ -165,6 +165,11 @@ class Domain:
         # while a field binds, so binding never waits on a site-table build
         self._bindings = functools.lru_cache(maxsize=_BIND_CACHE)(
             lambda field: field.bind(self))
+        # the site tables of one bound field, (bound field, {band or "b":
+        # (hi, lo)}), filled during one evaluation and emptied by
+        # release_field; replaced as a whole, so a thread holding the old
+        # tuple still reads a consistent one
+        self._field_slot = None
         self._prepare()
 
     # -- construction ---------------------------------------------------------
@@ -291,6 +296,29 @@ class Domain:
         """The binding of ``field`` to this domain, cached by field value."""
         return self._bindings(field)
 
+    def _with_bound(self, key, bound_field, tables, attach):
+        """``tables`` with ``bound_field``'s values, computed once per key.
+
+        The values are kept in the field slot until :meth:`release_field`;
+        a slot held for another field is replaced, never mutated.
+        """
+        slot = self._field_slot
+        if slot is None or slot[0] is not bound_field:
+            slot = self._field_slot = (bound_field, {})
+        out = slot[1].get(key)
+        if out is None:
+            out = slot[1][key] = tuple(attach(t, bound_field) for t in tables)
+        return out
+
+    def release_field(self):
+        """Drop the field values kept for the last bound field.
+
+        :func:`cknlab.inequalities.evaluate` calls this when an evaluation
+        ends; after a direct call of an evaluator or an integral the values
+        stay until the next evaluation on this domain.
+        """
+        self._field_slot = None
+
     # -- interior sites ---------------------------------------------------------
 
     def _gamma_band(self, gamma: float) -> int:
@@ -313,12 +341,10 @@ class Domain:
         band = self._gamma_band(gamma)
         build = (self._build_mesh_sites if self.kind == "mesh"
                  else self._build_patch_sites)
-        hi, lo = self._cached(self._interior_cache, band,
-                              lambda: build(band))
-        if bound_field is not None:
-            hi = self._with_field(hi, bound_field)
-            lo = self._with_field(lo, bound_field)
-        return hi, lo
+        tables = self._cached(self._interior_cache, band, lambda: build(band))
+        if bound_field is None:
+            return tables
+        return self._with_bound(band, bound_field, tables, self._with_field)
 
     def _with_field(self, batch: SiteBatch, bound_field) -> SiteBatch:
         psi, grad = bound_field.at_sites(batch)
@@ -547,13 +573,13 @@ class Domain:
     # -- boundary sites -----------------------------------------------------------
 
     def boundary_sites(self, bound_field=None):
-        hi, lo = self._cached(self._boundary_cache, "b",
+        tables = self._cached(self._boundary_cache, "b",
                               self._build_mesh_boundary if self.kind == "mesh"
                               else self._build_patch_boundary)
-        if bound_field is not None and hi is not None:
-            hi = self._with_boundary_field(hi, bound_field)
-            lo = self._with_boundary_field(lo, bound_field)
-        return hi, lo
+        if bound_field is None or tables[0] is None:
+            return tables
+        return self._with_bound("b", bound_field, tables,
+                                self._with_boundary_field)
 
     def _with_boundary_field(self, batch, bound_field):
         psi = bound_field.at_boundary(batch)

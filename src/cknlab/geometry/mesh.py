@@ -407,15 +407,49 @@ def write_mesh(mesh: SimplicialMesh, path) -> None:
 
 
 def read_mesh(path) -> SimplicialMesh:
+    """The mesh in a file written by :func:`write_mesh`.
+
+    Raises :class:`InvalidArgument` when the file cannot be read, or when
+    its rows do not match the counts in its header, its cells are not
+    simplices of one dimension, or an index names no vertex.
+    """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgument(f"cannot read mesh file {path}: {exc}") from None
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             rows.append(line.split())
-    nv, nc, nb = (int(x) for x in rows[0])
-    verts = np.array([[float(x) for x in row] for row in rows[1:1 + nv]])
-    cells = np.array([[int(x) for x in row] for row in rows[1 + nv:1 + nv + nc]])
-    bf = rows[1 + nv + nc:1 + nv + nc + nb]
-    bfacets = np.array([[int(x) for x in row] for row in bf]) if bf else None
+
+    def table(rows, parse, width, what):
+        try:
+            out = np.array([[parse(x) for x in row] for row in rows])
+        except ValueError:
+            out = None   # a value that does not parse, or ragged rows
+        if out is None or out.ndim != 2 or (width and out.shape[1] != width):
+            raise InvalidArgument(f"mesh file {path}: malformed {what} rows")
+        return out
+
+    if not rows:
+        raise InvalidArgument(f"mesh file {path} is empty")
+    nv, nc, nb = table(rows[:1], int, 3, "header")[0]
+    if nv < 1 or nc < 1 or nb < 0 or len(rows) != 1 + nv + nc + nb:
+        raise InvalidArgument(
+            f"mesh file {path}: header declares {nv} vertices, {nc} cells "
+            f"and {nb} boundary facets, but {len(rows) - 1} rows follow")
+    verts = table(rows[1:1 + nv], float, 0, "vertex")
+    cells = table(rows[1 + nv:1 + nv + nc], int, 0, "cell")
+    k = cells.shape[1] - 1
+    if k < 1:
+        raise InvalidArgument(f"mesh file {path}: cells need two or more "
+                              "vertices")
+    bfacets = (table(rows[1 + nv + nc:], int, k, "boundary facet") if nb
+               else None)
+    ids = cells if bfacets is None else np.concatenate([cells, bfacets], None)
+    if ids.min() < 0 or ids.max() >= nv:
+        raise InvalidArgument(f"mesh file {path}: a cell or facet names no "
+                              "vertex")
     return SimplicialMesh(verts, cells, bfacets,
                           metadata={"generator": "file", "path": str(path)})

@@ -665,5 +665,12 @@ CATALOG_IDS = tuple(CATALOG)
 
 
 def evaluate(id: str, domain: Domain, field, options: dict) -> InequalityReport:
-    """Dispatch by catalog id with a flat options mapping."""
-    return _entry(id).evaluate(id, domain, field, options)
+    """Dispatch by catalog id with a flat options mapping.
+
+    The field's values on each site table are computed once and shared by
+    the evaluation's integrals; they are dropped when it ends.
+    """
+    try:
+        return _entry(id).evaluate(id, domain, field, options)
+    finally:
+        domain.release_field()

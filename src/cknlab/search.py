@@ -44,6 +44,11 @@ class TightnessResult:
     seed: int = 0
     trace: list = dc_field(default_factory=list)
     slack: float = DEFAULT_SLACK_FLOOR  # the best report's slack
+    quadrature_error: float = 0.0       # the best report's error estimate
+    # evaluations after the memo: each distinct parameter vector once
+    distinct_evaluations: int = 0
+    rejected: int = 0      # of those, rejected by a precondition (scored 0)
+    degenerate: int = 0    # degenerate or non-finite reports (scored 0)
 
     def to_dict(self) -> dict:
         return {
@@ -57,6 +62,10 @@ class TightnessResult:
             "seed": self.seed,
             "trace": [float(x) for x in self.trace],
             "slack": self.slack,
+            "quadrature_error": self.quadrature_error,
+            "distinct_evaluations": self.distinct_evaluations,
+            "rejected": self.rejected,
+            "degenerate": self.degenerate,
         }
 
 
@@ -155,20 +164,25 @@ def maximize_ratio(inequality: str, domain: Domain, family: Field,
     if budget > 1:
         x0 = x0 + 0.05 * step * rng.standard_normal(len(x0))
 
-    # slack of each evaluated member's report, so the best ratio is judged
-    # by the same policy as a single report
-    slacks = {}
+    # the report of each distinct member (None when a precondition rejects
+    # it): Nelder-Mead revisits points, and the best one is judged by its
+    # report's slack, as a single report is
+    reports = {}
+
+    def vacuous(rep):
+        return rep.degenerate or not np.isfinite(rep.ratio)
+
+    def score(rep):
+        return 0.0 if rep is None or vacuous(rep) else rep.ratio
 
     def objective(dof):
         fld = family.with_dof(dof)
-        try:
-            rep = evaluate(inequality, domain, fld, options)
-        except PreconditionViolated:
-            return 0.0
-        slacks[fld.dof] = rep.slack
-        if rep.degenerate or not np.isfinite(rep.ratio):
-            return 0.0
-        return rep.ratio
+        if fld.dof not in reports:
+            try:
+                reports[fld.dof] = evaluate(inequality, domain, fld, options)
+            except PreconditionViolated:
+                reports[fld.dof] = None
+        return score(reports[fld.dof])
 
     best_x, best_val, evals, trace = nelder_mead(
         objective, x0, step, budget,
@@ -181,13 +195,18 @@ def maximize_ratio(inequality: str, domain: Domain, family: Field,
         dom = dom.refined()
         rep = evaluate(inequality, dom, best_field, options)
         refinement.append((level, rep.ratio))
-    return TightnessResult(inequality=inequality, best_ratio=best_val,
-                           argmax_dof=tuple(float(v) for v in best_x),
-                           evaluations=evals, refinement_trace=refinement,
-                           seed=seed, trace=trace,
-                           slack=slacks.get(best_field.dof,
-                                            options.get("slack",
-                                                        DEFAULT_SLACK_FLOOR)))
+    best = reports.get(best_field.dof)
+    return TightnessResult(
+        inequality=inequality, best_ratio=best_val,
+        argmax_dof=tuple(float(v) for v in best_x), evaluations=evals,
+        refinement_trace=refinement, seed=seed, trace=trace,
+        slack=(best.slack if best is not None
+               else options.get("slack", DEFAULT_SLACK_FLOOR)),
+        quadrature_error=best.quadrature_error if best is not None else 0.0,
+        distinct_evaluations=len(reports),
+        rejected=sum(rep is None for rep in reports.values()),
+        degenerate=sum(rep is not None and vacuous(rep)
+                       for rep in reports.values()))
 
 
 def refinement_study(inequality: str, domain: Domain, field: Field,

@@ -493,3 +493,86 @@ def test_readme_lists_the_geometry_builtins():
              for name, k, options in rows}
     assert table == {name: (b.k, list(b.options))
                      for name, b in cli.BUILTINS.items()}
+
+
+# -- a [geometry] path and the quadrature order are checked in the config
+# stage, before any geometry work
+
+MESH_FILE_CFG = DISK_CONE_CFG.replace(
+    "builtin = disk_mesh\nradius = 1.0\nrings = 12", "path = {path}")
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read mesh file"),
+    ("3 1 0\n", "header declares 3 vertices, 1 cells and 0 boundary facets, "
+                "but 0 rows follow"),
+    ("", "is empty"),
+    ("3 1 0\n0 0 0\n1 0 0\n0 1 0\n0 1 3\n", "names no vertex"),
+    ("3 1 0\n0 0 0\n1 0\n0 1 0\n0 1 2\n", "malformed vertex rows"),
+    ("3 1 0\n0 0\n1 0\n0 1\n0 1 2\n", "2-d vertices in a 3-d ambient"),
+], ids=["missing", "header_only", "empty", "bad_index", "ragged",
+        "planar_vertices"])
+def test_malformed_mesh_file_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                               content, message):
+    monkeypatch.setattr(cli, "build_domain", _never_build)
+    path = tmp_path / "cells.mesh"
+    if content is not None:
+        path.write_text(content)
+    text = MESH_FILE_CFG.format(path=path)
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "[geometry] path" in err and message in err
+
+
+def test_quadrature_order_one_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_domain", _never_build)
+    text = DISK_CONE_CFG.replace("rings = 12",
+                                 "rings = 12\nquadrature_order = 1")
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "quadrature_order must be at least 2, got 1" in err
+
+
+# -- search builds one domain per run of cases on the same geometry
+
+FIELD_KINDS = ("radial_power", "radial_bump", "polynomial", "random_smooth")
+
+
+def _search_records(tmp_path, capsys, text, name):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    code, out, _ = run(["search", str(cfg), "--budget", "12", "--seed", "3",
+                        "--json"], capsys)
+    assert code == 0
+    return json.loads(out)["records"]
+
+
+@pytest.mark.parametrize("sweep,builds", [
+    ("field.kind = " + ", ".join(FIELD_KINDS), 1),
+    ("geometry.rings = 6, 8\nfield.kind = radial_power, polynomial", 2),
+], ids=["one_geometry", "two_geometries"])
+def test_search_reuses_the_domain_of_a_geometry(tmp_path, capsys, monkeypatch,
+                                                sweep, builds):
+    base = (DISK_CONE_CFG.replace("rings = 12", "rings = 6")
+            .replace("kind = radial_power\ndof = 1.0\n", ""))
+    built = []
+    real_build = cli.build_domain
+
+    def counting_build(case, level=0):
+        built.append(case["geometry"]["rings"])
+        return real_build(case, level)
+
+    monkeypatch.setattr(cli, "build_domain", counting_build)
+    records = _search_records(tmp_path, capsys, base + "\n[sweep]\n" + sweep,
+                              "sweep")
+    assert len(built) == builds
+    # each case on a domain of its own gives the same records
+    cases = [(rings, kind) for rings in sorted(set(built))
+             for kind in (FIELD_KINDS if builds == 1
+                          else ("radial_power", "polynomial"))]
+    assert len(records) == len(cases)
+    for rec, (rings, kind) in zip(records, cases):
+        alone = base.replace("rings = 6", f"rings = {rings}").replace(
+            "[field]\n", f"[field]\nkind = {kind}\n")
+        assert _search_records(tmp_path, capsys, alone, "alone") == [rec]
+    assert len(built) == builds + len(cases)

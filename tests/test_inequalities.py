@@ -387,3 +387,80 @@ def test_weighted_sobolev_tilted_plane_perp_terms(tilted_disk_domain):
     assert rep.lhs_terms["perp_sq_term"] > 0
     assert rep.lhs_terms["perp_p_term"] > 0
     assert rep.satisfied
+
+
+# ---------------------------------------------------------------------------
+# one field evaluation per site table and evaluation
+# ---------------------------------------------------------------------------
+
+def _record_at_sites(monkeypatch):
+    from cknlab.geometry.fields import BoundField
+    seen = []
+    real = BoundField.at_sites
+
+    def recording(self, batch):
+        seen.append(batch)
+        return real(self, batch)
+
+    monkeypatch.setattr(BoundField, "at_sites", recording)
+    return seen
+
+
+def test_field_bound_once_per_site_table(disk_domain, monkeypatch):
+    # an evaluator called directly, as earlier tests do, keeps its field's
+    # values until the domain's next evaluation
+    disk_domain.release_field()
+    seen = _record_at_sites(monkeypatch)
+    rep = iq.evaluate("hardy", disk_domain, CONE, {"p": 1.0, "gamma": 1.0})
+    # p = 1, gamma = 1 reads bands 1 (left side) and 0 (right side, sup)
+    tables = disk_domain.sites(1.0) + disk_domain.sites(0.0)
+    assert len(seen) == len(tables) == 4
+    assert all(any(batch is table for table in tables) for batch in seen)
+    assert len({id(batch) for batch in seen}) == 4
+    assert disk_domain._field_slot is None
+    assert abs(rep.ratio - 1.0) < 5e-3
+
+
+def test_field_slot_empty_after_a_raising_evaluation(disk_domain):
+    negative = make_field("polynomial", (-1.0, 0, 0, 0, 0, 0),
+                          boundary_vanishing=False)
+    with pytest.raises(PreconditionViolated):
+        iq.evaluate("hardy_signed", disk_domain, negative,
+                    {"p": 2.0, "gamma": 0.5})
+    assert disk_domain._field_slot is None
+
+
+def test_threads_sharing_a_domain_match_serial(euclid3):
+    import sys
+    import threading
+    # more threads than cores, each with a field of its own
+    fields = [make_field("radial_power", (1.0 + 0.5 * i,)) for i in range(4)]
+    options = {"p": 1.0, "gamma": 1.0}
+    serial = [iq.evaluate("hardy", Domain(disk_mesh(1.0, rings=8), euclid3),
+                          f, options).to_dict() for f in fields]
+    shared = Domain(disk_mesh(1.0, rings=8), euclid3)
+    shared.sites(0.0), shared.sites(1.0), shared.boundary_sites()
+    barrier = threading.Barrier(len(fields))
+    results = [[] for _ in fields]
+
+    def work(i):
+        barrier.wait()
+        for _ in range(6):
+            results[i].append(
+                iq.evaluate("hardy", shared, fields[i], options).to_dict())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(fields))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, reports in enumerate(results):
+        assert reports == [serial[i]] * 6
+    assert shared._field_slot is None

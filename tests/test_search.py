@@ -110,3 +110,69 @@ def test_search_never_escapes_slack(disk_domain_coarse, inequality, options,
     result = maximize_ratio(inequality, disk_domain_coarse, family, options,
                             budget=60, seed=2)
     assert result.best_ratio <= 1.0 + 5e-2
+
+
+# -- each distinct point is evaluated once; the counters say what scored 0
+
+def test_memo_matches_an_unmemoized_objective(disk_domain_coarse,
+                                              monkeypatch):
+    import cknlab.search as search
+    family = make_field("radial_power", (2.5,))
+    calls, run = [], {}
+    real_evaluate, real_nm = search.evaluate, search.nelder_mead
+
+    def counting_evaluate(*args):
+        calls.append(args[2].dof)
+        return real_evaluate(*args)
+
+    def recording_nm(objective, x0, step, budget, clip=None):
+        run.update(x0=x0, step=step, clip=clip, points=[])
+
+        def recorded(x):
+            run["points"].append(tuple(float(v) for v in x))
+            return objective(x)
+
+        return real_nm(recorded, x0, step, budget, clip)
+
+    monkeypatch.setattr(search, "evaluate", counting_evaluate)
+    monkeypatch.setattr(search, "nelder_mead", recording_nm)
+    result = maximize_ratio("hardy", disk_domain_coarse, family,
+                            HARDY_CONE_OPTIONS, budget=40, seed=11)
+
+    def reference(dof):
+        rep = real_evaluate("hardy", disk_domain_coarse,
+                            family.with_dof(dof), HARDY_CONE_OPTIONS)
+        return 0.0 if rep.degenerate else rep.ratio
+
+    best_x, best, evals, trace = real_nm(reference, run["x0"], run["step"],
+                                         40, run["clip"])
+    assert result.trace == trace
+    assert result.best_ratio == best
+    assert result.argmax_dof == tuple(best_x)
+    assert result.evaluations == evals == 40
+    distinct = set(run["points"])
+    assert len(distinct) < 40          # the radial family revisits points
+    assert result.distinct_evaluations == len(distinct) == len(calls)
+    assert set(calls) == distinct
+    assert (result.rejected, result.degenerate) == (0, 0)
+    best_report = real_evaluate("hardy", disk_domain_coarse,
+                                family.with_dof(best_x), HARDY_CONE_OPTIONS)
+    assert result.slack == best_report.slack
+    assert result.quadrature_error == best_report.quadrature_error
+
+
+def test_rejected_and_degenerate_members_are_counted(disk_domain_coarse):
+    options = {"p": 2.0, "gamma": 0.5}
+    zero = make_field("polynomial", (0.0,) * 6, boundary_vanishing=False)
+    negative = make_field("polynomial", (-1.0, 0, 0, 0, 0, 0),
+                          boundary_vanishing=False)
+    for family, counts in ((zero, (0, 1)), (negative, (1, 0))):
+        result = maximize_ratio("hardy_signed", disk_domain_coarse, family,
+                                options, budget=1)
+        assert result.best_ratio == 0.0
+        assert result.distinct_evaluations == 1
+        assert (result.rejected, result.degenerate) == counts
+        record = result.to_dict()
+        assert (record["rejected"], record["degenerate"]) == counts
+        assert record["distinct_evaluations"] == 1
+        assert record["quadrature_error"] == 0.0
