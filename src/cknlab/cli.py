@@ -55,7 +55,8 @@ from .geometry import (
 )
 from .geometry.fields import DOF_LENGTH, make_field
 from .geometry.mesh import read_mesh
-from .inequalities import CATALOG, CATALOG_IDS, evaluate
+from .inequalities import (CATALOG, CATALOG_IDS, _ckn_params, _single_params,
+                           evaluate)
 from .search import maximize_ratio
 from .warp import CurvatureProfile, load_profile, solve_warping
 
@@ -104,25 +105,18 @@ def cmd_constants(args) -> int:
             rows["Delta"] = wc.perp_p_coeff
             rows["eps_opt"] = wc.eps_opt
             rows["Lambda"] = cn.hardy_endpoint_coeff(k, pf, alpha, hp)
+        # the catalog's closures; (t, gamma) wins over (sigma, a)
+        o = {"p": p, **{key: _frac(getattr(args, key) or "0")
+                        for key in ("alpha", "beta", "sigma", "gamma")}}
         params = None
         if args.sigma is not None and args.q is None and args.t is None:
-            params = cn.solve_balance(k=k, p=p,
-                                      alpha=_frac(args.alpha or "0"),
-                                      sigma=_frac(args.sigma))
-        elif args.a is not None and args.q is not None:
-            params = cn.solve_balance(k=k, p=p, q=_frac(args.q),
-                                      alpha=_frac(args.alpha or "0"),
-                                      beta=_frac(args.beta or "0"),
-                                      sigma=_frac(args.sigma or "0"),
-                                      a=_frac(args.a))
-        elif args.t is not None and args.q is not None:
-            params = cn.solve_balance(k=k, p=p, q=_frac(args.q),
-                                      alpha=_frac(args.alpha or "0"),
-                                      beta=_frac(args.beta or "0"),
-                                      gamma=_frac(args.gamma or "0"),
-                                      t=_frac(args.t))
+            params = _single_params(k, o)
+        elif args.q is not None and (args.a is not None or args.t is not None):
+            o.update((key, _frac(getattr(args, key)))
+                     for key in ("q", "a", "t")
+                     if getattr(args, key) is not None)
+            params = _ckn_params(k, o)
         if params is not None:
-            params.validate()
             for name, value in params.as_floats().items():
                 rows.setdefault(name, value)
             if pf < k and float(params.p) * (float(params.alpha) + 1.0) < k:

@@ -98,19 +98,31 @@ class Qty:
 
 @dataclass
 class SiteBatch:
-    """Per-site geometry (and optional field) data ready for reductions."""
+    """Per-site geometry (and optional field) data ready for reductions.
+
+    Every column a builder may set is declared here; a column a table does
+    not carry stays ``None``.
+    """
 
     points: np.ndarray        # (S, n)
     density: np.ndarray       # (S,) quadrature weight * measure
     r: np.ndarray             # (S,)
     h: np.ndarray             # (S,)
     hp: np.ndarray            # (S,)
-    perp: np.ndarray          # (S,) |normal part of the radial direction|
-    h_norm: np.ndarray        # (S,) |mean curvature vector|
+    perp: np.ndarray = None   # (S,) |normal part of the radial direction|
+    h_norm: np.ndarray = None  # (S,) |mean curvature vector|
     psi: np.ndarray = None    # (S,)
     grad_psi: np.ndarray = None  # (S,) tangential gradient norm
     conormal_dot: np.ndarray = None  # boundary batches only
     tan_sq: np.ndarray = None  # (S,) |tangential radial part|^2 (unclamped)
+    cell_ids: np.ndarray = None  # (S,) mesh cell of each site
+    bary: np.ndarray = None   # (S, m) barycentrics in that cell or facet
+    facet_ids: np.ndarray = None  # (S,) mesh boundary facet of each site
+    chart: np.ndarray = None  # (S, k) patch chart point
+    h_vec: np.ndarray = None  # (S, n) mean curvature vector
+    dF: np.ndarray = None     # (S, n, k) chart basis, columns of unit length
+    chart_colnorm: np.ndarray = None  # (S, k) lengths of the chart columns
+    metric_ginv: np.ndarray = None  # (S, k, k) inverse metric in that basis
 
     def weight(self, gamma: float, use_hprime: bool) -> np.ndarray:
         w = self.h ** (-gamma) if gamma != 0.0 else np.ones_like(self.h)
@@ -176,6 +188,7 @@ class Domain:
 
     def _prepare(self):
         amb = self.ambient
+        self.n = amb.dim
         if self.kind == "mesh":
             mesh = self.mesh
             self.k = mesh.k
@@ -193,22 +206,20 @@ class Domain:
                 self.min_boundary_radius = float(np.min(self._vertex_r[bverts]))
             else:
                 self.min_boundary_radius = math.inf
+            self.coord_scale = float(np.max(np.abs(mesh.vertices)))
         else:
             patch = self.patch
             self.k = patch.k
             self.through_pole = bool(patch.metadata.get("through_pole", False))
-            corners = self._patch_corner_points()
-            rr = amb.radius(corners)
-            self.max_radius = float(np.max(rr))
-            self.min_boundary_radius = self._patch_min_boundary_radius()
-        self.n = amb.dim
-        if self.kind == "mesh":
-            self.coord_scale = float(np.max(np.abs(self.mesh.vertices)))
-        else:
-            self.coord_scale = float(np.max(np.abs(self._patch_corner_points())))
-        if self.kind == "patch" and self.through_pole:
-            pc = self.patch.metadata.get("pole_chart")
-            if pc is None:
+            self._faces = [face for face, kind in patch.faces.items()
+                           if kind == "boundary"]
+            corners = patch.jet(_box_grid(patch.grid()))[0]
+            self.max_radius = float(np.max(amb.radius(corners)))
+            self.min_boundary_radius = min(
+                (float(np.min(amb.radius(patch.jet(self._face_grid(*f))[0])))
+                 for f in self._faces), default=math.inf)
+            self.coord_scale = float(np.max(np.abs(corners)))
+            if self.through_pole and patch.metadata.get("pole_chart") is None:
                 raise InvalidArgument("through-pole patch without a pole chart node")
 
     def _check_pole_placement(self):
@@ -231,48 +242,17 @@ class Domain:
                 "the pole lies in a cell interior; rebuild the mesh with a "
                 "vertex at the pole")
 
-    def _patch_corner_points(self):
-        edges = self.patch.grid()
-        mesh = np.meshgrid(*edges, indexing="ij")
-        U = np.stack([g.ravel() for g in mesh], axis=1)
-        F, _, _ = self.patch.jet(U)
-        return F
-
-    def _patch_min_boundary_radius(self):
-        out = math.inf
-        for (axis, side), kind in self.patch.faces.items():
-            if kind != "boundary":
-                continue
-            for U in self._face_grid(axis, side, 5):
-                rr = self.ambient.radius(self.patch.jet(U)[0])
-                out = min(out, float(np.min(rr)))
-        return out
-
-    def _face_grid(self, axis, side, samples):
-        bounds = self.patch.bounds
-        fixed = bounds[axis][side]
-        others = [np.linspace(lo, hi, samples)
-                  for d, (lo, hi) in enumerate(bounds) if d != axis]
-        if not others:
-            yield np.array([[fixed]])
-            return
-        mesh = np.meshgrid(*others, indexing="ij")
-        cols = [g.ravel() for g in mesh]
-        U = np.zeros((len(cols[0]), self.patch.k))
-        pos = 0
-        for d in range(self.patch.k):
-            if d == axis:
-                U[:, d] = fixed
-            else:
-                U[:, d] = cols[pos]
-                pos += 1
-        yield U
+    def _face_grid(self, axis, side):
+        """Five points per free axis across one chart face."""
+        return _box_grid([np.array([b[side]]) if d == axis
+                          else np.linspace(b[0], b[1], 5)
+                          for d, b in enumerate(self.patch.bounds)])
 
     @property
     def has_boundary(self) -> bool:
         if self.kind == "mesh":
             return len(self.mesh.boundary_facets) > 0
-        return any(kind == "boundary" for kind in self.patch.faces.values())
+        return bool(self._faces)
 
     def refined(self) -> "Domain":
         if self.kind == "mesh":
@@ -348,10 +328,7 @@ class Domain:
 
     def _with_field(self, batch: SiteBatch, bound_field) -> SiteBatch:
         psi, grad = bound_field.at_sites(batch)
-        out = _copy_batch(batch)
-        out.psi = psi
-        out.grad_psi = grad
-        return out
+        return replace(batch, psi=psi, grad_psi=grad)
 
     # ---- graded decomposition helpers
 
@@ -367,6 +344,10 @@ class Domain:
                          for lo, hi in zip(h.min(axis=1).tolist(),
                                            h.max(axis=1).tolist())])
 
+    def _simplex_indices(self):
+        """Grundmann-Moller indices of the high and low mesh rules."""
+        return self.order // 2, self.order // 2 - 1
+
     def _build_mesh_sites(self, band):
         mesh, k, n = self.mesh, self.k, self.n
         corners = mesh.vertices[mesh.cells]
@@ -374,7 +355,7 @@ class Domain:
         graded_corners = corners[owner]
         vols = simplex_volume(mb @ graded_corners)
         out = []
-        for s_index in (2, 1):
+        for s_index in self._simplex_indices():
             bary, wts = simplex_rule(k, s_index)
             parts = []
             if len(regular):
@@ -436,12 +417,9 @@ class Domain:
         hvec = np.einsum("sb,sbn->sn",
                          bary, self._vertex_H[self.mesh.cells[cell_ids]])
         h_norm = np.linalg.norm(hvec, axis=1)
-        batch = SiteBatch(points=pts, density=dens, r=r, h=h, hp=hp,
-                          perp=perp, h_norm=h_norm, tan_sq=tan_sq)
-        batch.cell_ids = cell_ids
-        batch.bary = bary
-        batch.h_vec = hvec
-        return batch
+        return SiteBatch(points=pts, density=dens, r=r, h=h, hp=hp, perp=perp,
+                         h_norm=h_norm, tan_sq=tan_sq, cell_ids=cell_ids,
+                         bary=bary, h_vec=hvec)
 
     # ---- patch sites
 
@@ -560,15 +538,9 @@ class Domain:
             Hvec = np.einsum("sij,snij->sn", ginv, S_perp)
             h_norm = np.sqrt(np.maximum(
                 np.einsum("sn,snm,sm->s", Hvec, G, Hvec), 0.0))
-        batch = SiteBatch(points=F, density=dens, r=r, h=h, hp=hp, perp=perp,
-                          h_norm=h_norm, tan_sq=tan_sq)
-        batch.h_vec = Hvec
-        batch.chart = U
-        batch.dF = dFn
-        batch.chart_colnorm = colnorm
-        batch.metric_g = gn
-        batch.metric_ginv = ginv
-        return batch
+        return SiteBatch(points=F, density=dens, r=r, h=h, hp=hp, perp=perp,
+                         h_norm=h_norm, tan_sq=tan_sq, chart=U, h_vec=Hvec,
+                         dF=dFn, chart_colnorm=colnorm, metric_ginv=ginv)
 
     # -- boundary sites -----------------------------------------------------------
 
@@ -582,115 +554,93 @@ class Domain:
                                 self._with_boundary_field)
 
     def _with_boundary_field(self, batch, bound_field):
-        psi = bound_field.at_boundary(batch)
-        out = _copy_batch(batch)
-        out.psi = psi
-        return out
+        return replace(batch, psi=bound_field.at_boundary(batch))
 
     def _build_mesh_boundary(self):
         mesh, amb = self.mesh, self.ambient
         if not len(mesh.boundary_facets):
             return None, None
         k = self.k
+        corners = mesh.vertices[mesh.boundary_facets]         # (B, k, n)
+        vols = simplex_volume(corners)
         out = []
-        for s_index in (2, 1):
+        for s_index in self._simplex_indices():
             bary, wts = simplex_rule(k - 1, s_index)
-            corners = mesh.vertices[mesh.boundary_facets]     # (B, k, n)
-            pts = np.einsum("qb,fbn->fqn", bary, corners)
-            vols = simplex_volume(corners)
-            dens = vols[:, None] * wts[None, :]
-            flat_pts = pts.reshape(-1, self.n)
-            r = amb.radius(flat_pts)
+            pts = np.einsum("qb,fbn->fqn", bary, corners).reshape(-1, self.n)
+            r = amb.radius(pts)
             h, hp = amb.h_values(r)
-            u = (flat_pts - amb.pole) / np.where(r > 0, r, 1.0)[:, None]
+            u = (pts - amb.pole) / np.where(r > 0, r, 1.0)[:, None]
             conorm = np.repeat(self._b_conormals, len(wts), axis=0)
-            cdot = np.einsum("sn,sn->s", u, conorm)
-            batch = SiteBatch(points=flat_pts, density=dens.reshape(-1), r=r,
-                              h=h, hp=hp, perp=None, h_norm=None,
-                              conormal_dot=cdot)
-            batch.facet_ids = np.repeat(np.arange(len(corners)), len(wts))
-            batch.bary = np.broadcast_to(
-                bary, (len(corners),) + bary.shape).reshape(-1, k)
-            out.append(batch)
+            out.append(SiteBatch(
+                points=pts, density=(vols[:, None] * wts[None, :]).reshape(-1),
+                r=r, h=h, hp=hp, conormal_dot=np.einsum("sn,sn->s", u, conorm),
+                facet_ids=np.repeat(np.arange(len(corners)), len(wts)),
+                bary=np.broadcast_to(
+                    bary, (len(corners),) + bary.shape).reshape(-1, k)))
         return tuple(out)
 
     def _build_patch_boundary(self):
+        """Sites on the boundary faces: face, then cell, then node order."""
         patch, amb = self.patch, self.ambient
         k = patch.k
-        faces = [(axis, side) for (axis, side), kind in patch.faces.items()
-                 if kind == "boundary"]
-        if not faces:
+        if not self._faces:
             return None, None
-        edges = patch.grid()
+        if k == 1:
+            raise InvalidArgument("curve boundaries unsupported")
+        lo, hi = patch.cell_boxes()
+        cell_index = np.indices(patch.cells_per_axis).reshape(k, -1)
         out = []
         for npts in (self.order, self.order - 1):
+            nodes, wts = box_rule(k - 1, npts)
             parts = []
-            for axis, side in faces:
-                fixed = patch.bounds[axis][side]
-                other_axes = [d for d in range(k) if d != axis]
-                if k == 1:
-                    raise InvalidArgument("curve boundaries unsupported")
-                nodes, wts = box_rule(k - 1, npts)
-                cells = [list(zip(edges[d][:-1], edges[d][1:]))
-                         for d in other_axes]
-                grids = np.meshgrid(*[np.arange(len(c)) for c in cells],
-                                    indexing="ij")
-                combos = np.stack([g.ravel() for g in grids], axis=1)
-                for combo in combos:
-                    lo = np.array([cells[j][i][0] for j, i in enumerate(combo)])
-                    hi = np.array([cells[j][i][1] for j, i in enumerate(combo)])
-                    width = hi - lo
-                    U = np.zeros((len(nodes), k))
-                    U[:, axis] = fixed
-                    for j, d in enumerate(other_axes):
-                        U[:, d] = lo[j] + nodes[:, j] * width[j]
-                    F, dF, _ = patch.jet(U)
-                    G = amb.metric_matrix(F)
-                    E = dF[:, :, other_axes]
-                    ge = np.einsum("sai,sab,sbj->sij", E, G, E)
-                    det = np.linalg.det(ge) if k > 2 else ge[:, 0, 0]
-                    if k == 2:
-                        det = ge[:, 0, 0]
-                    dS = wts * np.prod(width) * np.sqrt(np.maximum(det, 0.0))
-                    # outward conormal: chart-outward direction made
-                    # metric-orthonormal to the boundary tangents
-                    sign = 1.0 if side == 1 else -1.0
-                    nu = sign * dF[:, :, axis].copy()
-                    basis = []
-                    for j in range(E.shape[2]):
-                        e = E[:, :, j].copy()
-                        for prev in basis:
-                            crd = amb.metric_dot(F, e, prev)
-                            e = e - crd[:, None] * prev
-                        nrm = np.sqrt(np.maximum(
-                            amb.metric_dot(F, e, e), _TINY))
-                        basis.append(e / nrm[:, None])
+            for axis, side in self._faces:
+                others = [d for d in range(k) if d != axis]
+                on_face = (cell_index[axis]
+                           == side * (patch.cells_per_axis[axis] - 1))
+                lo_f = lo[on_face][:, others]
+                width = hi[on_face][:, others] - lo_f
+                U = np.full((len(lo_f), len(nodes), k),
+                            patch.bounds[axis][side])
+                U[:, :, others] = lo_f[:, None] + nodes * width[:, None]
+                U = U.reshape(-1, k)
+                F, dF, _ = patch.jet(U)
+                G = amb.metric_matrix(F)
+                E = dF[:, :, others]
+                ge = np.einsum("sai,sab,sbj->sij", E, G, E)
+                det = ge[:, 0, 0] if k == 2 else np.linalg.det(ge)
+                dS = ((wts * np.prod(width, axis=1)[:, None]).reshape(-1)
+                      * np.sqrt(np.maximum(det, 0.0)))
+                # outward conormal: chart-outward direction made
+                # metric-orthonormal to the boundary tangents
+                sign = 1.0 if side == 1 else -1.0
+                nu = sign * dF[:, :, axis].copy()
+                basis = []
+                for j in range(E.shape[2]):
+                    e = E[:, :, j].copy()
                     for prev in basis:
-                        crd = amb.metric_dot(F, nu, prev)
-                        nu = nu - crd[:, None] * prev
-                    nrm = np.sqrt(np.maximum(amb.metric_dot(F, nu, nu), _TINY))
-                    nu = nu / nrm[:, None]
-                    r = amb.radius(F)
-                    h, hp = amb.h_values(r)
-                    u = (F - amb.pole) / np.where(r > 0, r, 1.0)[:, None]
-                    cdot = amb.metric_dot(F, u, nu)
-                    batch = SiteBatch(points=F, density=dS, r=r, h=h, hp=hp,
-                                      perp=None, h_norm=None,
-                                      conormal_dot=cdot)
-                    batch.chart = U
-                    parts.append(batch)
+                        crd = amb.metric_dot(F, e, prev)
+                        e = e - crd[:, None] * prev
+                    nrm = np.sqrt(np.maximum(amb.metric_dot(F, e, e), _TINY))
+                    basis.append(e / nrm[:, None])
+                for prev in basis:
+                    crd = amb.metric_dot(F, nu, prev)
+                    nu = nu - crd[:, None] * prev
+                nrm = np.sqrt(np.maximum(amb.metric_dot(F, nu, nu), _TINY))
+                nu = nu / nrm[:, None]
+                r = amb.radius(F)
+                h, hp = amb.h_values(r)
+                u = (F - amb.pole) / np.where(r > 0, r, 1.0)[:, None]
+                parts.append(SiteBatch(points=F, density=dS, r=r, h=h, hp=hp,
+                                       conormal_dot=amb.metric_dot(F, u, nu),
+                                       chart=U))
             out.append(_concat_batches(parts))
         return tuple(out)
 
 
-def _copy_batch(batch: SiteBatch) -> SiteBatch:
-    out = SiteBatch(**{f.name: getattr(batch, f.name)
-                       for f in dc_fields(SiteBatch)})
-    for extra in ("cell_ids", "bary", "chart", "facet_ids", "metric_g",
-                  "metric_ginv", "dF", "chart_colnorm", "h_vec"):
-        if hasattr(batch, extra):
-            setattr(out, extra, getattr(batch, extra))
-    return out
+def _box_grid(axes):
+    """Every point of the tensor grid over ``axes``, the last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
 
 
 def _grade(pieces, owner, var, split, base):
@@ -731,18 +681,10 @@ def _grade(pieces, owner, var, split, base):
 def _concat_batches(batches) -> SiteBatch:
     if not batches:
         raise InvalidArgument("no quadrature sites generated")
-    ref = batches[0]
-    merged = {}
-    for name in ("points", "density", "r", "h", "hp", "perp", "h_norm",
-                 "conormal_dot", "tan_sq"):
-        vals = [getattr(b, name) for b in batches]
-        merged[name] = None if vals[0] is None else np.concatenate(vals)
-    out = SiteBatch(**merged)
-    for extra in ("cell_ids", "bary", "chart", "facet_ids", "h_vec"):
-        if hasattr(ref, extra):
-            setattr(out, extra,
-                    np.concatenate([getattr(b, extra) for b in batches]))
-    return out
+    return SiteBatch(**{
+        f.name: None if getattr(batches[0], f.name) is None
+        else np.concatenate([getattr(b, f.name) for b in batches])
+        for f in dc_fields(SiteBatch)})
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +722,7 @@ def weighted_integral(domain: Domain, integrand, gamma: float,
 
 def boundary_integral(domain: Domain, integrand, weight_exponent: float,
                       with_radial_conormal: bool = False,
-                      field=None, signed_integrand_ok: bool = False) -> Qty:
+                      field=None) -> Qty:
     """Boundary integral with weight ``1/h(r)^{weight_exponent}``.
 
     ``with_radial_conormal`` multiplies by the (signed) metric product of
@@ -797,8 +739,7 @@ def boundary_integral(domain: Domain, integrand, weight_exponent: float,
     for batch in (hi, lo):
         f = integrand(batch) if callable(integrand) else integrand
         f = np.broadcast_to(np.asarray(f, dtype=float), batch.r.shape)
-        if not signed_integrand_ok and np.any(
-                f < -1e-12 * max(1.0, float(np.max(np.abs(f))))):
+        if np.any(f < -1e-12 * max(1.0, float(np.max(np.abs(f))))):
             raise InvalidArgument("boundary integrand must be nonnegative")
         w = batch.h ** (-weight_exponent) if weight_exponent != 0.0 else 1.0
         contrib = batch.density * w * f

@@ -52,9 +52,6 @@ class SimplicialMesh:
 
     # -- per-cell geometry ----------------------------------------------------
 
-    def cell_corners(self, cid: int) -> np.ndarray:
-        return self.vertices[self.cells[cid]]
-
     def cell_edges(self) -> np.ndarray:
         """(C, k, n) edge matrices relative to each cell's first vertex."""
         v = self.vertices[self.cells]
@@ -125,7 +122,8 @@ class SimplicialMesh:
 
     # -- two-ring quadratic fit -------------------------------------------------
 
-    def vertex_rings(self) -> list[set]:
+    def vertex_rings(self) -> tuple[list[set], list[set]]:
+        """One-ring and two-ring neighbours of every vertex."""
         one = [set() for _ in range(len(self.vertices))]
         for cell in self.cells:
             for a in cell:
@@ -137,7 +135,7 @@ class SimplicialMesh:
                 acc.update(one[w])
             acc.discard(v)
             two.append(acc)
-        return two
+        return one, two
 
     def vertex_mean_curvature(self) -> np.ndarray:
         """(V, n) mean curvature vectors from local quadratic graph fits."""
@@ -147,11 +145,7 @@ class SimplicialMesh:
         if k == n:
             self._fit_cache = np.zeros_like(self.vertices)
             return self._fit_cache
-        one_ring = [set() for _ in range(len(self.vertices))]
-        for cell in self.cells:
-            for a in cell:
-                one_ring[a].update(int(b) for b in cell if b != a)
-        rings = self.vertex_rings()
+        one_ring, rings = self.vertex_rings()
         nq = k * (k + 1) // 2
         ncols = 1 + k + nq
         out = np.zeros((len(self.vertices), n))

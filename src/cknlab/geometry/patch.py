@@ -67,6 +67,26 @@ def _zero_jet(m, n, k):
     return np.zeros((m, n, k)), np.zeros((m, n, k, k))
 
 
+def _polar_plane_jet(height: float):
+    """Jet of the polar chart (rho, theta) -> (rho cos, rho sin, height)."""
+
+    def jet(U):
+        rho, th = U[:, 0], U[:, 1]
+        c, s = np.cos(th), np.sin(th)
+        m = len(U)
+        F = np.stack([rho * c, rho * s, np.full(m, height)], axis=1)
+        dF, d2F = _zero_jet(m, 3, 2)
+        dF[:, 0, 0], dF[:, 1, 0] = c, s
+        dF[:, 0, 1], dF[:, 1, 1] = -rho * s, rho * c
+        d2F[:, 0, 0, 1] = d2F[:, 0, 1, 0] = -s
+        d2F[:, 1, 0, 1] = d2F[:, 1, 1, 0] = c
+        d2F[:, 0, 1, 1] = -rho * c
+        d2F[:, 1, 1, 1] = -rho * s
+        return F, dF, d2F
+
+    return jet
+
+
 def plane_rect(ambient: AmbientSpace, half_width: float = 1.0,
                height: float = 0.0, cells: int = 8,
                center_xy=(0.0, 0.0)) -> ParametricPatch:
@@ -101,28 +121,14 @@ def flat_disk_patch(ambient: AmbientSpace, radius: float = 1.0,
     """Flat disk in polar chart (rho, theta) -> (rho cos, rho sin, height)."""
     if ambient.kind != "euclidean" or ambient.dim != 3:
         raise InvalidArgument("flat_disk_patch needs Euclidean 3-space")
-
-    def jet(U):
-        rho, th = U[:, 0], U[:, 1]
-        c, s = np.cos(th), np.sin(th)
-        m = len(U)
-        F = np.stack([rho * c, rho * s, np.full(m, height)], axis=1)
-        dF, d2F = _zero_jet(m, 3, 2)
-        dF[:, 0, 0], dF[:, 1, 0] = c, s
-        dF[:, 0, 1], dF[:, 1, 1] = -rho * s, rho * c
-        d2F[:, 0, 0, 1] = d2F[:, 0, 1, 0] = -s
-        d2F[:, 1, 0, 1] = d2F[:, 1, 1, 0] = c
-        d2F[:, 0, 1, 1] = -rho * c
-        d2F[:, 1, 1, 1] = -rho * s
-        return F, dF, d2F
-
     bounds = ((0.0, radius), (0.0, 2.0 * math.pi))
     faces = {(0, 0): "degenerate", (0, 1): "boundary",
              (1, 0): "periodic", (1, 1): "periodic"}
     meta = {"generator": "flat_disk", "radius": radius, "height": height,
             "through_pole": abs(height) < 1e-14,
             "pole_chart": (0.0, 0.0) if abs(height) < 1e-14 else None}
-    return ParametricPatch(ambient, 2, bounds, jet, faces, tuple(cells), meta)
+    return ParametricPatch(ambient, 2, bounds, _polar_plane_jet(height), faces,
+                           tuple(cells), meta)
 
 
 def sphere_patch(ambient: AmbientSpace, radius: float = 1.0,
@@ -181,26 +187,13 @@ def geodesic_disk(ambient: AmbientSpace, radius: float,
         raise InvalidArgument("geodesic_disk needs a warped 3-dim ambient")
     if radius >= ambient.warp.increasing_limit:
         raise InvalidArgument("disk must stay inside the increasing branch")
-
-    def jet(U):
-        rho, th = U[:, 0], U[:, 1]
-        c, s = np.cos(th), np.sin(th)
-        F = np.stack([rho * c, rho * s, np.zeros(len(U))], axis=1)
-        dF, d2F = _zero_jet(len(U), 3, 2)
-        dF[:, 0, 0], dF[:, 1, 0] = c, s
-        dF[:, 0, 1], dF[:, 1, 1] = -rho * s, rho * c
-        d2F[:, 0, 0, 1] = d2F[:, 0, 1, 0] = -s
-        d2F[:, 1, 0, 1] = d2F[:, 1, 1, 0] = c
-        d2F[:, 0, 1, 1] = -rho * c
-        d2F[:, 1, 1, 1] = -rho * s
-        return F, dF, d2F
-
     bounds = ((0.0, radius), (0.0, 2.0 * math.pi))
     faces = {(0, 0): "degenerate", (0, 1): "boundary",
              (1, 0): "periodic", (1, 1): "periodic"}
     meta = {"generator": "geodesic_disk", "radius": radius,
             "through_pole": True, "pole_chart": (0.0, 0.0)}
-    return ParametricPatch(ambient, 2, bounds, jet, faces, tuple(cells), meta)
+    return ParametricPatch(ambient, 2, bounds, _polar_plane_jet(0.0), faces,
+                           tuple(cells), meta)
 
 
 def ball_domain(ambient: AmbientSpace, radius: float,

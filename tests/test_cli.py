@@ -63,6 +63,16 @@ def test_constants_nash_closure(capsys):
     assert data["schema_version"] == 1
 
 
+def test_constants_t_closure_wins_over_a(capsys):
+    # the catalog's ckn closure: with both --a and --t, (t, gamma) decides
+    base = ["constants", "--k", "3", "--p", "2", "--q", "1", "--json"]
+    by_t = ["--gamma", "1/2", "--t", "2"]
+    outputs = [json.loads(run(base + extra, capsys)[1])["constants"]
+               for extra in (["--a", "0.6"] + by_t, by_t, ["--a", "0.6"])]
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["a"] == 0.8 and outputs[2]["a"] == 0.6
+
+
 def test_constants_invalid_exponents(capsys):
     code, _, err = run(["constants", "--k", "3", "--p", "0.5"], capsys)
     assert code == 1

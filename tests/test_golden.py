@@ -1,0 +1,48 @@
+"""Golden reports: the bundled scenarios' payloads, byte for byte.
+
+A refactor must leave these files unchanged.  A change that moves a report
+on purpose (a new rule, a new error estimate) re-records the hashes here and
+says in CHANGES.md which terms moved and why.
+"""
+
+import hashlib
+
+import pytest
+
+from cknlab.cli import main
+
+# scenario -> SHA-256 of its `verify --out` JSON and `--csv` file
+GOLDEN = {
+    "disk_equality": (
+        "26d36195bfb030c721c047333fa520f769ef595e848ad987e636f23d26efd7b3",
+        "c9af343e11a492fad47eaa7e6752e90a38142dd88f06f4a21eea23a3a1a35972"),
+    "geodesic_sobolev": (
+        "a144d427d034702825098cac6bd9051a506978e316f571557ba4fa38794a6e1e",
+        "2c08f5a6a8787bdbecc228263752e5b7d62a20ad8cd03f813b1f7b686bf50f74"),
+    "hardy_cone": (
+        "0298042a29532882ecbe99aabff3764f512c47fc5a1d55c5412fbaa2e1f1f120",
+        "e9d8eca6ef65e36931834d7a3af50f403339efdb6cd105a47312e992a29b879a"),
+    "hpw_disk": (
+        "b2bad003ff8b364f5a358edfc3bcb92a4d5d2f6b9b39c53990abf068534e834d",
+        "424adb1b943d16a68722f76a6b4f3e6dfbe9fdb726bfd6037023f753b1583b2d"),
+    "nash_ball": (
+        "887613ab241fe6e62035b2d3ac45d96b69f9496506ce6c289d33c85ce7fce820",
+        "017cd6328addd72efec9f8eef2df33470f506f4fd97c779bd85f5d46712542fe"),
+    "weighted_cap": (
+        "2f838e72386603b1207f190b5a50f6ca2a6fdfc92af4d2c1f4f6e51f9a9fdca1",
+        "8cd007822e73ce336e9dd145620a0da0198036f3257df876699018b62788ba39"),
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
+    out, csv = tmp_path / "out.json", tmp_path / "out.csv"
+    code = main(["verify", f"{scenario}.cfg", "--out", str(out),
+                 "--csv", str(csv)])
+    capsys.readouterr()
+    assert code == 0
+    assert (_sha256(out), _sha256(csv)) == GOLDEN[scenario]
