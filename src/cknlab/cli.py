@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -31,7 +32,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import constants as cn
-from .corpus import worker_count
 from .errors import (
     CknLabError,
     ConfigError,
@@ -53,10 +53,10 @@ from .geometry import (
     sphere_mesh,
     sphere_patch,
 )
-from .geometry.fields import DOF_LENGTH, make_field
+from .geometry.fields import FAMILIES, make_field
 from .geometry.mesh import read_mesh
 from .inequalities import (CATALOG, CATALOG_IDS, _ckn_params, _single_params,
-                           evaluate)
+                           evaluate, require_options)
 from .search import maximize_ratio
 from .warp import CurvatureProfile, load_profile, solve_warping
 
@@ -105,17 +105,26 @@ def cmd_constants(args) -> int:
             rows["Delta"] = wc.perp_p_coeff
             rows["eps_opt"] = wc.eps_opt
             rows["Lambda"] = cn.hardy_endpoint_coeff(k, pf, alpha, hp)
-        # the catalog's closures; (t, gamma) wins over (sigma, a)
+        # the catalog's closures: a two-factor flag asks for ckn's, where
+        # (t, gamma) wins over (sigma, a); --sigma alone for ckn_single's
         o = {"p": p, **{key: _frac(getattr(args, key) or "0")
                         for key in ("alpha", "beta", "sigma", "gamma")}}
         params = None
-        if args.sigma is not None and args.q is None and args.t is None:
-            params = _single_params(k, o)
-        elif args.q is not None and (args.a is not None or args.t is not None):
+        two_factor = [f"--{key}" for key in ("q", "a", "t", "beta", "gamma")
+                      if getattr(args, key) is not None]
+        if two_factor:
+            given = " ".join(two_factor)
+            if args.q is None:
+                raise ConfigError(f"{given}: the two-factor closure needs --q")
+            if args.a is None and args.t is None:
+                raise ConfigError(
+                    f"{given}: the two-factor closure needs --a or --t")
             o.update((key, _frac(getattr(args, key)))
                      for key in ("q", "a", "t")
                      if getattr(args, key) is not None)
             params = _ckn_params(k, o)
+        elif args.sigma is not None:
+            params = _single_params(k, o)
         if params is not None:
             for name, value in params.as_floats().items():
                 rows.setdefault(name, value)
@@ -276,7 +285,7 @@ def _read(section: str, values: dict, table: dict) -> dict:
 _AMBIENT = {"kind": (_choice("euclidean", "warped"), "euclidean", None),
             "dim": (int, 3, _POSITIVE), "r_max": (float, 1.5, None),
             "step": (float, 1e-3, None), "curvature": (float, 1.0, None)}
-_FIELD = {"kind": (_choice(*DOF_LENGTH), "radial_power", None),
+_FIELD = {"kind": (_choice(*FAMILIES), "radial_power", None),
           "boundary_vanishing": (_flag, True, None),
           "seed": (int, None, None)}
 
@@ -404,12 +413,12 @@ def validate_case(case: dict) -> dict:
             options[key] = float(_frac(ineq[key]))
     if "minimal" in ineq:
         options["minimal"] = _flag(ineq["minimal"])
-    entry = CATALOG[ineq_id]
-    missing = [key for key in entry.required if key not in options]
-    if missing:
-        raise ConfigError(f"{ineq_id} is missing key(s) {', '.join(missing)}")
     try:
-        entry.check(k, options)
+        require_options(ineq_id, options)
+    except InvalidArgument as exc:
+        raise ConfigError(str(exc)) from exc
+    try:
+        CATALOG[ineq_id].check(k, options)
     except CknLabError as exc:
         raise ConfigError(f"invariant violated: {exc}") from exc
 
@@ -417,9 +426,10 @@ def validate_case(case: dict) -> dict:
     kind = _read("field", fld, _FIELD)["kind"]
     if "dof" in fld:
         dof = _vector("field", "dof", fld["dof"])
-        if len(dof) != DOF_LENGTH[kind]:
-            raise ConfigError(f"[field] {kind} takes {DOF_LENGTH[kind]} "
-                              f"dof, got {len(dof)}")
+        size = len(FAMILIES[kind].bounds)
+        if len(dof) != size:
+            raise ConfigError(f"[field] {kind} takes {size} dof, "
+                              f"got {len(dof)}")
     return options
 
 
@@ -490,6 +500,17 @@ def _write_outputs(records, json_path, csv_path, echo_json):
             Path(csv_path).write_text(buf.getvalue())
 
 
+def worker_count() -> int:
+    """Sweep workers: ``CKN_LAB_THREADS`` when set, else up to 4 cores."""
+    env = os.environ.get("CKN_LAB_THREADS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            pass
+    return min(4, os.cpu_count() or 1)
+
+
 def _load_cases(args):
     """Validated ``(case, options)`` pairs, or None after a config error."""
     try:
@@ -504,12 +525,20 @@ def _load_cases(args):
     return parsed
 
 
+def _evaluation_failed(exc: CknLabError) -> int:
+    """Report an error raised while evaluating; its exit code."""
+    if isinstance(exc, (InvalidArgument, PreconditionViolated,
+                        ParameterConflict, InconsistentParameters)):
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(f"evaluation error: {exc}", file=sys.stderr)
+    return EXIT_NUMERICAL
+
+
 def cmd_verify(args) -> int:
     parsed = _load_cases(args)
     if parsed is None:
         return EXIT_CONFIG
-    seed = args.seed if args.seed is not None else 0
-    levels = args.levels if args.levels is not None else 0
     records = []
     failures = []
     numerical = []
@@ -517,13 +546,13 @@ def cmd_verify(args) -> int:
     def run_case(item):
         case, options = item
         out = []
-        for level in range(levels + 1):
+        for level in range(args.levels + 1):
             domain = build_domain(case, level)
-            field = build_field(case, seed)
+            field = build_field(case, args.seed)
             rep = evaluate(case["inequality"]["id"], domain, field, options)
             rec = rep.to_dict()
             rec["level"] = level
-            rec["seed"] = seed
+            rec["seed"] = args.seed
             out.append(rec)
         return out
 
@@ -535,13 +564,8 @@ def cmd_verify(args) -> int:
                 chunks = list(pool.map(run_case, parsed))
         else:
             chunks = [run_case(item) for item in parsed]
-    except (InvalidArgument, PreconditionViolated, ParameterConflict,
-            InconsistentParameters) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CknLabError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _evaluation_failed(exc)
     for chunk in chunks:
         for rec in chunk:
             records.append(rec)
@@ -573,8 +597,6 @@ def cmd_search(args) -> int:
     parsed = _load_cases(args)
     if parsed is None:
         return EXIT_CONFIG
-    seed = args.seed if args.seed is not None else 0
-    levels = args.levels if args.levels is not None else 0
     records = []
     results = []
     # consecutive cases on the same geometry share its domain, and with it
@@ -587,21 +609,16 @@ def cmd_search(args) -> int:
             if key != geometry:
                 domain = None
                 domain, geometry = build_domain(case, 0), key
-            family = build_field(case, seed)
+            family = build_field(case, args.seed)
             result = maximize_ratio(case["inequality"]["id"], domain, family,
-                                    options, budget=budget, seed=seed,
-                                    refine_levels=levels)
+                                    options, budget=budget, seed=args.seed,
+                                    refine_levels=args.levels)
             rec = result.to_dict()
-            rec["seed"] = seed
+            rec["seed"] = args.seed
             records.append(rec)
             results.append(result)
-    except (InvalidArgument, PreconditionViolated, ParameterConflict,
-            InconsistentParameters) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CknLabError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _evaluation_failed(exc)
     _write_outputs(records, args.out, args.csv, args.json)
     if not all(math.isfinite(r.best_ratio) for r in results):
         return EXIT_NUMERICAL
@@ -655,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
         p.add_argument("--csv")
         p.add_argument("--out", help="write the JSON payload to this path")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--levels", type=int)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--levels", type=int, default=0)
         p.add_argument("--slack", type=float)
 
     pv = sub.add_parser("verify", help="evaluate configured inequalities")

@@ -294,8 +294,8 @@ class Domain:
         """Drop the field values kept for the last bound field.
 
         :func:`cknlab.inequalities.evaluate` calls this when an evaluation
-        ends; after a direct call of an evaluator or an integral the values
-        stay until the next evaluation on this domain.
+        ends; after a direct call of an integral the values stay until the
+        next evaluation on this domain.
         """
         self._field_slot = None
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,9 +55,22 @@ class Field:
         return BoundField(self, domain)
 
 
-# the family kinds and the parameters of one member of each
-DOF_LENGTH = {"radial_power": 1, "radial_bump": 1, "polynomial": 6,
-              "random_smooth": 6}
+class Family(NamedTuple):
+    """One test-function family: its default member and its search box."""
+
+    default: tuple   # dof of the default member; None: a seeded draw
+    bounds: tuple    # (lo, hi) of each dof in the tightness search
+    step: float      # initial simplex step of the tightness search
+
+
+# the family kinds, in the order the corpus cycles through them
+FAMILIES = {
+    "radial_power": Family((1.0,), ((0.5, 8.0),), 0.35),
+    "radial_bump": Family((1.0,), ((0.05, 10.0),), 0.5),
+    "polynomial": Family((1.0, 0.3, -0.2, 0.1, 0.0, 0.05),
+                         ((-3.0, 3.0),) * 6, 0.4),
+    "random_smooth": Family(None, ((-3.0, 3.0),) * 6, 0.4),
+}
 
 
 def make_field(kind: str, dof=None, boundary_vanishing: bool = True,
@@ -69,21 +83,17 @@ def make_field(kind: str, dof=None, boundary_vanishing: bool = True,
     - ``random_smooth``: dof = 6 seeded coefficients of a low-order
       Fourier/polynomial mixture in scaled coordinates
     """
-    if kind == "radial_power":
-        dof = dof if dof is not None else (1.0,)
-    elif kind == "radial_bump":
-        dof = dof if dof is not None else (1.0,)
-    elif kind == "polynomial":
-        dof = dof if dof is not None else (1.0, 0.3, -0.2, 0.1, 0.0, 0.05)
-    elif kind == "random_smooth":
-        if dof is None:
-            rng = np.random.default_rng(seed)
-            dof = tuple(rng.uniform(-1.0, 1.0, size=6))
-    else:
+    if kind not in FAMILIES:
         raise InvalidArgument(f"unknown field kind {kind!r}")
-    if len(dof) != DOF_LENGTH[kind]:
-        raise InvalidArgument(f"{kind} takes {DOF_LENGTH[kind]} dof, "
-                              f"got {len(dof)}")
+    family = FAMILIES[kind]
+    size = len(family.bounds)
+    if dof is None:
+        dof = family.default
+        if dof is None:
+            dof = tuple(
+                np.random.default_rng(seed).uniform(-1.0, 1.0, size=size))
+    if len(dof) != size:
+        raise InvalidArgument(f"{kind} takes {size} dof, got {len(dof)}")
     return Field(kind, tuple(float(x) for x in dof), boundary_vanishing)
 
 

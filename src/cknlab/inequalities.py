@@ -26,14 +26,16 @@ The catalog ids:
 
 :data:`CATALOG` states, once per id, the options it needs, its hypotheses on
 the exponents, whether its test functions must vanish on the boundary, and
-its evaluator; :func:`evaluate`, the CLI's config validation and the
-tightness search all read it.
+its evaluator.  :func:`evaluate` is the one way in: it takes the id and a
+flat options mapping, checks the required keys and calls the id's evaluator
+(``_hardy``, ``_sobolev_hs``, ``_weighted_sobolev`` or ``_interpolate``).
+The CLI's config validation and the tightness search read the same table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
 from typing import Callable
 
@@ -74,24 +76,7 @@ class InequalityReport:
     notes: list = dc_field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "type": "report",
-            "id": self.id,
-            "params": self.params,
-            "constants": self.constants,
-            "lhs_terms": self.lhs_terms,
-            "rhs_terms": self.rhs_terms,
-            "lhs_total": self.lhs_total,
-            "rhs_total": self.rhs_total,
-            "ratio": self.ratio,
-            "quadrature_error": self.quadrature_error,
-            "slack": self.slack,
-            "satisfied": self.satisfied,
-            "degenerate": self.degenerate,
-            "hypothesis_status": self.hypothesis_status,
-            "mesh_stats": self.mesh_stats,
-            "notes": list(self.notes),
-        }
+        return {"type": "report", **asdict(self)}
 
 
 def _assemble(id, params, constants, lhs_terms, rhs_terms, domain, field,
@@ -152,10 +137,15 @@ def require_vanishing(id: str, domain: Domain, field) -> None:
             f"{id} needs a test function vanishing on the boundary")
 
 
-def _admit(id: str, domain: Domain, field, options: dict) -> None:
-    """Check the hypotheses of ``id`` on ``domain`` and ``field``."""
-    _entry(id).check(domain.k, options)
+def _admit(id: str, domain: Domain, field, options: dict):
+    """Check the hypotheses of ``id`` on ``domain`` and ``field``.
+
+    Returns what the id's check returns: the exponent tuple of the
+    interpolation ids, None otherwise.
+    """
+    admitted = _entry(id).check(domain.k, options)
     require_vanishing(id, domain, field)
+    return admitted
 
 
 def _band0(domain: Domain, field):
@@ -250,9 +240,7 @@ def _derived_params(which, k, o) -> cn.ParameterSet:
 # Hardy family
 # ---------------------------------------------------------------------------
 
-def _hardy(id: str, domain: Domain, field, p: float, gamma: float,
-           r0: float = None, minimal: bool = False,
-           slack: float = None) -> InequalityReport:
+def _hardy(id: str, domain: Domain, field, o: dict) -> InequalityReport:
     """The three Hardy forms over one set of constants and integrals.
 
     ``hardy_signed`` at ``p > 1`` uses the signed boundary term and the
@@ -263,18 +251,20 @@ def _hardy(id: str, domain: Domain, field, p: float, gamma: float,
     if id == "hardy_hadamard" and domain.ambient.kind != "euclidean":
         raise PreconditionViolated(
             "the flat-weight Hardy form needs the zero-curvature model ambient")
-    _admit(id, domain, field, {"p": p, "gamma": gamma})
+    _admit(id, domain, field, o)
     k = domain.k
+    p, gamma = o["p"], o["gamma"]
     routed = id == "hardy_signed" and p == 1.0
     signed = id == "hardy_signed" and not routed
-    minimal = id == "hardy" and bool(minimal)
+    minimal = id == "hardy" and bool(o.get("minimal", False))
     if signed:
         psi = _band0(domain, field).psi
         if len(psi) and float(np.min(psi)) < -1e-12:
             raise PreconditionViolated("test function must be nonnegative")
     else:
         _minimality(domain, minimal)
-    r0, hp0 = _resolve_r0(domain, None if id == "hardy_hadamard" else r0)
+    r0, hp0 = _resolve_r0(domain,
+                          None if id == "hardy_hadamard" else o.get("r0"))
     c1 = (k - gamma) ** p * hp0 ** (p - 1.0) / p ** p
     c2 = gamma * ((k - gamma) * hp0) ** (p - 1.0) / p ** (p - 1.0)
     cb = ((k - gamma) * hp0) ** (p - 1.0) / p ** (p - 1.0)
@@ -317,31 +307,12 @@ def _hardy(id: str, domain: Domain, field, p: float, gamma: float,
         notes.append("closed submanifold: boundary term is zero")
     rep = _assemble("hardy" if routed else id, params, constants,
                     {"weighted_norm": c1 * i1, "perp_term": c2 * i2}, rhs,
-                    domain, field, slack=slack, notes=notes)
+                    domain, field, slack=o.get("slack"), notes=notes)
     if id == "hardy_hadamard":
         rep.notes.append("zero-curvature comparison: weights are distance powers")
     elif routed:
         rep.notes.append("p = 1 routed to the general-sign evaluator")
     return rep
-
-
-def eval_hardy_signed(domain: Domain, field, p: float, gamma: float,
-                      r0: float = None, slack: float = None) -> InequalityReport:
-    """Sharper Hardy form: nonnegative test functions, signed boundary term."""
-    return _hardy("hardy_signed", domain, field, p, gamma, r0, slack=slack)
-
-
-def eval_hardy(domain: Domain, field, p: float, gamma: float,
-               r0: float = None, minimal: bool = False,
-               slack: float = None) -> InequalityReport:
-    """General-sign Hardy form with split right-hand side."""
-    return _hardy("hardy", domain, field, p, gamma, r0, minimal, slack)
-
-
-def eval_hardy_hadamard(domain: Domain, field, p: float, gamma: float,
-                        slack: float = None) -> InequalityReport:
-    """Hardy form in a nonpositively curved model: plain distance powers."""
-    return _hardy("hardy_hadamard", domain, field, p, gamma, slack=slack)
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +374,11 @@ def _volume_hypothesis(domain: Domain, vol_threshold):
     return status, reasons
 
 
-def eval_sobolev_hs(domain: Domain, field, p: float, inj_radius: float = None,
-                    vol_threshold: float = None,
-                    slack: float = None) -> InequalityReport:
+def _sobolev_hs(id: str, domain: Domain, field, o: dict) -> InequalityReport:
     """Dimensional Sobolev inequality for boundary-vanishing test functions."""
-    _admit("sobolev_hs", domain, field, {"p": p})
+    _admit(id, domain, field, o)
     k = domain.k
+    p = o["p"]
     p_star = k * p / (k - p)
     s_const = _sobolev_constant(domain, p)
     lhs_int = weighted_integral(domain, lambda b: np.abs(b.psi) ** p_star,
@@ -417,27 +387,27 @@ def eval_sobolev_hs(domain: Domain, field, p: float, inj_radius: float = None,
         domain,
         lambda b: b.grad_psi ** p + np.abs(b.psi) ** p * b.h_norm ** p / p ** p,
         0.0, field=field)
-    hyp = _sobolev_side_conditions(domain, field, inj_radius)
-    vstat, vreasons = _volume_hypothesis(domain, vol_threshold)
+    hyp = _sobolev_side_conditions(domain, field, o.get("inj_radius"))
+    vstat, vreasons = _volume_hypothesis(domain, o.get("vol_threshold"))
     if vstat == "unverified":
         hyp["status"] = "unverified"
     hyp["reasons"] = hyp["reasons"] + vreasons
     return _assemble(
-        "sobolev_hs",
+        id,
         {"p": p, "p_star": p_star, "k": k},
         {"sobolev_const": s_const},
         {"critical_norm": lhs_int.powf(p / p_star)},
         {"gradient_term": s_const * rhs_int},
-        domain, field, slack=slack, hypothesis=hyp)
+        domain, field, slack=o.get("slack"), hypothesis=hyp)
 
 
-def eval_weighted_sobolev(domain: Domain, field, p: float, alpha: float,
-                          r0: float = None, vol_threshold: float = None,
-                          slack: float = None) -> InequalityReport:
+def _weighted_sobolev(id: str, domain: Domain, field,
+                      o: dict) -> InequalityReport:
     """Power-weighted Sobolev inequality with normal-component terms."""
-    _admit("weighted_sobolev", domain, field, {"p": p, "alpha": alpha})
+    _admit(id, domain, field, o)
     k = domain.k
-    r0, hp0 = _resolve_r0(domain, r0)
+    p, alpha = o["p"], o["alpha"]
+    r0, hp0 = _resolve_r0(domain, o.get("r0"))
     p_star = k * p / (k - p)
     s_const = _sobolev_constant(domain, p)
     wc = cn.weighted_sobolev_constants(k, p, alpha, hp0)
@@ -454,10 +424,10 @@ def eval_weighted_sobolev(domain: Domain, field, p: float, alpha: float,
         domain,
         lambda b: b.grad_psi ** p + np.abs(b.psi) ** p * b.h_norm ** p / p ** p,
         p * alpha, field=field)
-    vstat, vreasons = _volume_hypothesis(domain, vol_threshold)
+    vstat, vreasons = _volume_hypothesis(domain, o.get("vol_threshold"))
     hyp = {"status": vstat, "reasons": vreasons}
     return _assemble(
-        "weighted_sobolev",
+        id,
         {"p": p, "alpha": alpha, "p_star": p_star, "r0": r0, "k": k},
         {"sobolev_const": s_const, "grad_coeff": wc.grad_coeff,
          "perp_sq_coeff": wc.perp_sq_coeff, "perp_p_coeff": wc.perp_p_coeff,
@@ -466,31 +436,33 @@ def eval_weighted_sobolev(domain: Domain, field, p: float, alpha: float,
          "perp_sq_term": wc.perp_sq_coeff * lhs_perp2,
          "perp_p_term": wc.perp_p_coeff * lhs_perpp},
         {"gradient_term": wc.grad_coeff * rhs_int},
-        domain, field, slack=slack, hypothesis=hyp)
+        domain, field, slack=o.get("slack"), hypothesis=hyp)
 
 
 # ---------------------------------------------------------------------------
 # Interpolation family
 # ---------------------------------------------------------------------------
 
-def eval_ckn(domain: Domain, field, params: cn.ParameterSet,
-             r0: float = None, vol_threshold: float = None,
-             slack: float = None, _id: str = "ckn",
-             _notes=None) -> InequalityReport:
+_DERIVED_IDS = ("mss_weighted", "hardy_derived", "gagliardo_nirenberg",
+                "nash", "heisenberg_pauli_weyl")
+_INTERPOLATION_NOTES = {
+    "ckn_single": "single-factor path: a = 1, t = s, gamma = sigma",
+    **{which: f"specialization of the two-factor inequality ({which})"
+       for which in _DERIVED_IDS},
+}
+
+
+def _interpolate(id: str, domain: Domain, field, o: dict) -> InequalityReport:
     """Two-factor interpolation inequality for boundary-vanishing functions.
 
-    The right-hand constant is the single-factor constant raised to ``a/p``,
-    which is what the interpolation argument yields; at ``a = 1`` it matches
-    the single-factor report, and at ``a = 0`` the inequality collapses to
-    the exact identity between the two sides.
+    The exponent tuple comes from the id's balance closure.  The right-hand
+    constant is the single-factor constant raised to ``a/p``, which is what
+    the interpolation argument yields; at ``a = 1`` it matches the
+    single-factor report, and at ``a = 0`` the inequality collapses to the
+    exact identity between the two sides.
     """
-    params.validate()
-    k = domain.k
-    if params.k != k:
-        raise ParameterConflict(
-            f"parameter dimension {params.k} != domain dimension {k}")
-    require_vanishing(_id, domain, field)
-    r0, hp0 = _resolve_r0(domain, r0)
+    params = _admit(id, domain, field, o)
+    r0, hp0 = _resolve_r0(domain, o.get("r0"))
     p = float(params.p)
     q = float(params.q)
     t = float(params.t)
@@ -509,47 +481,21 @@ def eval_ckn(domain: Domain, field, params: cn.ParameterSet,
         alpha * p, field=field)
     q_int = weighted_integral(domain, lambda b: np.abs(b.psi) ** q,
                               beta * q, field=field)
-    vstat, vreasons = _volume_hypothesis(domain, vol_threshold)
+    vstat, vreasons = _volume_hypothesis(domain, o.get("vol_threshold"))
     hyp = {"status": vstat, "reasons": vreasons}
     lhs = lhs_int.powf(1.0 / t)
     rhs = c_eff * grad_int.powf(a / p) * q_int.powf((1.0 - a) / q)
+    note = _INTERPOLATION_NOTES.get(id)
     return _assemble(
-        _id,
+        id,
         dict(params.as_floats(), r0=r0),
         {"sobolev_const": s_const, "endpoint_coeff": lam,
          "single_factor_const": c_single, "rhs_const": c_eff,
          "h_prime_r0": hp0},
         {"interp_norm": lhs},
         {"product_bound": rhs},
-        domain, field, slack=slack, hypothesis=hyp, notes=_notes)
-
-
-_DERIVED_IDS = ("mss_weighted", "hardy_derived", "gagliardo_nirenberg",
-                "nash", "heisenberg_pauli_weyl")
-_INTERPOLATION_NOTES = {
-    "ckn_single": "single-factor path: a = 1, t = s, gamma = sigma",
-    **{which: f"specialization of the two-factor inequality ({which})"
-       for which in _DERIVED_IDS},
-}
-
-
-def _interpolate(id: str, domain: Domain, field, o: dict) -> InequalityReport:
-    """Interpolation-family evaluator: the id's balance closure, then ckn."""
-    note = _INTERPOLATION_NOTES.get(id)
-    return eval_ckn(domain, field, _entry(id).check(domain.k, o),
-                    r0=o.get("r0"), vol_threshold=o.get("vol_threshold"),
-                    slack=o.get("slack"), _id=id,
-                    _notes=[note] if note else None)
-
-
-def eval_ckn_single(domain: Domain, field, p: float, alpha: float,
-                    sigma: float, r0: float = None,
-                    vol_threshold: float = None,
-                    slack: float = None) -> InequalityReport:
-    """Single-factor interpolation case (the convex weight sits alone)."""
-    return _interpolate("ckn_single", domain, field,
-                        {"p": p, "alpha": alpha, "sigma": sigma, "r0": r0,
-                         "vol_threshold": vol_threshold, "slack": slack})
+        domain, field, slack=o.get("slack"), hypothesis=hyp,
+        notes=[note] if note else None)
 
 
 def derived_parameters(which: str, k: int, p: float = None, q: float = None,
@@ -605,17 +551,6 @@ def derived_parameters(which: str, k: int, p: float = None, q: float = None,
     raise InvalidArgument(f"unknown derived inequality {which!r}")
 
 
-def eval_derived(which: str, domain: Domain, field, r0: float = None,
-                 vol_threshold: float = None, slack: float = None,
-                 **overrides) -> InequalityReport:
-    """Evaluate a classical specialization through the interpolation path."""
-    if which not in _DERIVED_IDS:
-        raise InvalidArgument(f"unknown derived inequality {which!r}")
-    return _interpolate(which, domain, field,
-                        dict(overrides, r0=r0, vol_threshold=vol_threshold,
-                             slack=slack))
-
-
 # ---------------------------------------------------------------------------
 # The catalog and its entry point
 # ---------------------------------------------------------------------------
@@ -632,27 +567,14 @@ class CatalogEntry:
     evaluate: Callable  # evaluate(id, domain, field, options) -> report
 
 
-def _hardy_options(id, domain, field, o):
-    return _hardy(id, domain, field, o["p"], o["gamma"], o.get("r0"),
-                  o.get("minimal", False), o.get("slack"))
-
-
 CATALOG = {
-    "hardy_signed": CatalogEntry(("p", "gamma"), _check_hardy, False,
-                                 _hardy_options),
-    "hardy": CatalogEntry(("p", "gamma"), _check_hardy, False, _hardy_options),
+    "hardy_signed": CatalogEntry(("p", "gamma"), _check_hardy, False, _hardy),
+    "hardy": CatalogEntry(("p", "gamma"), _check_hardy, False, _hardy),
     "hardy_hadamard": CatalogEntry(("p", "gamma"), _check_hadamard, False,
-                                   _hardy_options),
-    "sobolev_hs": CatalogEntry(
-        ("p",), _check_sobolev, True,
-        lambda id, d, f, o: eval_sobolev_hs(
-            d, f, o["p"], o.get("inj_radius"), o.get("vol_threshold"),
-            o.get("slack"))),
-    "weighted_sobolev": CatalogEntry(
-        ("p", "alpha"), _check_weighted, True,
-        lambda id, d, f, o: eval_weighted_sobolev(
-            d, f, o["p"], o["alpha"], o.get("r0"), o.get("vol_threshold"),
-            o.get("slack"))),
+                                   _hardy),
+    "sobolev_hs": CatalogEntry(("p",), _check_sobolev, True, _sobolev_hs),
+    "weighted_sobolev": CatalogEntry(("p", "alpha"), _check_weighted, True,
+                                     _weighted_sobolev),
     "ckn_single": CatalogEntry(("p", "alpha", "sigma"), _single_params, True,
                                _interpolate),
     "ckn": CatalogEntry(("p", "q", "alpha", "beta"), _ckn_params, True,
@@ -664,12 +586,21 @@ CATALOG = {
 CATALOG_IDS = tuple(CATALOG)
 
 
-def evaluate(id: str, domain: Domain, field, options: dict) -> InequalityReport:
-    """Dispatch by catalog id with a flat options mapping.
+def require_options(id: str, options: dict) -> None:
+    """Raise unless ``options`` holds every key that ``id`` requires."""
+    missing = [key for key in _entry(id).required if key not in options]
+    if missing:
+        raise InvalidArgument(f"{id} is missing key(s) {', '.join(missing)}")
 
-    The field's values on each site table are computed once and shared by
-    the evaluation's integrals; they are dropped when it ends.
+
+def evaluate(id: str, domain: Domain, field, options: dict) -> InequalityReport:
+    """The report of catalog id ``id`` for ``field`` on ``domain``.
+
+    ``options`` is a flat mapping of the id's exponents and settings.  The
+    field's values on each site table are computed once and shared by the
+    evaluation's integrals; they are dropped when it ends.
     """
+    require_options(id, options)
     try:
         return _entry(id).evaluate(id, domain, field, options)
     finally:

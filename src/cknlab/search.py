@@ -15,21 +15,8 @@ import numpy as np
 
 from .errors import InvalidArgument, PreconditionViolated
 from .geometry.domain import Domain
-from .geometry.fields import Field
+from .geometry.fields import FAMILIES, Field
 from .inequalities import DEFAULT_SLACK_FLOOR, evaluate, require_vanishing
-
-_DOF_BOUNDS = {
-    "radial_power": [(0.5, 8.0)],
-    "radial_bump": [(0.05, 10.0)],
-    "polynomial": [(-3.0, 3.0)] * 6,
-    "random_smooth": [(-3.0, 3.0)] * 6,
-}
-_DOF_STEP = {
-    "radial_power": 0.35,
-    "radial_bump": 0.5,
-    "polynomial": 0.4,
-    "random_smooth": 0.4,
-}
 
 
 @dataclass
@@ -70,7 +57,7 @@ class TightnessResult:
 
 
 def _clip_dof(kind: str, x: np.ndarray) -> np.ndarray:
-    bounds = _DOF_BOUNDS[kind]
+    bounds = FAMILIES[kind].bounds
     return np.array([min(max(v, lo), hi) for v, (lo, hi) in zip(x, bounds)])
 
 
@@ -159,7 +146,7 @@ def maximize_ratio(inequality: str, domain: Domain, family: Field,
     require_vanishing(inequality, domain, family)
 
     rng = np.random.default_rng(seed)
-    step = _DOF_STEP[family.kind]
+    step = FAMILIES[family.kind].step
     x0 = np.asarray(family.dof, dtype=float)
     if budget > 1:
         x0 = x0 + 0.05 * step * rng.standard_normal(len(x0))

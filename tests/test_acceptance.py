@@ -27,6 +27,12 @@ from cknlab.warp import CurvatureProfile, solve_warping
 ORDER_ALLOWANCE = 0.05  # least-squares order estimate of an O(h^1) scheme
 
 
+def _ckn_options(params):
+    """``ckn`` options whose (sigma, a) closure rebuilds ``params`` exactly."""
+    return {key: getattr(params, key)
+            for key in ("p", "q", "alpha", "beta", "sigma", "a")}
+
+
 def _report(name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
@@ -140,7 +146,7 @@ def test_criterion_5_equality_cases():
         errors = []
         cells = 0
         for level in range(3):
-            rep = iq.eval_hardy(dom, field, 1.0, gamma)
+            rep = iq.evaluate("hardy", dom, field, {"p": 1.0, "gamma": gamma})
             errors.append(abs(rep.ratio - 1.0))
             cells = rep.mesh_stats["cells"]
             if level < 2:
@@ -250,8 +256,9 @@ def test_criterion_9_reduction_consistency():
     worst = 0.0
 
     # weighted at zero exponent against the plain Sobolev report
-    rep_w = iq.eval_weighted_sobolev(disk, cone, 1.3, 0.0)
-    rep_s = iq.eval_sobolev_hs(disk, cone, 1.3)
+    rep_w = iq.evaluate("weighted_sobolev", disk, cone,
+                        {"p": 1.3, "alpha": 0.0})
+    rep_s = iq.evaluate("sobolev_hs", disk, cone, {"p": 1.3})
     s_const = rep_s.constants["sobolev_const"]
     worst = max(worst, abs(rep_w.lhs_terms["critical_norm"] * s_const
                            - rep_s.lhs_terms["critical_norm"]))
@@ -263,12 +270,13 @@ def test_criterion_9_reduction_consistency():
 
     # two-factor inequality at the interpolation endpoints
     params1 = cn.solve_balance(k=2, p=1.2, alpha=0.1, sigma=0.6)
-    rep_g = iq.eval_ckn(disk, cone, params1)
-    rep_1 = iq.eval_ckn_single(disk, cone, 1.2, 0.1, 0.6)
+    rep_g = iq.evaluate("ckn", disk, cone, _ckn_options(params1))
+    rep_1 = iq.evaluate("ckn_single", disk, cone,
+                        {"p": 1.2, "alpha": 0.1, "sigma": 0.6})
     worst = max(worst, abs(rep_g.ratio - rep_1.ratio))
     params0 = cn.solve_balance(k=2, p=1.2, q=1.5, alpha=0.1, beta=0.4,
                                sigma=0.5, a=0.0)
-    rep_0 = iq.eval_ckn(disk, cone, params0)
+    rep_0 = iq.evaluate("ckn", disk, cone, _ckn_options(params0))
     worst = max(worst, abs(rep_0.ratio - 1.0))
 
     # every classical specialization against its base report
@@ -281,8 +289,8 @@ def test_criterion_9_reduction_consistency():
                           ("hardy_derived", {"p": 1.4, "alpha": 0.2}),
                           ("mss_weighted", {"p": 1.5, "gamma": 0.5})):
         params = iq.derived_parameters(which, 3, **kwargs)
-        rep_d = iq.eval_derived(which, ball, bump, **kwargs)
-        rep_b = iq.eval_ckn(ball, bump, params)
+        rep_d = iq.evaluate(which, ball, bump, kwargs)
+        rep_b = iq.evaluate("ckn", ball, bump, _ckn_options(params))
         scale = max(1.0, abs(rep_b.lhs_total), abs(rep_b.rhs_total))
         worst = max(worst, abs(rep_d.lhs_total - rep_b.lhs_total) / scale)
         worst = max(worst, abs(rep_d.rhs_total - rep_b.rhs_total) / scale)

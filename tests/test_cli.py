@@ -73,6 +73,19 @@ def test_constants_t_closure_wins_over_a(capsys):
     assert outputs[0]["a"] == 0.8 and outputs[2]["a"] == 0.6
 
 
+@pytest.mark.parametrize("flags,missing", [
+    (["--a", "0.6", "--t", "2"], "needs --q"),
+    (["--q", "1"], "needs --a or --t"),
+    (["--q", "1", "--sigma", "0.5"], "needs --a or --t"),
+], ids=["a_t_without_q", "q_alone", "q_sigma"])
+def test_constants_incomplete_closure_is_an_error(capsys, flags, missing):
+    code, out, err = run(["constants", "--k", "3", "--p", "2", *flags],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert missing in err
+
+
 def test_constants_invalid_exponents(capsys):
     code, _, err = run(["constants", "--k", "3", "--p", "0.5"], capsys)
     assert code == 1

@@ -1,15 +1,19 @@
 """Golden reports: the bundled scenarios' payloads, byte for byte.
 
+The seed-0 corpus reports and the corpus case lists are pinned the same way.
+
 A refactor must leave these files unchanged.  A change that moves a report
 on purpose (a new rule, a new error estimate) re-records the hashes here and
 says in CHANGES.md which terms moved and why.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from cknlab.cli import main
+from cknlab.corpus import build_corpus, run_corpus
 
 # scenario -> SHA-256 of its `verify --out` JSON and `--csv` file
 GOLDEN = {
@@ -46,3 +50,27 @@ def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
     capsys.readouterr()
     assert code == 0
     assert (_sha256(out), _sha256(csv)) == GOLDEN[scenario]
+
+
+# SHA-256 of the serial seed-0 `run_corpus` reports as sorted-key JSON
+CORPUS_REPORTS = (
+    "ae9ca3e3e371fa675c7005e1b5afe108cfb716f9c28a5cf75d44d151b00f288f")
+# SHA-256 over the cases of `build_corpus(seed, draws=60)`, seeds 0-19
+CORPUS_CASES = (
+    "9a7cb791b397518f9310cf951c78a4a21c1d65bd1051d886536f6f19c3ca9316")
+
+
+def test_seed0_corpus_reports_are_golden():
+    reports = run_corpus(build_corpus(0), threads=1)
+    payload = json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == CORPUS_REPORTS
+
+
+def test_corpus_case_lists_are_golden():
+    digest = hashlib.sha256()
+    for seed in range(20):
+        for case in build_corpus(seed, draws=60):
+            digest.update(json.dumps(
+                [case.name, case.geometry, case.inequality, case.family,
+                 repr(case.field), sorted(case.options.items())]).encode())
+    assert digest.hexdigest() == CORPUS_CASES

@@ -6,6 +6,7 @@ import scipy.integrate as sint
 
 from cknlab import constants as cn
 from cknlab.errors import (
+    InvalidArgument,
     InvalidExponent,
     NotMinimal,
     ParameterConflict,
@@ -20,12 +21,19 @@ CONSTANT_ONE = make_field("polynomial", (1.0, 0, 0, 0, 0, 0),
 CONE = make_field("radial_power", (1.0,))
 
 
+def _ckn_options(params):
+    """``ckn`` options whose (sigma, a) closure rebuilds ``params`` exactly."""
+    return {key: getattr(params, key)
+            for key in ("p", "q", "alpha", "beta", "sigma", "a")}
+
+
 # ---------------------------------------------------------------------------
 # equality cases with closed-form values
 # ---------------------------------------------------------------------------
 
 def test_divergence_identity_flat_disk(disk_domain):
-    rep = iq.eval_hardy(disk_domain, CONSTANT_ONE, 1.0, 0.0)
+    rep = iq.evaluate("hardy", disk_domain, CONSTANT_ONE,
+                      {"p": 1.0, "gamma": 0.0})
     assert abs(rep.ratio - 1.0) < 1e-3
     # closed forms: k vol = 2 pi, boundary flux = 2 pi R^2
     assert rep.lhs_terms["weighted_norm"] == pytest.approx(2 * math.pi,
@@ -36,7 +44,7 @@ def test_divergence_identity_flat_disk(disk_domain):
 
 
 def test_cone_equality_flat_disk(disk_domain):
-    rep = iq.eval_hardy(disk_domain, CONE, 1.0, 1.0)
+    rep = iq.evaluate("hardy", disk_domain, CONE, {"p": 1.0, "gamma": 1.0})
     assert abs(rep.ratio - 1.0) < 5e-3
     # closed forms: both sides equal pi R
     assert rep.lhs_total == pytest.approx(math.pi, rel=5e-3)
@@ -44,20 +52,23 @@ def test_cone_equality_flat_disk(disk_domain):
 
 
 def test_sphere_constant_field_equality(sphere_domain):
-    rep = iq.eval_hardy(sphere_domain, CONSTANT_ONE, 2.0, 0.0)
+    rep = iq.evaluate("hardy", sphere_domain, CONSTANT_ONE,
+                      {"p": 2.0, "gamma": 0.0})
     assert rep.ratio <= 1.0 + rep.slack
     assert rep.ratio > 0.9
     assert rep.rhs_terms["boundary_term"] == 0.0
 
 
 def test_signed_evaluator_routes_p_equal_one(disk_domain):
-    rep = iq.eval_hardy_signed(disk_domain, CONE, 1.0, 1.0)
+    rep = iq.evaluate("hardy_signed", disk_domain, CONE,
+                      {"p": 1.0, "gamma": 1.0})
     assert rep.id == "hardy"
     assert any("routed" in n for n in rep.notes)
 
 
 def test_signed_evaluator_near_one(disk_domain):
-    rep = iq.eval_hardy_signed(disk_domain, CONE, 1.0001, 1.0)
+    rep = iq.evaluate("hardy_signed", disk_domain, CONE,
+                      {"p": 1.0001, "gamma": 1.0})
     assert rep.satisfied
     assert abs(rep.ratio - 1.0) < 2e-2
 
@@ -75,7 +86,8 @@ def radial_disk_integral(fn):
 
 def test_hardy_signed_terms_against_radial_oracle(disk_domain):
     p, gamma = 2.0, 1.0
-    rep = iq.eval_hardy_signed(disk_domain, CONE, p, gamma)
+    rep = iq.evaluate("hardy_signed", disk_domain, CONE,
+                      {"p": p, "gamma": gamma})
     psi = lambda r: 1.0 - r
     lhs1 = radial_disk_integral(lambda r: psi(r) ** p / r ** gamma)
     c1 = (2 - gamma) ** p / p ** p
@@ -89,7 +101,8 @@ def test_hardy_signed_terms_against_radial_oracle(disk_domain):
 
 def test_weighted_sobolev_terms_against_radial_oracle(disk_domain):
     p, alpha = 1.0, 0.5
-    rep = iq.eval_weighted_sobolev(disk_domain, CONE, p, alpha)
+    rep = iq.evaluate("weighted_sobolev", disk_domain, CONE,
+                      {"p": p, "alpha": alpha})
     psi = lambda r: 1.0 - r
     p_star = 2 * p / (2 - p)
     crit = radial_disk_integral(lambda r: psi(r) ** p_star / r ** (p_star * alpha))
@@ -104,7 +117,7 @@ def test_weighted_sobolev_terms_against_radial_oracle(disk_domain):
 
 
 def test_sobolev_terms_against_radial_oracle(disk_domain):
-    rep = iq.eval_sobolev_hs(disk_domain, CONE, 1.0)
+    rep = iq.evaluate("sobolev_hs", disk_domain, CONE, {"p": 1.0})
     # p = 1, k = 2: critical exponent 2; int psi^2 = pi/6, int |grad| = pi
     assert rep.lhs_terms["critical_norm"] == pytest.approx(
         math.sqrt(math.pi / 6), rel=1e-3)
@@ -115,7 +128,7 @@ def test_sobolev_terms_against_radial_oracle(disk_domain):
 
 def test_nash_on_disk_against_radial_oracle(ball_domain_euclid):
     bump = make_field("radial_bump", (1.0,))
-    rep = iq.eval_derived("nash", ball_domain_euclid, bump)
+    rep = iq.evaluate("nash", ball_domain_euclid, bump, {})
     tau = 1.0
 
     def profile(r):
@@ -153,9 +166,11 @@ def test_ratio_homogeneous_in_the_field(disk_domain, kind, dof):
     base = make_field(kind, dof)
     scaled = base.scaled(7.3)
     for evaluator in (
-            lambda f: iq.eval_hardy(disk_domain, f, 1.5, 0.5),
-            lambda f: iq.eval_sobolev_hs(disk_domain, f, 1.2),
-            lambda f: iq.eval_ckn_single(disk_domain, f, 1.2, 0.1, 0.6)):
+            lambda f: iq.evaluate("hardy", disk_domain, f,
+                                  {"p": 1.5, "gamma": 0.5}),
+            lambda f: iq.evaluate("sobolev_hs", disk_domain, f, {"p": 1.2}),
+            lambda f: iq.evaluate("ckn_single", disk_domain, f,
+                                  {"p": 1.2, "alpha": 0.1, "sigma": 0.6})):
         r1 = evaluator(base).ratio
         r2 = evaluator(scaled).ratio
         assert abs(r1 - r2) < 1e-10 * max(1.0, abs(r1))
@@ -166,8 +181,9 @@ def test_ratio_homogeneous_in_the_field(disk_domain, kind, dof):
 # ---------------------------------------------------------------------------
 
 def test_weighted_alpha_zero_matches_sobolev(disk_domain):
-    rep_w = iq.eval_weighted_sobolev(disk_domain, CONE, 1.3, 0.0)
-    rep_s = iq.eval_sobolev_hs(disk_domain, CONE, 1.3)
+    rep_w = iq.evaluate("weighted_sobolev", disk_domain, CONE,
+                        {"p": 1.3, "alpha": 0.0})
+    rep_s = iq.evaluate("sobolev_hs", disk_domain, CONE, {"p": 1.3})
     s_const = rep_s.constants["sobolev_const"]
     a_p = cn.pair_power_upper(1.3)
     # same critical integral and same gradient integral underneath
@@ -183,8 +199,9 @@ def test_weighted_alpha_zero_matches_sobolev(disk_domain):
 
 def test_ckn_single_matches_ckn_at_a_one(disk_domain):
     params = cn.solve_balance(k=2, p=1.2, alpha=0.1, sigma=0.6)
-    rep_general = iq.eval_ckn(disk_domain, CONE, params)
-    rep_single = iq.eval_ckn_single(disk_domain, CONE, 1.2, 0.1, 0.6)
+    rep_general = iq.evaluate("ckn", disk_domain, CONE, _ckn_options(params))
+    rep_single = iq.evaluate("ckn_single", disk_domain, CONE,
+                             {"p": 1.2, "alpha": 0.1, "sigma": 0.6})
     assert rep_single.lhs_terms["interp_norm"] == pytest.approx(
         rep_general.lhs_terms["interp_norm"], rel=1e-12)
     assert rep_single.rhs_terms["product_bound"] == pytest.approx(
@@ -195,7 +212,7 @@ def test_ckn_single_matches_ckn_at_a_one(disk_domain):
 def test_ckn_at_a_zero_is_exact_identity(disk_domain):
     params = cn.solve_balance(k=2, p=1.2, q=1.5, alpha=0.1, beta=0.4,
                               sigma=0.5, a=0.0)
-    rep = iq.eval_ckn(disk_domain, CONE, params)
+    rep = iq.evaluate("ckn", disk_domain, CONE, _ckn_options(params))
     # gamma = beta and t = q: both sides are the same integral and the
     # effective constant is exactly 1
     assert rep.constants["rhs_const"] == 1.0
@@ -211,8 +228,9 @@ def test_derived_specializations_match_base(ball_domain_euclid):
             ("hardy_derived", {"p": 1.4, "alpha": 0.2}),
             ("mss_weighted", {"p": 1.5, "gamma": 0.5})):
         params = iq.derived_parameters(which, 3, **kwargs)
-        rep_d = iq.eval_derived(which, ball_domain_euclid, bump, **kwargs)
-        rep_b = iq.eval_ckn(ball_domain_euclid, bump, params)
+        rep_d = iq.evaluate(which, ball_domain_euclid, bump, kwargs)
+        rep_b = iq.evaluate("ckn", ball_domain_euclid, bump,
+                            _ckn_options(params))
         assert rep_d.lhs_total == pytest.approx(rep_b.lhs_total, rel=1e-10)
         assert rep_d.rhs_total == pytest.approx(rep_b.rhs_total, rel=1e-10)
         assert rep_d.satisfied
@@ -222,9 +240,9 @@ def test_mss_collapses_to_sobolev(disk_domain):
     # weight exponent 0 at the critical exponent: the interp norm is the
     # (1/p*)-power of the same critical integral the Sobolev report uses
     p = 1.3
-    rep_m = iq.eval_derived("mss_weighted", disk_domain, CONE, p=p,
-                            gamma=0.0)
-    rep_s = iq.eval_sobolev_hs(disk_domain, CONE, p)
+    rep_m = iq.evaluate("mss_weighted", disk_domain, CONE,
+                        {"p": p, "gamma": 0.0})
+    rep_s = iq.evaluate("sobolev_hs", disk_domain, CONE, {"p": p})
     # interp norm is I^(1/p*), the Sobolev left side is I^(p/p*)
     assert rep_m.lhs_terms["interp_norm"] ** p == pytest.approx(
         rep_s.lhs_terms["critical_norm"], rel=1e-9)
@@ -232,13 +250,13 @@ def test_mss_collapses_to_sobolev(disk_domain):
 
 def test_hpw_requires_dimension_three(disk_domain):
     with pytest.raises(ParameterConflict):
-        iq.eval_derived("heisenberg_pauli_weyl", disk_domain, CONE)
+        iq.evaluate("heisenberg_pauli_weyl", disk_domain, CONE, {})
 
 
 def test_derived_rejects_conflicting_overrides(ball_domain_euclid):
     bump = make_field("radial_bump", (1.0,))
     with pytest.raises(ParameterConflict):
-        iq.eval_derived("nash", ball_domain_euclid, bump, p=3.0)
+        iq.evaluate("nash", ball_domain_euclid, bump, {"p": 3.0})
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +288,24 @@ def test_holder_interpolation_standalone(disk_domain, p, alpha, sigma):
 # degenerate and error paths
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("id", [id for id in iq.CATALOG_IDS
+                                if iq.CATALOG[id].required])
+def test_evaluate_names_a_missing_option(disk_domain, id):
+    required = iq.CATALOG[id].required
+    options = {key: 1.0 for key in required[:-1]}
+    with pytest.raises(InvalidArgument,
+                       match=rf"{id} is missing key\(s\) {required[-1]}$"):
+        iq.evaluate(id, disk_domain, CONE, options)
+
+
+def test_evaluate_names_every_missing_option(disk_domain):
+    with pytest.raises(InvalidArgument, match=r"missing key\(s\) p, gamma$"):
+        iq.evaluate("hardy", disk_domain, CONE, {})
+
+
 def test_zero_field_is_vacuous(disk_domain):
     zero = make_field("polynomial", (0, 0, 0, 0, 0, 0))
-    rep = iq.eval_hardy(disk_domain, zero, 1.0, 1.0)
+    rep = iq.evaluate("hardy", disk_domain, zero, {"p": 1.0, "gamma": 1.0})
     assert rep.degenerate
     assert rep.satisfied
     assert rep.ratio == 0.0
@@ -281,38 +314,43 @@ def test_zero_field_is_vacuous(disk_domain):
 def test_signed_requires_nonnegative(disk_domain):
     signed = make_field("polynomial", (0.0, 1.0, 0, 0, 0, 0))
     with pytest.raises(PreconditionViolated):
-        iq.eval_hardy_signed(disk_domain, signed, 1.5, 0.5)
+        iq.evaluate("hardy_signed", disk_domain, signed,
+                    {"p": 1.5, "gamma": 0.5})
 
 
 def test_gamma_at_dimension_rejected(disk_domain):
     with pytest.raises(InvalidExponent):
-        iq.eval_hardy(disk_domain, CONE, 1.0, 2.0)
+        iq.evaluate("hardy", disk_domain, CONE, {"p": 1.0, "gamma": 2.0})
 
 
 def test_minimal_flag_on_sphere_rejected(sphere_domain):
     with pytest.raises(NotMinimal):
-        iq.eval_hardy(sphere_domain, CONSTANT_ONE, 1.0, 0.0, minimal=True)
+        iq.evaluate("hardy", sphere_domain, CONSTANT_ONE,
+                    {"p": 1.0, "gamma": 0.0, "minimal": True})
 
 
 def test_minimal_flag_on_disk_allowed(disk_domain):
-    rep = iq.eval_hardy(disk_domain, CONE, 2.0, 1.0, minimal=True)
+    rep = iq.evaluate("hardy", disk_domain, CONE,
+                      {"p": 2.0, "gamma": 1.0, "minimal": True})
     assert rep.constants["split_coeff"] == 1.0
     assert rep.satisfied
 
 
 def test_sobolev_needs_vanishing_field(disk_domain):
     with pytest.raises(PreconditionViolated):
-        iq.eval_sobolev_hs(disk_domain, CONSTANT_ONE, 1.0)
+        iq.evaluate("sobolev_hs", disk_domain, CONSTANT_ONE, {"p": 1.0})
 
 
 def test_hadamard_requires_flat_ambient(geodesic_domain):
     with pytest.raises(PreconditionViolated):
-        iq.eval_hardy_hadamard(geodesic_domain, CONE, 1.0, 0.5)
+        iq.evaluate("hardy_hadamard", geodesic_domain, CONE,
+                    {"p": 1.0, "gamma": 0.5})
 
 
 def test_domain_outside_ball_rejected(disk_domain):
     with pytest.raises(PreconditionViolated):
-        iq.eval_hardy(disk_domain, CONE, 1.0, 0.5, r0=0.5)
+        iq.evaluate("hardy", disk_domain, CONE,
+                    {"p": 1.0, "gamma": 0.5, "r0": 0.5})
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +361,10 @@ def test_signed_boundary_no_larger_than_unsigned(tilted_disk_domain):
     f = make_field("polynomial", (1.2, 0.1, 0.0, 0.05, 0, 0),
                    boundary_vanishing=False)
     p, gamma = 1.8, 0.7
-    signed = iq.eval_hardy_signed(tilted_disk_domain, f, p, gamma)
-    unsigned = iq.eval_hardy(tilted_disk_domain, f, p, gamma)
+    signed = iq.evaluate("hardy_signed", tilted_disk_domain, f,
+                         {"p": p, "gamma": gamma})
+    unsigned = iq.evaluate("hardy", tilted_disk_domain, f,
+                           {"p": p, "gamma": gamma})
     assert signed.rhs_terms["boundary_term"] <= \
         unsigned.rhs_terms["boundary_term"] + 1e-12
 
@@ -341,7 +381,7 @@ def test_monotone_refinement_smooth_configuration(euclid3):
 
 def test_report_serialization_roundtrip(disk_domain):
     import json
-    rep = iq.eval_hardy(disk_domain, CONE, 1.0, 1.0)
+    rep = iq.evaluate("hardy", disk_domain, CONE, {"p": 1.0, "gamma": 1.0})
     payload = json.dumps(rep.to_dict(), sort_keys=True)
     back = json.loads(payload)
     assert back["id"] == "hardy"
@@ -353,7 +393,7 @@ def test_dilation_invariance_minimal_domain(euclid3):
     ratios = []
     for radius, rings in ((0.5, 12), (1.0, 12), (2.0, 12)):
         dom = Domain(disk_mesh(radius, rings=rings), euclid3)
-        rep = iq.eval_sobolev_hs(dom, CONE, 1.2)
+        rep = iq.evaluate("sobolev_hs", dom, CONE, {"p": 1.2})
         ratios.append(rep.ratio)
     assert max(ratios) - min(ratios) < 1e-6 * max(ratios)
 
@@ -361,29 +401,32 @@ def test_dilation_invariance_minimal_domain(euclid3):
 def test_sobolev_side_conditions_unverified_when_support_large(warped3):
     from cknlab.geometry import geodesic_disk
     dom = Domain(geodesic_disk(warped3, 1.2, cells=(8, 16)))
-    rep = iq.eval_sobolev_hs(dom, CONE, 1.0, inj_radius=math.pi)
+    rep = iq.evaluate("sobolev_hs", dom, CONE,
+                      {"p": 1.0, "inj_radius": math.pi})
     assert rep.hypothesis_status["status"] == "unverified"
     assert any("support" in reason
                for reason in rep.hypothesis_status["reasons"])
 
 
 def test_sobolev_side_conditions_verified_small_support(geodesic_domain):
-    rep = iq.eval_sobolev_hs(geodesic_domain, CONE, 1.0,
-                             inj_radius=math.pi)
+    rep = iq.evaluate("sobolev_hs", geodesic_domain, CONE,
+                      {"p": 1.0, "inj_radius": math.pi})
     assert rep.hypothesis_status["status"] == "verified"
     assert rep.satisfied
 
 
 def test_geodesic_disk_signed_hardy_minimal(geodesic_domain):
     bump = make_field("radial_bump", (1.0,))
-    rep = iq.eval_hardy_signed(geodesic_domain, bump, 1.5, 1.0, r0=0.55)
+    rep = iq.evaluate("hardy_signed", geodesic_domain, bump,
+                      {"p": 1.5, "gamma": 1.0, "r0": 0.55})
     assert rep.satisfied
     assert abs(rep.lhs_terms["perp_term"]) < 1e-12  # radial cone directions
 
 
 def test_weighted_sobolev_tilted_plane_perp_terms(tilted_disk_domain):
     bump = make_field("radial_bump", (1.0,))
-    rep = iq.eval_weighted_sobolev(tilted_disk_domain, bump, 1.2, 0.3)
+    rep = iq.evaluate("weighted_sobolev", tilted_disk_domain, bump,
+                      {"p": 1.2, "alpha": 0.3})
     assert rep.lhs_terms["perp_sq_term"] > 0
     assert rep.lhs_terms["perp_p_term"] > 0
     assert rep.satisfied
@@ -407,7 +450,7 @@ def _record_at_sites(monkeypatch):
 
 
 def test_field_bound_once_per_site_table(disk_domain, monkeypatch):
-    # an evaluator called directly, as earlier tests do, keeps its field's
+    # an integral called directly, as earlier tests do, keeps its field's
     # values until the domain's next evaluation
     disk_domain.release_field()
     seen = _record_at_sites(monkeypatch)

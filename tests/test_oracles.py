@@ -34,7 +34,7 @@ def warped_disk_oracle(fn, R):
 
 def test_cone_equality_exact_on_patch(euclid3):
     dom = Domain(flat_disk_patch(euclid3, 1.0, cells=(8, 16)))
-    rep = iq.eval_hardy(dom, CONE, 1.0, 1.0)
+    rep = iq.evaluate("hardy", dom, CONE, {"p": 1.0, "gamma": 1.0})
     # both sides are exactly pi R on the exact geometry
     assert rep.lhs_total == pytest.approx(math.pi, rel=1e-8)
     assert rep.rhs_total == pytest.approx(math.pi, rel=1e-8)
@@ -44,7 +44,7 @@ def test_cone_equality_exact_on_patch(euclid3):
 def test_signed_hardy_full_term_check_on_patch(euclid3):
     p, gamma = 2.0, 1.0
     dom = Domain(flat_disk_patch(euclid3, 1.0, cells=(10, 20)))
-    rep = iq.eval_hardy_signed(dom, QUAD, p, gamma)
+    rep = iq.evaluate("hardy_signed", dom, QUAD, {"p": p, "gamma": gamma})
     psi = lambda r: (1.0 - r) ** 2
     dpsi = lambda r: 2.0 * (1.0 - r)
     k = 2
@@ -61,7 +61,7 @@ def test_signed_hardy_full_term_check_on_patch(euclid3):
 def test_weighted_sobolev_full_term_check_on_patch(euclid3):
     p, alpha, k = 1.0, 0.5, 2
     dom = Domain(flat_disk_patch(euclid3, 1.0, cells=(12, 24)))
-    rep = iq.eval_weighted_sobolev(dom, CONE, p, alpha)
+    rep = iq.evaluate("weighted_sobolev", dom, CONE, {"p": p, "alpha": alpha})
     psi = lambda r: 1.0 - r
     p_star = k * p / (k - p)
     wc = cn.weighted_sobolev_constants(k, p, alpha, 1.0)
@@ -81,7 +81,7 @@ def test_hardy_on_warped_geodesic_disk_against_oracle(warped3):
     p, gamma, R, r0 = 2.0, 1.5, 0.5, 0.55
     dom = Domain(geodesic_disk(warped3, R, cells=(12, 24)))
     field = QUAD
-    rep = iq.eval_hardy(dom, field, p, gamma, r0=r0)
+    rep = iq.evaluate("hardy", dom, field, {"p": p, "gamma": gamma, "r0": r0})
     k = 2
     hp0 = math.cos(r0)
     support = R  # boundary circle radius for the vanishing radial profile
@@ -110,7 +110,7 @@ def test_hardy_boundary_term_on_warped_disk(warped3):
     dom = Domain(geodesic_disk(warped3, R, cells=(12, 24)))
     one = make_field("polynomial", (1.0, 0, 0, 0, 0, 0),
                      boundary_vanishing=False)
-    rep = iq.eval_hardy(dom, one, p, gamma, r0=r0)
+    rep = iq.evaluate("hardy", dom, one, {"p": p, "gamma": gamma, "r0": r0})
     k = 2
     hp0 = math.cos(r0)
     cb = ((k - gamma) * hp0) ** (p - 1.0) / p ** (p - 1.0)
@@ -127,7 +127,9 @@ def test_ckn_full_reimplementation_on_patch(euclid3):
     params = cn.solve_balance(k=k, p=p, q=q, alpha=alpha, beta=beta,
                               sigma=sigma, a=a)
     dom = Domain(flat_disk_patch(euclid3, 1.0, cells=(12, 24)))
-    rep = iq.eval_ckn(dom, QUAD, params)
+    rep = iq.evaluate("ckn", dom, QUAD,
+                      {"p": p, "q": q, "alpha": alpha, "beta": beta,
+                       "sigma": sigma, "a": a})
     t = float(params.t)
     gamma = float(params.gamma)
     s = float(params.s)
@@ -154,7 +156,7 @@ def test_hpw_ball_against_radial_oracle(euclid3):
     from cknlab.geometry import ball_domain
     dom = Domain(ball_domain(euclid3, 1.0, cells=(8, 8, 16)))
     bump = make_field("radial_bump", (1.5,))
-    rep = iq.eval_derived("heisenberg_pauli_weyl", dom, bump)
+    rep = iq.evaluate("heisenberg_pauli_weyl", dom, bump, {})
     tau = 1.5
 
     def profile(r):

@@ -206,7 +206,8 @@ def test_higher_mesh_order_passes_the_cone_equality(euclid3):
     mesh = disk_mesh(1.0, rings=8)
     coarse, fine = Domain(mesh, euclid3), Domain(mesh, euclid3, order=6)
     assert len(fine.sites(0.0)[0].r) > len(coarse.sites(0.0)[0].r)
-    rep = iq.eval_hardy(fine, make_field("radial_power", (1.0,)), 1.0, 1.0)
+    rep = iq.evaluate("hardy", fine, make_field("radial_power", (1.0,)),
+                      {"p": 1.0, "gamma": 1.0})
     assert rep.satisfied
     assert abs(rep.ratio - 1.0) < 5e-3
     assert rep.mesh_stats["quadrature_order"] == 6
