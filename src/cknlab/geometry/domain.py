@@ -124,6 +124,12 @@ class SiteBatch:
     chart_colnorm: np.ndarray = None  # (S, k) lengths of the chart columns
     metric_ginv: np.ndarray = None  # (S, k, k) inverse metric in that basis
 
+    def __post_init__(self):
+        # what field bindings derive from this table's columns alone, filled
+        # by mesh.kept(); it lives as long as the table, and a batch made by
+        # replace() starts without it
+        self.kept = {}
+
     def weight(self, gamma: float, use_hprime: bool) -> np.ndarray:
         w = self.h ** (-gamma) if gamma != 0.0 else np.ones_like(self.h)
         if use_hprime:
@@ -177,10 +183,11 @@ class Domain:
         # while a field binds, so binding never waits on a site-table build
         self._bindings = functools.lru_cache(maxsize=_BIND_CACHE)(
             lambda field: field.bind(self))
-        # the site tables of one bound field, (bound field, {band or "b":
-        # (hi, lo)}), filled during one evaluation and emptied by
-        # release_field; replaced as a whole, so a thread holding the old
-        # tuple still reads a consistent one
+        # the site tables of one bound field and the weights its integrals
+        # used, (bound field, {band, "b" or ("weight", gamma, hprime): (hi,
+        # lo)}), filled during one evaluation and emptied by release_field;
+        # replaced as a whole, so a thread holding the old tuple still reads
+        # a consistent one
         self._field_slot = None
         self._prepare()
 
@@ -195,15 +202,16 @@ class Domain:
             self._volumes = mesh.cell_volumes()
             self._frames = mesh.cell_frames()
             self._vertex_H = mesh.vertex_mean_curvature()
-            self._vertex_r = amb.radius(mesh.vertices)
-            self.through_pole = bool(np.min(self._vertex_r) < 1e-12)
+            self.vertex_r = amb.radius(mesh.vertices)
+            self.through_pole = bool(np.min(self.vertex_r) < 1e-12)
             self._check_pole_placement()
-            self.max_radius = float(np.max(self._vertex_r))
+            self.max_radius = float(np.max(self.vertex_r))
+            self.boundary_vertices = np.unique(mesh.boundary_facets)
             if len(mesh.boundary_facets):
                 self._b_owners = mesh.boundary_owners()
                 self._b_conormals = mesh.boundary_conormals()
-                bverts = np.unique(mesh.boundary_facets)
-                self.min_boundary_radius = float(np.min(self._vertex_r[bverts]))
+                self.min_boundary_radius = float(
+                    np.min(self.vertex_r[self.boundary_vertices]))
             else:
                 self.min_boundary_radius = math.inf
             self.coord_scale = float(np.max(np.abs(mesh.vertices)))
@@ -229,12 +237,11 @@ class Domain:
         mesh = self.mesh
         scale = max(1.0, float(np.max(np.abs(mesh.vertices))))
         pole = self.ambient.pole
-        corners = mesh.vertices[mesh.cells]          # (C, k+1, n)
-        e = corners[:, 1:, :] - corners[:, :1, :]
-        gram = np.einsum("cin,cjn->cij", e, e)
-        rhs = np.einsum("cin,cn->ci", e, pole - corners[:, 0, :])
+        first = mesh.vertices[mesh.cells[:, 0]]
+        e, gram = mesh.edge_gram()
+        rhs = np.einsum("cin,cn->ci", e, pole - first)
         lam = np.linalg.solve(gram, rhs[..., None])[..., 0]
-        proj = corners[:, 0, :] + np.einsum("ci,cin->cn", lam, e)
+        proj = first + np.einsum("ci,cin->cn", lam, e)
         dist = np.linalg.norm(pole - proj, axis=1)
         inside = (lam.min(axis=1) > 1e-9) & (lam.sum(axis=1) < 1 - 1e-9)
         if np.any(inside & (dist < 1e-9 * scale)):
@@ -277,9 +284,9 @@ class Domain:
         return self._bindings(field)
 
     def _with_bound(self, key, bound_field, tables, attach):
-        """``tables`` with ``bound_field``'s values, computed once per key.
+        """``attach(table, bound_field)`` of each table, computed once per key.
 
-        The values are kept in the field slot until :meth:`release_field`;
+        The results are kept in the field slot until :meth:`release_field`;
         a slot held for another field is replaced, never mutated.
         """
         slot = self._field_slot
@@ -290,8 +297,24 @@ class Domain:
             out = slot[1][key] = tuple(attach(t, bound_field) for t in tables)
         return out
 
+    def weights(self, tables, gamma: float, use_hprime: bool,
+                bound_field=None):
+        """``h ** -gamma`` (times ``hp``) on ``tables``, the band of ``gamma``.
+
+        With a bound field they are kept in its slot, so the integrals of one
+        evaluation that share the exponent and weight kind compute them once;
+        :meth:`release_field` drops them with the field's values.
+        """
+        def weigh(batch, _bound):
+            return batch.weight(gamma, use_hprime)
+
+        if bound_field is None:
+            return tuple(weigh(t, None) for t in tables)
+        return self._with_bound(("weight", gamma, use_hprime), bound_field,
+                                tables, weigh)
+
     def release_field(self):
-        """Drop the field values kept for the last bound field.
+        """Drop the field values and weights kept for the last bound field.
 
         :func:`cknlab.inequalities.evaluate` calls this when an evaluation
         ends; after a direct call of an integral the values stay until the
@@ -707,16 +730,16 @@ def weighted_integral(domain: Domain, integrand, gamma: float,
             f"weight exponent {gamma} >= dimension {domain.k} with the pole "
             "on the domain")
     bound = domain.bind(field) if field is not None else None
-    hi, lo = domain.sites(gamma, bound)
-    use_hp = weight_kind == "h_power_times_hprime"
+    tables = domain.sites(gamma, bound)
+    weights = domain.weights(tables, gamma,
+                             weight_kind == "h_power_times_hprime", bound)
     vals = []
-    for batch in (hi, lo):
+    for batch, w in zip(tables, weights):
         f = integrand(batch) if callable(integrand) else integrand
         f = np.broadcast_to(np.asarray(f, dtype=float), batch.r.shape)
         if np.any(f < -1e-12 * max(1.0, float(np.max(np.abs(f))))):
             raise InvalidArgument("integrand must be nonnegative")
-        vals.append(float(np.sum(batch.density * batch.weight(gamma, use_hp)
-                                 * np.maximum(f, 0.0))))
+        vals.append(float(np.sum(batch.density * w * np.maximum(f, 0.0))))
     return Qty(vals[0], abs(vals[0] - vals[1]))
 
 

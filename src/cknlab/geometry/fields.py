@@ -13,6 +13,11 @@ jet.
 Members that must vanish on the boundary either do so natively (radial
 kinds, whose support radius is the smallest boundary radius) or are
 multiplied by the domain's boundary-vanishing factor.
+
+On meshes, what a planar member's value takes from the points alone (the
+boundary-vanishing factor and the random_smooth basis) is computed once per
+site table and once per mesh, so binding another member pays only for its
+``dof``-weighted sums.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 
 from ..errors import InvalidArgument, PreconditionViolated
 from .domain import Domain, SiteBatch
+from .mesh import kept
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,31 @@ def _radial_profile(field: Field, support_r: float):
     return f, fp
 
 
+def _scaled_xy(P, scale: float):
+    """The first two ambient coordinates over ``scale`` (y = 0 on a line)."""
+    x = P[:, 0] / scale
+    y = P[:, 1] / scale if P.shape[1] > 1 else np.zeros_like(x)
+    return x, y
+
+
+def _mixture_columns(x, y):
+    """sin(pi x), sin(pi y) and cos(pi y): the basis of a random_smooth value."""
+    return np.sin(math.pi * x), np.sin(math.pi * y), np.cos(math.pi * y)
+
+
+def _planar_value(c, x, y, mixture_columns=None):
+    """Value of a planar member with coefficients ``c``.
+
+    A polynomial, or with the :func:`_mixture_columns` of ``x``, ``y`` a
+    random_smooth mixture.
+    """
+    if mixture_columns is None:
+        return (c[0] + c[1] * x + c[2] * y + c[3] * x * x
+                + c[4] * x * y + c[5] * y * y)
+    sx, sy, cy_ = mixture_columns
+    return c[0] + c[1] * sx + c[2] * cy_ + c[3] * sx * sy + c[4] * x + c[5] * y * y
+
+
 def _planar_profile(field: Field, scale: float):
     """Value and ambient-coordinate gradient of the planar kinds.
 
@@ -155,10 +186,8 @@ def _planar_profile(field: Field, scale: float):
     c = field.dof
 
     def poly(P):
-        x = P[:, 0] / scale
-        y = P[:, 1] / scale if P.shape[1] > 1 else np.zeros_like(x)
-        val = (c[0] + c[1] * x + c[2] * y + c[3] * x * x
-               + c[4] * x * y + c[5] * y * y)
+        x, y = _scaled_xy(P, scale)
+        val = _planar_value(c, x, y)
         grad = np.zeros_like(P)
         grad[:, 0] = (c[1] + 2 * c[3] * x + c[4] * y) / scale
         if P.shape[1] > 1:
@@ -166,11 +195,10 @@ def _planar_profile(field: Field, scale: float):
         return val, grad
 
     def mixture(P):
-        x = P[:, 0] / scale
-        y = P[:, 1] / scale if P.shape[1] > 1 else np.zeros_like(x)
-        sx, cx_ = np.sin(math.pi * x), np.cos(math.pi * x)
-        sy, cy_ = np.sin(math.pi * y), np.cos(math.pi * y)
-        val = c[0] + c[1] * sx + c[2] * cy_ + c[3] * sx * sy + c[4] * x + c[5] * y * y
+        x, y = _scaled_xy(P, scale)
+        sx, sy, cy_ = cols = _mixture_columns(x, y)
+        cx_ = np.cos(math.pi * x)
+        val = _planar_value(c, x, y, cols)
         grad = np.zeros_like(P)
         grad[:, 0] = (c[1] * math.pi * cx_ + c[3] * math.pi * cx_ * sy
                       + c[4]) / scale
@@ -279,8 +307,9 @@ class BoundField:
             self.support_r = support
             self._f, self._fp = _radial_profile(field, support)
         else:
-            self._planar = _planar_profile(field, max(domain.coord_scale, 1e-12))
+            self._scale = max(domain.coord_scale, 1e-12)
             if domain.kind == "patch":
+                self._planar = _planar_profile(field, self._scale)
                 self._clamp = (_vanish_chart(domain)
                                if field.boundary_vanishing and domain.has_boundary
                                else None)
@@ -290,21 +319,31 @@ class BoundField:
     def _setup_mesh_samples(self):
         domain = self.domain
         mesh = domain.mesh
-        vals = self._value_at(mesh.vertices, domain.ambient.radius(mesh.vertices))
-        if self.field.boundary_vanishing and len(mesh.boundary_facets):
+        vals = self._value_at(mesh.vertices, domain.vertex_r, mesh.kept)
+        if self.field.boundary_vanishing and len(domain.boundary_vertices):
             vals = np.asarray(vals, dtype=float).copy()
-            vals[np.unique(mesh.boundary_facets)] = 0.0
+            vals[domain.boundary_vertices] = 0.0
         self.vertex_values = vals
         self.cell_gradients = mesh.reconstruct_gradients(vals)
         self.cell_grad_norm = np.linalg.norm(self.cell_gradients, axis=1)
 
-    def _value_at(self, pts, r):
-        """Exact field value at ambient points of a mesh domain."""
+    def _value_at(self, pts, r, memo):
+        """Exact field value at ambient points of a mesh domain.
+
+        The clamp and the random_smooth basis do not depend on ``dof``: they
+        are computed once per point set and kept in ``memo``, the ``kept``
+        of the site table or of the mesh that holds ``pts``.
+        """
         if self.radial:
             return self._f(r)
-        vals, _ = self._planar(pts)
+        x, y = _scaled_xy(pts, self._scale)
+        cols = None
+        if self.field.kind == "random_smooth":
+            cols = kept(memo, "mixture", lambda: _mixture_columns(x, y))
+        vals = _planar_value(self.field.dof, x, y, cols)
         if self.field.boundary_vanishing and self.domain.has_boundary:
-            vals = vals * _vanish_points(self.domain, pts)
+            vals = vals * kept(memo, "clamp",
+                               lambda: _vanish_points(self.domain, pts))
         return vals
 
     # -- evaluation at site batches -----------------------------------------
@@ -315,7 +354,7 @@ class BoundField:
         if domain.kind == "mesh":
             # exact values at the quadrature sites; tangential gradient from
             # the per-cell linear reconstruction of the vertex samples
-            psi = self._value_at(batch.points, batch.r)
+            psi = self._value_at(batch.points, batch.r, batch.kept)
             return amp * psi, amp * self.cell_grad_norm[batch.cell_ids]
         if self.radial:
             psi = self._f(batch.r)

@@ -41,6 +41,9 @@ class SimplicialMesh:
         else:
             self.boundary_facets = np.asarray(self.boundary_facets, dtype=int)
         self._fit_cache = None
+        # what every field binding on this mesh derives from its vertices
+        # and cells alone (edge Gram, vertex columns), filled by kept()
+        self.kept = {}
 
     @property
     def k(self) -> int:
@@ -52,14 +55,20 @@ class SimplicialMesh:
 
     # -- per-cell geometry ----------------------------------------------------
 
-    def cell_edges(self) -> np.ndarray:
-        """(C, k, n) edge matrices relative to each cell's first vertex."""
-        v = self.vertices[self.cells]
-        return v[:, 1:, :] - v[:, :1, :]
+    def edge_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C, k, n) edges from each cell's first vertex, and their Gram.
+
+        Computed once per mesh.
+        """
+        def build():
+            v = self.vertices[self.cells]
+            e = v[:, 1:, :] - v[:, :1, :]
+            return e, np.einsum("cin,cjn->cij", e, e)
+
+        return kept(self.kept, "edge_gram", build)
 
     def cell_volumes(self) -> np.ndarray:
-        e = self.cell_edges()
-        gram = np.einsum("cin,cjn->cij", e, e)
+        _, gram = self.edge_gram()
         det = np.linalg.det(gram)
         if np.any(det <= 0):
             raise DegenerateGeometry("cell with nonpositive induced volume")
@@ -67,14 +76,13 @@ class SimplicialMesh:
 
     def cell_frames(self) -> np.ndarray:
         """(C, k, n) orthonormal tangent frames (flat cells, Euclidean metric)."""
-        e = self.cell_edges()
+        e, _ = self.edge_gram()
         q, _ = np.linalg.qr(np.transpose(e, (0, 2, 1)))
         return np.transpose(q, (0, 2, 1))
 
     def reconstruct_gradients(self, vertex_values: np.ndarray) -> np.ndarray:
         """(C, n) in-plane gradients of the per-cell linear interpolant."""
-        e = self.cell_edges()
-        gram = np.einsum("cin,cjn->cij", e, e)
+        e, gram = self.edge_gram()
         dv = vertex_values[self.cells[:, 1:]] - vertex_values[self.cells[:, :1]]
         coef = np.linalg.solve(gram, dv[..., None])[..., 0]
         return np.einsum("ci,cin->cn", coef, e)
@@ -235,6 +243,19 @@ class SimplicialMesh:
                               metadata=dict(self.metadata))
         _snap_to_surface(mesh)
         return mesh
+
+
+def kept(memo: dict, key, compute):
+    """``memo[key]``, set to ``compute()`` on first use.
+
+    Threads may compute the same entry at once; each publishes only a
+    finished value, and since ``dict.setdefault`` is atomic every caller
+    gets the first one published.
+    """
+    out = memo.get(key)
+    if out is None:
+        out = memo.setdefault(key, compute())
+    return out
 
 
 def _snap_to_surface(mesh: SimplicialMesh):

@@ -1,6 +1,7 @@
 """Golden reports: the bundled scenarios' payloads, byte for byte.
 
-The seed-0 corpus reports and the corpus case lists are pinned the same way.
+The seed-0 corpus reports, the corpus case lists and one tightness-search
+payload are pinned the same way.
 
 A refactor must leave these files unchanged.  A change that moves a report
 on purpose (a new rule, a new error estimate) re-records the hashes here and
@@ -74,3 +75,40 @@ def test_corpus_case_lists_are_golden():
                 [case.name, case.geometry, case.inequality, case.family,
                  repr(case.field), sorted(case.options.items())]).encode())
     assert digest.hexdigest() == CORPUS_CASES
+
+
+# the cone-equality sweep of hardy_cone.cfg over every field kind, on a
+# coarser mesh than the benchmark's
+SEARCH_CONFIG = """\
+[ambient]
+kind = euclidean
+
+[geometry]
+builtin = disk_mesh
+radius = 1.0
+rings = 8
+
+[field]
+boundary_vanishing = true
+
+[inequality]
+id = hardy
+p = 1
+gamma = 1
+
+[sweep]
+field.kind = radial_power, radial_bump, polynomial, random_smooth
+"""
+# SHA-256 of `search --budget 40 --seed 3 --levels 1 --out` on that sweep
+SEARCH_PAYLOAD = (
+    "efebd46d7aed35bd0640da173d8d8c672e863c36f724f2d7afacb781eca6f398")
+
+
+def test_search_payload_is_golden(tmp_path, capsys):
+    cfg, out = tmp_path / "cone_sweep.cfg", tmp_path / "search.json"
+    cfg.write_text(SEARCH_CONFIG)
+    code = main(["search", str(cfg), "--budget", "40", "--seed", "3",
+                 "--levels", "1", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert _sha256(out) == SEARCH_PAYLOAD
