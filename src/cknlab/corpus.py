@@ -206,9 +206,9 @@ def run_corpus(cases, level: int = 0, threads: int = None):
     """Evaluate all cases, reusing one Domain per geometry name."""
     builders = corpus_geometries(level)
     # domains are built up front; their lazy site tables are built under a
-    # per-domain lock, and a field's values live in a slot that each thread
-    # replaces rather than mutates, so the sweep parallelizes at case
-    # granularity with an ordered result list
+    # per-domain lock, and each evaluation keeps its field's values in a
+    # binding of its own, so the sweep parallelizes at case granularity with
+    # an ordered result list
     domains = {name: builders[name]()
                for name in dict.fromkeys(case.geometry for case in cases)}
 

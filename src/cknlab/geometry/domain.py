@@ -17,7 +17,6 @@ quadrature error estimate.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 import warnings
@@ -38,7 +37,7 @@ from ..quadrature import (
     split_simplex_bary,
 )
 from .ambient import AmbientSpace
-from .mesh import SimplicialMesh
+from .mesh import SimplicialMesh, kept
 from .patch import ParametricPatch
 
 _VAR_TOL = 2.0       # admissible weight ratio across one quadrature piece
@@ -51,9 +50,6 @@ _TINY = 1e-300
 # chart points per batched corner evaluation while grading: bounds the jets'
 # scratch memory far below the size of the site tables
 _CORNER_CHUNK = 1 << 14
-# field bindings kept per domain: one evaluation binds one field, and a
-# sweep shares a domain between at most a few cases at a time
-_BIND_CACHE = 8
 
 
 @dataclass
@@ -178,17 +174,6 @@ class Domain:
         # site tables are built lazily; the lock keeps threads sharing a
         # domain from building the same table twice
         self._build_lock = threading.Lock()
-        # Field is a frozen dataclass, so equal members share a binding.
-        # lru_cache keeps itself consistent across threads and holds no lock
-        # while a field binds, so binding never waits on a site-table build
-        self._bindings = functools.lru_cache(maxsize=_BIND_CACHE)(
-            lambda field: field.bind(self))
-        # the site tables of one bound field and the weights its integrals
-        # used, (bound field, {band, "b" or ("weight", gamma, hprime): (hi,
-        # lo)}), filled during one evaluation and emptied by release_field;
-        # replaced as a whole, so a thread holding the old tuple still reads
-        # a consistent one
-        self._field_slot = None
         self._prepare()
 
     # -- construction ---------------------------------------------------------
@@ -280,47 +265,19 @@ class Domain:
     # -- field binding ----------------------------------------------------------
 
     def bind(self, field):
-        """The binding of ``field`` to this domain, cached by field value."""
-        return self._bindings(field)
-
-    def _with_bound(self, key, bound_field, tables, attach):
-        """``attach(table, bound_field)`` of each table, computed once per key.
-
-        The results are kept in the field slot until :meth:`release_field`;
-        a slot held for another field is replaced, never mutated.
-        """
-        slot = self._field_slot
-        if slot is None or slot[0] is not bound_field:
-            slot = self._field_slot = (bound_field, {})
-        out = slot[1].get(key)
-        if out is None:
-            out = slot[1][key] = tuple(attach(t, bound_field) for t in tables)
-        return out
+        """``field`` bound afresh (a binding to this domain passes as is)."""
+        return field.bind(self)
 
     def weights(self, tables, gamma: float, use_hprime: bool,
                 bound_field=None):
         """``h ** -gamma`` (times ``hp``) on ``tables``, the band of ``gamma``.
 
-        With a bound field they are kept in its slot, so the integrals of one
-        evaluation that share the exponent and weight kind compute them once;
-        :meth:`release_field` drops them with the field's values.
+        With a bound field they are kept in the binding for the other
+        integrals of its evaluation.
         """
-        def weigh(batch, _bound):
-            return batch.weight(gamma, use_hprime)
-
-        if bound_field is None:
-            return tuple(weigh(t, None) for t in tables)
-        return self._with_bound(("weight", gamma, use_hprime), bound_field,
-                                tables, weigh)
-
-    def release_field(self):
-        """Drop the field values and weights kept for the last bound field.
-
-        :func:`cknlab.inequalities.evaluate` calls this when an evaluation
-        ends; after a direct call of an integral the values stay until the
-        next evaluation on this domain.
-        """
-        self._field_slot = None
+        memo = {} if bound_field is None else bound_field.kept
+        return kept(memo, ("weight", gamma, use_hprime), lambda: tuple(
+            t.weight(gamma, use_hprime) for t in tables))
 
     # -- interior sites ---------------------------------------------------------
 
@@ -347,7 +304,8 @@ class Domain:
         tables = self._cached(self._interior_cache, band, lambda: build(band))
         if bound_field is None:
             return tables
-        return self._with_bound(band, bound_field, tables, self._with_field)
+        return kept(bound_field.kept, band, lambda: tuple(
+            self._with_field(t, bound_field) for t in tables))
 
     def _with_field(self, batch: SiteBatch, bound_field) -> SiteBatch:
         psi, grad = bound_field.at_sites(batch)
@@ -428,11 +386,16 @@ class Domain:
         return (regular, owner, mb,
                 replace(stats, pieces=stats.pieces + len(regular)))
 
-    def _mesh_batch(self, cell_ids, bary, pts, dens) -> SiteBatch:
+    def _radial(self, pts):
+        """r, h(r), h'(r) and the unit radial direction at ambient points."""
         amb = self.ambient
         r = amb.radius(pts)
         h, hp = amb.h_values(r)
         u = (pts - amb.pole) / np.where(r > 0, r, 1.0)[:, None]
+        return r, h, hp, u
+
+    def _mesh_batch(self, cell_ids, bary, pts, dens) -> SiteBatch:
+        r, h, hp, u = self._radial(pts)
         frames = self._frames[cell_ids]
         dots = np.einsum("skn,sn->sk", frames, u)
         tan_sq = np.einsum("sk,sk->s", dots, dots)
@@ -573,14 +536,14 @@ class Domain:
                               else self._build_patch_boundary)
         if bound_field is None or tables[0] is None:
             return tables
-        return self._with_bound("b", bound_field, tables,
-                                self._with_boundary_field)
+        return kept(bound_field.kept, "b", lambda: tuple(
+            self._with_boundary_field(t, bound_field) for t in tables))
 
     def _with_boundary_field(self, batch, bound_field):
         return replace(batch, psi=bound_field.at_boundary(batch))
 
     def _build_mesh_boundary(self):
-        mesh, amb = self.mesh, self.ambient
+        mesh = self.mesh
         if not len(mesh.boundary_facets):
             return None, None
         k = self.k
@@ -590,9 +553,7 @@ class Domain:
         for s_index in self._simplex_indices():
             bary, wts = simplex_rule(k - 1, s_index)
             pts = np.einsum("qb,fbn->fqn", bary, corners).reshape(-1, self.n)
-            r = amb.radius(pts)
-            h, hp = amb.h_values(r)
-            u = (pts - amb.pole) / np.where(r > 0, r, 1.0)[:, None]
+            r, h, hp, u = self._radial(pts)
             conorm = np.repeat(self._b_conormals, len(wts), axis=0)
             out.append(SiteBatch(
                 points=pts, density=(vols[:, None] * wts[None, :]).reshape(-1),
@@ -650,9 +611,7 @@ class Domain:
                     nu = nu - crd[:, None] * prev
                 nrm = np.sqrt(np.maximum(amb.metric_dot(F, nu, nu), _TINY))
                 nu = nu / nrm[:, None]
-                r = amb.radius(F)
-                h, hp = amb.h_values(r)
-                u = (F - amb.pole) / np.where(r > 0, r, 1.0)[:, None]
+                r, h, hp, u = self._radial(F)
                 parts.append(SiteBatch(points=F, density=dS, r=r, h=h, hp=hp,
                                        conormal_dot=amb.metric_dot(F, u, nu),
                                        chart=U))
@@ -733,14 +692,7 @@ def weighted_integral(domain: Domain, integrand, gamma: float,
     tables = domain.sites(gamma, bound)
     weights = domain.weights(tables, gamma,
                              weight_kind == "h_power_times_hprime", bound)
-    vals = []
-    for batch, w in zip(tables, weights):
-        f = integrand(batch) if callable(integrand) else integrand
-        f = np.broadcast_to(np.asarray(f, dtype=float), batch.r.shape)
-        if np.any(f < -1e-12 * max(1.0, float(np.max(np.abs(f))))):
-            raise InvalidArgument("integrand must be nonnegative")
-        vals.append(float(np.sum(batch.density * w * np.maximum(f, 0.0))))
-    return Qty(vals[0], abs(vals[0] - vals[1]))
+    return _reduce(tables, weights, integrand, "integrand must be nonnegative")
 
 
 def boundary_integral(domain: Domain, integrand, weight_exponent: float,
@@ -753,20 +705,29 @@ def boundary_integral(domain: Domain, integrand, weight_exponent: float,
     yields 0 with a warning.
     """
     bound = domain.bind(field) if field is not None else None
-    hi, lo = domain.boundary_sites(bound)
-    if hi is None:
+    tables = domain.boundary_sites(bound)
+    if tables[0] is None:
         warnings.warn("boundary integral over a closed submanifold is 0",
                       stacklevel=2)
         return Qty(0.0, 0.0)
+    weights = tuple(t.weight(weight_exponent, False) for t in tables)
+    return _reduce(tables, weights, integrand,
+                   "boundary integrand must be nonnegative",
+                   conormal=with_radial_conormal)
+
+
+def _reduce(tables, weights, integrand, message, conormal=False) -> Qty:
+    """Hi/lo sums of ``density * weight * integrand`` (``* conormal_dot``).
+
+    Roundoff below zero in the integrand is clipped."""
     vals = []
-    for batch in (hi, lo):
+    for batch, w in zip(tables, weights):
         f = integrand(batch) if callable(integrand) else integrand
         f = np.broadcast_to(np.asarray(f, dtype=float), batch.r.shape)
         if np.any(f < -1e-12 * max(1.0, float(np.max(np.abs(f))))):
-            raise InvalidArgument("boundary integrand must be nonnegative")
-        w = batch.h ** (-weight_exponent) if weight_exponent != 0.0 else 1.0
-        contrib = batch.density * w * f
-        if with_radial_conormal:
+            raise InvalidArgument(message)
+        contrib = batch.density * w * np.maximum(f, 0.0)
+        if conormal:
             contrib = contrib * batch.conormal_dot
         vals.append(float(np.sum(contrib)))
     return Qty(vals[0], abs(vals[0] - vals[1]))

@@ -315,6 +315,13 @@ class BoundField:
                                else None)
         if domain.kind == "mesh":
             self._setup_mesh_samples()
+        # values per site table (key: band or "b") and the weights the
+        # integrals used (key: ("weight", gamma, hprime)), for one evaluation
+        self.kept = {}
+
+    def bind(self, domain: Domain) -> "BoundField":
+        """This binding on its own domain; the field bound afresh elsewhere."""
+        return self if domain is self.domain else self.field.bind(domain)
 
     def _setup_mesh_samples(self):
         domain = self.domain

@@ -597,11 +597,9 @@ def evaluate(id: str, domain: Domain, field, options: dict) -> InequalityReport:
     """The report of catalog id ``id`` for ``field`` on ``domain``.
 
     ``options`` is a flat mapping of the id's exponents and settings.  The
-    field's values on each site table are computed once and shared by the
-    evaluation's integrals; they are dropped when it ends.
+    field is bound to ``domain`` once; the binding computes its values on
+    each site table once for all of the evaluation's integrals and goes
+    away with the evaluation.
     """
     require_options(id, options)
-    try:
-        return _entry(id).evaluate(id, domain, field, options)
-    finally:
-        domain.release_field()
+    return _entry(id).evaluate(id, domain, domain.bind(field), options)

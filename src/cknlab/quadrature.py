@@ -10,7 +10,7 @@ sum to one, so a physical integral is ``volume * sum(w_i * f(x_i))``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -25,7 +25,7 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-@lru_cache(maxsize=None)
+@cache
 def simplex_rule(k: int, s: int):
     """Grundmann-Moller rule of index ``s`` (degree 2s+1) on the k-simplex.
 
@@ -47,14 +47,14 @@ def simplex_rule(k: int, s: int):
     return bary, weights
 
 
-@lru_cache(maxsize=None)
+@cache
 def gauss_rule(npts: int):
     """Gauss-Legendre nodes/weights on [0, 1], weights summing to 1."""
     x, w = np.polynomial.legendre.leggauss(npts)
     return (x + 1.0) / 2.0, w / 2.0
 
 
-@lru_cache(maxsize=None)
+@cache
 def box_rule(k: int, npts: int):
     """Tensor Gauss-Legendre rule on the unit k-cube (weights sum to 1)."""
     x1, w1 = gauss_rule(npts)

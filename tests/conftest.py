@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -66,6 +67,22 @@ def geodesic_domain(warped3):
 @pytest.fixture(scope="session")
 def ball_domain_euclid(euclid3):
     return Domain(ball_domain(euclid3, 1.0, cells=(4, 4, 8)))
+
+
+@pytest.fixture
+def bindings(monkeypatch):
+    """Weak references to the field bindings made while the test runs."""
+    from cknlab.geometry.fields import Field
+    refs = []
+    real = Field.bind
+
+    def recording(self, domain):
+        bound = real(self, domain)
+        refs.append(weakref.ref(bound))
+        return bound
+
+    monkeypatch.setattr(Field, "bind", recording)
+    return refs
 
 
 @pytest.fixture(scope="session")

@@ -139,7 +139,7 @@ def test_mesh_binding_matches_untabulated_formulas(kind, name, vanishing,
         assert np.array_equal(bound.at_boundary(table), 1.0 * psi)
 
 
-def test_kept_columns_do_not_depend_on_the_member(euclid3):
+def test_kept_columns_do_not_depend_on_the_member(euclid3, bindings):
     domain = Domain(disk_mesh(1.0, rings=4), euclid3)
     options = {"p": 1.0, "gamma": 1.0}
     iq.evaluate("hardy", domain, make_field("random_smooth", seed=1), options)
@@ -153,8 +153,9 @@ def test_kept_columns_do_not_depend_on_the_member(euclid3):
     for old, new in zip(kept, after):
         assert old.keys() == new.keys()
         assert all(new[key] is value for key, value in old.items())
-    # weights and field values end with the evaluation
-    assert domain._field_slot is None
+    # weights and field values end with the evaluation's one binding
+    assert len(bindings) == 3
+    assert [ref() for ref in bindings] == [None] * 3
 
 
 def test_kept_columns_pin_nothing(euclid3):
@@ -169,7 +170,8 @@ def test_kept_columns_pin_nothing(euclid3):
     assert [r() for r in refs] == [None] * len(refs)
 
 
-def test_weights_computed_once_per_evaluation(euclid3, monkeypatch):
+def test_weights_computed_once_per_evaluation(euclid3, monkeypatch,
+                                               bindings):
     domain = Domain(disk_mesh(1.0, rings=4), euclid3)
     calls = []
     real = SiteBatch.weight
@@ -184,10 +186,11 @@ def test_weights_computed_once_per_evaluation(euclid3, monkeypatch):
         iq.evaluate("hardy", domain, make_field(member),
                     {"p": 1.0, "gamma": 1.0})
         # the two left-side integrals share gamma = 1 with h', the two
-        # right-side ones gamma - p = 0 without: one weight per table and
-        # pair, and none kept for the next evaluation
-        assert sorted(calls) == [(0.0, False)] * 2 + [(1.0, True)] * 2
-        assert domain._field_slot is None
+        # right-side ones gamma - p = 0 without, and the boundary term
+        # weighs its own two tables with gamma - 1 = 0: one weight per table
+        # and pair, and none kept for the next evaluation
+        assert sorted(calls) == [(0.0, False)] * 4 + [(1.0, True)] * 2
+        assert [ref() for ref in bindings] == [None] * len(bindings)
 
 
 def test_threads_binding_members_on_one_mesh_match_serial(euclid3):
@@ -209,7 +212,6 @@ def test_threads_binding_members_on_one_mesh_match_serial(euclid3):
         barrier.wait()
         for _ in range(3):
             results[i].append(values(shared, members[i]))
-            shared._bindings.cache_clear()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

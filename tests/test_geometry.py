@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -339,18 +340,21 @@ def test_linear_field_gradient_exact(disk_domain):
     assert np.allclose(bf.cell_grad_norm, 1.0, atol=1e-10)
 
 
-def test_bindings_cached_by_value_and_bounded(euclid3):
-    from cknlab.geometry.domain import _BIND_CACHE
+def test_domain_keeps_no_binding(euclid3):
     dom = Domain(disk_mesh(1.0, rings=2), euclid3)
     family = make_field("radial_power", (1.0,))
-    first = dom.bind(family.with_dof((0.75,)))
-    assert dom.bind(family.with_dof((0.75,))) is first
+    refs = []
     for i in range(1000):
-        dom.bind(family.with_dof((1.0 + i / 1000,)))
-        assert dom._bindings.cache_info().currsize <= _BIND_CACHE
-    assert dom._bindings.cache_info().currsize == _BIND_CACHE
-    # the oldest binding was evicted; an equal field binds afresh
-    assert dom.bind(family.with_dof((0.75,))) is not first
+        bound = dom.bind(family.with_dof((1.0 + i / 1000,)))
+        dom.sites(0.0, bound)
+        refs.append(weakref.ref(bound))
+    del bound
+    assert [ref() for ref in refs] == [None] * len(refs)
+    # a binding passes through its own domain and binds afresh elsewhere
+    bound = dom.bind(family)
+    assert dom.bind(bound) is bound
+    other = Domain(disk_mesh(1.0, rings=2), euclid3)
+    assert other.bind(bound).domain is other
 
 
 def test_rectangle_chart_corner_singularity(euclid3):

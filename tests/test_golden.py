@@ -53,7 +53,8 @@ def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
     assert (_sha256(out), _sha256(csv)) == GOLDEN[scenario]
 
 
-# SHA-256 of the serial seed-0 `run_corpus` reports as sorted-key JSON
+# SHA-256 of the seed-0 `run_corpus` reports as sorted-key JSON, serial
+# or on threads
 CORPUS_REPORTS = (
     "ae9ca3e3e371fa675c7005e1b5afe108cfb716f9c28a5cf75d44d151b00f288f")
 # SHA-256 over the cases of `build_corpus(seed, draws=60)`, seeds 0-19
@@ -63,6 +64,12 @@ CORPUS_CASES = (
 
 def test_seed0_corpus_reports_are_golden():
     reports = run_corpus(build_corpus(0), threads=1)
+    payload = json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == CORPUS_REPORTS
+
+
+def test_seed0_corpus_reports_are_golden_on_four_threads():
+    reports = run_corpus(build_corpus(0), threads=4)
     payload = json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == CORPUS_REPORTS
 

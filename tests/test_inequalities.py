@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -449,10 +451,8 @@ def _record_at_sites(monkeypatch):
     return seen
 
 
-def test_field_bound_once_per_site_table(disk_domain, monkeypatch):
-    # an integral called directly, as earlier tests do, keeps its field's
-    # values until the domain's next evaluation
-    disk_domain.release_field()
+def test_field_bound_once_per_site_table(disk_domain, monkeypatch,
+                                         bindings):
     seen = _record_at_sites(monkeypatch)
     rep = iq.evaluate("hardy", disk_domain, CONE, {"p": 1.0, "gamma": 1.0})
     # p = 1, gamma = 1 reads bands 1 (left side) and 0 (right side, sup)
@@ -460,20 +460,37 @@ def test_field_bound_once_per_site_table(disk_domain, monkeypatch):
     assert len(seen) == len(tables) == 4
     assert all(any(batch is table for table in tables) for batch in seen)
     assert len({id(batch) for batch in seen}) == 4
-    assert disk_domain._field_slot is None
+    # one binding holds the values, and it ends with the evaluation
+    assert len(bindings) == 1 and bindings[0]() is None
     assert abs(rep.ratio - 1.0) < 5e-3
 
 
-def test_field_slot_empty_after_a_raising_evaluation(disk_domain):
+def test_binding_freed_after_a_raising_evaluation(disk_domain, bindings):
     negative = make_field("polynomial", (-1.0, 0, 0, 0, 0, 0),
                           boundary_vanishing=False)
     with pytest.raises(PreconditionViolated):
         iq.evaluate("hardy_signed", disk_domain, negative,
                     {"p": 2.0, "gamma": 0.5})
-    assert disk_domain._field_slot is None
+    assert len(bindings) == 1 and bindings[0]() is None
 
 
-def test_threads_sharing_a_domain_match_serial(euclid3):
+def test_an_evaluated_domain_is_freed_without_the_cyclic_collector(euclid3):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        domain = Domain(disk_mesh(1.0, rings=4), euclid3)
+        ref = weakref.ref(domain)
+        for field in (CONE, make_field("random_smooth", seed=1)):
+            iq.evaluate("hardy", domain, field, {"p": 1.0, "gamma": 1.0})
+        del domain
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_threads_sharing_a_domain_match_serial(euclid3, monkeypatch,
+                                               bindings):
     import sys
     import threading
     # more threads than cores, each with a field of its own
@@ -483,6 +500,7 @@ def test_threads_sharing_a_domain_match_serial(euclid3):
                           f, options).to_dict() for f in fields]
     shared = Domain(disk_mesh(1.0, rings=8), euclid3)
     shared.sites(0.0), shared.sites(1.0), shared.boundary_sites()
+    seen = _record_at_sites(monkeypatch)
     barrier = threading.Barrier(len(fields))
     results = [[] for _ in fields]
 
@@ -506,4 +524,6 @@ def test_threads_sharing_a_domain_match_serial(euclid3):
     assert not any(t.is_alive() for t in threads)
     for i, reports in enumerate(results):
         assert reports == [serial[i]] * 6
-    assert shared._field_slot is None
+    # each evaluation binds its own field: 4 tables each, as serially
+    assert len(seen) == len(fields) * 6 * 4
+    assert [ref() for ref in bindings] == [None] * len(bindings)

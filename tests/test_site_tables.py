@@ -166,7 +166,6 @@ def test_concatenated_patch_tables_keep_every_column(disk_patch_domain):
 def test_field_columns_survive_concatenation(disk_patch_domain):
     bound = disk_patch_domain.bind(make_field("polynomial"))
     hi, lo = disk_patch_domain.sites(0.0, bound)
-    disk_patch_domain.release_field()
     merged = domain_mod._concat_batches([hi, lo])
     assert np.array_equal(merged.psi, np.concatenate([hi.psi, lo.psi]))
     assert np.array_equal(merged.grad_psi,

@@ -1,0 +1,60 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+``bench/tracer.py`` replaces functions and methods of ``cknlab`` by name
+and reads methods from the class ``__dict__``, so a refactor that drops or
+moves one of them breaks ``bench/run.py --trace 1``.  This test installs
+the tracer on the program, runs one evaluation through the wrappers and
+checks that uninstalling restores every original.
+"""
+
+import sys
+from pathlib import Path
+
+# every module the tracer wraps, loaded before the first snapshot
+import cknlab.cli  # noqa: F401
+import cknlab.corpus  # noqa: F401
+from cknlab import inequalities
+from cknlab.geometry import AmbientSpace, Domain, disk_mesh
+from cknlab.geometry.fields import make_field
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _program_names():
+    """Every module attribute and class attribute of the loaded cknlab."""
+    names = {}
+    for modname, mod in list(sys.modules.items()):
+        if modname != "cknlab" and not modname.startswith("cknlab."):
+            continue
+        for name, value in list(vars(mod).items()):
+            names[modname, name] = value
+            if isinstance(value, type) and value.__module__ == modname:
+                for attr, member in list(vars(value).items()):
+                    names[modname, name, attr] = member
+    return names
+
+
+def test_tracer_installs_and_uninstalls_on_the_program(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    domain = Domain(disk_mesh(1.0, rings=4), AmbientSpace.euclidean(3))
+    before = _program_names()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        inequalities.evaluate("hardy", domain,
+                              make_field("radial_power", (1.0,)),
+                              {"p": 1.0, "gamma": 1.0})
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    after = _program_names()
+    assert before.keys() == after.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
+    assert metrics["inequalities.evaluate_calls"] == 1
+    assert metrics["fields.bind_calls"] == 1
+    # bands 1 and 0, high and low rule each
+    assert metrics["fields.at_sites_calls"] == 4
+    assert metrics["domain.weighted_integral_calls"] == 4
+    assert metrics["domain.boundary_integral_calls"] == 1
