@@ -7,12 +7,19 @@ tangential/normal split of the radial direction, mean curvature norm, and
 
 Cells on which the radial weight varies strongly are subdivided (bisection
 per axis, midpoint subdivision for triangles) until the weight variation
-across each piece is mild; this grades geometrically into an integrable pole
-singularity.  The subdivision runs level by level, one batched corner
-evaluation per depth, and lists the pieces in the order a depth-first
-recursion would.  Every integral is evaluated with a high- and a
+across each piece is mild.  The subdivision runs level by level, one
+batched corner evaluation per depth, and lists the pieces in the order a
+depth-first recursion would.  Every integral is evaluated with a high- and a
 lower-order rule on the same decomposition, and the difference feeds the
 quadrature error estimate.
+
+On a polar chart, whose degenerate face ``rho = 0`` maps to the pole, the
+ring of cells on that face is integrated for a weight ``h(r) ** -gamma``
+with Gauss-Jacobi in ``rho`` for the weight ``rho ** (k - 1 - gamma)`` and
+Gauss-Legendre on the other axes; the rest of the chart stays a cell away
+from the pole and grades within a few levels.  Where the pole is a vertex
+(meshes, flat charts through the pole) the cells around it are graded
+geometrically into the integrable singularity, down to a depth cap.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from ..errors import (
 )
 from ..quadrature import (
     box_rule,
+    jacobi_rule,
     simplex_rule,
     simplex_volume,
     split_simplex_bary,
@@ -41,10 +49,11 @@ from .mesh import SimplicialMesh, kept
 from .patch import ParametricPatch
 
 _VAR_TOL = 2.0       # admissible weight ratio across one quadrature piece
-# Grading depth: radii below scale * 2^-26 would make curvature evaluation
-# in polar-type charts lose all significant digits (roundoff grows like
-# eps/rho), while the mass left untraversed is (2^-26)^(k - gamma), already
-# far below the per-band rule error for admissible weights.
+# Grading depth, reached only around a pole at a vertex: radii below
+# scale * 2^-26 would make curvature evaluation lose all significant digits
+# (roundoff grows like eps/rho), while the mass left untraversed is
+# (2^-26)^(k - gamma), below the per-band rule error unless gamma is close
+# to k.  Polar charts integrate their pole ring with a Jacobi rule instead.
 _DEPTH_CAP = 26
 _TINY = 1e-300
 # chart points per batched corner evaluation while grading: bounds the jets'
@@ -200,6 +209,7 @@ class Domain:
             else:
                 self.min_boundary_radius = math.inf
             self.coord_scale = float(np.max(np.abs(mesh.vertices)))
+            self._pole_face = None
         else:
             patch = self.patch
             self.k = patch.k
@@ -214,6 +224,7 @@ class Domain:
             self.coord_scale = float(np.max(np.abs(corners)))
             if self.through_pole and patch.metadata.get("pole_chart") is None:
                 raise InvalidArgument("through-pole patch without a pole chart node")
+            self._pole_face = self._find_pole_face()
 
     def _check_pole_placement(self):
         """The pole must be a vertex whenever it lies on the mesh."""
@@ -233,6 +244,19 @@ class Domain:
             raise InvalidArgument(
                 "the pole lies in a cell interior; rebuild the mesh with a "
                 "vertex at the pole")
+
+    def _find_pole_face(self):
+        """``(axis, side)`` of the degenerate chart face mapped to the pole.
+
+        None unless the patch passes through the pole on a polar chart."""
+        if not self.through_pole:
+            return None
+        tol = 1e-12 * max(1.0, self.coord_scale)
+        for face, kind in self.patch.faces.items():
+            if kind == "degenerate" and np.max(self.ambient.radius(
+                    self.patch.jet(self._face_grid(*face))[0])) <= tol:
+                return face
+        return None
 
     def _face_grid(self, axis, side):
         """Five points per free axis across one chart face."""
@@ -297,15 +321,37 @@ class Domain:
         return cache[key]
 
     def sites(self, gamma: float = 0.0, bound_field=None):
-        """(hi, lo) site batches graded for weight exponents up to ``gamma``."""
+        """(hi, lo) site batches for the weight ``h(r) ** -gamma``.
+
+        The domain keeps one pair per band, graded for exponents up to
+        ``|gamma|``.  On a polar chart with ``gamma != 0`` that pair leaves
+        out the pole ring, whose rule depends on ``gamma`` itself: the ring
+        is built per call, or once per binding and kept there, and appended.
+        With the pole on the domain the exponent must stay below ``k``.
+        """
+        if self.through_pole and gamma >= self.k:
+            raise NonIntegrableWeight(
+                f"weight exponent {gamma} >= dimension {self.k} with the "
+                "pole on the domain")
         band = self._gamma_band(gamma)
         build = (self._build_mesh_sites if self.kind == "mesh"
                  else self._build_patch_sites)
         tables = self._cached(self._interior_cache, band, lambda: build(band))
-        if bound_field is None:
+        if bound_field is not None:
+            tables = kept(bound_field.kept, band, lambda: tuple(
+                self._with_field(t, bound_field) for t in tables))
+        if band == 0 or self._pole_face is None:
             return tables
-        return kept(bound_field.kept, band, lambda: tuple(
-            self._with_field(t, bound_field) for t in tables))
+        if bound_field is None:
+            return self._with_pole_ring(tables, gamma, None)
+        return kept(bound_field.kept, ("pole", gamma),
+                    lambda: self._with_pole_ring(tables, gamma, bound_field))
+
+    def _with_pole_ring(self, tables, gamma, bound_field):
+        ring = self._pole_ring(gamma)
+        if bound_field is not None:
+            ring = tuple(self._with_field(t, bound_field) for t in ring)
+        return tuple(_concat_batches(pair) for pair in zip(tables, ring))
 
     def _with_field(self, batch: SiteBatch, bound_field) -> SiteBatch:
         psi, grad = bound_field.at_sites(batch)
@@ -425,8 +471,10 @@ class Domain:
     def _patch_pieces(self, band):
         """Chart boxes ``(lo, hi)`` of the graded decomposition.
 
-        Cells on which the weight varies mildly come first, in cell order,
-        followed by the pieces of the other cells in depth-first order.
+        Above band 0 a polar chart's pole ring is left out (see
+        :meth:`_pole_ring`).  Cells on which the weight varies mildly come
+        first, in cell order, followed by the pieces of the other cells in
+        depth-first order.
         Each level bisects one axis per box, keeping the singular set in one
         child: splitting every axis would duplicate a singular edge into
         several children per level, while the axis that leaves the fewest
@@ -434,6 +482,9 @@ class Domain:
         """
         k = self.k
         lo, hi = self.patch.cell_boxes()
+        if band and self._pole_face is not None:
+            off = ~self._on_pole_face(lo, hi)
+            lo, hi = lo[off], hi[off]
         var = self._box_variations(lo, hi, band)
         # mild cells first, each group in cell order; a cell's position in
         # this list is its owner rank
@@ -476,9 +527,46 @@ class Domain:
                                     np.arange(len(cells)), var[cells], split, 2)
         return lo, hi, stats
 
+    def _on_pole_face(self, lo, hi):
+        """Which chart boxes ``(lo, hi)`` touch the polar face."""
+        axis, side = self._pole_face
+        return (lo, hi)[side][:, axis] == self.patch.bounds[axis][side]
+
+    def _pole_ring(self, gamma):
+        """(hi, lo) tables of the cells on the polar face for ``h ** -gamma``.
+
+        In the distance ``t`` to the face, scaled to [0, 1] per cell, the
+        weight times the area element vanishes like ``t ** alpha`` with
+        ``alpha = k - 1 - gamma`` and the rest of the integrand is smooth.
+        The rule is Gauss-Jacobi for ``t ** alpha`` in ``t`` and
+        Gauss-Legendre on the other axes, ``order`` and ``order - 1`` points
+        per axis; its density divides ``t ** alpha`` back out, so the tables
+        take the weight and the integrands as every other table does.
+        """
+        axis, side = self._pole_face
+        k = self.k
+        lo, hi = self.patch.cell_boxes()
+        ring = self._on_pole_face(lo, hi)
+        lo, hi = lo[ring], hi[ring]
+        width = hi - lo
+        volume = np.prod(width, axis=1)
+        alpha = k - 1 - gamma
+        out = []
+        for npts in (self.order, self.order - 1):
+            t, wt = jacobi_rule(npts, alpha)
+            others, wo = box_rule(k - 1, npts)
+            nodes = np.empty((npts, len(wo), k))
+            nodes[..., axis] = (t if side == 0 else 1.0 - t)[:, None]
+            nodes[..., np.arange(k) != axis] = others
+            wts = ((wt * t ** -alpha)[:, None] * wo).reshape(-1)
+            U = lo[:, None] + nodes.reshape(-1, k) * width[:, None]
+            out.append(self._patch_batch(U.reshape(-1, k),
+                                         (wts * volume[:, None]).reshape(-1)))
+        return tuple(out)
+
     def _box_variations(self, lo, hi, band):
         """Weight variation over the corners of each chart box."""
-        if band == 0:
+        if band == 0 or not len(lo):
             return np.ones(len(lo))
         k = lo.shape[1]
         upper = (np.arange(2 ** k)[:, None] >> np.arange(k) & 1).astype(bool)
@@ -684,10 +772,6 @@ def weighted_integral(domain: Domain, integrand, gamma: float,
     """
     if weight_kind not in ("h_power", "h_power_times_hprime"):
         raise InvalidArgument(f"unknown weight kind {weight_kind!r}")
-    if domain.through_pole and gamma >= domain.k:
-        raise NonIntegrableWeight(
-            f"weight exponent {gamma} >= dimension {domain.k} with the pole "
-            "on the domain")
     bound = domain.bind(field) if field is not None else None
     tables = domain.sites(gamma, bound)
     weights = domain.weights(tables, gamma,

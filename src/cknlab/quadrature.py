@@ -5,6 +5,8 @@ fully symmetric rules of odd polynomial degree 2s+1 in any dimension; box
 rules are tensor products of Gauss-Legendre.  Both are returned in a
 normalized form: points in reference coordinates together with weights that
 sum to one, so a physical integral is ``volume * sum(w_i * f(x_i))``.
+Gauss-Jacobi rules on [0, 1] carry a weight ``t ** alpha`` that vanishes or
+blows up at 0, for integrands with a power singularity there.
 """
 
 from __future__ import annotations
@@ -52,6 +54,25 @@ def gauss_rule(npts: int):
     """Gauss-Legendre nodes/weights on [0, 1], weights summing to 1."""
     x, w = np.polynomial.legendre.leggauss(npts)
     return (x + 1.0) / 2.0, w / 2.0
+
+
+@cache
+def jacobi_rule(npts: int, alpha: float):
+    """Gauss-Jacobi nodes/weights on [0, 1] for the weight ``t ** alpha``.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    orthogonal polynomials for ``(1 + x) ** alpha`` on [-1, 1], mapped to
+    [0, 1]; the weights are the squared first eigenvector components times
+    the weight's mass ``1 / (alpha + 1)``.  Needs ``alpha > -1``.
+    """
+    j = np.arange(1, npts, dtype=float)
+    s = 2.0 * j + alpha
+    diag = np.concatenate(([alpha / (alpha + 2.0)],
+                           alpha ** 2 / (s * (s + 2.0))))
+    off = np.sqrt(4.0 * j ** 2 * (j + alpha) ** 2
+                  / (s ** 2 * (s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return (x + 1.0) / 2.0, v[0] ** 2 / (alpha + 1.0)
 
 
 @cache

@@ -208,6 +208,16 @@ def test_weighted_integral_validation(disk_domain):
         weighted_integral(disk_domain, 1.0, 0.0, "mystery_weight")
 
 
+@pytest.mark.parametrize("name", ["disk_domain", "disk_patch_domain",
+                                  "ball_domain_euclid"])
+def test_sites_refuse_a_non_integrable_weight(request, name):
+    dom = request.getfixturevalue(name)
+    assert dom.through_pole
+    for gamma in (dom.k, dom.k + 0.5):
+        with pytest.raises(NonIntegrableWeight):
+            dom.sites(gamma)
+
+
 def test_offset_domain_allows_large_exponent(tilted_disk_domain):
     q = weighted_integral(tilted_disk_domain, 1.0, 3.0)
     exact = sint.quad(lambda rho: 2 * math.pi * rho

@@ -28,8 +28,8 @@ GOLDEN = {
         "0298042a29532882ecbe99aabff3764f512c47fc5a1d55c5412fbaa2e1f1f120",
         "e9d8eca6ef65e36931834d7a3af50f403339efdb6cd105a47312e992a29b879a"),
     "hpw_disk": (
-        "b2bad003ff8b364f5a358edfc3bcb92a4d5d2f6b9b39c53990abf068534e834d",
-        "424adb1b943d16a68722f76a6b4f3e6dfbe9fdb726bfd6037023f753b1583b2d"),
+        "db485d902fd222484f7ccbee1fe35591a4594bea28a21d56cfa0479c94c6757c",
+        "ada96f62e3c603cbec3f0bcf4e6b6a1174aad1b743ee0555562451a8322899f3"),
     "nash_ball": (
         "887613ab241fe6e62035b2d3ac45d96b69f9496506ce6c289d33c85ce7fce820",
         "017cd6328addd72efec9f8eef2df33470f506f4fd97c779bd85f5d46712542fe"),
@@ -56,7 +56,7 @@ def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
 # SHA-256 of the seed-0 `run_corpus` reports as sorted-key JSON, serial
 # or on threads
 CORPUS_REPORTS = (
-    "ae9ca3e3e371fa675c7005e1b5afe108cfb716f9c28a5cf75d44d151b00f288f")
+    "bb2510cb1d8e58256324c61863ae8332369579bb496f5425a2121a798b905d01")
 # SHA-256 over the cases of `build_corpus(seed, draws=60)`, seeds 0-19
 CORPUS_CASES = (
     "9a7cb791b397518f9310cf951c78a4a21c1d65bd1051d886536f6f19c3ca9316")

@@ -4,7 +4,9 @@ The reference below is the recursive grading the level-synchronous loops in
 ``cknlab.geometry.domain`` replace: one box or simplex at a time, its corners
 evaluated on their own, children visited depth first.  The loops must
 produce the same pieces in the same order, so the site tables agree bit for
-bit.
+bit.  Above band 0 a polar chart's pole ring (the cells with a whole face at
+the pole) is integrated by its own rule, so the reference grades only the
+other cells, and the band's tables begin with theirs.
 """
 
 import math
@@ -15,17 +17,18 @@ import time
 import numpy as np
 import pytest
 
-from cknlab.corpus import corpus_geometries
+from cknlab.corpus import build_corpus, corpus_geometries
 from cknlab.geometry import (
     AmbientSpace,
     Domain,
     ball_domain,
     disk_mesh,
-    flat_disk_patch,
+    plane_rect,
     sphere_mesh,
     sphere_patch,
 )
 from cknlab.geometry import domain as domain_mod
+from cknlab.inequalities import evaluate
 from cknlab.quadrature import box_rule, simplex_rule, split_simplex_bary
 
 VAR_TOL = domain_mod._VAR_TOL
@@ -100,9 +103,17 @@ def ref_grade_box(domain, lo, hi, band):
     return out
 
 
+def on_pole_ring(domain, lo, hi):
+    """Whether a whole face of the box's corners lies at the pole."""
+    r = domain.ambient.radius(domain.patch.jet(box_corners(lo, hi))[0])
+    return np.count_nonzero(r == 0.0) >= 2 ** (len(lo) - 1)
+
+
 def ref_patch_pieces(domain, band):
     regular, graded = [], []
     for lo, hi in zip(*domain.patch.cell_boxes()):
+        if band and on_pole_ring(domain, lo, hi):
+            continue
         if box_variation(domain, lo, hi, band) <= VAR_TOL:
             regular.append((lo, hi))
         else:
@@ -212,19 +223,28 @@ def assert_same_pieces(domain, band):
                                   -1, domain.k + 1))
         ref = list(regular) + ref
     assert stats.pieces == len(ref)
-    tables = domain.sites(band)
-    for got, want in zip(tables, ref_tables):
+    # -band: the band's tables, with a pole ring of weight h^band appended
+    tables = domain.sites(-band)
+    ring = ring_cells(domain) if band else 0
+    for got, want, npts in zip(tables, ref_tables,
+                               (domain.order, domain.order - 1)):
+        assert len(got.r) == len(want.r) + ring * npts ** domain.k
         for name in TABLE_FIELDS:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), \
-                name
+            assert np.array_equal(getattr(got, name)[:len(want.r)],
+                                  getattr(want, name)), name
+
+
+def ring_cells(domain):
+    if domain.kind == "mesh":
+        return 0
+    return sum(on_pole_ring(domain, lo, hi)
+               for lo, hi in zip(*domain.patch.cell_boxes()))
 
 
 CORPUS = corpus_geometries(0)
 BANDS = (0, 1, 2, 3, 4, 6)
-# past band 2 the reference takes seconds per ball; test_coarse_balls covers
-# those bands on the same generators with a quarter of the pole cells
-CORPUS_BANDS = [(name, band) for name in CORPUS for band in BANDS
-                if not (name.startswith("ball") and band > 2)]
+CORPUS_BANDS = [(name, band) for name in CORPUS for band in BANDS]
+POLAR = ("disk_patch", "geodesic_disk", "ball", "ball_warped")
 
 
 @pytest.fixture(scope="module")
@@ -274,13 +294,29 @@ def test_no_graded_cell(kind):
 # -- grading counters -----------------------------------------------------------
 
 def test_cap_hits_on_a_through_pole_patch():
+    # the pole at a chart vertex: its four cells grade down to the cap
     amb = AmbientSpace.euclidean(3)
-    dom = Domain(flat_disk_patch(amb, 1.0, cells=(4, 8)))
+    dom = Domain(plane_rect(amb, 1.0, cells=4))
+    assert dom.through_pole
     dom.sites(1.5)
     stats = dom.grading[2]
     assert stats.cap_hits > 0
     assert stats.max_depth == DEPTH_CAP
-    assert stats.pieces > 4 * 8
+    assert stats.pieces > 4 * 4
+
+
+def test_polar_corpus_tables_grade_within_four_levels():
+    # every band the seed-0 corpus builds on its polar-chart geometries
+    domains = {name: CORPUS[name]() for name in POLAR}
+    for case in build_corpus(0):
+        if case.geometry in domains:
+            evaluate(case.inequality, domains[case.geometry], case.field,
+                     case.options)
+    for name, dom in domains.items():
+        assert dom.grading, name
+        for band, stats in dom.grading.items():
+            assert stats.cap_hits == 0, (name, band)
+            assert stats.max_depth <= 4, (name, band)
 
 
 def test_no_cap_hits_off_the_pole():
@@ -302,8 +338,9 @@ def test_grading_counters_are_read_only(disk_patch_domain):
 # -- thread safety --------------------------------------------------------------
 
 def test_racing_threads_build_a_band_once(monkeypatch):
+    # a chart without a polar face, whose band tables come back as kept
     amb = AmbientSpace.euclidean(3)
-    dom = Domain(flat_disk_patch(amb, 1.0, cells=(4, 8)))
+    dom = Domain(plane_rect(amb, 1.0, cells=4))
     builds = []
     build = dom._build_patch_sites
 
@@ -319,7 +356,7 @@ def test_racing_threads_build_a_band_once(monkeypatch):
 
     def worker():
         barrier.wait()
-        results.append(dom.sites(2.0))
+        results.append(dom.sites(1.5))
 
     threads = [threading.Thread(target=worker) for _ in range(workers)]
     interval = sys.getswitchinterval()

@@ -14,7 +14,13 @@ from cknlab.errors import (
     ParameterConflict,
     PreconditionViolated,
 )
-from cknlab.geometry import Domain, disk_mesh, weighted_integral
+from cknlab.geometry import (
+    AmbientSpace,
+    Domain,
+    ball_domain,
+    disk_mesh,
+    weighted_integral,
+)
 from cknlab.geometry.fields import make_field
 from cknlab import inequalities as iq
 
@@ -526,4 +532,55 @@ def test_threads_sharing_a_domain_match_serial(euclid3, monkeypatch,
         assert reports == [serial[i]] * 6
     # each evaluation binds its own field: 4 tables each, as serially
     assert len(seen) == len(fields) * 6 * 4
+    assert [ref() for ref in bindings] == [None] * len(bindings)
+
+
+# the pole ring of a polar chart depends on gamma itself, not only on its band
+
+def _coarse_ball():
+    return Domain(ball_domain(AmbientSpace.euclidean(3), 1.0,
+                              cells=(2, 2, 4)))
+
+
+def test_distinct_gammas_grow_no_domain_cache(bindings):
+    ball = _coarse_ball()
+    for gamma in np.linspace(-0.95, 2.95, 50):
+        iq.evaluate("hardy", ball, CONE, {"p": 1.0, "gamma": float(gamma)})
+    assert len(bindings) == 50
+    assert [ref() for ref in bindings] == [None] * 50
+    assert set(ball._interior_cache) == set(ball.grading) <= set(range(5))
+    assert list(ball._boundary_cache) == ["b"]
+
+
+def test_threads_with_distinct_gammas_match_serial(bindings):
+    import sys
+    import threading
+    gammas = [-0.5, 0.7, 1.9, 2.9]
+    fields = [make_field("radial_power", (1.0 + 0.5 * i,)) for i in range(4)]
+    runs = [(f, {"p": 1.0, "gamma": g}) for f, g in zip(fields, gammas)]
+    serial = [iq.evaluate("hardy", _coarse_ball(), f, o).to_dict()
+              for f, o in runs]
+    shared = _coarse_ball()
+    barrier = threading.Barrier(len(runs))
+    results = [[] for _ in runs]
+
+    def work(i):
+        barrier.wait()
+        for _ in range(3):
+            results[i].append(iq.evaluate("hardy", shared, *runs[i]).to_dict())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(runs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, reports in enumerate(results):
+        assert reports == [serial[i]] * 3
     assert [ref() for ref in bindings] == [None] * len(bindings)

@@ -6,6 +6,7 @@ import pytest
 from cknlab.quadrature import (
     box_rule,
     gauss_rule,
+    jacobi_rule,
     simplex_rule,
     simplex_volume,
     split_simplex_bary,
@@ -71,3 +72,26 @@ def test_split_simplex_partitions_volume():
 def test_simplex_volume_triangle_in_3d():
     tri = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
     assert simplex_volume(tri) == pytest.approx(3.0)
+
+
+JACOBI_ALPHAS = (-0.95, -0.5, 0.0, 1.3, 6.49)
+
+
+@pytest.mark.parametrize("alpha", JACOBI_ALPHAS)
+@pytest.mark.parametrize("npts", [1, 2, 3, 4, 5, 6])
+def test_jacobi_rule_matches_scipy(npts, alpha):
+    from scipy.special import roots_jacobi
+    t, w = jacobi_rule(npts, alpha)
+    x, wx = roots_jacobi(npts, 0.0, alpha)   # weight (1 + x)^alpha on [-1, 1]
+    mass = 1.0 / (alpha + 1.0)
+    assert np.max(np.abs(t - (x + 1.0) / 2.0)) <= 1e-13
+    assert np.max(np.abs(w - wx / 2.0 ** (alpha + 1.0))) <= 1e-13 * mass
+
+
+@pytest.mark.parametrize("alpha", JACOBI_ALPHAS)
+@pytest.mark.parametrize("npts", [1, 2, 3, 4, 6])
+def test_jacobi_rule_exactness(npts, alpha):
+    t, w = jacobi_rule(npts, alpha)
+    for j in range(2 * npts):
+        exact = 1.0 / (alpha + j + 1.0)
+        assert np.sum(w * t ** j) == pytest.approx(exact, rel=1e-13)
