@@ -13,13 +13,14 @@ depth-first recursion would.  Every integral is evaluated with a high- and a
 lower-order rule on the same decomposition, and the difference feeds the
 quadrature error estimate.
 
-On a polar chart, whose degenerate face ``rho = 0`` maps to the pole, the
-ring of cells on that face is integrated for a weight ``h(r) ** -gamma``
-with Gauss-Jacobi in ``rho`` for the weight ``rho ** (k - 1 - gamma)`` and
-Gauss-Legendre on the other axes; the rest of the chart stays a cell away
-from the pole and grades within a few levels.  Where the pole is a vertex
-(meshes, flat charts through the pole) the cells around it are graded
-geometrically into the integrable singularity, down to a depth cap.
+Above band 0 the cells at the pole leave those tables and are integrated per
+weight ``h(r) ** -gamma`` with Gauss-Jacobi for ``t ** (k - 1 - gamma)`` in
+the distance ``t`` to the pole, times Gauss-Legendre across.  On a polar
+chart, whose degenerate face ``rho = 0`` maps to the pole, ``t`` is ``rho``
+on the ring of cells on that face.  Every simplex with the pole at a vertex
+(mesh cells, and the Kuhn triangles of chart boxes with a corner at the
+pole) takes Duffy's collapse onto that vertex.  The rest of the domain
+stays a cell away from the pole and grades within a few levels.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from ..errors import (
 )
 from ..quadrature import (
     box_rule,
+    gauss_rule,
     jacobi_rule,
     simplex_rule,
     simplex_volume,
@@ -49,12 +51,6 @@ from .mesh import SimplicialMesh, kept
 from .patch import ParametricPatch
 
 _VAR_TOL = 2.0       # admissible weight ratio across one quadrature piece
-# Grading depth, reached only around a pole at a vertex: radii below
-# scale * 2^-26 would make curvature evaluation lose all significant digits
-# (roundoff grows like eps/rho), while the mass left untraversed is
-# (2^-26)^(k - gamma), below the per-band rule error unless gamma is close
-# to k.  Polar charts integrate their pole ring with a Jacobi rule instead.
-_DEPTH_CAP = 26
 _TINY = 1e-300
 # chart points per batched corner evaluation while grading: bounds the jets'
 # scratch memory far below the size of the site tables
@@ -148,7 +144,6 @@ class GradingStats:
 
     pieces: int      # quadrature pieces: whole cells plus graded pieces
     max_depth: int   # deepest subdivision level
-    cap_hits: int    # pieces accepted at the depth cap, still too coarse
 
 
 class Domain:
@@ -180,6 +175,8 @@ class Domain:
         self._interior_cache = {}
         self._boundary_cache = {}
         self._grading = {}
+        # (gamma, pole tables) of the last gamma asked for, replaced whole
+        self._pole_slot = (None, ())
         # site tables are built lazily; the lock keeps threads sharing a
         # domain from building the same table twice
         self._build_lock = threading.Lock()
@@ -197,8 +194,6 @@ class Domain:
             self._frames = mesh.cell_frames()
             self._vertex_H = mesh.vertex_mean_curvature()
             self.vertex_r = amb.radius(mesh.vertices)
-            self.through_pole = bool(np.min(self.vertex_r) < 1e-12)
-            self._check_pole_placement()
             self.max_radius = float(np.max(self.vertex_r))
             self.boundary_vertices = np.unique(mesh.boundary_facets)
             if len(mesh.boundary_facets):
@@ -209,29 +204,48 @@ class Domain:
             else:
                 self.min_boundary_radius = math.inf
             self.coord_scale = float(np.max(np.abs(mesh.vertices)))
-            self._pole_face = None
+            radii, corners = self.vertex_r, mesh.cells
         else:
             patch = self.patch
             self.k = patch.k
-            self.through_pole = bool(patch.metadata.get("through_pole", False))
             self._faces = [face for face, kind in patch.faces.items()
                            if kind == "boundary"]
-            corners = patch.jet(_box_grid(patch.grid()))[0]
-            self.max_radius = float(np.max(amb.radius(corners)))
+            grid = patch.grid()
+            points = patch.jet(_box_grid(grid))[0]
+            radii = amb.radius(points)
+            self.max_radius = float(np.max(radii))
             self.min_boundary_radius = min(
                 (float(np.min(amb.radius(patch.jet(self._face_grid(*f))[0])))
                  for f in self._faces), default=math.inf)
-            self.coord_scale = float(np.max(np.abs(corners)))
-            if self.through_pole and patch.metadata.get("pole_chart") is None:
-                raise InvalidArgument("through-pole patch without a pole chart node")
-            self._pole_face = self._find_pole_face()
+            self.coord_scale = float(np.max(np.abs(points)))
+            shape = [len(g) for g in grid]
+            # corner c of a box takes the upper end of axis d if bit d is set
+            corners = np.ravel_multi_index(tuple(
+                np.indices(patch.cells_per_axis).reshape(self.k, -1, 1)
+                + (np.arange(2 ** self.k) >> np.arange(self.k)[:, None] & 1)
+                [:, None]), shape)
+        # the cells with a mesh vertex or grid corner at the pole, and which
+        # of their corners it is
+        at_pole = radii <= 1e-12 * max(1.0, self.coord_scale)
+        hits = at_pole[corners]
+        self.through_pole = bool(hits.any())
+        self._pole_cells = np.flatnonzero(hits.any(axis=1))
+        self._pole_corner = hits[self._pole_cells].argmax(axis=1)
+        if self.kind == "mesh":
+            self._check_pole_placement()
+        else:
+            # a polar chart maps a whole face of its grid to the pole
+            self._pole_face = next(
+                (face for face in self.patch.faces if np.take(
+                    at_pole.reshape(shape), -face[1], axis=face[0]).all()),
+                None)
 
     def _check_pole_placement(self):
         """The pole must be a vertex whenever it lies on the mesh."""
         if self.through_pole:
             return
         mesh = self.mesh
-        scale = max(1.0, float(np.max(np.abs(mesh.vertices))))
+        scale = max(1.0, self.coord_scale)
         pole = self.ambient.pole
         first = mesh.vertices[mesh.cells[:, 0]]
         e, gram = mesh.edge_gram()
@@ -239,24 +253,12 @@ class Domain:
         lam = np.linalg.solve(gram, rhs[..., None])[..., 0]
         proj = first + np.einsum("ci,cin->cn", lam, e)
         dist = np.linalg.norm(pole - proj, axis=1)
-        inside = (lam.min(axis=1) > 1e-9) & (lam.sum(axis=1) < 1 - 1e-9)
-        if np.any(inside & (dist < 1e-9 * scale)):
+        # the closed cell: its interior, edges and faces
+        on_cell = (lam.min(axis=1) >= -1e-9) & (lam.sum(axis=1) <= 1 + 1e-9)
+        if np.any(on_cell & (dist < 1e-9 * scale)):
             raise InvalidArgument(
-                "the pole lies in a cell interior; rebuild the mesh with a "
-                "vertex at the pole")
-
-    def _find_pole_face(self):
-        """``(axis, side)`` of the degenerate chart face mapped to the pole.
-
-        None unless the patch passes through the pole on a polar chart."""
-        if not self.through_pole:
-            return None
-        tol = 1e-12 * max(1.0, self.coord_scale)
-        for face, kind in self.patch.faces.items():
-            if kind == "degenerate" and np.max(self.ambient.radius(
-                    self.patch.jet(self._face_grid(*face))[0])) <= tol:
-                return face
-        return None
+                "the pole lies on the mesh but not at a vertex; rebuild the "
+                "mesh with a vertex at the pole")
 
     def _face_grid(self, axis, side):
         """Five points per free axis across one chart face."""
@@ -292,17 +294,6 @@ class Domain:
         """``field`` bound afresh (a binding to this domain passes as is)."""
         return field.bind(self)
 
-    def weights(self, tables, gamma: float, use_hprime: bool,
-                bound_field=None):
-        """``h ** -gamma`` (times ``hp``) on ``tables``, the band of ``gamma``.
-
-        With a bound field they are kept in the binding for the other
-        integrals of its evaluation.
-        """
-        memo = {} if bound_field is None else bound_field.kept
-        return kept(memo, ("weight", gamma, use_hprime), lambda: tuple(
-            t.weight(gamma, use_hprime) for t in tables))
-
     # -- interior sites ---------------------------------------------------------
 
     def _gamma_band(self, gamma: float) -> int:
@@ -324,10 +315,9 @@ class Domain:
         """(hi, lo) site batches for the weight ``h(r) ** -gamma``.
 
         The domain keeps one pair per band, graded for exponents up to
-        ``|gamma|``.  On a polar chart with ``gamma != 0`` that pair leaves
-        out the pole ring, whose rule depends on ``gamma`` itself: the ring
-        is built per call, or once per binding and kept there, and appended.
-        With the pole on the domain the exponent must stay below ``k``.
+        ``|gamma|``.  Above band 0 the pair leaves out the cells at the
+        pole, which :meth:`pole_sites` integrates.  With the pole on the
+        domain the exponent must stay below ``k``.
         """
         if self.through_pole and gamma >= self.k:
             raise NonIntegrableWeight(
@@ -337,25 +327,32 @@ class Domain:
         build = (self._build_mesh_sites if self.kind == "mesh"
                  else self._build_patch_sites)
         tables = self._cached(self._interior_cache, band, lambda: build(band))
-        if bound_field is not None:
-            tables = kept(bound_field.kept, band, lambda: tuple(
-                self._with_field(t, bound_field) for t in tables))
-        if band == 0 or self._pole_face is None:
-            return tables
+        return self._with_field(tables, band, bound_field)
+
+    def pole_sites(self, gamma: float, bound_field=None):
+        """(hi, lo) site batches of the cells at the pole for ``h ** -gamma``.
+
+        Empty at band 0, whose tables hold every cell, and off the pole.
+        The rule depends on ``gamma`` itself: the domain keeps the last
+        ``gamma``'s pair in one slot, replaced whole, so threads sharing it
+        at worst build a pair twice; the binding keeps the field's values.
+        """
+        if not (self._gamma_band(gamma) and len(self._pole_cells)):
+            return ()
+        slot = self._pole_slot
+        if slot[0] != gamma:
+            build = (self._mesh_pole_sites if self.kind == "mesh"
+                     else self._patch_pole_sites)
+            slot = self._pole_slot = (gamma, build(gamma))
+        return self._with_field(slot[1], ("pole", gamma), bound_field)
+
+    def _with_field(self, tables, key, bound_field):
+        """``tables`` with the field's values, kept in its binding."""
         if bound_field is None:
-            return self._with_pole_ring(tables, gamma, None)
-        return kept(bound_field.kept, ("pole", gamma),
-                    lambda: self._with_pole_ring(tables, gamma, bound_field))
-
-    def _with_pole_ring(self, tables, gamma, bound_field):
-        ring = self._pole_ring(gamma)
-        if bound_field is not None:
-            ring = tuple(self._with_field(t, bound_field) for t in ring)
-        return tuple(_concat_batches(pair) for pair in zip(tables, ring))
-
-    def _with_field(self, batch: SiteBatch, bound_field) -> SiteBatch:
-        psi, grad = bound_field.at_sites(batch)
-        return replace(batch, psi=psi, grad_psi=grad)
+            return tables
+        return kept(bound_field.kept, key, lambda: tuple(
+            replace(t, psi=psi, grad_psi=grad) for t, (psi, grad)
+            in zip(tables, map(bound_field.at_sites, tables))))
 
     # ---- graded decomposition helpers
 
@@ -393,12 +390,12 @@ class Domain:
                     np.broadcast_to(bary, (len(regular),) + bary.shape).reshape(
                         -1, k + 1),
                     pts.reshape(-1, n), dens.reshape(-1)))
-            if len(owner):
-                comp = bary @ mb                      # (P, q, k+1)
-                parts.append(self._mesh_batch(
-                    owner.repeat(len(wts)), comp.reshape(-1, k + 1),
-                    (comp @ graded_corners).reshape(-1, n),
-                    (vols[:, None] * wts).reshape(-1)))
+            # the graded part, even empty: every cell may lie at the pole
+            comp = bary @ mb                          # (P, q, k+1)
+            parts.append(self._mesh_batch(
+                owner.repeat(len(wts)), comp.reshape(-1, k + 1),
+                (comp @ graded_corners).reshape(-1, n),
+                (vols[:, None] * wts).reshape(-1)))
             out.append(_concat_batches(parts))
         self._grading[band] = stats
         return tuple(out)
@@ -408,7 +405,8 @@ class Domain:
 
         Returns the ids of the cells kept whole and, per graded piece, its
         cell id and the barycentric coordinates of its corners with respect
-        to that cell, in depth-first order.
+        to that cell, in depth-first order.  Above band 0 the cells at the
+        pole are left out (see :meth:`pole_sites`).
         """
         k, n = self.k, self.n
         radius = self.ambient.radius
@@ -424,13 +422,30 @@ class Domain:
             rr = radius(sub.reshape(-1, n)).reshape(len(mb), k + 1)
             return (mb,), self._variations(rr, band)
 
-        owner = np.flatnonzero(~mild)
+        # the cells at the pole take the pole rule: mild only at band 0
+        owner = np.setdiff1d(np.flatnonzero(~mild), self._pole_cells)
         eye = np.broadcast_to(np.eye(k + 1), (len(owner), k + 1, k + 1))
         (mb,), owner, stats = _grade((eye,), owner, var[owner], split,
                                      len(children))
         regular = np.flatnonzero(mild)
         return (regular, owner, mb,
                 replace(stats, pieces=stats.pieces + len(regular)))
+
+    def _mesh_pole_sites(self, gamma):
+        """Duffy's rule on each mesh cell at the pole."""
+        k, cells = self.k, self._pole_cells
+        # each cell's barycentric columns, rotated to put the pole first
+        cols = (np.arange(k + 1) - self._pole_corner[:, None]) % (k + 1)
+        out = []
+        for npts in (self.order, self.order - 1):
+            bary, wts = _duffy_rule(k, npts, gamma)
+            bary = bary[:, cols].swapaxes(0, 1)               # (C, q, k+1)
+            out.append(self._mesh_batch(
+                cells.repeat(len(wts)), bary.reshape(-1, k + 1),
+                (bary @ self.mesh.vertices[self.mesh.cells[cells]]).reshape(
+                    -1, self.n),
+                (self._volumes[cells][:, None] * wts).reshape(-1)))
+        return tuple(out)
 
     def _radial(self, pts):
         """r, h(r), h'(r) and the unit radial direction at ambient points."""
@@ -471,20 +486,17 @@ class Domain:
     def _patch_pieces(self, band):
         """Chart boxes ``(lo, hi)`` of the graded decomposition.
 
-        Above band 0 a polar chart's pole ring is left out (see
-        :meth:`_pole_ring`).  Cells on which the weight varies mildly come
+        Above band 0 the boxes with a corner at the pole are left out (see
+        :meth:`pole_sites`).  Cells on which the weight varies mildly come
         first, in cell order, followed by the pieces of the other cells in
         depth-first order.
-        Each level bisects one axis per box, keeping the singular set in one
-        child: splitting every axis would duplicate a singular edge into
-        several children per level, while the axis that leaves the fewest
-        still-singular children keeps the subdivision a geometric chain.
+        Each level bisects one axis per box, the one whose worse child
+        varies least (the wider axis on a tie): splitting every axis would
+        multiply the pieces along an edge near the pole at every level.
         """
         k = self.k
-        lo, hi = self.patch.cell_boxes()
-        if band and self._pole_face is not None:
-            off = ~self._on_pole_face(lo, hi)
-            lo, hi = lo[off], hi[off]
+        lo, hi = (np.delete(a, self._pole_cells if band else [], axis=0)
+                  for a in self.patch.cell_boxes())
         var = self._box_variations(lo, hi, band)
         # mild cells first, each group in cell order; a cell's position in
         # this list is its owner rank
@@ -501,24 +513,9 @@ class Domain:
             cvar = self._box_variations(clo.reshape(-1, k),
                                         chi.reshape(-1, k),
                                         band).reshape(len(lo), k, 2)
-            # score (infinite children, worst finite child, -width) per
-            # axis; variations are >= 1, so 0 stands for "no finite child"
-            inf = np.isinf(cvar)
-            n_inf = inf.sum(axis=2)
-            worst = np.where(inf, 0.0, cvar).max(axis=2)
-            neg_width = -(hi - lo)
+            # per box, the first axis of least (worse child, -width)
+            best = np.lexsort((lo - hi, cvar.max(axis=2)), axis=1)[:, 0]
             rows = np.arange(len(lo))
-            best = np.zeros(len(lo), dtype=int)
-            for axis in range(1, k):
-                b_inf, b_worst, b_width = (n_inf[rows, best],
-                                           worst[rows, best],
-                                           neg_width[rows, best])
-                better = ((n_inf[:, axis] < b_inf)
-                          | ((n_inf[:, axis] == b_inf)
-                             & ((worst[:, axis] < b_worst)
-                                | ((worst[:, axis] == b_worst)
-                                   & (neg_width[:, axis] < b_width)))))
-                best = np.where(better, axis, best)
             return ((clo[rows, best].reshape(-1, k),
                      chi[rows, best].reshape(-1, k)),
                     cvar[rows, best].reshape(-1))
@@ -527,32 +524,25 @@ class Domain:
                                     np.arange(len(cells)), var[cells], split, 2)
         return lo, hi, stats
 
-    def _on_pole_face(self, lo, hi):
-        """Which chart boxes ``(lo, hi)`` touch the polar face."""
-        axis, side = self._pole_face
-        return (lo, hi)[side][:, axis] == self.patch.bounds[axis][side]
+    def _patch_pole_sites(self, gamma):
+        """(hi, lo) tables of the chart boxes at the pole for ``h ** -gamma``.
 
-    def _pole_ring(self, gamma):
-        """(hi, lo) tables of the cells on the polar face for ``h ** -gamma``.
-
-        In the distance ``t`` to the face, scaled to [0, 1] per cell, the
-        weight times the area element vanishes like ``t ** alpha`` with
-        ``alpha = k - 1 - gamma`` and the rest of the integrand is smooth.
-        The rule is Gauss-Jacobi for ``t ** alpha`` in ``t`` and
+        A polar chart's ring takes Gauss-Jacobi for ``t ** (k - 1 - gamma)``
+        in the distance ``t`` to the face, scaled to [0, 1] per cell, and
         Gauss-Legendre on the other axes, ``order`` and ``order - 1`` points
-        per axis; its density divides ``t ** alpha`` back out, so the tables
-        take the weight and the integrands as every other table does.
+        per axis.  Elsewhere each box splits into its two Kuhn triangles from
+        the corner at the pole, under Duffy's rule.  The densities divide the
+        Jacobi weight back out, so the tables take the weight and the
+        integrands as every other table does.
         """
-        axis, side = self._pole_face
         k = self.k
-        lo, hi = self.patch.cell_boxes()
-        ring = self._on_pole_face(lo, hi)
-        lo, hi = lo[ring], hi[ring]
+        lo, hi = (a[self._pole_cells] for a in self.patch.cell_boxes())
         width = hi - lo
         volume = np.prod(width, axis=1)
-        alpha = k - 1 - gamma
-        out = []
-        for npts in (self.order, self.order - 1):
+
+        def ring(npts):
+            axis, side = self._pole_face
+            alpha = k - 1 - gamma
             t, wt = jacobi_rule(npts, alpha)
             others, wo = box_rule(k - 1, npts)
             nodes = np.empty((npts, len(wo), k))
@@ -560,9 +550,20 @@ class Domain:
             nodes[..., np.arange(k) != axis] = others
             wts = ((wt * t ** -alpha)[:, None] * wo).reshape(-1)
             U = lo[:, None] + nodes.reshape(-1, k) * width[:, None]
-            out.append(self._patch_batch(U.reshape(-1, k),
-                                         (wts * volume[:, None]).reshape(-1)))
-        return tuple(out)
+            return U.reshape(-1, k), (wts * volume[:, None]).reshape(-1)
+
+        def kuhn(npts):
+            bary, wts = _duffy_rule(k, npts, gamma)
+            at_pole = (self._pole_corner[:, None] >> np.arange(k) & 1) > 0
+            p, q = np.where(at_pole, hi, lo), np.where(at_pole, lo, hi)
+            tri = np.stack([p, np.where([True, False], q, p), q,
+                            p, np.where([False, True], q, p), q], axis=1)
+            return ((bary @ tri.reshape(-1, 3, 2)).reshape(-1, k),
+                    (np.repeat(volume / 2.0, 2)[:, None] * wts).reshape(-1))
+
+        rule = ring if self._pole_face else kuhn
+        return tuple(self._patch_batch(*rule(npts))
+                     for npts in (self.order, self.order - 1))
 
     def _box_variations(self, lo, hi, band):
         """Weight variation over the corners of each chart box."""
@@ -713,6 +714,23 @@ def _box_grid(axes):
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
+def _duffy_rule(k, npts, gamma):
+    """Duffy's rule on a triangle with the pole at vertex 0, ``h ** -gamma``.
+
+    The collapse ``(t, u) -> (1 - t, t (1 - u), t u)`` (barycentrics) has
+    area element ``2 t``: Gauss-Jacobi for ``t ** (1 - gamma)`` in ``t``,
+    Gauss-Legendre in ``u``.  Returns barycentrics (q, 3) and weights per
+    unit area.
+    """
+    if k != 2:
+        raise NotImplementedError(f"no pole rule for k = {k}")
+    t, wt = jacobi_rule(npts, 1.0 - gamma)
+    u, wu = gauss_rule(npts)
+    t, wt = t[:, None], wt[:, None]
+    bary = np.stack(np.broadcast_arrays(1.0 - t, t * (1.0 - u), t * u), 2)
+    return bary.reshape(-1, 3), (2.0 * wt * t ** gamma * wu).reshape(-1)
+
+
 def _grade(pieces, owner, var, split, base):
     """Subdivide pieces level by level until the weight variation is mild.
 
@@ -720,37 +738,37 @@ def _grade(pieces, owner, var, split, base):
     rank of each piece and ``var`` its weight variation.  ``split(pieces,
     owner)`` returns every piece's ``base`` children, grouped by parent,
     with their variations.  A piece is accepted once its variation is at
-    most ``_VAR_TOL``, or at ``_DEPTH_CAP``.  The accepted pieces come back
-    in depth-first order: by owner, then by child-index path, which is
-    packed left-aligned into an int64 key.
+    most ``_VAR_TOL``.  The accepted pieces come back in depth-first order:
+    by owner, then by child-index path, which is packed left-aligned into an
+    int64 key; a grading that outgrows the key means a pole on the domain
+    away from every vertex and grid corner.
     """
     key = np.zeros(len(owner), dtype=np.int64)
     done = []
-    depth = cap_hits = 0
+    depth = 0
     while True:
         accept = var <= _VAR_TOL
-        if depth >= _DEPTH_CAP:
-            cap_hits = int(np.count_nonzero(~accept))
-            accept[:] = True
         done.append((tuple(p[accept] for p in pieces), owner[accept],
-                     key[accept] * base ** (_DEPTH_CAP - depth)))
+                     key[accept], depth))
         if accept.all():
             break
+        if base ** (depth + 1) > np.iinfo(np.int64).max:
+            raise InvalidArgument("the pole lies on the domain but not at a "
+                                  "vertex or grid corner")
         keep = ~accept
         pieces, var = split(tuple(p[keep] for p in pieces), owner[keep])
         owner = owner[keep].repeat(base)
         key = (key[keep][:, None] * base + np.arange(base)).reshape(-1)
         depth += 1
     owner = np.concatenate([d[1] for d in done])
-    order = np.lexsort((np.concatenate([d[2] for d in done]), owner))
+    order = np.lexsort((np.concatenate([d[2] * base ** (depth - d[3])
+                                        for d in done]), owner))
     pieces = tuple(np.concatenate([d[0][i] for d in done])[order]
                    for i in range(len(pieces)))
-    return pieces, owner[order], GradingStats(len(order), depth, cap_hits)
+    return pieces, owner[order], GradingStats(len(order), depth)
 
 
 def _concat_batches(batches) -> SiteBatch:
-    if not batches:
-        raise InvalidArgument("no quadrature sites generated")
     return SiteBatch(**{
         f.name: None if getattr(batches[0], f.name) is None
         else np.concatenate([getattr(b, f.name) for b in batches])
@@ -773,9 +791,13 @@ def weighted_integral(domain: Domain, integrand, gamma: float,
     if weight_kind not in ("h_power", "h_power_times_hprime"):
         raise InvalidArgument(f"unknown weight kind {weight_kind!r}")
     bound = domain.bind(field) if field is not None else None
-    tables = domain.sites(gamma, bound)
-    weights = domain.weights(tables, gamma,
-                             weight_kind == "h_power_times_hprime", bound)
+    tables = domain.sites(gamma, bound) + domain.pole_sites(gamma, bound)
+    hprime = weight_kind == "h_power_times_hprime"
+    # the weighted densities, kept in the binding for the evaluation's other
+    # integrals
+    weights = kept({} if bound is None else bound.kept,
+                   ("weight", gamma, hprime), lambda: _per_rule(
+                       tables, lambda t: t.density * t.weight(gamma, hprime)))
     return _reduce(tables, weights, integrand, "integrand must be nonnegative")
 
 
@@ -794,24 +816,35 @@ def boundary_integral(domain: Domain, integrand, weight_exponent: float,
         warnings.warn("boundary integral over a closed submanifold is 0",
                       stacklevel=2)
         return Qty(0.0, 0.0)
-    weights = tuple(t.weight(weight_exponent, False) for t in tables)
+    weights = _per_rule(tables, lambda t: t.density * t.weight(
+        weight_exponent, False))
     return _reduce(tables, weights, integrand,
                    "boundary integrand must be nonnegative",
                    conormal=with_radial_conormal)
 
 
-def _reduce(tables, weights, integrand, message, conormal=False) -> Qty:
-    """Hi/lo sums of ``density * weight * integrand`` (``* conormal_dot``).
+def _per_rule(tables, column):
+    """``column`` of the hi and of the lo tables of ``tables``, which
+    alternates hi and lo (the band's, then the pole's): one array a rule."""
+    return tuple(np.concatenate([column(t) for t in tables[rule::2]])
+                 for rule in (0, 1))
 
-    Roundoff below zero in the integrand is clipped."""
+
+def _reduce(tables, weights, integrand, message, conormal=False) -> Qty:
+    """Hi/lo sums of ``weights * integrand`` (``* conormal_dot``).
+
+    ``weights`` holds the weighted densities of each rule.  Roundoff below
+    zero in the integrand is clipped."""
+    values = _per_rule(tables, lambda b: np.broadcast_to(np.asarray(
+        integrand(b) if callable(integrand) else integrand, dtype=float),
+        b.r.shape))
     vals = []
-    for batch, w in zip(tables, weights):
-        f = integrand(batch) if callable(integrand) else integrand
-        f = np.broadcast_to(np.asarray(f, dtype=float), batch.r.shape)
+    for f, w, batch in zip(values, weights, tables):
         if np.any(f < -1e-12 * max(1.0, float(np.max(np.abs(f))))):
             raise InvalidArgument(message)
-        contrib = batch.density * w * np.maximum(f, 0.0)
+        contrib = w * np.maximum(f, 0.0)
         if conormal:
+            # boundary tables come without a pole part
             contrib = contrib * batch.conormal_dot
         vals.append(float(np.sum(contrib)))
     return Qty(vals[0], abs(vals[0] - vals[1]))

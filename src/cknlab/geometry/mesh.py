@@ -349,10 +349,8 @@ def disk_mesh(radius: float = 1.0, rings: int = 8, center=(0.0, 0.0, 0.0),
     verts = center + plane @ axes
     cells = np.array(cells, int)
     bfacets = detect_boundary(cells)
-    through_pole = bool(np.linalg.norm(center) < 1e-14)
     meta = {"generator": "disk", "radius": radius, "center": center,
-            "axes": axes, "through_pole": through_pole,
-            "plane_origin": center}
+            "axes": axes, "plane_origin": center}
     return SimplicialMesh(verts, cells, bfacets, metadata=meta)
 
 
@@ -371,8 +369,7 @@ def sphere_mesh(radius: float = 1.0, level: int = 3,
         [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1]], int)
     center = np.asarray(center, dtype=float)
-    meta = {"generator": "sphere", "radius": radius, "center": center,
-            "through_pole": False}
+    meta = {"generator": "sphere", "radius": radius, "center": center}
     mesh = SimplicialMesh(center + radius * verts, cells, None, metadata=meta)
     for _ in range(level):
         mesh = mesh.refine()
@@ -400,9 +397,7 @@ def graph_mesh(height_fn, half_width: float = 1.0, divisions: int = 8,
             cells.extend([[a, b, c], [a, c, d]])
     cells = np.array(cells, int)
     meta = {"generator": "graph", "height_fn": height_fn,
-            "half_width": half_width, "center_xy": center_xy,
-            "through_pole": bool(abs(cx) < 1e-14 and abs(cy) < 1e-14
-                                 and abs(float(height_fn(0.0, 0.0))) < 1e-14)}
+            "half_width": half_width, "center_xy": center_xy}
     return SimplicialMesh(verts, cells, detect_boundary(cells), metadata=meta)
 
 

@@ -67,6 +67,17 @@ def _zero_jet(m, n, k):
     return np.zeros((m, n, k)), np.zeros((m, n, k, k))
 
 
+def _pole_on_grid(bounds, cells):
+    """Refuse a square chart whose point (0, 0), at the pole, lies on the
+    chart but off its grid corners: the quadrature rules put nodes there."""
+    pos = [-lo / (hi - lo) * cells for lo, hi in bounds]
+    if (all(0.0 <= x <= cells for x in pos)
+            and any(abs(x - round(x)) > 1e-9 for x in pos)):
+        raise InvalidArgument(
+            "the pole falls inside a chart cell; choose the cells so that it "
+            "is a grid corner (an even count for a chart centered on it)")
+
+
 def _polar_plane_jet(height: float):
     """Jet of the polar chart (rho, theta) -> (rho cos, rho sin, height)."""
 
@@ -107,12 +118,10 @@ def plane_rect(ambient: AmbientSpace, half_width: float = 1.0,
               (cy - half_width, cy + half_width))
     faces = {(0, 0): "boundary", (0, 1): "boundary",
              (1, 0): "boundary", (1, 1): "boundary"}
-    through_pole = (abs(height) < 1e-14 and abs(cx) < half_width
-                    and abs(cy) < half_width)
+    if abs(height) < 1e-14:
+        _pole_on_grid(bounds, cells)
     meta = {"generator": "plane_rect", "half_width": half_width,
-            "height": height, "center_xy": center_xy,
-            "through_pole": through_pole,
-            "pole_chart": (0.0, 0.0) if through_pole else None}
+            "height": height, "center_xy": center_xy}
     return ParametricPatch(ambient, 2, bounds, jet, faces, (cells, cells), meta)
 
 
@@ -124,9 +133,7 @@ def flat_disk_patch(ambient: AmbientSpace, radius: float = 1.0,
     bounds = ((0.0, radius), (0.0, 2.0 * math.pi))
     faces = {(0, 0): "degenerate", (0, 1): "boundary",
              (1, 0): "periodic", (1, 1): "periodic"}
-    meta = {"generator": "flat_disk", "radius": radius, "height": height,
-            "through_pole": abs(height) < 1e-14,
-            "pole_chart": (0.0, 0.0) if abs(height) < 1e-14 else None}
+    meta = {"generator": "flat_disk", "radius": radius, "height": height}
     return ParametricPatch(ambient, 2, bounds, _polar_plane_jet(height), faces,
                            tuple(cells), meta)
 
@@ -171,8 +178,7 @@ def sphere_patch(ambient: AmbientSpace, radius: float = 1.0,
              (0, 1): "degenerate" if t1 == math.pi else "boundary",
              (1, 0): "periodic", (1, 1): "periodic"}
     meta = {"generator": "sphere_patch", "radius": radius, "center": center,
-            "theta_range": (t0, t1), "through_pole": False,
-            "pole_chart": None}
+            "theta_range": (t0, t1)}
     return ParametricPatch(ambient, 2, bounds, jet, faces, tuple(cells), meta)
 
 
@@ -190,8 +196,7 @@ def geodesic_disk(ambient: AmbientSpace, radius: float,
     bounds = ((0.0, radius), (0.0, 2.0 * math.pi))
     faces = {(0, 0): "degenerate", (0, 1): "boundary",
              (1, 0): "periodic", (1, 1): "periodic"}
-    meta = {"generator": "geodesic_disk", "radius": radius,
-            "through_pole": True, "pole_chart": (0.0, 0.0)}
+    meta = {"generator": "geodesic_disk", "radius": radius}
     return ParametricPatch(ambient, 2, bounds, _polar_plane_jet(0.0), faces,
                            tuple(cells), meta)
 
@@ -236,8 +241,7 @@ def ball_domain(ambient: AmbientSpace, radius: float,
     faces = {(0, 0): "degenerate", (0, 1): "boundary",
              (1, 0): "degenerate", (1, 1): "degenerate",
              (2, 0): "periodic", (2, 1): "periodic"}
-    meta = {"generator": "ball", "radius": radius, "through_pole": True,
-            "pole_chart": (0.0, 0.0, 0.0)}
+    meta = {"generator": "ball", "radius": radius}
     return ParametricPatch(ambient, 3, bounds, jet, faces, tuple(cells), meta)
 
 
@@ -280,9 +284,8 @@ def poly_graph_patch(ambient: AmbientSpace, coeffs: dict,
               (cy - half_width, cy + half_width))
     faces = {(0, 0): "boundary", (0, 1): "boundary",
              (1, 0): "boundary", (1, 1): "boundary"}
-    z0 = float(poly(np.array(0.0), np.array(0.0)))
-    through = abs(z0) < 1e-14 and abs(cx) < half_width and abs(cy) < half_width
+    if abs(float(poly(np.array(0.0), np.array(0.0)))) < 1e-14:
+        _pole_on_grid(bounds, cells)
     meta = {"generator": "poly_graph", "half_width": half_width,
-            "center_xy": center_xy, "through_pole": through,
-            "pole_chart": (0.0, 0.0) if through else None}
+            "center_xy": center_xy}
     return ParametricPatch(ambient, 2, bounds, jet, faces, (cells, cells), meta)

@@ -414,6 +414,24 @@ def test_non_positive_size_is_a_config_error(tmp_path, capsys, line):
         assert f"{option} must be positive" in err
 
 
+@pytest.mark.parametrize("geometry,message", [
+    ("builtin = plane_rect\ncells = 7", "the pole falls inside a chart cell"),
+    ("builtin = poly_graph\ncells = 7", "the pole falls inside a chart cell"),
+    ("builtin = graph_mesh\ncoeffs = 0 0 0\ndivisions = 7",
+     "the pole lies on the mesh but not at a vertex"),
+], ids=["plane_rect", "poly_graph", "graph_mesh"])
+def test_pole_off_the_grid_is_a_config_error(tmp_path, capsys, geometry,
+                                             message):
+    # an odd count puts the pole inside a chart cell or on a mesh edge,
+    # where h^-1.5 is singular away from the rules' pole cells
+    text = DISK_CONE_CFG.replace(
+        "builtin = disk_mesh\nradius = 1.0\nrings = 12", geometry).replace(
+        "p = 1\ngamma = 1", "p = 1.5\ngamma = 1.5")
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "config error" in err and message in err
+
+
 def test_unknown_ambient_kind_is_a_config_error(tmp_path, capsys):
     text = DISK_CONE_CFG.replace("kind = euclidean", "kind = hyperbolic")
     for code, _, err in _verify_and_search(tmp_path, capsys, text):

@@ -185,11 +185,12 @@ def test_weights_computed_once_per_evaluation(euclid3, monkeypatch,
         calls.clear()
         iq.evaluate("hardy", domain, make_field(member),
                     {"p": 1.0, "gamma": 1.0})
-        # the two left-side integrals share gamma = 1 with h', the two
-        # right-side ones gamma - p = 0 without, and the boundary term
-        # weighs its own two tables with gamma - 1 = 0: one weight per table
-        # and pair, and none kept for the next evaluation
-        assert sorted(calls) == [(0.0, False)] * 4 + [(1.0, True)] * 2
+        # the two left-side integrals share gamma = 1 with h' (on the
+        # band's pair and the pole's pair), the two right-side ones
+        # gamma - p = 0 without, and the boundary term weighs its own two
+        # tables with gamma - 1 = 0: one weight per table and pair, and none
+        # kept for the next evaluation
+        assert sorted(calls) == [(0.0, False)] * 4 + [(1.0, True)] * 4
         assert [ref() for ref in bindings] == [None] * len(bindings)
 
 

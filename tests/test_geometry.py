@@ -17,6 +17,9 @@ from cknlab.geometry import (
     Domain,
     boundary_integral,
     disk_mesh,
+    graph_mesh,
+    plane_rect,
+    poly_graph_patch,
     radial_data,
     sphere_mesh,
     sphere_patch,
@@ -218,6 +221,55 @@ def test_sites_refuse_a_non_integrable_weight(request, name):
             dom.sites(gamma)
 
 
+def test_pole_on_a_mesh_off_its_vertices_is_refused(euclid3):
+    # an odd grid puts the pole on the diagonal edge of a flat graph mesh's
+    # central square; a shifted disk puts it inside a cell
+    flat = lambda x, y: 0.0 * x
+    with pytest.raises(InvalidArgument, match="not at a vertex"):
+        Domain(graph_mesh(flat, 1.0, 7), euclid3)
+    with pytest.raises(InvalidArgument, match="not at a vertex"):
+        Domain(disk_mesh(1.0, rings=4, center=(0.05, 0.02, 0.0)), euclid3)
+    assert Domain(graph_mesh(flat, 1.0, 8), euclid3).through_pole
+
+
+def test_chart_pole_inside_a_cell_is_refused(euclid3):
+    # an odd cell count puts the pole at the centre of a cell, a node of
+    # the low-order rule
+    with pytest.raises(InvalidArgument, match="inside a chart cell"):
+        plane_rect(euclid3, 1.0, cells=7)
+    with pytest.raises(InvalidArgument, match="inside a chart cell"):
+        poly_graph_patch(euclid3, {(2, 0): 0.25, (0, 2): -0.15}, cells=7)
+    # off the pole any count will do
+    assert not Domain(plane_rect(euclid3, 1.0, height=0.5,
+                                 cells=7)).through_pole
+
+
+def test_sphere_through_the_pole_is_a_polar_chart(euclid3):
+    # the unit sphere about (0, 0, -1): its face theta = 0 maps to the pole
+    dom = Domain(sphere_patch(euclid3, 1.0, center=(0.0, 0.0, -1.0)))
+    assert dom.through_pole
+    with pytest.raises(NonIntegrableWeight):
+        weighted_integral(dom, 1.0, 2.5)
+    # the area within distance r of a point on it is pi r^2 (Archimedes),
+    # so the integral is 2 pi times that of r^-0.5 over [0, 2]
+    got = weighted_integral(dom, 1.0, 1.5)
+    assert abs(got.value - 4.0 * math.sqrt(2.0) * math.pi) <= got.err
+    assert dom.grading[2].max_depth <= 4
+
+
+def test_a_mesh_of_pole_cells_only(euclid3):
+    # every cell of a one-ring disk has the pole as a corner, so above
+    # band 0 the band tables are empty and the pole rule takes it all
+    dom = Domain(disk_mesh(1.0, rings=1), euclid3)
+    got = weighted_integral(dom, 1.0, 1.5)
+    # the regular hexagon in the unit circle against r^-1.5
+    apothem = math.cos(math.pi / 6)
+    true = 24.0 * sint.quad(lambda phi: (apothem / math.cos(phi)) ** 0.5,
+                            0.0, math.pi / 6)[0]
+    assert abs(true - got.value) <= got.err
+    assert dom.grading[2].pieces == 0
+
+
 def test_offset_domain_allows_large_exponent(tilted_disk_domain):
     q = weighted_integral(tilted_disk_domain, 1.0, 3.0)
     exact = sint.quad(lambda rho: 2 * math.pi * rho
@@ -368,9 +420,8 @@ def test_domain_keeps_no_binding(euclid3):
 
 
 def test_rectangle_chart_corner_singularity(euclid3):
-    # pole at an interior grid corner of a plane chart: graded quadrature
-    # must still resolve the 1/r weight
-    from cknlab.geometry import plane_rect
+    # pole at an interior grid corner of a plane chart: the Kuhn triangles
+    # at it must resolve the 1/r weight
     dom = Domain(plane_rect(euclid3, 1.0, 0.0, cells=8))
     assert dom.through_pole
     got = weighted_integral(dom, 1.0, 1.0).value
@@ -380,7 +431,6 @@ def test_rectangle_chart_corner_singularity(euclid3):
 
 
 def test_poly_graph_patch_curvature(euclid3):
-    from cknlab.geometry import poly_graph_patch
     dom = Domain(poly_graph_patch(euclid3, {(2, 0): 0.5, (0, 2): 0.5},
                                   half_width=0.4, cells=6))
     hi, _ = dom.sites()

@@ -25,8 +25,8 @@ GOLDEN = {
         "a144d427d034702825098cac6bd9051a506978e316f571557ba4fa38794a6e1e",
         "2c08f5a6a8787bdbecc228263752e5b7d62a20ad8cd03f813b1f7b686bf50f74"),
     "hardy_cone": (
-        "0298042a29532882ecbe99aabff3764f512c47fc5a1d55c5412fbaa2e1f1f120",
-        "e9d8eca6ef65e36931834d7a3af50f403339efdb6cd105a47312e992a29b879a"),
+        "df46b103e7161ae0f9e4870db7eb3927356c0382f5165299d1bdfa6214f06cec",
+        "8b8c534581cebaea4492a2248f04a75c8a1f6e88b3526510e5f9fb56c9f3f923"),
     "hpw_disk": (
         "db485d902fd222484f7ccbee1fe35591a4594bea28a21d56cfa0479c94c6757c",
         "ada96f62e3c603cbec3f0bcf4e6b6a1174aad1b743ee0555562451a8322899f3"),
@@ -56,7 +56,7 @@ def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
 # SHA-256 of the seed-0 `run_corpus` reports as sorted-key JSON, serial
 # or on threads
 CORPUS_REPORTS = (
-    "bb2510cb1d8e58256324c61863ae8332369579bb496f5425a2121a798b905d01")
+    "d48218f50dbd1dbe59b64ca3e8fe8f548a310cccc24f9ff7c2cc25411b384aa4")
 # SHA-256 over the cases of `build_corpus(seed, draws=60)`, seeds 0-19
 CORPUS_CASES = (
     "9a7cb791b397518f9310cf951c78a4a21c1d65bd1051d886536f6f19c3ca9316")
@@ -108,7 +108,7 @@ field.kind = radial_power, radial_bump, polynomial, random_smooth
 """
 # SHA-256 of `search --budget 40 --seed 3 --levels 1 --out` on that sweep
 SEARCH_PAYLOAD = (
-    "efebd46d7aed35bd0640da173d8d8c672e863c36f724f2d7afacb781eca6f398")
+    "9ddac6dc2fcc41bd9f3037c0e1968b7719099ff9ce3a88a829f857e659367a98")
 
 
 def test_search_payload_is_golden(tmp_path, capsys):

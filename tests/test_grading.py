@@ -4,9 +4,10 @@ The reference below is the recursive grading the level-synchronous loops in
 ``cknlab.geometry.domain`` replace: one box or simplex at a time, its corners
 evaluated on their own, children visited depth first.  The loops must
 produce the same pieces in the same order, so the site tables agree bit for
-bit.  Above band 0 a polar chart's pole ring (the cells with a whole face at
-the pole) is integrated by its own rule, so the reference grades only the
-other cells, and the band's tables begin with theirs.
+bit.  Above band 0 the cells with a corner at the pole (a polar chart's ring,
+the chart boxes and mesh cells around a vertex pole) are integrated by their
+own rule, so the reference grades only the other cells, and the band's
+tables hold exactly theirs.
 """
 
 import math
@@ -23,16 +24,17 @@ from cknlab.geometry import (
     Domain,
     ball_domain,
     disk_mesh,
+    graph_mesh,
     plane_rect,
     sphere_mesh,
     sphere_patch,
+    weighted_integral,
 )
 from cknlab.geometry import domain as domain_mod
 from cknlab.inequalities import evaluate
 from cknlab.quadrature import box_rule, simplex_rule, split_simplex_bary
 
 VAR_TOL = domain_mod._VAR_TOL
-DEPTH_CAP = domain_mod._DEPTH_CAP
 TABLE_FIELDS = ("points", "density", "r")
 
 
@@ -82,37 +84,34 @@ def ref_grade_box(domain, lo, hi, band):
         blo[axis] = mid
         return (alo, ahi), (blo, bhi)
 
-    def rec(lo, hi, depth):
-        if depth >= DEPTH_CAP or variation(lo, hi) <= VAR_TOL:
+    def rec(lo, hi):
+        if variation(lo, hi) <= VAR_TOL:
             out.append((lo, hi))
             return
         best = None
         for axis in range(len(lo)):
             pair = children_of(lo, hi, axis)
-            variations = [variation(clo, chi) for clo, chi in pair]
-            n_inf = sum(1 for v in variations if math.isinf(v))
-            worst_finite = max((v for v in variations if not math.isinf(v)),
-                               default=0.0)
-            score = (n_inf, worst_finite, -(hi[axis] - lo[axis]))
+            worst = max(variation(clo, chi) for clo, chi in pair)
+            score = (worst, -(hi[axis] - lo[axis]))
             if best is None or score < best[0]:
                 best = (score, pair)
         for clo, chi in best[1]:
-            rec(clo, chi, depth + 1)
+            rec(clo, chi)
 
-    rec(np.asarray(lo, float), np.asarray(hi, float), 0)
+    rec(np.asarray(lo, float), np.asarray(hi, float))
     return out
 
 
-def on_pole_ring(domain, lo, hi):
-    """Whether a whole face of the box's corners lies at the pole."""
+def box_at_pole(domain, lo, hi):
+    """Whether a corner of the box lies at the pole."""
     r = domain.ambient.radius(domain.patch.jet(box_corners(lo, hi))[0])
-    return np.count_nonzero(r == 0.0) >= 2 ** (len(lo) - 1)
+    return bool(np.any(r == 0.0))
 
 
 def ref_patch_pieces(domain, band):
     regular, graded = [], []
     for lo, hi in zip(*domain.patch.cell_boxes()):
-        if band and on_pole_ring(domain, lo, hi):
+        if band and box_at_pole(domain, lo, hi):
             continue
         if box_variation(domain, lo, hi, band) <= VAR_TOL:
             regular.append((lo, hi))
@@ -149,15 +148,15 @@ def ref_grade_simplex(domain, corners, band):
     out = []
     children = split_simplex_bary(domain.k)
 
-    def rec(mb, depth):
+    def rec(mb):
         rr = domain.ambient.radius(mb @ corners)
-        if depth >= DEPTH_CAP or ref_variation(domain, rr, band) <= VAR_TOL:
+        if ref_variation(domain, rr, band) <= VAR_TOL:
             out.append(mb)
             return
         for child in children:
-            rec(child @ mb, depth + 1)
+            rec(child @ mb)
 
-    rec(np.eye(domain.k + 1), 0)
+    rec(np.eye(domain.k + 1))
     return out
 
 
@@ -168,6 +167,8 @@ def ref_mesh_sites(domain, band):
         len(mesh.cells), k + 1)
     regular, graded = [], []
     for cid in range(len(mesh.cells)):
+        if band and np.any(r_corners[cid] == 0.0):
+            continue
         if ref_variation(domain, r_corners[cid], band) <= VAR_TOL:
             regular.append(cid)
         else:
@@ -223,28 +224,15 @@ def assert_same_pieces(domain, band):
                                   -1, domain.k + 1))
         ref = list(regular) + ref
     assert stats.pieces == len(ref)
-    # -band: the band's tables, with a pole ring of weight h^band appended
-    tables = domain.sites(-band)
-    ring = ring_cells(domain) if band else 0
-    for got, want, npts in zip(tables, ref_tables,
-                               (domain.order, domain.order - 1)):
-        assert len(got.r) == len(want.r) + ring * npts ** domain.k
+    # the band's tables, asked for at -band: the gamma >= k check lets it by
+    for got, want in zip(domain.sites(-band), ref_tables):
         for name in TABLE_FIELDS:
-            assert np.array_equal(getattr(got, name)[:len(want.r)],
-                                  getattr(want, name)), name
-
-
-def ring_cells(domain):
-    if domain.kind == "mesh":
-        return 0
-    return sum(on_pole_ring(domain, lo, hi)
-               for lo, hi in zip(*domain.patch.cell_boxes()))
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 CORPUS = corpus_geometries(0)
 BANDS = (0, 1, 2, 3, 4, 6)
 CORPUS_BANDS = [(name, band) for name in CORPUS for band in BANDS]
-POLAR = ("disk_patch", "geodesic_disk", "ball", "ball_warped")
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +262,8 @@ def test_mesh_with_pole_at_vertex_matches_reference():
     dom = Domain(disk_mesh(1.0, rings=4), amb)
     assert dom.through_pole
     assert_same_pieces(dom, 3)
-    assert dom.grading[3].max_depth == DEPTH_CAP
+    # the cells at the pole vertex left the table; the rest grades shallow
+    assert 0 < dom.grading[3].max_depth <= 4
 
 
 @pytest.mark.parametrize("kind", ["mesh", "patch"])
@@ -285,7 +274,7 @@ def test_no_graded_cell(kind):
     dom = Domain(geometry, amb)
     assert_same_pieces(dom, 2)
     stats = dom.grading[2]
-    assert (stats.max_depth, stats.cap_hits) == (0, 0)
+    assert stats.max_depth == 0
     cells = (len(dom.mesh.cells) if kind == "mesh"
              else int(np.prod(dom.patch.cells_per_axis)))
     assert stats.pieces == cells
@@ -293,38 +282,32 @@ def test_no_graded_cell(kind):
 
 # -- grading counters -----------------------------------------------------------
 
-def test_cap_hits_on_a_through_pole_patch():
-    # the pole at a chart vertex: its four cells grade down to the cap
+def test_corpus_tables_grade_within_four_levels():
+    # every band the seed-0 corpus builds, and two charts and a mesh with
+    # the pole at a vertex: only the cells at the pole reach it, and they
+    # take the pole rule instead
     amb = AmbientSpace.euclidean(3)
-    dom = Domain(plane_rect(amb, 1.0, cells=4))
-    assert dom.through_pole
-    dom.sites(1.5)
-    stats = dom.grading[2]
-    assert stats.cap_hits > 0
-    assert stats.max_depth == DEPTH_CAP
-    assert stats.pieces > 4 * 4
-
-
-def test_polar_corpus_tables_grade_within_four_levels():
-    # every band the seed-0 corpus builds on its polar-chart geometries
-    domains = {name: CORPUS[name]() for name in POLAR}
+    domains = {name: build() for name, build in CORPUS.items()}
+    vertex_poles = {
+        "plane_rect": Domain(plane_rect(amb, 1.0, cells=8)),
+        "flat_graph_mesh": Domain(graph_mesh(lambda x, y: 0.0 * x, 1.0, 8),
+                                  amb),
+    }
     for case in build_corpus(0):
-        if case.geometry in domains:
-            evaluate(case.inequality, domains[case.geometry], case.field,
-                     case.options)
-    for name, dom in domains.items():
+        evaluate(case.inequality, domains[case.geometry], case.field,
+                 case.options)
+    for dom in vertex_poles.values():
+        assert dom.through_pole
+        for gamma in (-1.0, 0.5, 1.5, 1.95):
+            weighted_integral(dom, 1.0, gamma)
+    for name, dom in {**domains, **vertex_poles}.items():
         assert dom.grading, name
         for band, stats in dom.grading.items():
-            assert stats.cap_hits == 0, (name, band)
             assert stats.max_depth <= 4, (name, band)
-
-
-def test_no_cap_hits_off_the_pole():
-    amb = AmbientSpace.euclidean(3)
-    dom = Domain(sphere_patch(amb, 1.0, center=(0.0, 0.0, 2.0),
-                              cells=(4, 8)))
-    dom.sites(2.0)
-    assert dom.grading[2].cap_hits == 0
+    # the pole's cells left the band tables of the two vertex-pole corpus
+    # geometries, which grade far fewer pieces than the chain into it did
+    assert domains["disk_pole"].grading[3].pieces < 2000
+    assert domains["graph_patch"].grading[3].pieces < 2000
 
 
 def test_grading_counters_are_read_only(disk_patch_domain):
@@ -338,7 +321,7 @@ def test_grading_counters_are_read_only(disk_patch_domain):
 # -- thread safety --------------------------------------------------------------
 
 def test_racing_threads_build_a_band_once(monkeypatch):
-    # a chart without a polar face, whose band tables come back as kept
+    # a chart whose band-2 table grades the cells around those at the pole
     amb = AmbientSpace.euclidean(3)
     dom = Domain(plane_rect(amb, 1.0, cells=4))
     builds = []
@@ -370,5 +353,6 @@ def test_racing_threads_build_a_band_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert builds == [2]
+    assert dom.grading[2].max_depth > 0
     assert len(results) == workers
     assert all(hi is results[0][0] for hi, _ in results)

@@ -461,11 +461,13 @@ def test_field_bound_once_per_site_table(disk_domain, monkeypatch,
                                          bindings):
     seen = _record_at_sites(monkeypatch)
     rep = iq.evaluate("hardy", disk_domain, CONE, {"p": 1.0, "gamma": 1.0})
-    # p = 1, gamma = 1 reads bands 1 (left side) and 0 (right side, sup)
-    tables = disk_domain.sites(1.0) + disk_domain.sites(0.0)
-    assert len(seen) == len(tables) == 4
+    # p = 1, gamma = 1 reads band 1 and the pole's cells (left side) and
+    # band 0 (right side, sup)
+    tables = (disk_domain.sites(1.0) + disk_domain.pole_sites(1.0)
+              + disk_domain.sites(0.0))
+    assert len(seen) == len(tables) == 6
     assert all(any(batch is table for table in tables) for batch in seen)
-    assert len({id(batch) for batch in seen}) == 4
+    assert len({id(batch) for batch in seen}) == 6
     # one binding holds the values, and it ends with the evaluation
     assert len(bindings) == 1 and bindings[0]() is None
     assert abs(rep.ratio - 1.0) < 5e-3
@@ -530,8 +532,9 @@ def test_threads_sharing_a_domain_match_serial(euclid3, monkeypatch,
     assert not any(t.is_alive() for t in threads)
     for i, reports in enumerate(results):
         assert reports == [serial[i]] * 6
-    # each evaluation binds its own field: 4 tables each, as serially
-    assert len(seen) == len(fields) * 6 * 4
+    # each evaluation binds its own field: 6 tables each (bands 0 and 1 and
+    # the pole's cells), as serially
+    assert len(seen) == len(fields) * 6 * 6
     assert [ref() for ref in bindings] == [None] * len(bindings)
 
 
@@ -550,6 +553,9 @@ def test_distinct_gammas_grow_no_domain_cache(bindings):
     assert [ref() for ref in bindings] == [None] * 50
     assert set(ball._interior_cache) == set(ball.grading) <= set(range(5))
     assert list(ball._boundary_cache) == ["b"]
+    # one pair of pole tables, for an exponent of the last evaluation
+    # (gamma on the left side, gamma - p on the right)
+    assert ball._pole_slot[0] in (float(gamma), float(gamma) - 1.0)
 
 
 def test_threads_with_distinct_gammas_match_serial(bindings):

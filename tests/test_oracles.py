@@ -21,6 +21,7 @@ from cknlab.geometry import (
     disk_mesh,
     flat_disk_patch,
     geodesic_disk,
+    graph_mesh,
     plane_rect,
     weighted_integral,
 )
@@ -257,6 +258,8 @@ def _grid_domain(name, euclid3, warped3):
                                                       cells=(8, 16))),
         "disk_mesh": lambda: Domain(disk_mesh(1.0, rings=8), euclid3),
         "plane_rect": lambda: Domain(plane_rect(euclid3, 1.0, cells=8)),
+        "graph_mesh": lambda: Domain(graph_mesh(lambda x, y: 0.0 * x, 1.0, 8),
+                                     euclid3),
     }[name]()
 
 
@@ -266,11 +269,12 @@ GRID_DOMAINS = {
     "ball": (3, 1.0, False, ("psi", "grad")),
     "warped_ball": (3, 0.5, True, ("psi", "grad")),
     "geodesic_disk": (2, 0.5, True, ("psi", "grad")),
-    # the pole at a vertex; on the mesh only the values are exact at the
-    # sites (its gradient is the per-cell linear reconstruction), and the
-    # square's profile vanishes outside the unit disk it contains
+    # the pole at a vertex; on the meshes only the values are exact at the
+    # sites (the gradient is the per-cell linear reconstruction), and on the
+    # squares the profile vanishes outside the unit disk they contain
     "disk_mesh": (2, 1.0, False, ("psi",)),
     "plane_rect": (2, 1.0, False, ("psi", "grad")),
+    "graph_mesh": (2, 1.0, False, ("psi",)),
 }
 
 # Rows that fail, with the reason.  The error estimate is the difference of
@@ -278,22 +282,13 @@ GRID_DOMAINS = {
 # different cells can cancel in it.
 SIGNED = ("the hi - lo difference of the sums lets the lo rule's rim error "
           "((1 - r)^2.5) cancel against its error in the graded cells")
-DUFFY = ("pole at a vertex: the graded chain stops at depth 26; a Duffy "
-         "rule for vertex poles is the follow-up")
 CLIPPED = ("the clipped profile's support circle r = 1 crosses the square's "
            "cells, where (1 - r)_+^m is not smooth")
 XFAIL = {
     ("flat_disk", "grad", 1.5, 3.5): SIGNED,
     ("geodesic_disk", "grad", 1.5, 3.5): SIGNED,
-    **{("disk_mesh", "psi", gamma, m): DUFFY
-       for gamma, m in ((1.5, 1.0), (1.5, 2.0), (1.95, 1.0), (1.95, 2.0),
-                        (1.95, 3.5))},
     ("plane_rect", "psi", -1.0, 2.0): CLIPPED,
     ("plane_rect", "psi", -0.5, 2.0): CLIPPED,
-    ("plane_rect", "grad", -1.0, 3.5): CLIPPED,
-    **{("plane_rect", integrand, gamma, m): DUFFY
-       for integrand in ("psi", "grad") for gamma in (1.5, 1.95)
-       for m in GRID_M if (integrand, gamma, m) != ("grad", 1.5, 1.0)},
 }
 GRID = [pytest.param(name, integrand, gamma, m, marks=(
             pytest.mark.xfail(strict=True, reason=XFAIL[row])
@@ -309,13 +304,17 @@ def grid_domains():
     return {}
 
 
+def _grid(grid_domains, name, euclid3, warped3):
+    if name not in grid_domains:
+        grid_domains[name] = _grid_domain(name, euclid3, warped3)
+    return grid_domains[name]
+
+
 @pytest.mark.parametrize("name,integrand,gamma,m", GRID)
 def test_oracle_grid(grid_domains, euclid3, warped3, name, integrand, gamma,
                      m):
     k, R, warped, _ = GRID_DOMAINS[name]
-    if name not in grid_domains:
-        grid_domains[name] = _grid_domain(name, euclid3, warped3)
-    dom = grid_domains[name]
+    dom = _grid(grid_domains, name, euclid3, warped3)
     field = make_field("radial_power", (m,))
     column = (lambda b: b.psi) if integrand == "psi" else (
         lambda b: b.grad_psi)
@@ -325,3 +324,17 @@ def test_oracle_grid(grid_domains, euclid3, warped3, name, integrand, gamma,
     else:
         true = radial_reference(integrand, m, gamma, k, R, warped)
     assert abs(true - got.value) <= got.err + ROUNDOFF * abs(true)
+
+
+@pytest.mark.parametrize("name", ["plane_rect", "graph_mesh"])
+def test_square_through_the_pole_near_the_integrability_limit(
+        grid_domains, euclid3, warped3, name):
+    # the area of [-1, 1]^2 against r^-1.9, with the pole at a vertex of the
+    # chart grid or of the mesh: 8 / 0.1 times the integral of cos^-0.1
+    # over [0, pi/4]
+    true = 80.0 * sint.quad(lambda phi: math.cos(phi) ** -0.1, 0.0,
+                            math.pi / 4, epsabs=0.0, epsrel=1e-13)[0]
+    assert true == pytest.approx(63.5303, abs=1e-4)
+    got = weighted_integral(_grid(grid_domains, name, euclid3, warped3), 1.0,
+                            1.9)
+    assert abs(true - got.value) <= got.err

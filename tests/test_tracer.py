@@ -54,7 +54,7 @@ def test_tracer_installs_and_uninstalls_on_the_program(monkeypatch):
     assert [key for key in before if after[key] is not before[key]] == []
     assert metrics["inequalities.evaluate_calls"] == 1
     assert metrics["fields.bind_calls"] == 1
-    # bands 1 and 0, high and low rule each
-    assert metrics["fields.at_sites_calls"] == 4
+    # bands 1 and 0 and the cells at the pole, high and low rule each
+    assert metrics["fields.at_sites_calls"] == 6
     assert metrics["domain.weighted_integral_calls"] == 4
     assert metrics["domain.boundary_integral_calls"] == 1
