@@ -74,9 +74,11 @@ EXIT_NUMERICAL = 3
 
 def _frac(text):
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = Fraction(text)
+        float(value)   # refuses a value that overflows a float
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"cannot parse number {text!r}") from exc
+    return value
 
 
 def cmd_constants(args) -> int:
@@ -205,12 +207,20 @@ def expand_sweep(cfg: configparser.ConfigParser) -> list[dict]:
     return combos
 
 
-def _number(section, option, text, parse=float):
+def _finite(text):
+    """A float, refusing the infinities and NaN (``1e400`` is infinite)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _number(section, option, text, parse=_finite):
     try:
         return parse(text)
     except ValueError as exc:
-        if parse in (int, float):
-            kind = "an integer" if parse is int else "a number"
+        if parse in (int, _finite):
+            kind = "an integer" if parse is int else "a finite number"
             raise ConfigError(f"[{section}] {option} = {text!r} is not "
                               f"{kind}") from exc
         raise ConfigError(f"[{section}] {option} = {text!r}: {exc}") from exc
@@ -224,7 +234,7 @@ def _vector(section, option, text):
 def _floats(n):
     """Parser of ``n`` whitespace- or comma-separated numbers."""
     def parse(text):
-        values = tuple(float(x) for x in text.replace(",", " ").split())
+        values = tuple(_finite(x) for x in text.replace(",", " ").split())
         if len(values) != n:
             raise ValueError(f"needs {n} values, got {len(values)}")
         return values
@@ -239,7 +249,7 @@ def _poly(text):
         if len(parts) != 3:
             raise ValueError(f"term {chunk.strip()!r} must be "
                              "'i j coefficient'")
-        coeffs[(int(parts[0]), int(parts[1]))] = float(parts[2])
+        coeffs[(int(parts[0]), int(parts[1]))] = _finite(parts[2])
     return coeffs
 
 
@@ -283,15 +293,16 @@ def _read(section: str, values: dict, table: dict) -> dict:
 
 
 _AMBIENT = {"kind": (_choice("euclidean", "warped"), "euclidean", None),
-            "dim": (int, 3, _POSITIVE), "r_max": (float, 1.5, None),
-            "step": (float, 1e-3, None), "curvature": (float, 1.0, None)}
+            "dim": (int, 3, _POSITIVE), "r_max": (_finite, 1.5, None),
+            "step": (_finite, 1e-3, None), "curvature": (_finite, 1.0, None)}
 _FIELD = {"kind": (_choice(*FAMILIES), "radial_power", None),
           "boundary_vanishing": (_flag, True, None),
-          "seed": (int, None, None)}
+          "seed": (int, None, _at_least(0))}
+_RUN = {"budget": (int, 100, _POSITIVE)}
 
-_RADIUS = (float, 1.0, _POSITIVE)
-_HALF_WIDTH = (float, 1.0, _POSITIVE)
-_HEIGHT = (float, 0.0, None)
+_RADIUS = (_finite, 1.0, _POSITIVE)
+_HALF_WIDTH = (_finite, 1.0, _POSITIVE)
+_HEIGHT = (_finite, 0.0, None)
 _CENTER = (_floats(3), (0.0, 0.0, 0.0), None)
 
 
@@ -342,7 +353,7 @@ BUILTINS = {
             (o["cells_r"] << lv, o["cells_theta"] << lv))),
     "sphere_patch": Builtin(
         2, {"radius": _RADIUS, "center": _CENTER,
-            "theta0": (float, 0.0, None), "theta1": (float, math.pi, None),
+            "theta0": (_finite, 0.0, None), "theta1": (_finite, math.pi, None),
             "cells_theta": _count(8), "cells_phi": _count(16)},
         lambda amb, o, lv: sphere_patch(
             amb, o["radius"], o["center"], (o["theta0"], o["theta1"]),
@@ -391,6 +402,12 @@ def validate_case(case: dict) -> dict:
     """Check a case before any geometry work; returns parsed options."""
     builtin, _ = _geometry(case)
     ambient = _read("ambient", case.get("ambient", {}), _AMBIENT)
+    if ambient["kind"] == "warped" and "profile_file" in case["ambient"]:
+        try:
+            load_profile(case["ambient"]["profile_file"])
+        except InvalidArgument as exc:
+            raise ConfigError(f"[ambient] profile_file: {exc}") from exc
+    _read("run", case.get("run", {}), _RUN)
     if builtin is None:
         try:
             mesh = read_mesh(case["geometry"]["path"])
@@ -604,7 +621,8 @@ def cmd_search(args) -> int:
     domain = geometry = None
     try:
         for case, options in parsed:
-            budget = args.budget or int(case.get("run", {}).get("budget", 100))
+            budget = (args.budget
+                      or _read("run", case.get("run", {}), _RUN)["budget"])
             key = (case.get("ambient"), case.get("geometry"))
             if key != geometry:
                 domain = None

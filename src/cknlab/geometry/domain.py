@@ -19,8 +19,10 @@ the distance ``t`` to the pole, times Gauss-Legendre across.  On a polar
 chart, whose degenerate face ``rho = 0`` maps to the pole, ``t`` is ``rho``
 on the ring of cells on that face.  Every simplex with the pole at a vertex
 (mesh cells, and the Kuhn triangles of chart boxes with a corner at the
-pole) takes Duffy's collapse onto that vertex.  The rest of the domain
-stays a cell away from the pole and grades within a few levels.
+pole) takes Duffy's collapse onto that vertex, with area element ``2 t``.
+The rest of the domain stays a cell away from the pole and grades within a
+few levels.  A pole on a cell away from every vertex and grid corner is
+refused when the domain is built.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from ..errors import (
 )
 from ..quadrature import (
     box_rule,
-    gauss_rule,
     jacobi_rule,
     simplex_rule,
     simplex_volume,
@@ -157,6 +158,10 @@ class Domain:
                 raise InvalidArgument(
                     "simplicial meshes are supported in Euclidean ambients "
                     "only; use a parametric patch in warped ambients")
+            if geometry.n != ambient.dim:
+                raise InvalidArgument(
+                    f"the mesh has {geometry.n}-d vertices in a "
+                    f"{ambient.dim}-d ambient")
             self.kind = "mesh"
             self.mesh = geometry
             self.patch = None
@@ -197,7 +202,6 @@ class Domain:
             self.max_radius = float(np.max(self.vertex_r))
             self.boundary_vertices = np.unique(mesh.boundary_facets)
             if len(mesh.boundary_facets):
-                self._b_owners = mesh.boundary_owners()
                 self._b_conormals = mesh.boundary_conormals()
                 self.min_boundary_radius = float(
                     np.min(self.vertex_r[self.boundary_vertices]))
@@ -231,34 +235,48 @@ class Domain:
         self.through_pole = bool(hits.any())
         self._pole_cells = np.flatnonzero(hits.any(axis=1))
         self._pole_corner = hits[self._pole_cells].argmax(axis=1)
-        if self.kind == "mesh":
+        # a polar chart maps a whole face of its grid to the pole
+        self._pole_face = None if self.kind == "mesh" else next(
+            (face for face in self.patch.faces if np.take(
+                at_pole.reshape(shape), -face[1], axis=face[0]).all()), None)
+        if not self.through_pole:
             self._check_pole_placement()
-        else:
-            # a polar chart maps a whole face of its grid to the pole
-            self._pole_face = next(
-                (face for face in self.patch.faces if np.take(
-                    at_pole.reshape(shape), -face[1], axis=face[0]).all()),
-                None)
 
     def _check_pole_placement(self):
-        """The pole must be a vertex whenever it lies on the mesh."""
-        if self.through_pole:
-            return
-        mesh = self.mesh
-        scale = max(1.0, self.coord_scale)
+        """Refuse a pole on a closed cell but at none of its corners.
+
+        Gauss-Newton steps toward ``F(u) = pole``: one, exact, on the affine
+        map of a mesh cell's barycentrics; a few through the chart's jet from
+        each cell's centre, each kept in the closed cell.
+        """
         pole = self.ambient.pole
-        first = mesh.vertices[mesh.cells[:, 0]]
-        e, gram = mesh.edge_gram()
-        rhs = np.einsum("cin,cn->ci", e, pole - first)
-        lam = np.linalg.solve(gram, rhs[..., None])[..., 0]
-        proj = first + np.einsum("ci,cin->cn", lam, e)
-        dist = np.linalg.norm(pole - proj, axis=1)
-        # the closed cell: its interior, edges and faces
-        on_cell = (lam.min(axis=1) >= -1e-9) & (lam.sum(axis=1) <= 1 + 1e-9)
-        if np.any(on_cell & (dist < 1e-9 * scale)):
-            raise InvalidArgument(
-                "the pole lies on the mesh but not at a vertex; rebuild the "
-                "mesh with a vertex at the pole")
+
+        def step(u, F, dF):
+            return u + (np.linalg.pinv(dF) @ (pole - F)[..., None])[..., 0]
+
+        with np.errstate(all="ignore"):
+            if self.kind == "mesh":
+                first = self.mesh.vertices[self.mesh.cells[:, 0]]
+                e = self.mesh.edge_gram()[0].swapaxes(1, 2)     # (C, n, k)
+                lam = step(np.zeros((len(first), self.k)), first, e)
+                F = first + (e @ lam[..., None])[..., 0]
+                inside = ((lam.min(axis=1) >= -1e-9)
+                          & (lam.sum(axis=1) <= 1 + 1e-9))
+                message = ("the pole lies on the mesh but not at a vertex; "
+                           "rebuild the mesh with a vertex at the pole")
+            else:
+                lo, hi = self.patch.cell_boxes()
+                u = 0.5 * (lo + hi)
+                for _ in range(8):
+                    u = np.clip(step(u, *self.patch.jet(u)[:2]), lo, hi)
+                F = self.patch.jet(u)[0]
+                inside = True
+                message = ("the pole falls inside a chart cell; choose the "
+                           "cells so that it is a grid corner (an even count "
+                           "for a chart centered on it)")
+        dist = np.linalg.norm(F - pole, axis=1)
+        if np.any(inside & (dist < 1e-9 * max(1.0, self.coord_scale))):
+            raise InvalidArgument(message)
 
     def _face_grid(self, axis, side):
         """Five points per free axis across one chart face."""
@@ -341,9 +359,7 @@ class Domain:
             return ()
         slot = self._pole_slot
         if slot[0] != gamma:
-            build = (self._mesh_pole_sites if self.kind == "mesh"
-                     else self._patch_pole_sites)
-            slot = self._pole_slot = (gamma, build(gamma))
+            slot = self._pole_slot = (gamma, self._pole_tables(gamma))
         return self._with_field(slot[1], ("pole", gamma), bound_field)
 
     def _with_field(self, tables, key, bound_field):
@@ -431,22 +447,6 @@ class Domain:
         return (regular, owner, mb,
                 replace(stats, pieces=stats.pieces + len(regular)))
 
-    def _mesh_pole_sites(self, gamma):
-        """Duffy's rule on each mesh cell at the pole."""
-        k, cells = self.k, self._pole_cells
-        # each cell's barycentric columns, rotated to put the pole first
-        cols = (np.arange(k + 1) - self._pole_corner[:, None]) % (k + 1)
-        out = []
-        for npts in (self.order, self.order - 1):
-            bary, wts = _duffy_rule(k, npts, gamma)
-            bary = bary[:, cols].swapaxes(0, 1)               # (C, q, k+1)
-            out.append(self._mesh_batch(
-                cells.repeat(len(wts)), bary.reshape(-1, k + 1),
-                (bary @ self.mesh.vertices[self.mesh.cells[cells]]).reshape(
-                    -1, self.n),
-                (self._volumes[cells][:, None] * wts).reshape(-1)))
-        return tuple(out)
-
     def _radial(self, pts):
         """r, h(r), h'(r) and the unit radial direction at ambient points."""
         amb = self.ambient
@@ -524,46 +524,58 @@ class Domain:
                                     np.arange(len(cells)), var[cells], split, 2)
         return lo, hi, stats
 
-    def _patch_pole_sites(self, gamma):
-        """(hi, lo) tables of the chart boxes at the pole for ``h ** -gamma``.
+    def _pole_tables(self, gamma):
+        """(hi, lo) tables of the cells at the pole for ``h ** -gamma``.
 
-        A polar chart's ring takes Gauss-Jacobi for ``t ** (k - 1 - gamma)``
-        in the distance ``t`` to the face, scaled to [0, 1] per cell, and
-        Gauss-Legendre on the other axes, ``order`` and ``order - 1`` points
-        per axis.  Elsewhere each box splits into its two Kuhn triangles from
-        the corner at the pole, under Duffy's rule.  The densities divide the
-        Jacobi weight back out, so the tables take the weight and the
-        integrands as every other table does.
+        One node set per rule, ``order`` and ``order - 1`` points per axis,
+        t outer, under one of the two maps of the module docstring.  The
+        weights divide the Jacobi weight back out, so the tables take the
+        weight and the integrands as every other table does.
         """
-        k = self.k
-        lo, hi = (a[self._pole_cells] for a in self.patch.cell_boxes())
-        width = hi - lo
-        volume = np.prod(width, axis=1)
-
-        def ring(npts):
-            axis, side = self._pole_face
-            alpha = k - 1 - gamma
+        k, cells, alpha = self.k, self._pole_cells, self.k - 1 - gamma
+        if self._pole_face is None and k != 2:
+            raise NotImplementedError(f"no pole rule for k = {k}")
+        if self.kind == "patch":
+            lo, hi = (a[cells] for a in self.patch.cell_boxes())
+            volume = np.prod(hi - lo, axis=1)
+        out = []
+        for npts in (self.order, self.order - 1):
             t, wt = jacobi_rule(npts, alpha)
             others, wo = box_rule(k - 1, npts)
-            nodes = np.empty((npts, len(wo), k))
-            nodes[..., axis] = (t if side == 0 else 1.0 - t)[:, None]
-            nodes[..., np.arange(k) != axis] = others
-            wts = ((wt * t ** -alpha)[:, None] * wo).reshape(-1)
-            U = lo[:, None] + nodes.reshape(-1, k) * width[:, None]
-            return U.reshape(-1, k), (wts * volume[:, None]).reshape(-1)
-
-        def kuhn(npts):
-            bary, wts = _duffy_rule(k, npts, gamma)
+            if self._pole_face is not None:
+                axis, side = self._pole_face
+                nodes = np.empty((npts, len(wo), k))
+                nodes[..., axis] = (t if side == 0 else 1.0 - t)[:, None]
+                nodes[..., np.arange(k) != axis] = others
+                wts = ((wt * t ** -alpha)[:, None] * wo).reshape(-1)
+                U = lo[:, None] + nodes.reshape(-1, k) * (hi - lo)[:, None]
+                out.append(self._patch_batch(
+                    U.reshape(-1, k), (wts * volume[:, None]).reshape(-1)))
+                continue
+            # Duffy: (t, u) -> (1 - t, t (1 - u), t u), area element 2 t
+            t_, u = t[:, None], others[:, 0]
+            bary = np.stack(np.broadcast_arrays(
+                1.0 - t_, t_ * (1.0 - u), t_ * u), 2).reshape(-1, 3)
+            wts = ((wt * (2.0 * t ** gamma))[:, None] * wo).reshape(-1)
+            if self.kind == "mesh":
+                # rotate each cell's barycentric columns to put the pole first
+                cols = (np.arange(3) - self._pole_corner[:, None]) % 3
+                bary = bary[:, cols].swapaxes(0, 1)           # (C, q, 3)
+                corners = self.mesh.vertices[self.mesh.cells[cells]]
+                out.append(self._mesh_batch(
+                    cells.repeat(len(wts)), bary.reshape(-1, 3),
+                    (bary @ corners).reshape(-1, self.n),
+                    (self._volumes[cells][:, None] * wts).reshape(-1)))
+                continue
+            # the box's corner p at the pole, its opposite corner q
             at_pole = (self._pole_corner[:, None] >> np.arange(k) & 1) > 0
             p, q = np.where(at_pole, hi, lo), np.where(at_pole, lo, hi)
             tri = np.stack([p, np.where([True, False], q, p), q,
                             p, np.where([False, True], q, p), q], axis=1)
-            return ((bary @ tri.reshape(-1, 3, 2)).reshape(-1, k),
-                    (np.repeat(volume / 2.0, 2)[:, None] * wts).reshape(-1))
-
-        rule = ring if self._pole_face else kuhn
-        return tuple(self._patch_batch(*rule(npts))
-                     for npts in (self.order, self.order - 1))
+            out.append(self._patch_batch(
+                (bary @ tri.reshape(-1, 3, 2)).reshape(-1, k),
+                (np.repeat(volume / 2.0, 2)[:, None] * wts).reshape(-1)))
+        return tuple(out)
 
     def _box_variations(self, lo, hi, band):
         """Weight variation over the corners of each chart box."""
@@ -712,23 +724,6 @@ def _box_grid(axes):
     """Every point of the tensor grid over ``axes``, the last axis fastest."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)
-
-
-def _duffy_rule(k, npts, gamma):
-    """Duffy's rule on a triangle with the pole at vertex 0, ``h ** -gamma``.
-
-    The collapse ``(t, u) -> (1 - t, t (1 - u), t u)`` (barycentrics) has
-    area element ``2 t``: Gauss-Jacobi for ``t ** (1 - gamma)`` in ``t``,
-    Gauss-Legendre in ``u``.  Returns barycentrics (q, 3) and weights per
-    unit area.
-    """
-    if k != 2:
-        raise NotImplementedError(f"no pole rule for k = {k}")
-    t, wt = jacobi_rule(npts, 1.0 - gamma)
-    u, wu = gauss_rule(npts)
-    t, wt = t[:, None], wt[:, None]
-    bary = np.stack(np.broadcast_arrays(1.0 - t, t * (1.0 - u), t * u), 2)
-    return bary.reshape(-1, 3), (2.0 * wt * t ** gamma * wu).reshape(-1)
 
 
 def _grade(pieces, owner, var, split, base):

@@ -380,6 +380,8 @@ class BoundField:
         return amp * psi, abs(amp) * grad
 
     def at_boundary(self, batch: SiteBatch):
+        if self.boundary_vanishing:
+            return np.zeros(len(batch.r))
         domain = self.domain
         if domain.kind == "mesh":
             facets = domain.mesh.boundary_facets[batch.facet_ids]
@@ -389,9 +391,4 @@ class BoundField:
             psi = self._f(batch.r)
         else:
             psi, _ = self._planar(batch.points)
-            if self._clamp is not None:
-                cval, _ = self._clamp(batch.chart)
-                psi = psi * cval
-        if self.boundary_vanishing:
-            psi = np.zeros_like(psi)
         return self.field.amplitude * psi

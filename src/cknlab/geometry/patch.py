@@ -67,17 +67,6 @@ def _zero_jet(m, n, k):
     return np.zeros((m, n, k)), np.zeros((m, n, k, k))
 
 
-def _pole_on_grid(bounds, cells):
-    """Refuse a square chart whose point (0, 0), at the pole, lies on the
-    chart but off its grid corners: the quadrature rules put nodes there."""
-    pos = [-lo / (hi - lo) * cells for lo, hi in bounds]
-    if (all(0.0 <= x <= cells for x in pos)
-            and any(abs(x - round(x)) > 1e-9 for x in pos)):
-        raise InvalidArgument(
-            "the pole falls inside a chart cell; choose the cells so that it "
-            "is a grid corner (an even count for a chart centered on it)")
-
-
 def _polar_plane_jet(height: float):
     """Jet of the polar chart (rho, theta) -> (rho cos, rho sin, height)."""
 
@@ -118,8 +107,6 @@ def plane_rect(ambient: AmbientSpace, half_width: float = 1.0,
               (cy - half_width, cy + half_width))
     faces = {(0, 0): "boundary", (0, 1): "boundary",
              (1, 0): "boundary", (1, 1): "boundary"}
-    if abs(height) < 1e-14:
-        _pole_on_grid(bounds, cells)
     meta = {"generator": "plane_rect", "half_width": half_width,
             "height": height, "center_xy": center_xy}
     return ParametricPatch(ambient, 2, bounds, jet, faces, (cells, cells), meta)
@@ -143,8 +130,8 @@ def sphere_patch(ambient: AmbientSpace, radius: float = 1.0,
                  cells=(8, 16)) -> ParametricPatch:
     """Sphere zone (theta, phi); a cap when theta starts at 0.
 
-    In a warped ambient with ``center`` at the pole this is the geodesic
-    sphere of coordinate radius ``radius``.
+    In a warped ambient with ``center`` at the coordinate origin this is the
+    geodesic sphere of coordinate radius ``radius``.
     """
     if ambient.dim != 3:
         raise InvalidArgument("sphere_patch needs a 3-dimensional ambient")
@@ -184,7 +171,7 @@ def sphere_patch(ambient: AmbientSpace, radius: float = 1.0,
 
 def geodesic_disk(ambient: AmbientSpace, radius: float,
                   cells=(8, 16)) -> ParametricPatch:
-    """Cone of radial geodesics through the pole spanning a coordinate plane.
+    """Cone of radial geodesics from the origin spanning a coordinate plane.
 
     In a rotationally symmetric ambient this is a totally geodesic surface;
     its induced metric is the two-dimensional warped metric.
@@ -284,8 +271,6 @@ def poly_graph_patch(ambient: AmbientSpace, coeffs: dict,
               (cy - half_width, cy + half_width))
     faces = {(0, 0): "boundary", (0, 1): "boundary",
              (1, 0): "boundary", (1, 1): "boundary"}
-    if abs(float(poly(np.array(0.0), np.array(0.0)))) < 1e-14:
-        _pole_on_grid(bounds, cells)
     meta = {"generator": "poly_graph", "half_width": half_width,
             "center_xy": center_xy}
     return ParametricPatch(ambient, 2, bounds, jet, faces, (cells, cells), meta)

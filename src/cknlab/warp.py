@@ -74,16 +74,19 @@ class CurvatureProfile:
 
 
 def load_profile(path) -> CurvatureProfile:
-    """Read a two-column ``radius value`` text file (``#`` comments allowed)."""
-    samples = []
-    for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InvalidArgument(f"expected two columns, got: {line!r}")
-        samples.append((float(parts[0]), float(parts[1])))
+    """Read a two-column ``radius value`` text file (``#`` comments allowed).
+
+    Raises :class:`InvalidArgument` when it cannot be read or parsed.
+    """
+    try:
+        rows = [line.split("#", 1)[0].split()
+                for line in Path(path).read_text().splitlines()]
+        samples = [(float(r), float(v)) for r, v in filter(None, rows)]
+    except OSError as exc:
+        raise InvalidArgument(f"cannot read profile file {path}: {exc}")
+    except ValueError:
+        raise InvalidArgument(f"profile file {path}: each row must be two "
+                              "numbers") from None
     return CurvatureProfile.tabulated(samples)
 
 

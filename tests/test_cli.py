@@ -92,6 +92,18 @@ def test_constants_invalid_exponents(capsys):
     assert "p must be" in err
 
 
+@pytest.mark.parametrize("flag", ["--p", "--alpha", "--hprime"])
+def test_constants_overflowing_number_is_an_error(capsys, flag):
+    args = {"--p": "2", "--alpha": "0", "--hprime": "1"}
+    args[flag] = "1e400"
+    code, out, err = run(["constants", "--k", "3",
+                          *(x for item in args.items() for x in item)],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert "cannot parse number '1e400'" in err
+
+
 def test_verify_scenario_disk_equality(tmp_path, capsys):
     out_path = tmp_path / "out.json"
     code, _, _ = run(["verify", "disk_equality.cfg", "--out", str(out_path)],
@@ -417,9 +429,11 @@ def test_non_positive_size_is_a_config_error(tmp_path, capsys, line):
 @pytest.mark.parametrize("geometry,message", [
     ("builtin = plane_rect\ncells = 7", "the pole falls inside a chart cell"),
     ("builtin = poly_graph\ncells = 7", "the pole falls inside a chart cell"),
+    ("builtin = sphere_patch\ncenter = 1 0 0\ncells_theta = 7",
+     "the pole falls inside a chart cell"),
     ("builtin = graph_mesh\ncoeffs = 0 0 0\ndivisions = 7",
      "the pole lies on the mesh but not at a vertex"),
-], ids=["plane_rect", "poly_graph", "graph_mesh"])
+], ids=["plane_rect", "poly_graph", "sphere_patch", "graph_mesh"])
 def test_pole_off_the_grid_is_a_config_error(tmp_path, capsys, geometry,
                                              message):
     # an odd count puts the pole inside a chart cell or on a mesh edge,
@@ -574,6 +588,83 @@ def test_quadrature_order_one_is_a_config_error(tmp_path, capsys, monkeypatch):
         assert "quadrature_order must be at least 2, got 1" in err
 
 
+PROFILE_CFG = """
+[ambient]
+kind = warped
+profile_file = {path}
+r_max = 1.4
+
+[geometry]
+builtin = geodesic_disk
+radius = 0.5
+cells_r = 2
+cells_theta = 4
+
+[field]
+kind = radial_power
+dof = 1.5
+
+[inequality]
+id = hardy
+p = 1.5
+gamma = 1.0
+r0 = 0.55
+"""
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read profile file"),
+    ("0 1.0\n1 abc\n", "each row must be two numbers"),
+    ("0 1.0 2.0\n", "each row must be two numbers"),
+    ("0 1.0\n", "needs at least two samples"),
+], ids=["missing", "non_numeric", "three_columns", "one_sample"])
+def test_malformed_profile_file_is_a_config_error(tmp_path, capsys,
+                                                  monkeypatch, content,
+                                                  message):
+    monkeypatch.setattr(cli, "build_domain", _never_build)
+    path = tmp_path / "profile.txt"
+    if content is not None:
+        path.write_text(content)
+    text = PROFILE_CFG.format(path=path)
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "config error: [ambient] profile_file" in err
+        assert message in err
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("gamma = 1\n", "gamma = 1\nr0 = 1e400\n", "number '1e400'"),
+    ("radius = 1.0", "radius = 1e400", "radius = '1e400' is not a finite"),
+    ("radius = 1.0", "radius = nan", "radius = 'nan' is not a finite"),
+    ("rings = 12", "rings = 12\ncenter = 0 0 inf", "'inf' is not finite"),
+    ("dof = 1.0", "dof = nan", "dof = 'nan' is not a finite"),
+    ("dof = 1.0", "dof = 1.0\nseed = -1", "seed must be at least 0"),
+    ("gamma = 1\n", "gamma = 1\n[run]\nbudget = many\n",
+     "[run] budget = 'many' is not an integer"),
+    ("gamma = 1\n", "gamma = 1\n[run]\nbudget = 0\n",
+     "[run] budget must be positive, got 0"),
+], ids=["r0_overflow", "radius_overflow", "radius_nan", "center_inf",
+        "dof_nan", "negative_seed", "budget_many", "budget_zero"])
+def test_malformed_number_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                            old, new, message):
+    monkeypatch.setattr(cli, "build_domain", _never_build)
+    text = DISK_CONE_CFG.replace(old, new, 1)
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "config error" in err and message in err
+
+
+def test_mesh_in_an_ambient_of_another_dimension_is_a_config_error(
+        tmp_path, capsys):
+    # disk_mesh makes 3-d vertices; the domain refuses them in a 2-d ambient
+    text = DISK_CONE_CFG.replace("kind = euclidean",
+                                 "kind = euclidean\ndim = 2")
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert ("config error: the mesh has 3-d vertices in a 2-d ambient"
+                in err)
+
+
 # -- search builds one domain per run of cases on the same geometry
 
 FIELD_KINDS = ("radial_power", "radial_bump", "polynomial", "random_smooth")
@@ -617,3 +708,87 @@ def test_search_reuses_the_domain_of_a_geometry(tmp_path, capsys, monkeypatch,
             "[field]\n", f"[field]\nkind = {kind}\n")
         assert _search_records(tmp_path, capsys, alone, "alone") == [rec]
     assert len(built) == builds + len(cases)
+
+
+# -- a seeded config fuzz ends in an exit code, never in a traceback
+
+# the options validate_case reads, in a fixed order
+FUZZ_KEYS = {
+    "ambient": [*cli._AMBIENT, "profile_file"],
+    "geometry": list(dict.fromkeys(
+        ["builtin", "path", *cli._ORDER,
+         *(o for b in cli.BUILTINS.values() for o in b.options)])),
+    "inequality": ["id", "p", "gamma", "alpha", "sigma", "beta", "q", "a",
+                   "t", "r0", "slack", "inj_radius", "vol_threshold",
+                   "minimal"],
+    "field": [*cli._FIELD, "dof"],
+    "run": [*cli._RUN],
+}
+FUZZ_NUMBERS = ["1", "0.5", "1.5", "2", "0", "-1", "abc", "1e400", "nan"]
+# every builtin at a few cells, whichever the fuzz switches to
+FUZZ_SIZES = {"rings": "2", "level": "0", "divisions": "2", "cells": "2",
+              "cells_r": "1", "cells_theta": "2", "cells_phi": "4"}
+FUZZ_BASES = [
+    {"ambient": {"kind": "euclidean"},
+     "geometry": {"builtin": name, **FUZZ_SIZES},
+     "inequality": {"id": "hardy", "p": "1.5", "gamma": "0.5"}}
+    for name in sorted(cli.BUILTINS) if name != "geodesic_disk"] + [
+    {"ambient": {"kind": "warped", "r_max": "1.2"},
+     "geometry": {"builtin": "geodesic_disk", "radius": "0.5", **FUZZ_SIZES},
+     "inequality": {"id": "hardy", "p": "1.5", "gamma": "0.5",
+                    "r0": "0.55", "inj_radius": "3"}}]
+
+
+def _fuzz_value(rng, section, key, paths):
+    names = {("ambient", "kind"): ["euclidean", "warped"],
+             ("geometry", "builtin"): sorted(cli.BUILTINS),
+             ("inequality", "id"): list(CATALOG_IDS),
+             ("field", "kind"): sorted(cli.FAMILIES)}
+    if (section, key) in names:
+        return rng.choice(names[section, key] + ["abc"])
+    if key in ("path", "profile_file"):
+        return rng.choice(paths)
+    if key in ("center", "coeffs", "axes", "dof"):
+        return " ".join(rng.choice(FUZZ_NUMBERS)
+                        for _ in range(rng.randint(1, 6)))
+    if key == "poly":
+        return rng.choice(["2 0 0.25; 0 2 -0.15", "2 0", "1 1 1e400"])
+    return rng.choice(FUZZ_NUMBERS)
+
+
+def test_config_fuzz_never_ends_in_a_traceback(tmp_path, capsys):
+    import random
+    from cknlab.geometry.mesh import disk_mesh, write_mesh
+    write_mesh(disk_mesh(1.0, rings=2), tmp_path / "disk.mesh")
+    (tmp_path / "profile.txt").write_text("0 1.0\n2 1.0\n")
+    paths = [str(tmp_path / name) for name in ("disk.mesh", "profile.txt",
+                                               "missing", "")]
+    rng = random.Random(0)
+    cfg = tmp_path / "case.cfg"
+    codes = set()
+    for _ in range(200):
+        case = {section: dict(opts)
+                for section, opts in rng.choice(FUZZ_BASES).items()}
+        for _ in range(rng.randint(1, 4)):
+            section = rng.choice(sorted(FUZZ_KEYS))
+            key = rng.choice(FUZZ_KEYS[section])
+            if rng.random() < 0.15:
+                case.get(section, {}).pop(key, None)
+            else:
+                case.setdefault(section, {})[key] = _fuzz_value(
+                    rng, section, key, paths)
+        text = "".join(f"[{section}]\n" + "".join(
+            f"{key} = {value}\n" for key, value in opts.items()) + "\n"
+            for section, opts in case.items())
+        cfg.write_text(text)
+        for argv in (["verify", str(cfg)],
+                     ["search", str(cfg), "--budget", "2"]):
+            try:
+                code = main(argv)
+            except Exception as exc:
+                pytest.fail(f"{argv[0]} raised {exc!r} on\n{text}")
+            capsys.readouterr()
+            assert code in (0, 1, 2, 3), text
+            codes.add(code)
+    # the draws reach the evaluations, not only the config checks
+    assert {0, 1} <= codes

@@ -15,8 +15,10 @@ from cknlab.errors import (
 from cknlab.geometry import (
     AmbientSpace,
     Domain,
+    ball_domain,
     boundary_integral,
     disk_mesh,
+    flat_disk_patch,
     graph_mesh,
     plane_rect,
     poly_graph_patch,
@@ -236,12 +238,27 @@ def test_chart_pole_inside_a_cell_is_refused(euclid3):
     # an odd cell count puts the pole at the centre of a cell, a node of
     # the low-order rule
     with pytest.raises(InvalidArgument, match="inside a chart cell"):
-        plane_rect(euclid3, 1.0, cells=7)
+        Domain(plane_rect(euclid3, 1.0, cells=7))
     with pytest.raises(InvalidArgument, match="inside a chart cell"):
-        poly_graph_patch(euclid3, {(2, 0): 0.25, (0, 2): -0.15}, cells=7)
-    # off the pole any count will do
+        Domain(poly_graph_patch(euclid3, {(2, 0): 0.25, (0, 2): -0.15},
+                                cells=7))
+    # any chart: the unit sphere about (1, 0, 0) meets the pole at
+    # theta = pi / 2, phi = pi, inside a theta cell of seven and on a phi
+    # grid line; a pole inside a solid ball or a flat disk off their grids
+    with pytest.raises(InvalidArgument, match="inside a chart cell"):
+        Domain(sphere_patch(euclid3, 1.0, (1.0, 0.0, 0.0), cells=(7, 16)))
+    with pytest.raises(InvalidArgument, match="inside a chart cell"):
+        Domain(ball_domain(AmbientSpace.euclidean(3, pole=(0.2, 0.1, 0.3)),
+                           1.0, cells=(2, 2, 4)))
+    with pytest.raises(InvalidArgument, match="inside a chart cell"):
+        Domain(flat_disk_patch(AmbientSpace.euclidean(
+            3, pole=(0.31, 0.17, 0.0)), 1.0, cells=(4, 8)))
+    # at a grid corner, or off the surface, any count will do
+    assert Domain(sphere_patch(euclid3, 1.0, (1.0, 0.0, 0.0),
+                               cells=(8, 16))).through_pole
     assert not Domain(plane_rect(euclid3, 1.0, height=0.5,
                                  cells=7)).through_pole
+    assert not Domain(flat_disk_patch(euclid3, 1.0, 0.5)).through_pole
 
 
 def test_sphere_through_the_pole_is_a_polar_chart(euclid3):

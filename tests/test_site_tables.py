@@ -5,6 +5,12 @@ The boundary reference below is the per-cell builder the batched
 face at a time, with its own jet evaluation.  The batched builder must give
 the same sites in the same order (face, then cell, then node), so every
 boundary column agrees bit for bit.
+
+The pole references are the three builders that ``Domain._pole_tables``
+replaces: Duffy's rule on a triangle, applied to the mesh cells at a pole
+vertex, and the chart builder with its ring of boxes on a polar face and
+its Kuhn triangles at a grid corner.  Every column of both pole tables must
+agree bit for bit.
 """
 
 import math
@@ -21,6 +27,7 @@ from cknlab.geometry import (
     disk_mesh,
     flat_disk_patch,
     geodesic_disk,
+    graph_mesh,
     plane_rect,
     poly_graph_patch,
     sphere_patch,
@@ -28,7 +35,8 @@ from cknlab.geometry import (
 from cknlab.geometry import domain as domain_mod
 from cknlab.geometry.domain import SiteBatch
 from cknlab.geometry.fields import make_field
-from cknlab.quadrature import box_rule, simplex_rule
+from cknlab.quadrature import (box_rule, gauss_rule, jacobi_rule,
+                               simplex_rule)
 
 BOUNDARY_COLUMNS = ("points", "density", "r", "h", "hp", "conormal_dot",
                     "chart")
@@ -145,6 +153,101 @@ def test_closed_patch_has_no_boundary_table(euclid3):
     domain = Domain(sphere_patch(euclid3, 1.0, cells=(4, 8)))
     assert not domain.has_boundary
     assert domain.boundary_sites() == (None, None)
+
+
+# -- reference: the per-kind pole builders ------------------------------------
+
+def ref_duffy_rule(k, npts, gamma):
+    assert k == 2
+    t, wt = jacobi_rule(npts, 1.0 - gamma)
+    u, wu = gauss_rule(npts)
+    t, wt = t[:, None], wt[:, None]
+    bary = np.stack(np.broadcast_arrays(1.0 - t, t * (1.0 - u), t * u), 2)
+    return bary.reshape(-1, 3), (2.0 * wt * t ** gamma * wu).reshape(-1)
+
+
+def ref_mesh_pole_sites(domain, gamma):
+    k, cells = domain.k, domain._pole_cells
+    cols = (np.arange(k + 1) - domain._pole_corner[:, None]) % (k + 1)
+    out = []
+    for npts in (domain.order, domain.order - 1):
+        bary, wts = ref_duffy_rule(k, npts, gamma)
+        bary = bary[:, cols].swapaxes(0, 1)
+        out.append(domain._mesh_batch(
+            cells.repeat(len(wts)), bary.reshape(-1, k + 1),
+            (bary @ domain.mesh.vertices[domain.mesh.cells[cells]]).reshape(
+                -1, domain.n),
+            (domain._volumes[cells][:, None] * wts).reshape(-1)))
+    return tuple(out)
+
+
+def ref_patch_pole_sites(domain, gamma):
+    k = domain.k
+    lo, hi = (a[domain._pole_cells] for a in domain.patch.cell_boxes())
+    width = hi - lo
+    volume = np.prod(width, axis=1)
+
+    def ring(npts):
+        axis, side = domain._pole_face
+        alpha = k - 1 - gamma
+        t, wt = jacobi_rule(npts, alpha)
+        others, wo = box_rule(k - 1, npts)
+        nodes = np.empty((npts, len(wo), k))
+        nodes[..., axis] = (t if side == 0 else 1.0 - t)[:, None]
+        nodes[..., np.arange(k) != axis] = others
+        wts = ((wt * t ** -alpha)[:, None] * wo).reshape(-1)
+        U = lo[:, None] + nodes.reshape(-1, k) * width[:, None]
+        return U.reshape(-1, k), (wts * volume[:, None]).reshape(-1)
+
+    def kuhn(npts):
+        bary, wts = ref_duffy_rule(k, npts, gamma)
+        at_pole = (domain._pole_corner[:, None] >> np.arange(k) & 1) > 0
+        p, q = np.where(at_pole, hi, lo), np.where(at_pole, lo, hi)
+        tri = np.stack([p, np.where([True, False], q, p), q,
+                        p, np.where([False, True], q, p), q], axis=1)
+        return ((bary @ tri.reshape(-1, 3, 2)).reshape(-1, k),
+                (np.repeat(volume / 2.0, 2)[:, None] * wts).reshape(-1))
+
+    rule = ring if domain._pole_face else kuhn
+    return tuple(domain._patch_batch(*rule(npts))
+                 for npts in (domain.order, domain.order - 1))
+
+
+def _through_pole(euclid, warped3):
+    return {
+        "disk_mesh": lambda: disk_mesh(1.0, rings=4),
+        "graph_mesh": lambda: graph_mesh(lambda x, y: 0.0 * x, 1.0, 8),
+        "plane_rect": lambda: plane_rect(euclid, 1.0, cells=8),
+        "poly_graph": lambda: poly_graph_patch(
+            euclid, {(2, 0): 0.25, (0, 2): -0.15}, cells=8),
+        "flat_disk_patch": lambda: flat_disk_patch(euclid, 1.0, cells=(4, 8)),
+        "geodesic_disk": lambda: geodesic_disk(warped3, 0.5, cells=(4, 8)),
+        "ball": lambda: ball_domain(euclid, 1.0, cells=(2, 2, 4)),
+        "ball_warped": lambda: ball_domain(warped3, 0.5, cells=(2, 2, 4)),
+        "sphere_patch": lambda: sphere_patch(euclid, 1.0,
+                                             center=(0.0, 0.0, -1.0),
+                                             cells=(4, 8)),
+    }
+
+
+@pytest.mark.parametrize("order", [4, 5])
+@pytest.mark.parametrize("name", ["disk_mesh", "graph_mesh", "plane_rect",
+                                  "poly_graph", "flat_disk_patch",
+                                  "geodesic_disk", "ball", "ball_warped",
+                                  "sphere_patch"])
+def test_pole_tables_match_per_kind_reference(euclid3, warped3, name, order):
+    domain = Domain(_through_pole(euclid3, warped3)[name](), euclid3, order)
+    assert domain.through_pole
+    ref = (ref_mesh_pole_sites if domain.kind == "mesh"
+           else ref_patch_pole_sites)
+    for gamma in (-1.0, 0.5, 1.5, domain.k - 0.05):
+        tables = domain.pole_sites(gamma)
+        assert len(tables) == 2
+        for got, want in zip(tables, ref(domain, gamma)):
+            assert _set_columns(got) == _set_columns(want)
+            for column in _set_columns(want):
+                assert np.array_equal(getattr(got, column),
+                                      getattr(want, column)), column
 
 
 # -- one schema ---------------------------------------------------------------
