@@ -36,6 +36,7 @@ from .errors import (
     CknLabError,
     ConfigError,
     InconsistentParameters,
+    InsufficientStencil,
     InvalidArgument,
     ParameterConflict,
     PreconditionViolated,
@@ -428,6 +429,8 @@ def validate_case(case: dict) -> dict:
                 "slack", "inj_radius", "vol_threshold"):
         if key in ineq:
             options[key] = float(_frac(ineq[key]))
+    if options.get("slack", 0.0) < 0:
+        raise ConfigError("[inequality] slack must be >= 0")
     if "minimal" in ineq:
         options["minimal"] = _flag(ineq["minimal"])
     try:
@@ -533,6 +536,8 @@ def _load_cases(args):
     try:
         cases = expand_sweep(load_config(resolve_config_path(args.config)))
         parsed = [(case, validate_case(case)) for case in cases]
+        if args.slack is not None and not args.slack >= 0:
+            raise ConfigError(f"--slack must be >= 0, got {args.slack}")
     except (CknLabError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return None
@@ -545,7 +550,8 @@ def _load_cases(args):
 def _evaluation_failed(exc: CknLabError) -> int:
     """Report an error raised while evaluating; its exit code."""
     if isinstance(exc, (InvalidArgument, PreconditionViolated,
-                        ParameterConflict, InconsistentParameters)):
+                        ParameterConflict, InconsistentParameters,
+                        InsufficientStencil)):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"evaluation error: {exc}", file=sys.stderr)

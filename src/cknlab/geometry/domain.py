@@ -53,6 +53,7 @@ from .patch import ParametricPatch
 
 _VAR_TOL = 2.0       # admissible weight ratio across one quadrature piece
 _TINY = 1e-300
+_DEGENERATE = "degenerate chart cell at a quadrature node"
 # chart points per batched corner evaluation while grading: bounds the jets'
 # scratch memory far below the size of the site tables
 _CORNER_CHUNK = 1 << 14
@@ -458,9 +459,9 @@ class Domain:
     def _mesh_batch(self, cell_ids, bary, pts, dens) -> SiteBatch:
         r, h, hp, u = self._radial(pts)
         frames = self._frames[cell_ids]
-        dots = np.einsum("skn,sn->sk", frames, u)
+        dots = (frames @ u[..., None])[..., 0]
         tan_sq = np.einsum("sk,sk->s", dots, dots)
-        perp = np.sqrt(np.clip(1.0 - tan_sq, 0.0, 1.0))
+        perp = np.linalg.norm(u - (dots[:, None, :] @ frames)[:, 0], axis=1)
         hvec = np.einsum("sb,sbn->sn",
                          bary, self._vertex_H[self.mesh.cells[cell_ids]])
         h_norm = np.linalg.norm(hvec, axis=1)
@@ -592,39 +593,48 @@ class Domain:
     def _patch_batch(self, U, rule_dens) -> SiteBatch:
         patch, amb = self.patch, self.ambient
         F, dF, d2F = patch.jet(U)
-        G = amb.metric_matrix(F)
-        g = np.einsum("sai,sab,sbj->sij", dF, G, dF)
-        det = np.linalg.det(g)
-        if np.any(det <= 0):
-            raise InvalidArgument("degenerate chart cell at a quadrature node")
-        dens = rule_dens * np.sqrt(det)
+        # G, the ambient metric, is the identity in Euclidean space
+        G = None if amb.kind == "euclidean" else amb.metric_matrix(F)
+        GdF = dF if G is None else G @ dF
+        g = dF.swapaxes(1, 2) @ GdF
+        colnorm_sq = np.diagonal(g, axis1=1, axis2=2)
+        if np.any(colnorm_sq <= 0):
+            raise InvalidArgument(_DEGENERATE)
         # normalize the chart basis columns: polar-type charts are severely
         # ill-conditioned near their axis, and the curvature projection
         # would cancel catastrophically in the raw basis
-        colnorm = np.sqrt(np.einsum("sii->si", g))
+        colnorm = np.sqrt(colnorm_sq)
         dFn = dF / colnorm[:, None, :]
-        gn = g / (colnorm[:, :, None] * colnorm[:, None, :])
-        ginv = np.linalg.inv(gn)
-        r = amb.radius(F)
-        h, hp = amb.h_values(r)
-        d = F - amb.pole
-        dr = np.einsum("sa,sai->si", d, dFn) / np.where(r > 0, r, 1.0)[:, None]
-        tan_sq = np.einsum("si,sij,sj->s", dr, ginv, dr)
-        perp = np.sqrt(np.clip(1.0 - tan_sq, 0.0, 1.0))
-        if patch.k == self.n:
-            Hvec = np.zeros((len(U), self.n))
+        adj, det_n = _adjugate_and_det(
+            g / (colnorm[:, :, None] * colnorm[:, None, :]))
+        det = det_n * np.prod(colnorm_sq, axis=1)
+        if np.any(det <= 0):
+            raise InvalidArgument(_DEGENERATE)
+        ginv = adj / det_n[:, None, None]
+        dens = rule_dens * np.sqrt(det)
+        r, h, hp, u = self._radial(F)
+        dr = (u[:, None, :] @ dFn)[:, 0]
+        # the radial direction's tangential part in the basis dFn
+        along = (ginv @ dr[..., None])[..., 0]
+        tan_sq = np.sum(dr * along, axis=1)
+        k, n = patch.k, self.n
+        if k == n:
+            Hvec = np.zeros((len(U), n))
             h_norm = np.zeros(len(U))
             perp = np.zeros(len(U))
             tan_sq = np.ones(len(U))
         else:
-            gam = amb.christoffels(F)
-            S = d2F + np.einsum("scab,sai,sbj->scij", gam, dF, dF)
-            S = S / (colnorm[:, None, :, None] * colnorm[:, None, None, :])
-            inner = np.einsum("saij,sab,sbm->smij", S, G, dFn)
-            S_perp = S - np.einsum("snl,slm,smij->snij", dFn, ginv, inner)
-            Hvec = np.einsum("sij,snij->sn", ginv, S_perp)
-            h_norm = np.sqrt(np.maximum(
-                np.einsum("sn,snm,sm->s", Hvec, G, Hvec), 0.0))
+            perp = _metric_norm(G, u - (dFn @ along[..., None])[..., 0])
+            S = d2F
+            if G is not None:
+                gam = amb.christoffels(F)
+                S = S + dF.swapaxes(1, 2)[:, None] @ (gam @ dF[:, None])
+            S = (S / (colnorm[:, None, :, None] * colnorm[:, None, None, :])
+                 ).reshape(len(U), n, k * k)
+            inner = (GdF / colnorm[:, None, :]).swapaxes(1, 2) @ S
+            S_perp = S - (dFn @ ginv) @ inner
+            Hvec = (S_perp @ ginv.reshape(len(U), k * k, 1))[..., 0]
+            h_norm = _metric_norm(G, Hvec)
         return SiteBatch(points=F, density=dens, r=r, h=h, hp=hp, perp=perp,
                          h_norm=h_norm, tan_sq=tan_sq, chart=U, h_vec=Hvec,
                          dF=dFn, chart_colnorm=colnorm, metric_ginv=ginv)
@@ -718,6 +728,34 @@ class Domain:
                                        chart=U))
             out.append(_concat_batches(parts))
         return tuple(out)
+
+
+def _metric_norm(G, v):
+    """Norms of the rows of ``v`` under the metrics ``G`` (None: Euclidean)."""
+    Gv = v if G is None else (G @ v[..., None])[..., 0]
+    return np.sqrt(np.maximum(np.sum(v * Gv, axis=1), 0.0))
+
+
+def _adjugate_and_det(a):
+    """Adjugates and determinants of a stack of k x k matrices, k <= 3.
+
+    The inverse is ``adj / det``: closed forms, for the column-normalized
+    chart metrics, which are well conditioned.
+    """
+    k = a.shape[-1]
+    if k == 1:
+        return np.ones_like(a), a[:, 0, 0]
+    if k == 2:
+        det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        return np.stack([a[:, 1, 1], -a[:, 0, 1], -a[:, 1, 0], a[:, 0, 0]],
+                        axis=1).reshape(-1, 2, 2), det
+    if k != 3:
+        raise NotImplementedError(f"no closed-form inverse for k = {k}")
+    # adj[i, j] is the cofactor of a[j, i]: products of cyclic index shifts
+    i1, i2 = [1, 2, 0], [2, 0, 1]
+    adj = (a[:, i1][:, :, i1] * a[:, i2][:, :, i2]
+           - a[:, i1][:, :, i2] * a[:, i2][:, :, i1]).swapaxes(1, 2)
+    return adj, np.sum(a[:, 0, :] * adj[:, :, 0], axis=1)
 
 
 def _box_grid(axes):

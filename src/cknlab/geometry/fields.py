@@ -375,8 +375,8 @@ class BoundField:
             dpsi = (dpsi * cval[:, None]
                     + psi[:, None] * cgrad / batch.chart_colnorm)
             psi = psi * cval
-        grad = np.sqrt(np.maximum(
-            np.einsum("si,sij,sj->s", dpsi, batch.metric_ginv, dpsi), 0.0))
+        grad = np.sqrt(np.maximum(np.sum(
+            (dpsi[:, None, :] @ batch.metric_ginv)[:, 0] * dpsi, axis=1), 0.0))
         return amp * psi, abs(amp) * grad
 
     def at_boundary(self, batch: SiteBatch):

@@ -18,6 +18,9 @@ import numpy as np
 
 from ..errors import DegenerateGeometry, InsufficientStencil, InvalidArgument
 
+# vertices per stacked curvature fit: bounds the fit's scratch memory
+_FIT_BLOCK = 512
+
 
 @dataclass
 class SimplicialMesh:
@@ -130,88 +133,98 @@ class SimplicialMesh:
 
     # -- two-ring quadratic fit -------------------------------------------------
 
-    def vertex_rings(self) -> tuple[list[set], list[set]]:
-        """One-ring and two-ring neighbours of every vertex."""
-        one = [set() for _ in range(len(self.vertices))]
-        for cell in self.cells:
-            for a in cell:
-                one[a].update(int(b) for b in cell if b != a)
-        two = []
-        for v, ring in enumerate(one):
-            acc = set(ring)
-            for w in ring:
-                acc.update(one[w])
-            acc.discard(v)
-            two.append(acc)
-        return one, two
-
     def vertex_mean_curvature(self) -> np.ndarray:
-        """(V, n) mean curvature vectors from local quadratic graph fits."""
+        """(V, n) mean curvature vectors from local quadratic graph fits.
+
+        A vertex's stencil is its two-ring, widened by up to three more
+        rings while it holds fewer points than the fit has unknowns (corner
+        vertices of structured grids).  Vertices of equal stencil size are
+        fitted together, ``_FIT_BLOCK`` at a time.  Raises
+        :class:`InsufficientStencil` when a stencil stays too small, or when
+        the fit takes a normal direction of the incident cells for a tangent
+        (a mesh too coarse for its curvature).
+        """
         if self._fit_cache is not None:
             return self._fit_cache
-        k, n = self.k, self.n
+        k, n, nv = self.k, self.n, len(self.vertices)
         if k == n:
             self._fit_cache = np.zeros_like(self.vertices)
             return self._fit_cache
-        one_ring, rings = self.vertex_rings()
-        nq = k * (k + 1) // 2
-        ncols = 1 + k + nq
-        out = np.zeros((len(self.vertices), n))
-        for v, ring in enumerate(rings):
-            ring = set(ring)
-            grown = 0
-            while len(ring) < ncols and grown < 3:
-                # corner vertices of structured grids have short two-rings;
-                # widen until the fit is determined
-                extra = set()
-                for w in ring:
-                    extra.update(one_ring[w])
-                extra.discard(v)
-                if extra <= ring:
-                    break
-                ring |= extra
-                grown += 1
-            nbrs = np.fromiter(ring, int)
-            if len(nbrs) < ncols:
-                raise InsufficientStencil(
-                    f"vertex {v} has {len(nbrs)} stencil neighbours, "
-                    f"needs {ncols}")
-            disp = self.vertices[nbrs] - self.vertices[v]
-            # tangent estimate: principal directions of the displacement cloud
-            _, _, vt = np.linalg.svd(disp, full_matrices=True)
-            tan, nor = vt[:k], vt[k:]
-            t = disp @ tan.T
-            w = disp @ nor.T
-            cols = [np.ones(len(nbrs))]
-            cols.extend(t[:, i] for i in range(k))
-            cols.extend(t[:, i] * t[:, j]
-                        for i in range(k) for j in range(i, k))
-            A = np.stack(cols, axis=1)
-            coef, *_ = np.linalg.lstsq(A, w, rcond=None)
-            grad = coef[1:1 + k]                      # (k, n-k)
-            quad = np.zeros((n - k, k, k))
-            pos = 1 + k
-            for i in range(k):
-                for j in range(i, k):
-                    # x_i x_j column contributes to both symmetric slots
-                    for m in range(n - k):
-                        if i == j:
-                            quad[m, i, i] = 2.0 * coef[pos, m]
-                        else:
-                            quad[m, i, j] = coef[pos, m]
-                            quad[m, j, i] = coef[pos, m]
-                    pos += 1
-            # graph immersion t -> (t, f(t)): exact trace of the second
-            # fundamental form of the fitted quadratic at the vertex
-            g = np.eye(k) + grad @ grad.T
-            ginv = np.linalg.inv(g)
-            tangents = tan + grad @ nor               # (k, n)
-            second = np.einsum("mij,mn->ijn", quad, nor)
-            proj = second - np.einsum("ijn,lm,ln,mo->ijo",
-                                      second, ginv, tangents, tangents)
-            out[v] = np.einsum("ij,ijn->n", ginv, proj)
+        ncols = 1 + k + k * (k + 1) // 2
+        # CSR stencils: the one-ring from every ordered pair of cell corners
+        a = np.repeat(self.cells, k + 1, axis=1).reshape(-1)
+        b = np.tile(self.cells, k + 1).reshape(-1)
+        one = _csr((a * nv + b)[a != b], nv)
+        ring = _widen(one, one, np.arange(nv))
+        for _ in range(3):
+            short = np.flatnonzero(np.diff(ring[0]) < ncols)
+            if not len(short):
+                break
+            ring = _widen(ring, one, short)
+        sizes = np.diff(ring[0])
+        if np.any(sizes < ncols):
+            v = int(np.argmax(sizes < ncols))
+            raise InsufficientStencil(
+                f"{self._name()}: vertex {v} has {sizes[v]} stencil "
+                f"neighbours, needs {ncols}")
+        # the normal space of the cells at each vertex: the n - k smallest
+        # eigenvectors of the sum of their tangent projectors
+        frames = self.cell_frames()
+        tangent = frames.swapaxes(1, 2) @ frames
+        acc = np.zeros((nv, n, n))
+        for j in range(k + 1):
+            np.add.at(acc, self.cells[:, j], tangent)
+        cell_normals = np.linalg.eigh(acc)[1][:, :, :n - k]
+        out = np.empty((nv, n))
+        for size in np.unique(sizes):
+            ids = np.flatnonzero(sizes == size)
+            for lo in range(0, len(ids), _FIT_BLOCK):
+                block = ids[lo:lo + _FIT_BLOCK]
+                nbrs = ring[1][ring[0][block][:, None] + np.arange(size)]
+                out[block] = self._fit(block, nbrs, cell_normals[block])
         self._fit_cache = out
         return out
+
+    def _fit(self, block, nbrs, cell_normals):
+        """Mean curvature vectors at the vertices ``block``, each fitted over
+        its row of ``nbrs``."""
+        k, n = self.k, self.n
+        m = nbrs.shape[1]
+        disp = self.vertices[nbrs] - self.vertices[block][:, None, :]
+        # tangent estimate: principal directions of the displacement cloud;
+        # with m >= n the reduced SVD has the whole n x n vt
+        _, _, vt = np.linalg.svd(disp, full_matrices=m < n)
+        tan, nor = vt[:, :k], vt[:, k:]
+        # the fitted normal space must hold most of the cells' normal space
+        agree = np.sum((nor @ cell_normals) ** 2, axis=(1, 2)) / (n - k)
+        if np.any(agree < 0.5):
+            v = int(block[np.argmax(agree < 0.5)])
+            raise InsufficientStencil(
+                f"{self._name()}: the curvature fit at vertex {v} takes a "
+                "normal of its cells for a tangent; refine the mesh")
+        t = disp @ tan.swapaxes(1, 2)                 # (B, m, k)
+        w = disp @ nor.swapaxes(1, 2)                 # (B, m, n - k)
+        iu, ju = np.triu_indices(k)
+        A = np.concatenate([np.ones((len(block), m, 1)), t,
+                            t[..., iu] * t[..., ju]], axis=2)
+        # least squares with lstsq's default cutoff: the minimum-norm fit
+        # where the stencil leaves the quadratic undetermined
+        cutoff = max(A.shape[1:]) * np.finfo(float).eps
+        coef = np.linalg.pinv(A, rcond=cutoff) @ w
+        grad = coef[:, 1:1 + k]                       # (B, k, n - k)
+        # graph immersion t -> (t, f(t)): exact trace of the second
+        # fundamental form of the fitted quadratic at the vertex, whose
+        # x_i x_j column enters the Hessian at (i, j) and (j, i)
+        ginv = np.linalg.inv(np.eye(k) + grad @ grad.swapaxes(1, 2))
+        pair = np.where(iu == ju, 2.0 * ginv[:, iu, ju],
+                        ginv[:, iu, ju] + ginv[:, ju, iu])    # (B, nq)
+        hvec = (pair[:, None, :] @ coef[:, 1 + k:]) @ nor      # (B, 1, n)
+        tangents = tan + grad @ nor                   # (B, k, n)
+        along = (hvec @ tangents.swapaxes(1, 2)) @ ginv @ tangents
+        return (hvec - along)[:, 0]
+
+    def _name(self) -> str:
+        return f"{self.metadata.get('generator', 'custom')} mesh"
 
     # -- refinement ---------------------------------------------------------------
 
@@ -256,6 +269,35 @@ def kept(memo: dict, key, compute):
     if out is None:
         out = memo.setdefault(key, compute())
     return out
+
+
+def _csr(pairs: np.ndarray, nv: int):
+    """Row pointers and members of the distinct ``row * nv + member``."""
+    pairs = np.sort(pairs)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    rows, members = np.divmod(pairs, nv)
+    return np.searchsorted(rows, np.arange(nv + 1)), members
+
+
+def _widen(ring, one, rows):
+    """``ring`` with the one-ring of every member added at ``rows``.
+
+    Both are CSR stencils ``(indptr, members)`` over the same vertices; no
+    vertex joins its own stencil.
+    """
+    indptr, members = ring
+    nv = len(indptr) - 1
+    owner = np.repeat(np.arange(nv), np.diff(indptr))
+    at = np.zeros(nv, dtype=bool)
+    at[rows] = True
+    v, w = owner[at[owner]], members[at[owner]]
+    # every member of one[w], for each pair (v, w)
+    start, count = one[0][w], np.diff(one[0])[w]
+    first = np.cumsum(count) - count
+    v = np.repeat(v, count)
+    x = one[1][np.repeat(start - first, count) + np.arange(count.sum())]
+    return _csr(np.concatenate(
+        [owner * nv + members, (v * nv + x)[v != x]]), nv)
 
 
 def _snap_to_surface(mesh: SimplicialMesh):

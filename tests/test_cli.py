@@ -446,6 +446,37 @@ def test_pole_off_the_grid_is_a_config_error(tmp_path, capsys, geometry,
         assert "config error" in err and message in err
 
 
+@pytest.mark.parametrize("geometry,message", [
+    ("builtin = sphere_mesh\nlevel = 0",
+     "sphere mesh: the curvature fit at vertex 0 takes a normal"),
+    ("builtin = graph_mesh\ndivisions = 1",
+     "graph mesh: vertex 0 has 3 stencil neighbours, needs 6"),
+], ids=["icosahedron", "one_division"])
+def test_mesh_too_coarse_for_the_fit_is_a_config_error(tmp_path, capsys,
+                                                       geometry, message):
+    text = DISK_CONE_CFG.replace(
+        "builtin = disk_mesh\nradius = 1.0\nrings = 12", geometry).replace(
+        "p = 1\ngamma = 1", "p = 1.5\ngamma = 0.5").replace(
+        "boundary_vanishing = true", "boundary_vanishing = false")
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "config error" in err and message in err
+        assert "Traceback" not in err
+
+
+def test_negative_slack_is_a_config_error(tmp_path, capsys):
+    text = DISK_CONE_CFG + "slack = -1\n"
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "config error: [inequality] slack must be >= 0" in err
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(DISK_CONE_CFG)
+    for argv in (["verify", str(cfg)], ["search", str(cfg), "--budget", "1"]):
+        code, _, err = run(argv + ["--slack", "-1"], capsys)
+        assert code == 1
+        assert "config error: --slack must be >= 0" in err
+
+
 def test_unknown_ambient_kind_is_a_config_error(tmp_path, capsys):
     text = DISK_CONE_CFG.replace("kind = euclidean", "kind = hyperbolic")
     for code, _, err in _verify_and_search(tmp_path, capsys, text):

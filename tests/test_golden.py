@@ -22,14 +22,14 @@ GOLDEN = {
         "26d36195bfb030c721c047333fa520f769ef595e848ad987e636f23d26efd7b3",
         "c9af343e11a492fad47eaa7e6752e90a38142dd88f06f4a21eea23a3a1a35972"),
     "geodesic_sobolev": (
-        "a144d427d034702825098cac6bd9051a506978e316f571557ba4fa38794a6e1e",
-        "2c08f5a6a8787bdbecc228263752e5b7d62a20ad8cd03f813b1f7b686bf50f74"),
+        "d8d4547485b44cbf3c062ea64c0e16d1c8b5023b6d955a5391db2816b9a715d6",
+        "842d69b954af5edab689f926fa3e13138a5183a63558686933a287468b6e1ac3"),
     "hardy_cone": (
-        "df46b103e7161ae0f9e4870db7eb3927356c0382f5165299d1bdfa6214f06cec",
-        "8b8c534581cebaea4492a2248f04a75c8a1f6e88b3526510e5f9fb56c9f3f923"),
+        "7dbf3e35cbc0e175575a7af2fe9ac8e39f06a9a04d37ba1778f0cf149cefe5bb",
+        "20e4a60e1f2a59087d002a6c128fd301dcf945b68e143f0c12f76fef49acef04"),
     "hpw_disk": (
-        "db485d902fd222484f7ccbee1fe35591a4594bea28a21d56cfa0479c94c6757c",
-        "ada96f62e3c603cbec3f0bcf4e6b6a1174aad1b743ee0555562451a8322899f3"),
+        "983d31421414dbc37cecb0b90a4eaa2d4f0ab30b2fa8cca7ca769e16b7e4a0a3",
+        "fe28d5e5cadeaa1a1108e37cade42b57af1471db7200e0930a6d308f66f0cb78"),
     "nash_ball": (
         "887613ab241fe6e62035b2d3ac45d96b69f9496506ce6c289d33c85ce7fce820",
         "017cd6328addd72efec9f8eef2df33470f506f4fd97c779bd85f5d46712542fe"),
@@ -56,7 +56,7 @@ def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
 # SHA-256 of the seed-0 `run_corpus` reports as sorted-key JSON, serial
 # or on threads
 CORPUS_REPORTS = (
-    "d48218f50dbd1dbe59b64ca3e8fe8f548a310cccc24f9ff7c2cc25411b384aa4")
+    "cc0bfc653e140febae721e5bc9cf729456b0d8f1cc74fc842827d29504c65dcd")
 # SHA-256 over the cases of `build_corpus(seed, draws=60)`, seeds 0-19
 CORPUS_CASES = (
     "9a7cb791b397518f9310cf951c78a4a21c1d65bd1051d886536f6f19c3ca9316")
@@ -108,7 +108,7 @@ field.kind = radial_power, radial_bump, polynomial, random_smooth
 """
 # SHA-256 of `search --budget 40 --seed 3 --levels 1 --out` on that sweep
 SEARCH_PAYLOAD = (
-    "9ddac6dc2fcc41bd9f3037c0e1968b7719099ff9ce3a88a829f857e659367a98")
+    "2326c8bc878de7344776aad36d46692fba1af788860c91dbfb254715cc040117")
 
 
 def test_search_payload_is_golden(tmp_path, capsys):
