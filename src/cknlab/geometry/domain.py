@@ -461,7 +461,11 @@ class Domain:
         frames = self._frames[cell_ids]
         dots = (frames @ u[..., None])[..., 0]
         tan_sq = np.einsum("sk,sk->s", dots, dots)
-        perp = np.linalg.norm(u - (dots[:, None, :] @ frames)[:, 0], axis=1)
+        # |u - its tangential part|, without the cancellation of 1 - tan_sq
+        normal = (dots[:, None, :] @ frames)[:, 0]
+        normal -= u
+        perp = np.sqrt(np.einsum("sn,sn->s", normal, normal))
+        del frames, normal   # before the curvature gather, the largest
         hvec = np.einsum("sb,sbn->sn",
                          bary, self._vertex_H[self.mesh.cells[cell_ids]])
         h_norm = np.linalg.norm(hvec, axis=1)

@@ -271,33 +271,43 @@ def kept(memo: dict, key, compute):
     return out
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of an int array, sorted."""
+    a = np.sort(a)
+    return a[np.diff(a, prepend=-1) != 0]
+
+
 def _csr(pairs: np.ndarray, nv: int):
     """Row pointers and members of the distinct ``row * nv + member``."""
-    pairs = np.sort(pairs)
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-    rows, members = np.divmod(pairs, nv)
+    rows, members = np.divmod(_distinct(pairs), nv)
     return np.searchsorted(rows, np.arange(nv + 1)), members
+
+
+def _gather(csr, rows):
+    """Every member of the given rows of ``csr``, with its row's position."""
+    indptr, members = csr
+    count = indptr[rows + 1] - indptr[rows]
+    first = np.cumsum(count) - count
+    at = np.repeat(indptr[rows] - first, count) + np.arange(count.sum())
+    return np.repeat(np.arange(len(rows)), count), members[at]
 
 
 def _widen(ring, one, rows):
     """``ring`` with the one-ring of every member added at ``rows``.
 
     Both are CSR stencils ``(indptr, members)`` over the same vertices; no
-    vertex joins its own stencil.
+    vertex joins its own stencil.  The rows are widened ``_FIT_BLOCK`` at a
+    time, which bounds the scratch memory of the repeated members.
     """
-    indptr, members = ring
-    nv = len(indptr) - 1
-    owner = np.repeat(np.arange(nv), np.diff(indptr))
-    at = np.zeros(nv, dtype=bool)
-    at[rows] = True
-    v, w = owner[at[owner]], members[at[owner]]
-    # every member of one[w], for each pair (v, w)
-    start, count = one[0][w], np.diff(one[0])[w]
-    first = np.cumsum(count) - count
-    v = np.repeat(v, count)
-    x = one[1][np.repeat(start - first, count) + np.arange(count.sum())]
-    return _csr(np.concatenate(
-        [owner * nv + members, (v * nv + x)[v != x]]), nv)
+    nv = len(ring[0]) - 1
+    pairs = [np.repeat(np.arange(nv), np.diff(ring[0])) * nv + ring[1]]
+    for lo in range(0, len(rows), _FIT_BLOCK):
+        block = rows[lo:lo + _FIT_BLOCK]
+        at, w = _gather(ring, block)
+        via, x = _gather(one, w)
+        v = block[at[via]]
+        pairs.append(_distinct((v * nv + x)[v != x]))
+    return _csr(np.concatenate(pairs), nv)
 
 
 def _snap_to_surface(mesh: SimplicialMesh):

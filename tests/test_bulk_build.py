@@ -20,6 +20,7 @@ from cknlab.errors import InsufficientStencil, InvalidArgument
 from cknlab.geometry import (
     AmbientSpace,
     Domain,
+    SimplicialMesh,
     disk_mesh,
     flat_disk_patch,
     graph_mesh,
@@ -138,6 +139,12 @@ def test_icosahedron_is_too_coarse_for_the_fit():
 def test_short_stencil_is_refused():
     mesh = graph_mesh(lambda x, y: 0.2 * x * x, 1.0, divisions=1)
     with pytest.raises(InsufficientStencil, match="graph mesh: vertex 0 has 3"):
+        mesh.vertex_mean_curvature()
+    # a vertex in no cell has an empty stencil
+    disk = disk_mesh(1.0, rings=4, center=(0.0, 0.0, 0.3))
+    mesh = SimplicialMesh(np.vstack([disk.vertices, [[5.0, 5.0, 5.0]]]),
+                          disk.cells, disk.boundary_facets)
+    with pytest.raises(InsufficientStencil, match="vertex 61 has 0"):
         mesh.vertex_mean_curvature()
 
 
