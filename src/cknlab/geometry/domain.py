@@ -599,8 +599,7 @@ class Domain:
         F, dF, d2F = patch.jet(U)
         # G, the ambient metric, is the identity in Euclidean space
         G = None if amb.kind == "euclidean" else amb.metric_matrix(F)
-        GdF = dF if G is None else G @ dF
-        g = dF.swapaxes(1, 2) @ GdF
+        g = dF.swapaxes(1, 2) @ (dF if G is None else G @ dF)
         colnorm_sq = np.diagonal(g, axis1=1, axis2=2)
         if np.any(colnorm_sq <= 0):
             raise InvalidArgument(_DEGENERATE)
@@ -609,12 +608,12 @@ class Domain:
         # would cancel catastrophically in the raw basis
         colnorm = np.sqrt(colnorm_sq)
         dFn = dF / colnorm[:, None, :]
-        adj, det_n = _adjugate_and_det(
+        ginv, det_n = _adjugate_and_det(
             g / (colnorm[:, :, None] * colnorm[:, None, :]))
         det = det_n * np.prod(colnorm_sq, axis=1)
         if np.any(det <= 0):
             raise InvalidArgument(_DEGENERATE)
-        ginv = adj / det_n[:, None, None]
+        ginv /= det_n[:, None, None]
         dens = rule_dens * np.sqrt(det)
         r, h, hp, u = self._radial(F)
         dr = (u[:, None, :] @ dFn)[:, 0]
@@ -635,7 +634,7 @@ class Domain:
                 S = S + dF.swapaxes(1, 2)[:, None] @ (gam @ dF[:, None])
             S = (S / (colnorm[:, None, :, None] * colnorm[:, None, None, :])
                  ).reshape(len(U), n, k * k)
-            inner = (GdF / colnorm[:, None, :]).swapaxes(1, 2) @ S
+            inner = (dFn if G is None else G @ dFn).swapaxes(1, 2) @ S
             S_perp = S - (dFn @ ginv) @ inner
             Hvec = (S_perp @ ginv.reshape(len(U), k * k, 1))[..., 0]
             h_norm = _metric_norm(G, Hvec)

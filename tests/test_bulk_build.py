@@ -138,7 +138,8 @@ def test_icosahedron_is_too_coarse_for_the_fit():
 
 def test_short_stencil_is_refused():
     mesh = graph_mesh(lambda x, y: 0.2 * x * x, 1.0, divisions=1)
-    with pytest.raises(InsufficientStencil, match="graph mesh: vertex 0 has 3"):
+    with pytest.raises(InsufficientStencil,
+                       match="graph mesh: vertex 0 has 3"):
         mesh.vertex_mean_curvature()
     # a vertex in no cell has an empty stencil
     disk = disk_mesh(1.0, rings=4, center=(0.0, 0.0, 0.3))
