@@ -597,9 +597,8 @@ class Domain:
     def _patch_batch(self, U, rule_dens) -> SiteBatch:
         patch, amb = self.patch, self.ambient
         F, dF, d2F = patch.jet(U)
-        # G, the ambient metric, is the identity in Euclidean space
-        G = None if amb.kind == "euclidean" else amb.metric_matrix(F)
-        g = dF.swapaxes(1, 2) @ (dF if G is None else G @ dF)
+        G = amb.metric_matrix(F)
+        g = dF.swapaxes(1, 2) @ (G @ dF)
         colnorm_sq = np.diagonal(g, axis1=1, axis2=2)
         if np.any(colnorm_sq <= 0):
             raise InvalidArgument(_DEGENERATE)
@@ -628,13 +627,11 @@ class Domain:
             tan_sq = np.ones(len(U))
         else:
             perp = _metric_norm(G, u - (dFn @ along[..., None])[..., 0])
-            S = d2F
-            if G is not None:
-                gam = amb.christoffels(F)
-                S = S + dF.swapaxes(1, 2)[:, None] @ (gam @ dF[:, None])
+            gam = amb.christoffels(F)
+            S = d2F + dF.swapaxes(1, 2)[:, None] @ (gam @ dF[:, None])
             S = (S / (colnorm[:, None, :, None] * colnorm[:, None, None, :])
                  ).reshape(len(U), n, k * k)
-            inner = (dFn if G is None else G @ dFn).swapaxes(1, 2) @ S
+            inner = (G @ dFn).swapaxes(1, 2) @ S
             S_perp = S - (dFn @ ginv) @ inner
             Hvec = (S_perp @ ginv.reshape(len(U), k * k, 1))[..., 0]
             h_norm = _metric_norm(G, Hvec)
@@ -734,8 +731,8 @@ class Domain:
 
 
 def _metric_norm(G, v):
-    """Norms of the rows of ``v`` under the metrics ``G`` (None: Euclidean)."""
-    Gv = v if G is None else (G @ v[..., None])[..., 0]
+    """Norms of the rows of ``v`` under the metrics ``G``."""
+    Gv = (G @ v[..., None])[..., 0]
     return np.sqrt(np.maximum(np.sum(v * Gv, axis=1), 0.0))
 
 

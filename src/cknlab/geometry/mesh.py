@@ -44,6 +44,7 @@ class SimplicialMesh:
         else:
             self.boundary_facets = np.asarray(self.boundary_facets, dtype=int)
         self._fit_cache = None
+        self._frames_cache = None
         # what every field binding on this mesh derives from its vertices
         # and cells alone (edge Gram, vertex columns), filled by kept()
         self.kept = {}
@@ -78,10 +79,15 @@ class SimplicialMesh:
         return np.sqrt(det) / math.factorial(self.k)
 
     def cell_frames(self) -> np.ndarray:
-        """(C, k, n) orthonormal tangent frames (flat cells, Euclidean metric)."""
-        e, _ = self.edge_gram()
-        q, _ = np.linalg.qr(np.transpose(e, (0, 2, 1)))
-        return np.transpose(q, (0, 2, 1))
+        """(C, k, n) orthonormal tangent frames (flat cells, Euclidean metric).
+
+        Computed once per mesh.
+        """
+        if self._frames_cache is None:
+            e, _ = self.edge_gram()
+            q, _ = np.linalg.qr(np.transpose(e, (0, 2, 1)))
+            self._frames_cache = np.transpose(q, (0, 2, 1))
+        return self._frames_cache
 
     def reconstruct_gradients(self, vertex_values: np.ndarray) -> np.ndarray:
         """(C, n) in-plane gradients of the per-cell linear interpolant."""
@@ -271,15 +277,9 @@ def kept(memo: dict, key, compute):
     return out
 
 
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of an int array, sorted."""
-    a = np.sort(a)
-    return a[np.diff(a, prepend=-1) != 0]
-
-
 def _csr(pairs: np.ndarray, nv: int):
     """Row pointers and members of the distinct ``row * nv + member``."""
-    rows, members = np.divmod(_distinct(pairs), nv)
+    rows, members = np.divmod(np.unique(pairs), nv)
     return np.searchsorted(rows, np.arange(nv + 1)), members
 
 
@@ -306,7 +306,7 @@ def _widen(ring, one, rows):
         at, w = _gather(ring, block)
         via, x = _gather(one, w)
         v = block[at[via]]
-        pairs.append(_distinct((v * nv + x)[v != x]))
+        pairs.append(np.unique((v * nv + x)[v != x]))
     return _csr(np.concatenate(pairs), nv)
 
 
