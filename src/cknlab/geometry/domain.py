@@ -334,9 +334,12 @@ class Domain:
         """(hi, lo) site batches for the weight ``h(r) ** -gamma``.
 
         The domain keeps one pair per band, graded for exponents up to
-        ``|gamma|``.  Above band 0 the pair leaves out the cells at the
-        pole, which :meth:`pole_sites` integrates.  With the pole on the
-        domain the exponent must stay below ``k``.
+        ``|gamma|``.  Band 0 keeps every cell whole and is built first; a
+        higher band computes the sites of its graded pieces only and copies
+        the rows of the cells it keeps whole from band 0's tables, which
+        hold them bit for bit.  Above band 0 the pair leaves out the cells
+        at the pole, which :meth:`pole_sites` integrates.  With the pole on
+        the domain the exponent must stay below ``k``.
         """
         if self.through_pole and gamma >= self.k:
             raise NonIntegrableWeight(
@@ -345,7 +348,11 @@ class Domain:
         band = self._gamma_band(gamma)
         build = (self._build_mesh_sites if self.kind == "mesh"
                  else self._build_patch_sites)
-        tables = self._cached(self._interior_cache, band, lambda: build(band))
+        # band 0 first: the other bands take their whole cells' rows from it
+        tables = self._cached(self._interior_cache, 0, lambda: build(0))
+        if band:
+            tables = self._cached(self._interior_cache, band,
+                                  lambda: build(band))
         return self._with_field(tables, band, bound_field)
 
     def pole_sites(self, gamma: float, bound_field=None):
@@ -396,24 +403,24 @@ class Domain:
         graded_corners = corners[owner]
         vols = simplex_volume(mb @ graded_corners)
         out = []
-        for s_index in self._simplex_indices():
+        for rule, s_index in enumerate(self._simplex_indices()):
             bary, wts = simplex_rule(k, s_index)
-            parts = []
-            if len(regular):
+            if band:
+                whole = _cell_rows(self._interior_cache[0][rule], regular,
+                                   len(wts))
+            else:
                 pts = np.einsum("qb,cbn->cqn", bary, corners[regular])
                 dens = self._volumes[regular][:, None] * wts[None, :]
-                parts.append(self._mesh_batch(
+                whole = self._mesh_batch(
                     regular.repeat(len(wts)),
                     np.broadcast_to(bary, (len(regular),) + bary.shape).reshape(
                         -1, k + 1),
-                    pts.reshape(-1, n), dens.reshape(-1)))
-            # the graded part, even empty: every cell may lie at the pole
+                    pts.reshape(-1, n), dens.reshape(-1))
             comp = bary @ mb                          # (P, q, k+1)
-            parts.append(self._mesh_batch(
+            out.append(_concat_batches([whole, self._mesh_batch(
                 owner.repeat(len(wts)), comp.reshape(-1, k + 1),
                 (comp @ graded_corners).reshape(-1, n),
-                (vols[:, None] * wts).reshape(-1)))
-            out.append(_concat_batches(parts))
+                (vols[:, None] * wts).reshape(-1))]))
         self._grading[band] = stats
         return tuple(out)
 
@@ -476,36 +483,42 @@ class Domain:
     # ---- patch sites
 
     def _build_patch_sites(self, band):
-        lo, hi, stats = self._patch_pieces(band)
+        whole, lo, hi, stats = self._patch_cells(band)
+        if not band:
+            lo, hi = self.patch.cell_boxes()
         width = hi - lo
         volume = np.prod(width, axis=1)
         out = []
-        for npts in (self.order, self.order - 1):
+        for rule, npts in enumerate((self.order, self.order - 1)):
             nodes, wts = box_rule(self.k, npts)
             U = lo[:, None] + nodes * width[:, None]           # (P, q, k)
-            out.append(self._patch_batch(U.reshape(-1, self.k),
-                                         (wts * volume[:, None]).reshape(-1)))
+            batch = self._patch_batch(U.reshape(-1, self.k),
+                                      (wts * volume[:, None]).reshape(-1))
+            if band:
+                batch = _concat_batches([_cell_rows(
+                    self._interior_cache[0][rule], whole, len(wts)), batch])
+            out.append(batch)
         self._grading[band] = stats
         return tuple(out)
 
-    def _patch_pieces(self, band):
-        """Chart boxes ``(lo, hi)`` of the graded decomposition.
+    def _patch_cells(self, band):
+        """The cells kept whole and the chart boxes ``(lo, hi)`` graded.
 
         Above band 0 the boxes with a corner at the pole are left out (see
-        :meth:`pole_sites`).  Cells on which the weight varies mildly come
-        first, in cell order, followed by the pieces of the other cells in
-        depth-first order.
+        :meth:`pole_sites`).  The cells on which the weight varies mildly
+        are kept whole, listed in cell order; the pieces of the other cells
+        follow in depth-first order.
         Each level bisects one axis per box, the one whose worse child
         varies least (the wider axis on a tie): splitting every axis would
         multiply the pieces along an edge near the pole at every level.
         """
         k = self.k
-        lo, hi = (np.delete(a, self._pole_cells if band else [], axis=0)
-                  for a in self.patch.cell_boxes())
-        var = self._box_variations(lo, hi, band)
-        # mild cells first, each group in cell order; a cell's position in
-        # this list is its owner rank
-        cells = np.argsort(~(var <= _VAR_TOL), kind="stable")
+        lo, hi = self.patch.cell_boxes()
+        cells = np.setdiff1d(np.arange(len(lo)),
+                             self._pole_cells if band else [])
+        var = self._box_variations(lo[cells], hi[cells], band)
+        mild = var <= _VAR_TOL
+        graded = cells[~mild]
         # children of a box on every axis, (axis, lower/upper child, coord)
         on_axis = np.eye(k, dtype=bool)[:, None, :]
         upper = np.array([[False], [True]])
@@ -525,9 +538,20 @@ class Domain:
                      chi[rows, best].reshape(-1, k)),
                     cvar[rows, best].reshape(-1))
 
-        (lo, hi), _, stats = _grade((lo[cells], hi[cells]),
-                                    np.arange(len(cells)), var[cells], split, 2)
-        return lo, hi, stats
+        (lo, hi), _, stats = _grade((lo[graded], hi[graded]),
+                                    np.arange(len(graded)), var[~mild],
+                                    split, 2)
+        whole = cells[mild]
+        return (whole, lo, hi,
+                replace(stats, pieces=stats.pieces + len(whole)))
+
+    def _patch_pieces(self, band):
+        """Every piece of :meth:`_patch_cells` as a chart box ``(lo, hi)``:
+        the whole cells first, then the graded pieces."""
+        whole, lo, hi, stats = self._patch_cells(band)
+        cell_lo, cell_hi = self.patch.cell_boxes()
+        return (np.concatenate([cell_lo[whole], lo]),
+                np.concatenate([cell_hi[whole], hi]), stats)
 
     def _pole_tables(self, gamma):
         """(hi, lo) tables of the cells at the pole for ``h ** -gamma``.
@@ -799,6 +823,16 @@ def _grade(pieces, owner, var, split, base):
     pieces = tuple(np.concatenate([d[0][i] for d in done])[order]
                    for i in range(len(pieces)))
     return pieces, owner[order], GradingStats(len(order), depth)
+
+
+def _cell_rows(batch, cells, q) -> SiteBatch:
+    """The rows of ``batch`` at the whole cells ``cells``: a table that
+    lists every cell whole, ``q`` sites each, holds cell ``c``'s sites at
+    rows ``c * q`` to ``c * q + q - 1``."""
+    rows = (cells[:, None] * q + np.arange(q)).reshape(-1)
+    return SiteBatch(**{
+        f.name: None if getattr(batch, f.name) is None
+        else getattr(batch, f.name)[rows] for f in dc_fields(SiteBatch)})
 
 
 def _concat_batches(batches) -> SiteBatch:

@@ -99,20 +99,28 @@ class SimplicialMesh:
     # -- boundary ---------------------------------------------------------------
 
     def boundary_owners(self) -> np.ndarray:
-        """Cell index owning each boundary facet."""
-        facet_sets = [frozenset(f) for f in self.boundary_facets]
-        lookup = {}
-        for cid, cell in enumerate(self.cells):
-            for sub in combinations(cell, self.k):
-                lookup.setdefault(frozenset(sub), []).append(cid)
-        owners = np.empty(len(facet_sets), dtype=int)
-        for i, fs in enumerate(facet_sets):
-            own = lookup.get(fs, [])
-            if len(own) != 1:
-                raise InvalidArgument(
-                    f"boundary facet {sorted(fs)} owned by {len(own)} cells")
-            owners[i] = own[0]
-        return owners
+        """Cell index owning each boundary facet.
+
+        Raises :class:`InvalidArgument` at the first facet that is a facet
+        of no cell or of several.
+        """
+        subs = _sub_facets(self.cells)
+        facets = np.sort(self.boundary_facets, axis=1)
+        order, group = _row_groups(np.concatenate([subs, facets]))
+        # per group of equal rows: its number of cell sub-facets and, when
+        # that is one, the cell
+        is_sub = order < len(subs)
+        count = np.bincount(group[is_sub], minlength=group[-1] + 1)
+        owner = np.zeros(len(count), dtype=int)
+        owner[group[is_sub]] = order[is_sub] // (self.k + 1)
+        at = np.empty(len(facets), dtype=int)
+        at[order[~is_sub] - len(subs)] = group[~is_sub]
+        bad = np.flatnonzero(count[at] != 1)
+        if len(bad):
+            i = bad[0]
+            raise InvalidArgument(f"boundary facet {facets[i].tolist()} "
+                                  f"owned by {count[at[i]]} cells")
+        return owner[at]
 
     def boundary_conormals(self) -> np.ndarray:
         """(B, n) outward unit conormals in the owning cell's plane."""
@@ -333,14 +341,33 @@ def _snap_to_surface(mesh: SimplicialMesh):
 
 
 def detect_boundary(cells: np.ndarray) -> np.ndarray:
-    """Facets appearing in exactly one cell."""
+    """Facets appearing in exactly one cell, vertices sorted, in the order
+    of their cells."""
+    subs = _sub_facets(cells)
+    order, group = _row_groups(subs)
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    # the sort is stable: a group's first row is its first appearance
+    once = order[starts][np.bincount(group) == 1]
+    return subs[np.sort(once)]
+
+
+def _sub_facets(cells: np.ndarray) -> np.ndarray:
+    """(C * (k + 1), k) facets of every cell, vertices sorted, cell by cell
+    in lexicographic order."""
+    cells = np.asarray(cells, dtype=int)
     k = cells.shape[1] - 1
-    count = {}
-    for cell in cells:
-        for sub in combinations(sorted(cell), k):
-            count[sub] = count.get(sub, 0) + 1
-    facets = [list(f) for f, c in count.items() if c == 1]
-    return np.array(facets, int) if facets else np.zeros((0, k), int)
+    return np.sort(cells, axis=1)[:, list(combinations(range(k + 1), k))
+                                  ].reshape(-1, k)
+
+
+def _row_groups(rows: np.ndarray):
+    """The stable lexicographic order of ``rows`` and, along it, the index
+    of each row's group of equal rows."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return order, np.cumsum(new) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,17 @@ here as test-only references, so they agree to roundoff
 differently on purpose: as the norm of the radial direction's normal part,
 not as ``sqrt(1 - |tangential part|^2)``, which leaves ``sqrt(eps)`` of
 noise where the radial direction is tangent.
+
+The mesh topology (boundary facets and their owning cells) comes from sorted
+facet rows and must equal the dict-based reference kept here, and a weight
+band above 0 must take the rows of the cells it keeps whole from band 0's
+tables and compute only its graded pieces.
 """
 
 import math
+import re
+from dataclasses import fields as dc_fields
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -29,8 +37,10 @@ from cknlab.geometry import (
     sphere_mesh,
     sphere_patch,
 )
-from cknlab.geometry.domain import _adjugate_and_det
+from cknlab.geometry.domain import SiteBatch, _adjugate_and_det
 from cknlab.geometry.fields import make_field
+from cknlab.geometry.mesh import detect_boundary, read_mesh
+from cknlab.quadrature import simplex_rule
 
 
 def _close(got, want):
@@ -296,3 +306,160 @@ def test_perp_vanishes_on_flat_domains_through_the_pole(euclid3, geometry):
     for gamma in (0.0, 1.5):
         for batch in domain.sites(gamma) + domain.pole_sites(gamma):
             assert np.max(batch.perp) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# mesh topology
+# ---------------------------------------------------------------------------
+
+def ref_detect_boundary(cells):
+    """Facets appearing in exactly one cell, counted in a dict."""
+    k = cells.shape[1] - 1
+    count = {}
+    for cell in cells:
+        for sub in combinations(sorted(cell), k):
+            count[sub] = count.get(sub, 0) + 1
+    facets = [list(f) for f, c in count.items() if c == 1]
+    return np.array(facets, int) if facets else np.zeros((0, k), int)
+
+
+def ref_boundary_owners(mesh):
+    """Owning cell of each boundary facet, looked up in a dict of sets."""
+    lookup = {}
+    for cid, cell in enumerate(mesh.cells):
+        for sub in combinations(cell, mesh.k):
+            lookup.setdefault(frozenset(sub), []).append(cid)
+    owners = np.empty(len(mesh.boundary_facets), dtype=int)
+    for i, facet in enumerate(mesh.boundary_facets):
+        own = lookup.get(frozenset(facet), [])
+        if len(own) != 1:
+            raise InvalidArgument(f"owned by {len(own)} cells")
+        owners[i] = own[0]
+    return owners
+
+
+def _file_mesh(path, vertices, cells):
+    """A mesh read back from a file listing each boundary facet with its
+    vertices rotated, the facets in reverse order."""
+    facets = ref_detect_boundary(cells)[::-1]
+    facets = np.roll(facets, 1, axis=1)
+    rows = [f"{len(vertices)} {len(cells)} {len(facets)}"]
+    rows += [" ".join(map(repr, v)) for v in np.asarray(
+        vertices, float).tolist()]
+    rows += [" ".join(map(str, c)) for c in cells.tolist() + facets.tolist()]
+    path.write_text("\n".join(rows) + "\n")
+    return read_mesh(path)
+
+
+def _polyline(tmp_path):
+    t = np.linspace(0.0, 1.0, 9)
+    vertices = np.stack([t, t * t, np.zeros_like(t)], axis=1)
+    cells = np.stack([np.arange(8), np.arange(1, 9)], axis=1)[::-1]
+    return _file_mesh(tmp_path / "polyline.mesh", vertices, cells)
+
+
+def _kuhn_tetrahedra(tmp_path):
+    # a 2 x 2 x 1 block of unit cubes, six tetrahedra each
+    shape = (3, 3, 2)
+    vertices = np.stack(np.indices(shape).reshape(3, -1), axis=1)
+    cells = []
+    for corner in np.ndindex(2, 2, 1):
+        for perm in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
+                     (2, 1, 0)]:
+            at, path = np.array(corner), [corner]
+            for axis in perm:
+                at = at + np.eye(3, dtype=int)[axis]
+                path.append(tuple(at))
+            cells.append([np.ravel_multi_index(p, shape) for p in path])
+    return _file_mesh(tmp_path / "tets.mesh", vertices, np.array(cells))
+
+
+TOPOLOGY_MESHES = {
+    "disk": lambda _: disk_mesh(1.0, rings=5),
+    "graph": lambda _: graph_mesh(lambda x, y: 0.1 * x * y, 1.0, 6),
+    "sphere": lambda _: sphere_mesh(1.0, level=2),
+    "polyline": _polyline,
+    "tetrahedra": _kuhn_tetrahedra,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGY_MESHES))
+def test_topology_matches_dict_reference(tmp_path, name):
+    mesh = TOPOLOGY_MESHES[name](tmp_path)
+    want = ref_detect_boundary(mesh.cells)
+    got = detect_boundary(mesh.cells)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert (len(want) == 0) == (name == "sphere")
+    assert np.array_equal(mesh.boundary_owners(), ref_boundary_owners(mesh))
+
+
+@pytest.mark.parametrize("owners", [0, 2])
+@pytest.mark.parametrize("name", ["disk", "polyline", "tetrahedra"])
+def test_facet_not_owned_by_one_cell_is_refused(tmp_path, name, owners):
+    mesh = TOPOLOGY_MESHES[name](tmp_path)
+    if owners == 0:
+        # the first boundary facet with a vertex moved to one in no cell
+        mesh.vertices = np.vstack([mesh.vertices, np.full(mesh.n, 9.0)])
+        facet = mesh.boundary_facets[0].copy()
+        facet[0] = len(mesh.vertices) - 1
+    else:
+        # a facet of the first cell that is not on the boundary
+        boundary = {tuple(f) for f in np.sort(mesh.boundary_facets, axis=1)}
+        facet = next(np.array(sub) for sub in combinations(
+            sorted(mesh.cells[0]), mesh.k) if sub not in boundary)
+    mesh.boundary_facets = np.vstack([mesh.boundary_facets, facet])
+    with pytest.raises(InvalidArgument, match=f"owned by {owners} cells"):
+        ref_boundary_owners(mesh)
+    with pytest.raises(InvalidArgument, match=re.escape(
+            f"boundary facet {sorted(facet.tolist())} owned by {owners} "
+            "cells")):
+        mesh.boundary_owners()
+
+
+# ---------------------------------------------------------------------------
+# weight bands share band 0's whole cells
+# ---------------------------------------------------------------------------
+
+def _rule_sizes(domain):
+    if domain.kind == "mesh":
+        return [len(simplex_rule(domain.k, s)[1])
+                for s in domain._simplex_indices()]
+    return [npts ** domain.k for npts in (domain.order, domain.order - 1)]
+
+
+@pytest.mark.parametrize("name", sorted(corpus_geometries()))
+def test_band_copies_whole_cells_from_band0(monkeypatch, name):
+    domain = corpus_geometries()[name]()
+    band0 = domain.sites(0.0)
+    batch = "_mesh_batch" if domain.kind == "mesh" else "_patch_batch"
+    build = getattr(domain, batch)
+    rows = []
+
+    def counted(*args):
+        rows.append(len(args[-1]))     # the densities, one per site
+        return build(*args)
+
+    monkeypatch.setattr(domain, batch, counted)
+    band = 2
+    # asked for at -band: the gamma >= k check lets it by
+    tables = domain.sites(-band)
+    if domain.kind == "mesh":
+        corners = domain.mesh.vertices[domain.mesh.cells]
+        whole, owner, _, _ = domain._mesh_pieces(corners, band)
+        graded = len(owner)
+    else:
+        whole, lo, _, _ = domain._patch_cells(band)
+        graded = len(lo)
+    sizes = _rule_sizes(domain)
+    assert rows == [graded * q for q in sizes]
+    assert len(whole) > 0
+    for table, base, q in zip(tables, band0, sizes):
+        assert len(table.r) == (len(whole) + graded) * q
+        at = (whole[:, None] * q + np.arange(q)).reshape(-1)
+        for column in dc_fields(SiteBatch):
+            got, want = (getattr(table, column.name),
+                         getattr(base, column.name))
+            assert (got is None) == (want is None), column.name
+            if got is not None:
+                assert np.array_equal(got[:len(at)], want[at]), column.name

@@ -56,7 +56,7 @@ def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
 # SHA-256 of the seed-0 `run_corpus` reports as sorted-key JSON, serial
 # or on threads
 CORPUS_REPORTS = (
-    "2d07007f66f6630fef07ee63b14f8fb7f4346b885a4d614f11e3ec35040a2e51")
+    "19eec578bba347c152b27a9d5186acc2e54dba0589689972b04d83c24f236107")
 # SHA-256 over the cases of `build_corpus(seed, draws=60)`, seeds 0-19
 CORPUS_CASES = (
     "9a7cb791b397518f9310cf951c78a4a21c1d65bd1051d886536f6f19c3ca9316")

@@ -352,7 +352,7 @@ def test_racing_threads_build_a_band_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert builds == [2]
+    assert builds == [0, 2]
     assert dom.grading[2].max_depth > 0
     assert len(results) == workers
     assert all(hi is results[0][0] for hi, _ in results)
