@@ -13,6 +13,13 @@ depth-first recursion would.  Every integral is evaluated with a high- and a
 lower-order rule on the same decomposition, and the difference feeds the
 quadrature error estimate.
 
+The tables are kept per weight band, band ``ceil(|gamma|)``.  Band 0 keeps
+every cell whole and is built first.  A higher band lists the cells its
+weight leaves whole first, in cell order, then its graded pieces; it
+computes the sites of the graded pieces only and copies the whole cells'
+rows from band 0's tables, where cell ``c`` holds rows ``c * q`` to
+``c * q + q - 1`` of a ``q``-point rule.
+
 Above band 0 the cells at the pole leave those tables and are integrated per
 weight ``h(r) ** -gamma`` with Gauss-Jacobi for ``t ** (k - 1 - gamma)`` in
 the distance ``t`` to the pole, times Gauss-Legendre across.  On a polar
@@ -348,7 +355,9 @@ class Domain:
         band = self._gamma_band(gamma)
         build = (self._build_mesh_sites if self.kind == "mesh"
                  else self._build_patch_sites)
-        # band 0 first: the other bands take their whole cells' rows from it
+        # band 0 first: the other bands copy their whole cells' rows from
+        # it, reading the cache directly, since the build lock is not
+        # reentrant
         tables = self._cached(self._interior_cache, 0, lambda: build(0))
         if band:
             tables = self._cached(self._interior_cache, band,
