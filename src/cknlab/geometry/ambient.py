@@ -83,19 +83,6 @@ class AmbientSpace:
                            np.where(r > 0, r, 1.0), 1.0)
         return phi
 
-    def metric_dot(self, pts: np.ndarray, v: np.ndarray, w: np.ndarray):
-        """Pointwise metric inner products of vector batches (m, n)."""
-        if self.kind == "euclidean":
-            return np.einsum("ij,ij->i", v, w)
-        d = np.atleast_2d(pts) - self.pole
-        r = np.linalg.norm(d, axis=1)
-        u = d / np.where(r > 0, r, 1.0)[:, None]
-        phi2 = self.scale_factor(r) ** 2
-        vu = np.einsum("ij,ij->i", v, u)
-        wu = np.einsum("ij,ij->i", w, u)
-        vw = np.einsum("ij,ij->i", v, w)
-        return phi2 * (vw - vu * wu) + vu * wu
-
     def metric_matrix(self, pts: np.ndarray) -> np.ndarray:
         """Dense metric tensors (m, n, n) in ambient coordinates."""
         m, n = np.atleast_2d(pts).shape
@@ -109,12 +96,14 @@ class AmbientSpace:
         uu = np.einsum("ia,ib->iab", u, u)
         return phi2[:, None, None] * (eye - uu) + uu
 
-    def christoffels(self, pts: np.ndarray) -> np.ndarray:
-        """Connection coefficients (m, n, n, n) indexed [point, upper, a, b]."""
+    def connection(self, pts: np.ndarray, frame: np.ndarray) -> np.ndarray:
+        """(m, n, k, k) connection ``Gamma(X_i, X_j)`` of the columns of the
+        (m, n, k) ``frame``, from the closed form in ``u``, ``a = phi phi'``
+        and ``b = (1 - phi^2) / r`` (README, "Mean curvature")."""
         pts = np.atleast_2d(pts)
-        m, n = pts.shape
+        m, n, k = frame.shape
         if self.kind == "euclidean":
-            return np.zeros((m, n, n, n))
+            return np.zeros((m, n, k, k))
         d = pts - self.pole
         r = np.linalg.norm(d, axis=1)
         if np.any(r == 0):
@@ -123,25 +112,20 @@ class AmbientSpace:
         h = self.warp.h(r)
         hp = self.warp.h_prime(r)
         phi = h / r
-        dphi = (hp * r - h) / r ** 2
-        a = phi * dphi
-        b = (1.0 - phi ** 2) / r
-        eye = np.eye(n)
-        uu = np.einsum("ia,ib->iab", u, u)
-        # lowered symbol: a-part and b-part of the closed form
-        low = (a[:, None, None, None]
-               * (np.einsum("ia,cb->icab", u, eye)
-                  + np.einsum("ib,ca->icab", u, eye)
-                  - np.einsum("ic,ab->icab", u, eye)
-                  - np.einsum("ia,ib,ic->icab", u, u, u))
-               + b[:, None, None, None]
-               * np.einsum("ic,iab->icab", u, eye - uu))
-        inv_diag = phi ** -2
-        # g^{dc} = phi^{-2} delta + (1 - phi^{-2}) u u
-        gamma = (inv_diag[:, None, None, None] * low
-                 + np.einsum("id,ic,icab->idab", u,
-                             (1.0 - inv_diag)[:, None] * u, low))
-        return gamma
+        a = (phi * (hp * r - h) / r ** 2)[:, None, None]
+        b = ((1.0 - phi ** 2) / r)[:, None, None]
+        ux = (u[:, None, :] @ frame)[:, 0]                    # (m, k)
+        xy = frame.swapaxes(1, 2) @ frame                     # (m, k, k)
+        uxuy = ux[:, :, None] * ux[:, None, :]
+        across = xy - uxuy
+        low = (a[:, None] * (ux[:, None, :, None] * frame[:, :, None, :]
+                             + ux[:, None, None, :] * frame[:, :, :, None])
+               + (b * across - a * (xy + uxuy))[:, None]
+               * u[:, :, None, None])
+        inv = phi[:, None, None] ** -2
+        return (inv[:, None] * low
+                + ((1.0 - inv) * (b - a) * across)[:, None]
+                * u[:, :, None, None])
 
 
 def radial_data(ambient: AmbientSpace, x) -> tuple[float, np.ndarray, float]:

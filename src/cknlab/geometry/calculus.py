@@ -168,17 +168,16 @@ def hessian_comparison_margin(ambient, points, directions, step=1e-4):
     directions = np.atleast_2d(directions)
     out = np.empty(len(points))
     for i, (x, v) in enumerate(zip(points, directions)):
-        nv = np.sqrt(ambient.metric_dot(x[None, :], v[None, :], v[None, :])[0])
-        v = v / nv
+        G = ambient.metric_matrix(x[None, :])[0]
+        v = v / np.sqrt(v @ G @ v)
         r0 = ambient.radius(x[None, :])[0]
         rp = ambient.radius((x + step * v)[None, :])[0]
         rm = ambient.radius((x - step * v)[None, :])[0]
         d2 = (rp - 2.0 * r0 + rm) / step ** 2
-        gam = ambient.christoffels(x[None, :])[0]
         u = ambient.radial_unit(x[None, :])[0]
-        hess = d2 - float(np.einsum("cab,a,b,c->", gam, v, v, u))
-        dr_v = ambient.metric_dot(x[None, :], v[None, :],
-                                  u[None, :])[0]
+        gam = ambient.connection(x[None, :], v[None, :, None])[0, :, 0, 0]
+        hess = d2 - float(u @ gam)
+        dr_v = v @ G @ u
         bound = float(ambient.hessian_bound(r0)) * (1.0 - dr_v ** 2)
         out[i] = hess - bound
     return out

@@ -170,6 +170,10 @@ class Domain:
                 raise InvalidArgument(
                     f"the mesh has {geometry.n}-d vertices in a "
                     f"{ambient.dim}-d ambient")
+            if geometry.k >= 3:
+                raise InvalidArgument(
+                    f"simplicial meshes of dimension {geometry.k} are "
+                    "unsupported; use a parametric patch")
             self.kind = "mesh"
             self.mesh = geometry
             self.patch = None
@@ -210,7 +214,6 @@ class Domain:
             self.max_radius = float(np.max(self.vertex_r))
             self.boundary_vertices = np.unique(mesh.boundary_facets)
             if len(mesh.boundary_facets):
-                self._b_conormals = mesh.boundary_conormals()
                 self.min_boundary_radius = float(
                     np.min(self.vertex_r[self.boundary_vertices]))
             else:
@@ -238,7 +241,8 @@ class Domain:
                 [:, None]), shape)
         # the cells with a mesh vertex or grid corner at the pole, and which
         # of their corners it is
-        at_pole = radii <= 1e-12 * max(1.0, self.coord_scale)
+        tol = 1e-12 * max(1.0, self.coord_scale)
+        at_pole = radii <= tol
         hits = at_pole[corners]
         self.through_pole = bool(hits.any())
         self._pole_cells = np.flatnonzero(hits.any(axis=1))
@@ -249,6 +253,11 @@ class Domain:
                 at_pole.reshape(shape), -face[1], axis=face[0]).all()), None)
         if not self.through_pole:
             self._check_pole_placement()
+        if self.kind == "patch" and self._faces:
+            # the face samples can miss the closest boundary point
+            site_r = min(float(np.min(t.r)) for t in self.boundary_sites())
+            if site_r < self.min_boundary_radius - tol:
+                self.min_boundary_radius = site_r
 
     def _check_pole_placement(self):
         """Refuse a pole on a closed cell but at none of its corners.
@@ -572,7 +581,9 @@ class Domain:
         """
         k, cells, alpha = self.k, self._pole_cells, self.k - 1 - gamma
         if self._pole_face is None and k != 2:
-            raise NotImplementedError(f"no pole rule for k = {k}")
+            raise InvalidArgument(
+                f"no pole rule for a {k}-dimensional domain with the pole at "
+                "a vertex or grid corner; move the pole off the domain")
         if self.kind == "patch":
             lo, hi = (a[cells] for a in self.patch.cell_boxes())
             volume = np.prod(hi - lo, axis=1)
@@ -660,8 +671,7 @@ class Domain:
             tan_sq = np.ones(len(U))
         else:
             perp = _metric_norm(G, u - (dFn @ along[..., None])[..., 0])
-            gam = amb.christoffels(F)
-            S = d2F + dF.swapaxes(1, 2)[:, None] @ (gam @ dF[:, None])
+            S = d2F + amb.connection(F, dF)
             S = (S / (colnorm[:, None, :, None] * colnorm[:, None, None, :])
                  ).reshape(len(U), n, k * k)
             inner = (G @ dFn).swapaxes(1, 2) @ S
@@ -693,12 +703,13 @@ class Domain:
         k = self.k
         corners = mesh.vertices[mesh.boundary_facets]         # (B, k, n)
         vols = simplex_volume(corners)
+        conormals = mesh.boundary_conormals()
         out = []
         for s_index in self._simplex_indices():
             bary, wts = simplex_rule(k - 1, s_index)
             pts = np.einsum("qb,fbn->fqn", bary, corners).reshape(-1, self.n)
             r, h, hp, u = self._radial(pts)
-            conorm = np.repeat(self._b_conormals, len(wts), axis=0)
+            conorm = np.repeat(conormals, len(wts), axis=0)
             out.append(SiteBatch(
                 points=pts, density=(vols[:, None] * wts[None, :]).reshape(-1),
                 r=r, h=h, hp=hp, conormal_dot=np.einsum("sn,sn->s", u, conorm),
@@ -708,8 +719,13 @@ class Domain:
         return tuple(out)
 
     def _build_patch_boundary(self):
-        """Sites on the boundary faces: face, then cell, then node order."""
-        patch, amb = self.patch, self.ambient
+        """Sites on the boundary faces: face, then cell, then node order.
+
+        On the face ``u_a = const`` the measure is ``sqrt(det g * g^aa)``
+        and the conormal ``+-grad u_a / |grad u_a|`` (README, "Graded
+        quadrature"), read off the sites' inverse metric.
+        """
+        patch = self.patch
         k = patch.k
         if not self._faces:
             return None, None
@@ -731,34 +747,19 @@ class Domain:
                             patch.bounds[axis][side])
                 U[:, :, others] = lo_f[:, None] + nodes * width[:, None]
                 U = U.reshape(-1, k)
-                F, dF, _ = patch.jet(U)
-                G = amb.metric_matrix(F)
-                E = dF[:, :, others]
-                ge = np.einsum("sai,sab,sbj->sij", E, G, E)
-                det = ge[:, 0, 0] if k == 2 else np.linalg.det(ge)
-                dS = ((wts * np.prod(width, axis=1)[:, None]).reshape(-1)
-                      * np.sqrt(np.maximum(det, 0.0)))
-                # outward conormal: chart-outward direction made
-                # metric-orthonormal to the boundary tangents
+                b = self._patch_batch(
+                    U, (wts * np.prod(width, axis=1)[:, None]).reshape(-1))
+                gaa = np.sqrt(b.metric_ginv[:, axis, axis])
+                u = self._radial(b.points)[3]
+                dr = (u[:, None, :] @ b.dF)[:, 0]
                 sign = 1.0 if side == 1 else -1.0
-                nu = sign * dF[:, :, axis].copy()
-                basis = []
-                for j in range(E.shape[2]):
-                    e = E[:, :, j].copy()
-                    for prev in basis:
-                        crd = amb.metric_dot(F, e, prev)
-                        e = e - crd[:, None] * prev
-                    nrm = np.sqrt(np.maximum(amb.metric_dot(F, e, e), _TINY))
-                    basis.append(e / nrm[:, None])
-                for prev in basis:
-                    crd = amb.metric_dot(F, nu, prev)
-                    nu = nu - crd[:, None] * prev
-                nrm = np.sqrt(np.maximum(amb.metric_dot(F, nu, nu), _TINY))
-                nu = nu / nrm[:, None]
-                r, h, hp, u = self._radial(F)
-                parts.append(SiteBatch(points=F, density=dS, r=r, h=h, hp=hp,
-                                       conormal_dot=amb.metric_dot(F, u, nu),
-                                       chart=U))
+                parts.append(SiteBatch(
+                    points=b.points,
+                    density=b.density * gaa / b.chart_colnorm[:, axis],
+                    r=b.r, h=b.h, hp=b.hp,
+                    conormal_dot=sign * np.sum(
+                        b.metric_ginv[:, axis] * dr, axis=1) / gaa,
+                    chart=U))
             out.append(_concat_batches(parts))
         return tuple(out)
 

@@ -4,7 +4,11 @@ Meshes carry global vertex coordinates, k-simplex cells and (k-1)-simplex
 boundary facets.  Mean curvature is recovered at vertices by fitting a
 quadratic graph over the tangent plane of the two-ring neighbourhood, which
 works in any codimension; per-cell data (orthonormal tangent frames, linear
-reconstruction of sampled scalar fields) is exact on each flat cell.
+reconstruction of sampled scalar fields) is exact on each flat cell.  The
+boundary topology comes from sorted facet rows, and each boundary facet's
+outward conormal is the normalized gradient of the owning cell's barycentric
+coordinate opposite it, taken from the kept edge Gram, for every facet at
+once, for any k; domains take curves and triangle meshes (k = 1, 2).
 """
 
 from __future__ import annotations
@@ -123,27 +127,18 @@ class SimplicialMesh:
         return owner[at]
 
     def boundary_conormals(self) -> np.ndarray:
-        """(B, n) outward unit conormals in the owning cell's plane."""
+        """(B, n) outward unit conormals in the owning cell's plane:
+        ``-grad lambda / |grad lambda|`` for the owning cell's barycentric
+        coordinate ``lambda`` of the vertex opposite the facet."""
         owners = self.boundary_owners()
-        out = np.empty((len(owners), self.n))
-        frames = self.cell_frames()
-        for i, (facet, cid) in enumerate(zip(self.boundary_facets, owners)):
-            cell = set(self.cells[cid])
-            opposite = (cell - set(facet)).pop()
-            fverts = self.vertices[facet]
-            centroid = fverts.mean(axis=0)
-            direction = centroid - self.vertices[opposite]
-            # keep the in-plane component orthogonal to the facet
-            frame = frames[cid]
-            direction = frame.T @ (frame @ direction)
-            for edge in fverts[1:] - fverts[0]:
-                e = edge / np.linalg.norm(edge)
-                direction = direction - np.dot(direction, e) * e
-            norm = np.linalg.norm(direction)
-            if norm == 0:
-                raise DegenerateGeometry("degenerate boundary facet")
-            out[i] = direction / norm
-        return out
+        e, gram = self.edge_gram()
+        grad = np.linalg.solve(gram[owners], e[owners])        # (B, k, n)
+        grad = np.concatenate([-grad.sum(axis=1, keepdims=True), grad], 1)
+        cells = self.cells[owners]
+        opposite = np.all(cells[:, :, None] != self.boundary_facets[:, None],
+                          axis=2).argmax(axis=1)
+        nu = -grad[np.arange(len(owners)), opposite]
+        return nu / np.linalg.norm(nu, axis=1)[:, None]
 
     # -- two-ring quadratic fit -------------------------------------------------
 

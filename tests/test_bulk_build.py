@@ -7,7 +7,9 @@ here as test-only references, so they agree to roundoff
 (``rtol = 1e-10``, ``atol = 1e-12 * scale``).  ``perp`` is computed
 differently on purpose: as the norm of the radial direction's normal part,
 not as ``sqrt(1 - |tangential part|^2)``, which leaves ``sqrt(eps)`` of
-noise where the radial direction is tangent.
+noise where the radial direction is tangent.  The chart sites take the
+ambient connection contracted with the chart basis; the reference builds the
+full symbol and contracts it.
 
 The mesh topology (boundary facets and their owning cells) comes from sorted
 facet rows and must equal the dict-based reference kept here, and a weight
@@ -163,6 +165,34 @@ def test_short_stencil_is_refused():
 # chart sites
 # ---------------------------------------------------------------------------
 
+def ref_christoffels(amb, pts):
+    """The full connection symbol (m, n, n, n), indexed [point, upper, a,
+    b], from five 4-index einsums; zero on a Euclidean ambient."""
+    m, n = pts.shape
+    if amb.kind == "euclidean":
+        return np.zeros((m, n, n, n))
+    d = pts - amb.pole
+    r = np.linalg.norm(d, axis=1)
+    u = d / r[:, None]
+    h, hp = amb.warp.h(r), amb.warp.h_prime(r)
+    phi = h / r
+    a = phi * (hp * r - h) / r ** 2
+    b = (1.0 - phi ** 2) / r
+    eye = np.eye(n)
+    uu = np.einsum("ia,ib->iab", u, u)
+    low = (a[:, None, None, None]
+           * (np.einsum("ia,cb->icab", u, eye)
+              + np.einsum("ib,ca->icab", u, eye)
+              - np.einsum("ic,ab->icab", u, eye)
+              - np.einsum("ia,ib,ic->icab", u, u, u))
+           + b[:, None, None, None] * np.einsum("ic,iab->icab", u, eye - uu))
+    # g^{dc} = phi^-2 delta + (1 - phi^-2) u u
+    inv_diag = phi ** -2
+    return (inv_diag[:, None, None, None] * low
+            + np.einsum("id,ic,icab->idab", u,
+                        (1.0 - inv_diag)[:, None] * u, low))
+
+
 def ref_patch_batch(domain, U):
     """The einsum contractions, with np.linalg.inv and det, unit rule."""
     patch, amb = domain.patch, domain.ambient
@@ -186,7 +216,7 @@ def ref_patch_batch(domain, U):
         perp = np.zeros(len(U))
         tan_sq = np.ones(len(U))
     else:
-        gam = amb.christoffels(F)
+        gam = ref_christoffels(amb, F)
         S = d2F + np.einsum("scab,sai,sbj->scij", gam, dF, dF)
         S = S / (colnorm[:, None, :, None] * colnorm[:, None, None, :])
         inner = np.einsum("saij,sab,sbm->smij", S, G, dFn)
@@ -258,6 +288,22 @@ def test_patch_sites_match_einsum_reference(warped3, name):
     if name in FLAT_THROUGH_POLE:
         assert np.max(want["perp"]) > 1e-9
         assert np.max(got.perp) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_connection_contracts_the_full_symbol(warped3, k):
+    rng = np.random.default_rng(k)
+    x = rng.standard_normal((300, 3))
+    pts = x / np.linalg.norm(x, axis=1)[:, None] * rng.uniform(
+        0.01, 1.4, (300, 1))
+    frame = rng.standard_normal((300, 3, k))
+    want = np.einsum("scab,sai,sbj->scij", ref_christoffels(warped3, pts),
+                     frame, frame)
+    np.testing.assert_allclose(warped3.connection(pts, frame), want, rtol=0,
+                               atol=1e-12)
+    euclid = AmbientSpace.euclidean(3, pole=(0.2, -0.1, 0.3))
+    assert np.array_equal(euclid.connection(pts, frame),
+                          np.zeros((300, 3, k, k)))
 
 
 @pytest.mark.parametrize("name", ["disk_patch", "cap", "cap_warped",

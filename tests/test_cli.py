@@ -610,6 +610,31 @@ def test_malformed_mesh_file_is_a_config_error(tmp_path, capsys, monkeypatch,
         assert "[geometry] path" in err and message in err
 
 
+# a tetrahedron, and a polyline from the pole (vertex 0 at the origin)
+UNSUPPORTED_MESHES = {
+    "tetrahedra": ("4 1 4\n0.3 0.3 0.3\n1.3 0.3 0.3\n0.3 1.3 0.3\n"
+                   "0.3 0.3 1.3\n0 1 2 3\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n",
+                   "simplicial meshes of dimension 3 are unsupported"),
+    "polyline_through_pole": (
+        "9 8 2\n" + "".join(f"{t} {t * t} 0\n" for t in range(9))
+        + "".join(f"{i} {i + 1}\n" for i in range(8)) + "0\n8\n",
+        "no pole rule for a 1-dimensional domain"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSUPPORTED_MESHES))
+def test_unsupported_mesh_is_a_config_error(tmp_path, capsys, name):
+    content, message = UNSUPPORTED_MESHES[name]
+    path = tmp_path / "cells.mesh"
+    path.write_text(content)
+    text = (MESH_FILE_CFG.format(path=path)
+            .replace("boundary_vanishing = true", "boundary_vanishing = false")
+            .replace("p = 1\ngamma = 1", "p = 1\ngamma = 0.5"))
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "config error" in err and message in err
+
+
 def test_quadrature_order_one_is_a_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_domain", _never_build)
     text = DISK_CONE_CFG.replace("rings = 12",

@@ -1,7 +1,7 @@
 """Golden reports: the bundled scenarios' payloads, byte for byte.
 
-The seed-0 corpus reports, the corpus case lists and one tightness-search
-payload are pinned the same way.
+The seed-0 corpus reports (one hash per corpus geometry), the corpus case
+lists and one tightness-search payload are pinned the same way.
 
 A refactor must leave these files unchanged.  A change that moves a report
 on purpose (a new rule, a new error estimate) re-records the hashes here and
@@ -53,25 +53,56 @@ def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
     assert (_sha256(out), _sha256(csv)) == GOLDEN[scenario]
 
 
-# SHA-256 of the seed-0 `run_corpus` reports as sorted-key JSON, serial
-# or on threads
-CORPUS_REPORTS = (
-    "19eec578bba347c152b27a9d5186acc2e54dba0589689972b04d83c24f236107")
+# SHA-256 of each corpus geometry's seed-0 `run_corpus` reports, in case
+# order, as sorted-key JSON, serial or on threads: a change that moves
+# reports names the geometries it moved
+CORPUS_REPORTS = {
+    "ball":
+        "c2195578597dfce168acb1fee9ca8c37aed5f99a3376a0f3cf8545bdf55b94f4",
+    "ball_warped":
+        "b25d68992414ae0e9b16be269ef89200c9dd4426e02331df64af57704ac0244e",
+    "cap":
+        "18d1c86ad5aa0802681f42e6e2c757df03bf2e2561a8c02af7b4ebc4ff1af117",
+    "disk_offset":
+        "5daaa4f1d5bbdc2a7e35070a566e9ad26adc624bd140afd9fffb34655b1573ec",
+    "disk_patch":
+        "88df3db8083aeb7091ee998242d8a8a03c547f77df18fc77abc40b3695c7e81c",
+    "disk_pole":
+        "ad8f7dd7a24912cc22877659ae398ac191a03d6b35387bccfd58674ed90e78dd",
+    "disk_tilted":
+        "221608a009e07856d6f26c9aac02804216a33813cfcdf5c50d6764642a502979",
+    "geodesic_disk":
+        "e56200e067a10bb0d26d432c2af752cdc8b754d8760c79d71a1c420bf3fd5afa",
+    "graph_patch":
+        "c18b2144bc3e3d13754a88430dd8751fcc11ef57ca001e61f49cede897112766",
+    "sphere_offset":
+        "d23df9fd40d0c463cb5635e7b4aaa738dccae87dd9fd98f84430068baa31e54c",
+    "sphere_pole":
+        "311274848168c71bfe9d1c80b1ea702f75d5753841d3d8882323abd7b45f3177",
+    "zone":
+        "138565e18ab656a5bfd0cb59d362674fc9402268f18d8c6d01cc8e68db8e6e1a",
+}
 # SHA-256 over the cases of `build_corpus(seed, draws=60)`, seeds 0-19
 CORPUS_CASES = (
     "9a7cb791b397518f9310cf951c78a4a21c1d65bd1051d886536f6f19c3ca9316")
 
 
+def _corpus_digests(threads):
+    cases = build_corpus(0)
+    reports = {}
+    for case, rep in zip(cases, run_corpus(cases, threads=threads)):
+        reports.setdefault(case.geometry, []).append(rep.to_dict())
+    return {geometry: hashlib.sha256(json.dumps(
+        reps, sort_keys=True).encode()).hexdigest()
+        for geometry, reps in reports.items()}
+
+
 def test_seed0_corpus_reports_are_golden():
-    reports = run_corpus(build_corpus(0), threads=1)
-    payload = json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
-    assert hashlib.sha256(payload.encode()).hexdigest() == CORPUS_REPORTS
+    assert _corpus_digests(threads=1) == CORPUS_REPORTS
 
 
 def test_seed0_corpus_reports_are_golden_on_four_threads():
-    reports = run_corpus(build_corpus(0), threads=4)
-    payload = json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
-    assert hashlib.sha256(payload.encode()).hexdigest() == CORPUS_REPORTS
+    assert _corpus_digests(threads=4) == CORPUS_REPORTS
 
 
 def test_corpus_case_lists_are_golden():

@@ -1,10 +1,13 @@
 """Site-table schema and construction.
 
-The boundary reference below is the per-cell builder the batched
-``Domain._build_patch_boundary`` replaces: one chart cell of one boundary
-face at a time, with its own jet evaluation.  The batched builder must give
-the same sites in the same order (face, then cell, then node), so every
-boundary column agrees bit for bit.
+The boundary reference below is an independent per-cell builder: one chart
+cell of one boundary face at a time, with its own jet evaluation, the face
+measure from the Gram determinant of the face tangents and the conormal by
+metric Gram-Schmidt against them.  ``Domain._build_patch_boundary`` takes
+both in closed form from the inverse metric instead, and must give the same
+sites in the same order (face, then cell, then node): the sites' positions
+and warp values agree bit for bit, the measures and the radial conormal
+products to roundoff.
 
 The pole references are the three builders that ``Domain._pole_tables``
 replaces: Duffy's rule on a triangle, applied to the mesh cells at a pole
@@ -44,6 +47,10 @@ BOUNDARY_COLUMNS = ("points", "density", "r", "h", "hp", "conormal_dot",
 
 # -- reference: the per-cell boundary builder ---------------------------------
 
+def _metric_dot(G, v, w):
+    return np.einsum("sa,sab,sb->s", v, G, w)
+
+
 def ref_patch_boundary(domain):
     patch, amb = domain.patch, domain.ambient
     k = patch.k
@@ -82,13 +89,13 @@ def ref_patch_boundary(domain):
                 for j in range(E.shape[2]):
                     e = E[:, :, j].copy()
                     for prev in basis:
-                        e = e - amb.metric_dot(F, e, prev)[:, None] * prev
-                    nrm = np.sqrt(np.maximum(amb.metric_dot(F, e, e),
+                        e = e - _metric_dot(G, e, prev)[:, None] * prev
+                    nrm = np.sqrt(np.maximum(_metric_dot(G, e, e),
                                              domain_mod._TINY))
                     basis.append(e / nrm[:, None])
                 for prev in basis:
-                    nu = nu - amb.metric_dot(F, nu, prev)[:, None] * prev
-                nrm = np.sqrt(np.maximum(amb.metric_dot(F, nu, nu),
+                    nu = nu - _metric_dot(G, nu, prev)[:, None] * prev
+                nrm = np.sqrt(np.maximum(_metric_dot(G, nu, nu),
                                          domain_mod._TINY))
                 nu = nu / nrm[:, None]
                 r = amb.radius(F)
@@ -97,7 +104,7 @@ def ref_patch_boundary(domain):
                 for name, value in (("points", F), ("density", dS),
                                     ("r", r), ("h", h), ("hp", hp),
                                     ("conormal_dot",
-                                     amb.metric_dot(F, u, nu)),
+                                     _metric_dot(G, u, nu)),
                                     ("chart", U)):
                     cols[name].append(value)
         out.append({name: np.concatenate(v) for name, v in cols.items()})
@@ -145,8 +152,11 @@ def test_patch_boundary_matches_per_cell_reference(warped3, name, order):
     tables = domain.boundary_sites()
     for got, want in zip(tables, ref_patch_boundary(domain)):
         assert _set_columns(got) == set(BOUNDARY_COLUMNS)
-        for column in BOUNDARY_COLUMNS:
+        for column in ("points", "r", "h", "hp", "chart"):
             assert np.array_equal(getattr(got, column), want[column]), column
+        for column in ("density", "conormal_dot"):
+            np.testing.assert_allclose(getattr(got, column), want[column],
+                                       rtol=1e-14, atol=1e-15, err_msg=column)
 
 
 def test_closed_patch_has_no_boundary_table(euclid3):
