@@ -5,22 +5,20 @@ from .constants import (
     hoffman_spruck_constant,
     hoffman_spruck_optimal,
     interpolation_constants,
-    power_split_bounds,
     solve_balance,
     weighted_sobolev_constants,
 )
 from .geometry import AmbientSpace, Domain, Field
 from .inequalities import CATALOG_IDS, InequalityReport, evaluate
-from .search import TightnessResult, maximize_ratio, refinement_study
-from .warp import CurvatureProfile, WarpingFunction, h_inverse, solve_warping
+from .search import TightnessResult, maximize_ratio
+from .warp import CurvatureProfile, WarpingFunction, solve_warping
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbientSpace", "CATALOG_IDS", "CurvatureProfile", "Domain", "Field",
     "InequalityReport", "ParameterSet", "TightnessResult", "WarpingFunction",
-    "evaluate", "h_inverse", "hoffman_spruck_constant",
-    "hoffman_spruck_optimal", "interpolation_constants", "maximize_ratio",
-    "power_split_bounds", "refinement_study", "solve_balance",
+    "evaluate", "hoffman_spruck_constant", "hoffman_spruck_optimal",
+    "interpolation_constants", "maximize_ratio", "solve_balance",
     "solve_warping", "weighted_sobolev_constants",
 ]

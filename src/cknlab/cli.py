@@ -58,7 +58,7 @@ from .geometry.fields import FAMILIES, make_field
 from .geometry.mesh import read_mesh
 from .inequalities import (CATALOG, CATALOG_IDS, _ckn_params, _single_params,
                            evaluate, require_options)
-from .search import maximize_ratio
+from .search import maximize_ratio, refinements
 from .warp import CurvatureProfile, load_profile, solve_warping
 
 SCHEMA_VERSION = 1
@@ -316,9 +316,7 @@ class Builtin(NamedTuple):
 
     k: int
     options: dict   # option -> (parser, default, lower bound or None)
-    # build(ambient, options, level) -> mesh or patch; each refinement
-    # level doubles every cell count
-    build: Callable
+    build: Callable  # build(ambient, options) -> mesh or patch
 
 
 def _quadratic(c):
@@ -333,52 +331,50 @@ BUILTINS = {
     "disk_mesh": Builtin(
         2, {"radius": _RADIUS, "rings": _count(8), "center": _CENTER,
             "axes": (_floats(6), None, None)},
-        lambda amb, o, lv: disk_mesh(
-            o["radius"], rings=o["rings"] << lv, center=o["center"],
+        lambda amb, o: disk_mesh(
+            o["radius"], rings=o["rings"], center=o["center"],
             axes=None if o["axes"] is None
             else np.array(o["axes"]).reshape(2, 3))),
     "sphere_mesh": Builtin(
         2, {"radius": _RADIUS, "level": (int, 3, None), "center": _CENTER},
-        lambda amb, o, lv: sphere_mesh(o["radius"], level=o["level"] + lv,
-                                       center=o["center"])),
+        lambda amb, o: sphere_mesh(o["radius"], level=o["level"],
+                                   center=o["center"])),
     "graph_mesh": Builtin(
         2, {"coeffs": (_floats(3), (0.2, -0.1, 0.15), None),
             "half_width": _HALF_WIDTH, "divisions": _count(8)},
-        lambda amb, o, lv: graph_mesh(_quadratic(o["coeffs"]),
-                                      o["half_width"], o["divisions"] << lv)),
+        lambda amb, o: graph_mesh(_quadratic(o["coeffs"]),
+                                  o["half_width"], o["divisions"])),
     "flat_disk_patch": Builtin(
         2, {"radius": _RADIUS, "height": _HEIGHT, "cells_r": _count(8),
             "cells_theta": _count(16)},
-        lambda amb, o, lv: flat_disk_patch(
-            amb, o["radius"], o["height"],
-            (o["cells_r"] << lv, o["cells_theta"] << lv))),
+        lambda amb, o: flat_disk_patch(
+            amb, o["radius"], o["height"], (o["cells_r"], o["cells_theta"]))),
     "sphere_patch": Builtin(
         2, {"radius": _RADIUS, "center": _CENTER,
             "theta0": (_finite, 0.0, None), "theta1": (_finite, math.pi, None),
             "cells_theta": _count(8), "cells_phi": _count(16)},
-        lambda amb, o, lv: sphere_patch(
+        lambda amb, o: sphere_patch(
             amb, o["radius"], o["center"], (o["theta0"], o["theta1"]),
-            (o["cells_theta"] << lv, o["cells_phi"] << lv))),
+            (o["cells_theta"], o["cells_phi"]))),
     "plane_rect": Builtin(
         2, {"half_width": _HALF_WIDTH, "height": _HEIGHT, "cells": _count(8)},
-        lambda amb, o, lv: plane_rect(amb, o["half_width"], o["height"],
-                                      o["cells"] << lv)),
+        lambda amb, o: plane_rect(amb, o["half_width"], o["height"],
+                                  o["cells"])),
     "poly_graph": Builtin(
         2, {"poly": (_poly, {(2, 0): 0.25, (0, 2): -0.15}, None),
             "half_width": _HALF_WIDTH, "cells": _count(8)},
-        lambda amb, o, lv: poly_graph_patch(amb, o["poly"], o["half_width"],
-                                            o["cells"] << lv)),
+        lambda amb, o: poly_graph_patch(amb, o["poly"], o["half_width"],
+                                        o["cells"])),
     "geodesic_disk": Builtin(
         2, {"radius": _RADIUS, "cells_r": _count(8), "cells_theta": _count(16)},
-        lambda amb, o, lv: geodesic_disk(
-            amb, o["radius"], (o["cells_r"] << lv, o["cells_theta"] << lv))),
+        lambda amb, o: geodesic_disk(
+            amb, o["radius"], (o["cells_r"], o["cells_theta"]))),
     "ball": Builtin(
         3, {"radius": _RADIUS, "cells_r": _count(4), "cells_theta": _count(4),
             "cells_phi": _count(8)},
-        lambda amb, o, lv: ball_domain(
+        lambda amb, o: ball_domain(
             amb, o["radius"],
-            (o["cells_r"] << lv, o["cells_theta"] << lv,
-             o["cells_phi"] << lv))),
+            (o["cells_r"], o["cells_theta"], o["cells_phi"]))),
 }
 # the Domain pairs each rule with one of the next lower order
 _ORDER = {"quadrature_order": (int, 4, _at_least(2))}
@@ -466,15 +462,13 @@ def build_ambient(case: dict) -> AmbientSpace:
     return AmbientSpace.warped(o["dim"], warp)
 
 
-def build_domain(case: dict, level: int = 0) -> Domain:
+def build_domain(case: dict) -> Domain:
     builtin, o = _geometry(case)
     ambient = build_ambient(case)
     if builtin is None:
         geometry = read_mesh(case["geometry"]["path"])
-        for _ in range(level):
-            geometry = geometry.refine()
     else:
-        geometry = builtin.build(ambient, o, level)
+        geometry = builtin.build(ambient, o)
     return Domain(geometry, ambient, o["quadrature_order"])
 
 
@@ -531,13 +525,19 @@ def worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+# least value of each numeric flag of verify and search (--budget: search)
+_FLAG_BOUNDS = {"levels": 0, "seed": 0, "budget": 1, "slack": 0}
+
+
 def _load_cases(args):
     """Validated ``(case, options)`` pairs, or None after a config error."""
     try:
         cases = expand_sweep(load_config(resolve_config_path(args.config)))
         parsed = [(case, validate_case(case)) for case in cases]
-        if args.slack is not None and not args.slack >= 0:
-            raise ConfigError(f"--slack must be >= 0, got {args.slack}")
+        for flag, least in _FLAG_BOUNDS.items():
+            value = getattr(args, flag, None)
+            if value is not None and not value >= least:
+                raise ConfigError(f"--{flag} must be >= {least}, got {value}")
     except (CknLabError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return None
@@ -568,16 +568,11 @@ def cmd_verify(args) -> int:
 
     def run_case(item):
         case, options = item
-        out = []
-        for level in range(args.levels + 1):
-            domain = build_domain(case, level)
-            field = build_field(case, args.seed)
-            rep = evaluate(case["inequality"]["id"], domain, field, options)
-            rec = rep.to_dict()
-            rec["level"] = level
-            rec["seed"] = args.seed
-            out.append(rec)
-        return out
+        ineq_id, field = case["inequality"]["id"], build_field(case, args.seed)
+        return [{**evaluate(ineq_id, domain, field, options).to_dict(),
+                 "level": level, "seed": args.seed}
+                for level, domain in refinements(build_domain(case),
+                                                 args.levels)]
 
     n_workers = worker_count()
     try:
@@ -627,12 +622,12 @@ def cmd_search(args) -> int:
     domain = geometry = None
     try:
         for case, options in parsed:
-            budget = (args.budget
-                      or _read("run", case.get("run", {}), _RUN)["budget"])
+            budget = (_read("run", case.get("run", {}), _RUN)["budget"]
+                      if args.budget is None else args.budget)
             key = (case.get("ambient"), case.get("geometry"))
             if key != geometry:
                 domain = None
-                domain, geometry = build_domain(case, 0), key
+                domain, geometry = build_domain(case), key
             family = build_field(case, args.seed)
             result = maximize_ratio(case["inequality"]["id"], domain, family,
                                     options, budget=budget, seed=args.seed,

@@ -43,18 +43,6 @@ def pair_power_flip(p: float) -> float:
     return max(1.0, 2.0 ** ((2.0 - p) / 2.0))
 
 
-def power_split_bounds(p: float, a: float, b: float) -> tuple[float, float]:
-    """Lower and upper bounds sandwiching (a^2+b^2)^{p/2} between multiples of a^p+b^p."""
-    if p < 1:
-        raise InvalidArgument("exponent p must be >= 1")
-    if a < 0 or b < 0:
-        raise InvalidArgument("arguments must be nonnegative")
-    s = a ** p + b ** p
-    lower = min(1.0, 2.0 ** ((p - 2.0) / 2.0)) * s
-    upper = max(1.0, 2.0 ** ((p - 2.0) / 2.0)) * s
-    return lower, upper
-
-
 # ---------------------------------------------------------------------------
 # Unit-ball volume via exact half-integer gamma values
 # ---------------------------------------------------------------------------

@@ -73,9 +73,9 @@ def _options(name: str) -> dict:
     return dict(GEOMETRIES[name].get("options", {}))
 
 
-def corpus_geometries(level: int = 0) -> dict:
-    """Name -> lazy builder of each corpus geometry's Domain at ``level``."""
-    return {name: partial(build_domain, case, level)
+def corpus_geometries() -> dict:
+    """Name -> lazy builder of each corpus geometry's Domain."""
+    return {name: partial(build_domain, case)
             for name, case in GEOMETRIES.items()}
 
 
@@ -202,9 +202,9 @@ def build_corpus(seed: int = 0, draws: int = 50) -> list[Case]:
     return cases
 
 
-def run_corpus(cases, level: int = 0, threads: int = None):
+def run_corpus(cases, threads: int = None):
     """Evaluate all cases, reusing one Domain per geometry name."""
-    builders = corpus_geometries(level)
+    builders = corpus_geometries()
     # domains are built up front; their lazy site tables are built under a
     # per-domain lock, and each evaluation keeps its field's values in a
     # binding of its own, so the sweep parallelizes at case granularity with

@@ -51,25 +51,12 @@ class AmbientSpace:
     def radius(self, pts: np.ndarray) -> np.ndarray:
         return np.linalg.norm(np.atleast_2d(pts) - self.pole, axis=1)
 
-    def radial_unit(self, pts: np.ndarray) -> np.ndarray:
-        """Coordinate unit radial vector (the metric gradient of the radius)."""
-        d = np.atleast_2d(pts) - self.pole
-        r = np.linalg.norm(d, axis=1)
-        if np.any(r == 0):
-            raise SingularPoint("radial direction undefined at the pole")
-        return d / r[:, None]
-
     def h_values(self, r: np.ndarray):
         """(h(r), h'(r)); the Euclidean kind behaves as h(r) = r."""
         r = np.asarray(r, dtype=float)
         if self.kind == "euclidean":
             return r, np.ones_like(r)
         return self.warp.h(r), self.warp.h_prime(r)
-
-    def hessian_bound(self, r) -> np.ndarray:
-        """h'(r)/h(r), the radial Hessian comparison value."""
-        h, hp = self.h_values(np.asarray(r, dtype=float))
-        return hp / h
 
     # -- metric ---------------------------------------------------------------
 
@@ -126,13 +113,3 @@ class AmbientSpace:
         return (inv[:, None] * low
                 + ((1.0 - inv) * (b - a) * across)[:, None]
                 * u[:, :, None, None])
-
-
-def radial_data(ambient: AmbientSpace, x) -> tuple[float, np.ndarray, float]:
-    """Distance to the pole, radial gradient and the comparison value h'/h."""
-    x = np.asarray(x, dtype=float)[None, :]
-    r = float(ambient.radius(x)[0])
-    if r == 0.0:
-        raise SingularPoint("radial data undefined at the pole")
-    grad = ambient.radial_unit(x)[0]
-    return r, grad, float(ambient.hessian_bound(r))

@@ -42,11 +42,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ..errors import (
-    InvalidArgument,
-    NonIntegrableWeight,
-    PreconditionViolated,
-)
+from ..errors import InvalidArgument, NonIntegrableWeight
 from ..quadrature import (
     box_rule,
     jacobi_rule,
@@ -563,14 +559,6 @@ class Domain:
         return (whole, lo, hi,
                 replace(stats, pieces=stats.pieces + len(whole)))
 
-    def _patch_pieces(self, band):
-        """Every piece of :meth:`_patch_cells` as a chart box ``(lo, hi)``:
-        the whole cells first, then the graded pieces."""
-        whole, lo, hi, stats = self._patch_cells(band)
-        cell_lo, cell_hi = self.patch.cell_boxes()
-        return (np.concatenate([cell_lo[whole], lo]),
-                np.concatenate([cell_hi[whole], hi]), stats)
-
     def _pole_tables(self, gamma):
         """(hi, lo) tables of the cells at the pole for ``h ** -gamma``.
 
@@ -925,34 +913,3 @@ def _reduce(tables, weights, integrand, message, conormal=False) -> Qty:
             contrib = contrib * batch.conormal_dot
         vals.append(float(np.sum(contrib)))
     return Qty(vals[0], abs(vals[0] - vals[1]))
-
-
-def mean_curvature(domain: Domain, batch: SiteBatch = None) -> np.ndarray:
-    """Mean curvature vectors (trace convention) at the domain's sites."""
-    if batch is None:
-        batch, _ = domain.sites()
-    return batch.h_vec
-
-
-def comparison_margin(domain: Domain, alpha: float, r0: float) -> np.ndarray:
-    """Pointwise slack of the radial-field divergence lower bound.
-
-    The divergence of ``h(r)^{1-alpha} * grad r`` along the submanifold is
-    assembled from the discrete tangent frames and the ambient radial
-    Hessian; the bound subtracts the closed-form right-hand side.  On the
-    rotationally symmetric model ambients the bound is attained, so margins
-    sit at roundoff level.
-
-    Margins are reported on the ungraded site table: the extra sites graded
-    into the pole singularity amplify frame roundoff by ``h(r)^-alpha``
-    without adding information about the pointwise bound.
-    """
-    batch, _ = domain.sites(0.0)
-    if np.any(batch.r > r0 * (1 + 1e-9)):
-        raise PreconditionViolated("domain is not inside the ball of radius r0")
-    if np.any(batch.r == 0.0):
-        raise PreconditionViolated("margin undefined at the pole")
-    div = batch.hp * batch.h ** (-alpha) * (domain.k - alpha * batch.tan_sq)
-    rhs = batch.hp * ((domain.k - alpha) / batch.h ** alpha
-                      + alpha * batch.perp ** 2 / batch.h ** alpha)
-    return div - rhs

@@ -52,10 +52,11 @@ class ParametricPatch:
         hi = np.stack([edges[d][i + 1] for d, i in enumerate(idx)], axis=1)
         return lo, hi
 
-    def refined(self, factor: int = 2) -> "ParametricPatch":
+    def refined(self) -> "ParametricPatch":
+        """The same chart with every cell halved along each axis."""
         return ParametricPatch(self.ambient, self.k, self.bounds, self.jet,
                                self.faces,
-                               tuple(m * factor for m in self.cells_per_axis),
+                               tuple(2 * m for m in self.cells_per_axis),
                                metadata=dict(self.metadata))
 
 

@@ -1,10 +1,11 @@
-"""Tightness maximization and refinement studies.
+"""Tightness maximization and nested refinements.
 
 A small deterministic Nelder-Mead drives the test-function parameters of a
 family toward the largest report ratio for a fixed inequality and geometry;
 ratios never exceeding 1 + slack under this stress is the soundness
-property the suite asserts.  Refinement studies re-evaluate a fixed
-configuration on nested geometry refinements.
+property the suite asserts.  :func:`refinements` is the one sequence of
+nested refinements: ``verify --levels`` evaluates each case on it, and
+``search --levels`` re-evaluates the best member on it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,15 @@ from .errors import InvalidArgument, PreconditionViolated
 from .geometry.domain import Domain
 from .geometry.fields import FAMILIES, Field
 from .inequalities import DEFAULT_SLACK_FLOOR, evaluate, require_vanishing
+
+
+def refinements(domain: Domain, levels: int):
+    """``(level, domain)`` for ``domain`` and its ``levels`` nested
+    refinements, each built from the one before by :meth:`Domain.refined`."""
+    yield 0, domain
+    for level in range(1, levels + 1):
+        domain = domain.refined()
+        yield level, domain
 
 
 @dataclass
@@ -175,13 +185,10 @@ def maximize_ratio(inequality: str, domain: Domain, family: Field,
         objective, x0, step, budget,
         clip=lambda x: _clip_dof(family.kind, x))
 
-    refinement = [(0, best_val)]
-    dom = domain
     best_field = family.with_dof(best_x)
-    for level in range(1, refine_levels + 1):
-        dom = dom.refined()
-        rep = evaluate(inequality, dom, best_field, options)
-        refinement.append((level, rep.ratio))
+    refinement = [(0, best_val)] + [
+        (level, evaluate(inequality, dom, best_field, options).ratio)
+        for level, dom in refinements(domain, refine_levels) if level]
     best = reports.get(best_field.dof)
     return TightnessResult(
         inequality=inequality, best_ratio=best_val,
@@ -194,37 +201,3 @@ def maximize_ratio(inequality: str, domain: Domain, family: Field,
         rejected=sum(rep is None for rep in reports.values()),
         degenerate=sum(rep is not None and vacuous(rep)
                        for rep in reports.values()))
-
-
-def refinement_study(inequality: str, domain: Domain, field: Field,
-                     options: dict, levels: int = 2):
-    """Evaluate one configuration on nested refinements.
-
-    Returns ``(rows, monotone)`` where rows are ``(level, ratio,
-    quadrature_error)`` and ``monotone`` flags decreasing successive ratio
-    increments.
-    """
-    if levels < 0:
-        raise InvalidArgument("levels must be >= 0")
-    rows = []
-    dom = domain
-    for level in range(levels + 1):
-        rep = evaluate(inequality, dom, field, options)
-        rows.append((level, rep.ratio, rep.quadrature_error))
-        if level < levels:
-            dom = dom.refined()
-    diffs = [abs(rows[i + 1][1] - rows[i][1]) for i in range(len(rows) - 1)]
-    monotone = all(diffs[i + 1] <= diffs[i] + 1e-12
-                   for i in range(len(diffs) - 1))
-    return rows, monotone
-
-
-def observed_order(errors) -> float:
-    """Least-squares convergence order from per-level errors (halving h)."""
-    errors = [max(abs(e), 1e-16) for e in errors]
-    if len(errors) < 2:
-        return 0.0
-    xs = np.arange(len(errors))
-    ys = np.log2(errors)
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(-slope)

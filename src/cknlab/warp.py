@@ -195,11 +195,6 @@ class WarpingFunction:
         return 0.5 * (lo + hi)
 
 
-def h_inverse(w: WarpingFunction, y: float) -> float:
-    """Functional form of :meth:`WarpingFunction.inverse`."""
-    return w.inverse(y)
-
-
 def _rk4_path(profile: CurvatureProfile, r_max: float, n_intervals: int):
     n = n_intervals + 1
     grid = np.linspace(0.0, r_max, n)

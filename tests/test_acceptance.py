@@ -18,11 +18,10 @@ from cknlab import constants as cn
 from cknlab import inequalities as iq
 from cknlab.corpus import build_corpus, corpus_geometries, run_corpus
 from cknlab.geometry import AmbientSpace, Domain, disk_mesh, sphere_mesh
-from cknlab.geometry.calculus import divergence_residuals
-from cknlab.geometry.domain import comparison_margin
 from cknlab.geometry.fields import make_field
-from cknlab.search import observed_order
 from cknlab.warp import CurvatureProfile, solve_warping
+from geometry_checks import (comparison_margin, divergence_residuals,
+                             observed_order)
 
 ORDER_ALLOWANCE = 0.05  # least-squares order estimate of an O(h^1) scheme
 

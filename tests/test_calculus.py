@@ -1,11 +1,12 @@
 import numpy as np
 
 from cknlab.geometry import Domain, graph_mesh, sphere_mesh
-from cknlab.geometry.calculus import (
+from geometry_checks import (
     divergence_residuals,
     divergence_theorem_residual,
     hessian_comparison_margin,
 )
+
 
 def constant_field(direction):
     d = np.asarray(direction, dtype=float)

@@ -7,7 +7,7 @@ import pytest
 
 from cknlab import cli
 from cknlab.cli import main
-from cknlab.inequalities import CATALOG_IDS
+from cknlab.inequalities import CATALOG_IDS, evaluate
 
 DISK_CONE_CFG = """
 [ambient]
@@ -383,6 +383,42 @@ gamma = 1
     assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
 
 
+# -- verify --levels and search --levels refine the level-0 domain one way
+
+@pytest.mark.parametrize("geometry,exponents", [
+    ("builtin = disk_mesh\nrings = 4", "p = 1\ngamma = 1"),
+    ("builtin = graph_mesh\ndivisions = 4", "p = 1.5\ngamma = 0.5"),
+], ids=["disk_mesh", "graph_mesh"])
+def test_levels_evaluate_on_the_refined_domain(tmp_path, capsys, geometry,
+                                               exponents):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(DISK_CONE_CFG.replace(
+        "builtin = disk_mesh\nradius = 1.0\nrings = 12", geometry).replace(
+        "p = 1\ngamma = 1", exponents))
+    case = cli.expand_sweep(cli.load_config(cfg))[0]
+    options = cli.validate_case(case)
+    refined = cli.build_domain(case).refined()
+
+    def on_refined(field):
+        return evaluate(case["inequality"]["id"], refined, field, options)
+
+    code, out, _ = run(["verify", str(cfg), "--levels", "1", "--seed", "2",
+                        "--json"], capsys)
+    assert code == 0
+    expected = {**on_refined(cli.build_field(case, 2)).to_dict(),
+                "level": 1, "seed": 2}
+    assert (json.dumps(json.loads(out)["records"][1], sort_keys=True)
+            == json.dumps(expected, sort_keys=True))
+
+    code, out, _ = run(["search", str(cfg), "--levels", "1", "--budget", "6",
+                        "--json"], capsys)
+    assert code == 0
+    record = json.loads(out)["records"][0]
+    argmax = cli.build_field(case, 0).with_dof(record["argmax_dof"])
+    assert record["refinement_trace"][1] == [
+        1, on_refined(argmax).ratio]
+
+
 # -- malformed values are configuration errors, found before geometry work
 
 def _verify_and_search(tmp_path, capsys, text):
@@ -475,6 +511,26 @@ def test_negative_slack_is_a_config_error(tmp_path, capsys):
         code, _, err = run(argv + ["--slack", "-1"], capsys)
         assert code == 1
         assert "config error: --slack must be >= 0" in err
+
+
+# a random_smooth member without dof draws its coefficients from --seed
+SMOOTH_CFG = DISK_CONE_CFG.replace("rings = 12", "rings = 4").replace(
+    "kind = radial_power\ndof = 1.0", "kind = random_smooth")
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("verify", "--levels", "-1"), ("search", "--levels", "-1"),
+    ("verify", "--seed", "-1"), ("search", "--seed", "-1"),
+    ("search", "--budget", "0"),
+])
+def test_out_of_range_flag_is_a_config_error(tmp_path, capsys, command,
+                                             flag, value):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(SMOOTH_CFG)
+    code, out, err = run([command, str(cfg), flag, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"config error: {flag} must be >= " in err
 
 
 def test_unknown_ambient_kind_is_a_config_error(tmp_path, capsys):
@@ -746,9 +802,9 @@ def test_search_reuses_the_domain_of_a_geometry(tmp_path, capsys, monkeypatch,
     built = []
     real_build = cli.build_domain
 
-    def counting_build(case, level=0):
+    def counting_build(case):
         built.append(case["geometry"]["rings"])
-        return real_build(case, level)
+        return real_build(case)
 
     monkeypatch.setattr(cli, "build_domain", counting_build)
     records = _search_records(tmp_path, capsys, base + "\n[sweep]\n" + sweep,

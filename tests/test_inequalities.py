@@ -378,7 +378,7 @@ def test_signed_boundary_no_larger_than_unsigned(tilted_disk_domain):
 
 
 def test_monotone_refinement_smooth_configuration(euclid3):
-    from cknlab.search import refinement_study
+    from geometry_checks import refinement_study
     dom = Domain(disk_mesh(1.0, rings=4), euclid3)
     rows, monotone = refinement_study("hardy", dom, CONE,
                                       {"p": 1.0, "gamma": 1.0}, levels=3)

@@ -4,12 +4,8 @@ import pytest
 from cknlab.errors import InvalidArgument, PreconditionViolated
 from cknlab.geometry.fields import make_field
 from cknlab.inequalities import evaluate
-from cknlab.search import (
-    maximize_ratio,
-    nelder_mead,
-    observed_order,
-    refinement_study,
-)
+from cknlab.search import maximize_ratio, nelder_mead
+from geometry_checks import observed_order, refinement_study
 
 # regression anchor for the seeded interpolation search on the flat ball;
 # pinned from the first verified run of this configuration

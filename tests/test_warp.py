@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cknlab.errors import DomainTooShort, InvalidArgument, OutOfRange
-from cknlab.warp import CurvatureProfile, h_inverse, load_profile, solve_warping
+from cknlab.warp import CurvatureProfile, load_profile, solve_warping
 
 
 def test_flat_profile_closed_form():
@@ -63,9 +63,9 @@ def test_slope_monotone_and_below_flat():
 
 def test_inverse_closed_forms():
     flat = solve_warping(CurvatureProfile.constant(0.0), 10.0)
-    assert h_inverse(flat, 3.0) == 3.0
+    assert flat.inverse(3.0) == 3.0
     trig = solve_warping(CurvatureProfile.constant(4.0), 10.0)
-    assert h_inverse(trig, 0.25) == pytest.approx(math.pi / 12, abs=1e-14)
+    assert trig.inverse(0.25) == pytest.approx(math.pi / 12, abs=1e-14)
 
 
 def test_inverse_roundtrip_tabulated():
@@ -78,9 +78,9 @@ def test_inverse_roundtrip_tabulated():
 def test_inverse_out_of_range():
     trig = solve_warping(CurvatureProfile.constant(4.0), 10.0)
     with pytest.raises(OutOfRange):
-        h_inverse(trig, 0.5)  # equals the supremum
+        trig.inverse(0.5)  # equals the supremum
     with pytest.raises(OutOfRange):
-        h_inverse(trig, -0.1)
+        trig.inverse(-0.1)
 
 
 def test_argument_validation():
