@@ -131,16 +131,25 @@ class SiteBatch:
     metric_ginv: np.ndarray = None  # (S, k, k) inverse metric in that basis
 
     def __post_init__(self):
-        # what field bindings derive from this table's columns alone, filled
-        # by mesh.kept(); it lives as long as the table, and a batch made by
-        # replace() starts without it
+        # what is derived from this table's columns alone, filled by
+        # mesh.kept(): on a domain's table what every field binding shares,
+        # on a binding's copy what its evaluation shares
         self.kept = {}
 
-    def weight(self, gamma: float, use_hprime: bool) -> np.ndarray:
-        w = self.h ** (-gamma) if gamma != 0.0 else np.ones_like(self.h)
-        if use_hprime:
-            w = w * self.hp
-        return w
+    def weight(self, gamma: float, use_hprime: bool):
+        """Per-site ``h ** -gamma`` (``* h'``); 1.0 when that is all ones."""
+        w = self.h ** (-gamma) if gamma != 0.0 else 1.0
+        return w * self.hp if use_hprime else w
+
+    def with_field(self, psi, grad_psi=None) -> "SiteBatch":
+        """A shallow copy carrying a field's columns, with its own ``kept``."""
+        out = SiteBatch.__new__(SiteBatch)
+        out.__dict__.update(self.__dict__, psi=psi, grad_psi=grad_psi, kept={})
+        return out
+
+    def abs_psi_pow(self, p: float) -> np.ndarray:
+        """``|psi| ** p``, kept for the other integrals that read it."""
+        return kept(self.kept, ("abs_psi", p), lambda: np.abs(self.psi) ** p)
 
 
 @dataclass(frozen=True)
@@ -389,8 +398,7 @@ class Domain:
         if bound_field is None:
             return tables
         return kept(bound_field.kept, key, lambda: tuple(
-            replace(t, psi=psi, grad_psi=grad) for t, (psi, grad)
-            in zip(tables, map(bound_field.at_sites, tables))))
+            t.with_field(*bound_field.at_sites(t)) for t in tables))
 
     # ---- graded decomposition helpers
 
@@ -679,10 +687,7 @@ class Domain:
         if bound_field is None or tables[0] is None:
             return tables
         return kept(bound_field.kept, "b", lambda: tuple(
-            self._with_boundary_field(t, bound_field) for t in tables))
-
-    def _with_boundary_field(self, batch, bound_field):
-        return replace(batch, psi=bound_field.at_boundary(batch))
+            t.with_field(bound_field.at_boundary(t)) for t in tables))
 
     def _build_mesh_boundary(self):
         mesh = self.mesh
@@ -858,11 +863,11 @@ def weighted_integral(domain: Domain, integrand, gamma: float,
     bound = domain.bind(field) if field is not None else None
     tables = domain.sites(gamma, bound) + domain.pole_sites(gamma, bound)
     hprime = weight_kind == "h_power_times_hprime"
-    # the weighted densities, kept in the binding for the evaluation's other
-    # integrals
-    weights = kept({} if bound is None else bound.kept,
-                   ("weight", gamma, hprime), lambda: _per_rule(
-                       tables, lambda t: t.density * t.weight(gamma, hprime)))
+    # the weighted densities, kept with the binding's tables for the
+    # evaluation's other integrals
+    weights = [kept({} if bound is None else t.kept, ("weight", gamma, hprime),
+                    lambda t=t: t.density * t.weight(gamma, hprime))
+               for t in tables]
     return _reduce(tables, weights, integrand, "integrand must be nonnegative")
 
 
@@ -881,35 +886,32 @@ def boundary_integral(domain: Domain, integrand, weight_exponent: float,
         warnings.warn("boundary integral over a closed submanifold is 0",
                       stacklevel=2)
         return Qty(0.0, 0.0)
-    weights = _per_rule(tables, lambda t: t.density * t.weight(
-        weight_exponent, False))
+    weights = [t.density * t.weight(weight_exponent, False) for t in tables]
+    if with_radial_conormal:
+        weights = [w * t.conormal_dot for w, t in zip(weights, tables)]
     return _reduce(tables, weights, integrand,
-                   "boundary integrand must be nonnegative",
-                   conormal=with_radial_conormal)
+                   "boundary integrand must be nonnegative")
 
 
-def _per_rule(tables, column):
-    """``column`` of the hi and of the lo tables of ``tables``, which
-    alternates hi and lo (the band's, then the pole's): one array a rule."""
-    return tuple(np.concatenate([column(t) for t in tables[rule::2]])
-                 for rule in (0, 1))
-
-
-def _reduce(tables, weights, integrand, message, conormal=False) -> Qty:
-    """Hi/lo sums of ``weights * integrand`` (``* conormal_dot``).
-
-    ``weights`` holds the weighted densities of each rule.  Roundoff below
-    zero in the integrand is clipped."""
-    values = _per_rule(tables, lambda b: np.broadcast_to(np.asarray(
-        integrand(b) if callable(integrand) else integrand, dtype=float),
-        b.r.shape))
-    vals = []
-    for f, w, batch in zip(values, weights, tables):
-        if np.any(f < -1e-12 * max(1.0, float(np.max(np.abs(f))))):
-            raise InvalidArgument(message)
-        contrib = w * np.maximum(f, 0.0)
-        if conormal:
-            # boundary tables come without a pole part
-            contrib = contrib * batch.conormal_dot
-        vals.append(float(np.sum(contrib)))
-    return Qty(vals[0], abs(vals[0] - vals[1]))
+def _reduce(tables, weights, integrand, message) -> Qty:
+    """Hi/lo sums of ``weights * integrand`` (per table: its weighted
+    densities).  ``tables`` alternates hi and lo, the band's then the
+    pole's; each rule is checked, clipped of roundoff below zero and summed
+    over all of its tables before the two rules are compared."""
+    values = [np.asarray(integrand(t) if callable(integrand) else integrand,
+                         dtype=float) for t in tables]
+    sums = []
+    for rule in (0, 1):
+        # a constant takes no value on a table without sites
+        fs = [f for f, t in zip(values[rule::2], tables[rule::2]) if len(t.r)]
+        low = min((f.min() for f in fs), default=0.0)
+        if low < 0.0:
+            if low < -1e-12 * max([1.0] + [np.abs(f).max() for f in fs]):
+                raise InvalidArgument(message)
+            values[rule::2] = [np.maximum(f, 0.0) for f in values[rule::2]]
+        # einsum sums in an order fixed by the data; BLAS's dot splits long
+        # vectors by its thread count
+        sums.append(sum(float(f * np.sum(w) if f.ndim == 0
+                              else np.einsum("s,s->", w, f))
+                        for f, w in zip(values[rule::2], weights[rule::2])))
+    return Qty(sums[0], abs(sums[0] - sums[1]))

@@ -7,8 +7,8 @@ works in any codimension; per-cell data (orthonormal tangent frames, linear
 reconstruction of sampled scalar fields) is exact on each flat cell.  The
 boundary topology comes from sorted facet rows, and each boundary facet's
 outward conormal is the normalized gradient of the owning cell's barycentric
-coordinate opposite it, taken from the kept edge Gram, for every facet at
-once, for any k; domains take curves and triangle meshes (k = 1, 2).
+coordinate opposite it, read off the kept barycentric gradients, for every
+facet at once, for any k; domains take curves and triangle meshes (k = 1, 2).
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class SimplicialMesh:
         self._fit_cache = None
         self._frames_cache = None
         # what every field binding on this mesh derives from its vertices
-        # and cells alone (edge Gram, vertex columns), filled by kept()
+        # and cells alone (edge Gram, barycentric gradients, vertex
+        # columns), filled by kept()
         self.kept = {}
 
     @property
@@ -93,12 +94,16 @@ class SimplicialMesh:
             self._frames_cache = np.transpose(q, (0, 2, 1))
         return self._frames_cache
 
+    def barycentric_gradients(self) -> np.ndarray:
+        """(C, k, n) gradients ``gram^-1 e`` of each cell's barycentric
+        coordinates of its vertices 1 to k; computed once per mesh."""
+        return kept(self.kept, "barycentric_gradients",
+                    lambda: np.linalg.solve(*self.edge_gram()[::-1]))
+
     def reconstruct_gradients(self, vertex_values: np.ndarray) -> np.ndarray:
         """(C, n) in-plane gradients of the per-cell linear interpolant."""
-        e, gram = self.edge_gram()
         dv = vertex_values[self.cells[:, 1:]] - vertex_values[self.cells[:, :1]]
-        coef = np.linalg.solve(gram, dv[..., None])[..., 0]
-        return np.einsum("ci,cin->cn", coef, e)
+        return np.einsum("ci,cin->cn", dv, self.barycentric_gradients())
 
     # -- boundary ---------------------------------------------------------------
 
@@ -131,8 +136,7 @@ class SimplicialMesh:
         ``-grad lambda / |grad lambda|`` for the owning cell's barycentric
         coordinate ``lambda`` of the vertex opposite the facet."""
         owners = self.boundary_owners()
-        e, gram = self.edge_gram()
-        grad = np.linalg.solve(gram[owners], e[owners])        # (B, k, n)
+        grad = self.barycentric_gradients()[owners]            # (B, k, n)
         grad = np.concatenate([-grad.sum(axis=1, keepdims=True), grad], 1)
         cells = self.cells[owners]
         opposite = np.all(cells[:, :, None] != self.boundary_facets[:, None],
@@ -282,8 +286,14 @@ def kept(memo: dict, key, compute):
 
 def _csr(pairs: np.ndarray, nv: int):
     """Row pointers and members of the distinct ``row * nv + member``."""
-    rows, members = np.divmod(np.unique(pairs), nv)
+    rows, members = np.divmod(_distinct(pairs), nv)
     return np.searchsorted(rows, np.arange(nv + 1)), members
+
+
+def _distinct(pairs: np.ndarray) -> np.ndarray:
+    """``np.unique`` of nonnegative ``pairs``: a sort and a neighbour mask."""
+    pairs = np.sort(pairs)
+    return pairs[np.diff(pairs, prepend=-1) != 0]
 
 
 def _gather(csr, rows):
@@ -309,7 +319,7 @@ def _widen(ring, one, rows):
         at, w = _gather(ring, block)
         via, x = _gather(one, w)
         v = block[at[via]]
-        pairs.append(np.unique((v * nv + x)[v != x]))
+        pairs.append(_distinct((v * nv + x)[v != x]))
     return _csr(np.concatenate(pairs), nv)
 
 

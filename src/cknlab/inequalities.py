@@ -141,10 +141,18 @@ def _admit(id: str, domain: Domain, field, options: dict):
     """Check the hypotheses of ``id`` on ``domain`` and ``field``.
 
     Returns what the id's check returns: the exponent tuple of the
-    interpolation ids, None otherwise.
+    interpolation ids, None otherwise.  Every id integrates |grad psi|^p:
+    (1 - r/R)^m with its rim r = R on the domain needs m > 1 - 1/p.
     """
     admitted = _entry(id).check(domain.k, options)
     require_vanishing(id, domain, field)
+    p = float(options["p"] if admitted is None else admitted.p)
+    m = field.field.dof[0]
+    if (field.field.kind == "radial_power" and m <= 1.0 - 1.0 / p
+            and field.support_r <= domain.max_radius):
+        raise PreconditionViolated(
+            f"radial power exponent {m:g} leaves |grad psi|^{p:g} "
+            f"non-integrable at the support rim; needs m > {1.0 - 1.0 / p:g}")
     return admitted
 
 
@@ -268,10 +276,10 @@ def _hardy(id: str, domain: Domain, field, o: dict) -> InequalityReport:
     c1 = (k - gamma) ** p * hp0 ** (p - 1.0) / p ** p
     c2 = gamma * ((k - gamma) * hp0) ** (p - 1.0) / p ** (p - 1.0)
     cb = ((k - gamma) * hp0) ** (p - 1.0) / p ** (p - 1.0)
-    i1 = weighted_integral(domain, lambda b: np.abs(b.psi) ** p, gamma,
+    i1 = weighted_integral(domain, lambda b: b.abs_psi_pow(p), gamma,
                            "h_power_times_hprime", field=field)
     i2 = weighted_integral(domain,
-                           lambda b: np.abs(b.psi) ** p * b.perp ** 2,
+                           lambda b: b.abs_psi_pow(p) * b.perp ** 2,
                            gamma, "h_power_times_hprime", field=field)
     params = {"p": p, "gamma": gamma, "r0": r0, "k": k}
     constants = {"hardy_coeff": c1, "perp_coeff": c2, "boundary_coeff": cb}
@@ -294,12 +302,12 @@ def _hardy(id: str, domain: Domain, field, o: dict) -> InequalityReport:
                 domain, lambda b: b.grad_psi ** p, gamma - p, "h_power",
                 field=field),
             "curvature_term": a_p * weighted_integral(
-                domain, lambda b: np.abs(b.psi) ** p * b.h_norm ** p / p ** p,
+                domain, lambda b: b.abs_psi_pow(p) * b.h_norm ** p / p ** p,
                 gamma - p, "h_power", field=field)}
         if minimal:
             notes.append("minimal submanifold: split coefficient taken as 1")
     constants["h_prime_r0"] = hp0
-    bterm = boundary_integral(domain, lambda b: np.abs(b.psi) ** p,
+    bterm = boundary_integral(domain, lambda b: b.abs_psi_pow(p),
                               gamma - 1.0, with_radial_conormal=signed,
                               field=field) if domain.has_boundary else Qty(0.0)
     rhs["boundary_term"] = cb * bterm
@@ -381,11 +389,11 @@ def _sobolev_hs(id: str, domain: Domain, field, o: dict) -> InequalityReport:
     p = o["p"]
     p_star = k * p / (k - p)
     s_const = _sobolev_constant(domain, p)
-    lhs_int = weighted_integral(domain, lambda b: np.abs(b.psi) ** p_star,
+    lhs_int = weighted_integral(domain, lambda b: b.abs_psi_pow(p_star),
                                 0.0, field=field)
     rhs_int = weighted_integral(
         domain,
-        lambda b: b.grad_psi ** p + np.abs(b.psi) ** p * b.h_norm ** p / p ** p,
+        lambda b: b.grad_psi ** p + b.abs_psi_pow(p) * b.h_norm ** p / p ** p,
         0.0, field=field)
     hyp = _sobolev_side_conditions(domain, field, o.get("inj_radius"))
     vstat, vreasons = _volume_hypothesis(domain, o.get("vol_threshold"))
@@ -412,17 +420,17 @@ def _weighted_sobolev(id: str, domain: Domain, field,
     s_const = _sobolev_constant(domain, p)
     wc = cn.weighted_sobolev_constants(k, p, alpha, hp0)
     gw = p * (alpha + 1.0)
-    lhs_crit = weighted_integral(domain, lambda b: np.abs(b.psi) ** p_star,
+    lhs_crit = weighted_integral(domain, lambda b: b.abs_psi_pow(p_star),
                                  p_star * alpha, field=field)
     lhs_perp2 = weighted_integral(
-        domain, lambda b: np.abs(b.psi) ** p * b.perp ** 2, gw,
+        domain, lambda b: b.abs_psi_pow(p) * b.perp ** 2, gw,
         "h_power_times_hprime", field=field)
     lhs_perpp = weighted_integral(
-        domain, lambda b: np.abs(b.psi) ** p * b.perp ** p, gw,
+        domain, lambda b: b.abs_psi_pow(p) * b.perp ** p, gw,
         "h_power_times_hprime", field=field)
     rhs_int = weighted_integral(
         domain,
-        lambda b: b.grad_psi ** p + np.abs(b.psi) ** p * b.h_norm ** p / p ** p,
+        lambda b: b.grad_psi ** p + b.abs_psi_pow(p) * b.h_norm ** p / p ** p,
         p * alpha, field=field)
     vstat, vreasons = _volume_hypothesis(domain, o.get("vol_threshold"))
     hyp = {"status": vstat, "reasons": vreasons}
@@ -473,13 +481,13 @@ def _interpolate(id: str, domain: Domain, field, o: dict) -> InequalityReport:
     s_const = _sobolev_constant(domain, p)
     lam, c_single = cn.interpolation_constants(params, hp0, s_const)
     c_eff = c_single ** (a / p)
-    lhs_int = weighted_integral(domain, lambda b: np.abs(b.psi) ** t,
+    lhs_int = weighted_integral(domain, lambda b: b.abs_psi_pow(t),
                                 gamma * t, field=field)
     grad_int = weighted_integral(
         domain,
-        lambda b: b.grad_psi ** p + np.abs(b.psi) ** p * b.h_norm ** p,
+        lambda b: b.grad_psi ** p + b.abs_psi_pow(p) * b.h_norm ** p,
         alpha * p, field=field)
-    q_int = weighted_integral(domain, lambda b: np.abs(b.psi) ** q,
+    q_int = weighted_integral(domain, lambda b: b.abs_psi_pow(q),
                               beta * q, field=field)
     vstat, vreasons = _volume_hypothesis(domain, o.get("vol_threshold"))
     hyp = {"status": vstat, "reasons": vreasons}

@@ -41,6 +41,7 @@ from cknlab.geometry import (
 )
 from cknlab.geometry.domain import SiteBatch, _adjugate_and_det
 from cknlab.geometry.fields import make_field
+from cknlab.geometry import mesh as mesh_module
 from cknlab.geometry.mesh import detect_boundary, read_mesh
 from cknlab.quadrature import simplex_rule
 
@@ -134,6 +135,27 @@ def test_fit_matches_per_vertex_reference_across_blocks():
                      axes=[[math.cos(0.3), 0.0, math.sin(0.3)],
                            [0.0, 1.0, 0.0]])
     _close(mesh.vertex_mean_curvature(), ref_vertex_mean_curvature(mesh))
+
+
+@pytest.mark.parametrize("name", CORPUS_MESHES + ("disk_41_rings",))
+def test_stencil_dedup_matches_np_unique(monkeypatch, name):
+    """The CSR stencils sort and mask their pairs; np.unique is the
+    reference, on every pair array the one-ring and the widening pass."""
+    mesh = (disk_mesh(1.0, rings=41) if name == "disk_41_rings"
+            else corpus_geometries()[name]().mesh)
+    fresh = SimplicialMesh(mesh.vertices, mesh.cells, mesh.boundary_facets)
+    real, sizes = mesh_module._distinct, []
+
+    def checked(pairs):
+        out = real(pairs)
+        assert np.array_equal(out, np.unique(pairs))
+        sizes.append(len(pairs))
+        return out
+
+    monkeypatch.setattr(mesh_module, "_distinct", checked)
+    fresh.vertex_mean_curvature()
+    # the one-ring, one block's widening and the two-ring, at least
+    assert len(sizes) >= 3 and min(sizes) > 0
 
 
 def test_fit_matches_on_a_refined_sphere():

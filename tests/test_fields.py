@@ -2,9 +2,12 @@
 
 A binding on a mesh computes the boundary-vanishing factor and the
 random_smooth basis once per site table (and once per mesh for the
-vertices), and the cell-edge Gram once per mesh.  The reference below
-recomputes everything from the points on every call, as the formulas read;
-the tabulated binding must agree with it bit for bit.
+vertices), and the cell-edge Gram and its barycentric gradients once per
+mesh.  The reference below recomputes everything from the points on every
+call, as the formulas read; the tabulated binding must agree with it bit for
+bit, except for the cell gradients: the mesh keeps ``gram^-1 e`` where the
+reference solves ``gram^-1 dv`` per binding, so those agree to ``1e-13``
+relative to the largest.
 """
 
 import gc
@@ -65,6 +68,11 @@ def ref_value(domain, field, pts):
     return vals
 
 
+def _close(a, b, rel=1e-13):
+    return np.max(np.abs(a - b), initial=0.0) <= rel * np.max(np.abs(b),
+                                                             initial=0.0)
+
+
 def ref_vertex_samples(domain, field):
     """Vertex values and per-cell gradients, edges and Gram rebuilt."""
     mesh = domain.mesh
@@ -86,18 +94,17 @@ def _graph_height(x, y):
     return 0.25 * x * x - 0.15 * y * y + 0.1 * x * y
 
 
+MESHES = {
+    "disk_pole": lambda: disk_mesh(1.0, rings=5),
+    "disk_offset": lambda: disk_mesh(0.8, rings=4, center=(0.3, -0.2, 0.4)),
+    "graph": lambda: graph_mesh(_graph_height, half_width=1.0, divisions=4),
+    "sphere": lambda: sphere_mesh(1.0, level=2),
+}
+
+
 @lru_cache(maxsize=None)
 def mesh_domain(name):
-    euclid3 = AmbientSpace.euclidean(3)
-    mesh = {
-        "disk_pole": lambda: disk_mesh(1.0, rings=5),
-        "disk_offset": lambda: disk_mesh(0.8, rings=4,
-                                         center=(0.3, -0.2, 0.4)),
-        "graph": lambda: graph_mesh(_graph_height, half_width=1.0,
-                                    divisions=4),
-        "sphere": lambda: sphere_mesh(1.0, level=2),
-    }[name]()
-    return Domain(mesh, euclid3)
+    return Domain(MESHES[name](), AmbientSpace.euclidean(3))
 
 
 def _tables(domain):
@@ -121,8 +128,10 @@ def test_mesh_binding_matches_untabulated_formulas(kind, name, vanishing,
     bound = field.bind(domain)
     vals, grads = ref_vertex_samples(domain, field)
     assert np.array_equal(bound.vertex_values, vals)
-    assert np.array_equal(bound.cell_gradients, grads)
-    norm = np.linalg.norm(grads, axis=1)
+    # the mesh keeps gram^-1 e, the reference solves for gram^-1 dv: the
+    # same gradients in another order of operations
+    assert _close(bound.cell_gradients, grads)
+    norm = np.linalg.norm(bound.cell_gradients, axis=1)
     for table in _tables(domain):
         psi_ref = ref_value(domain, field, table.points)
         for _ in range(2):  # first use fills the table's columns
@@ -139,6 +148,27 @@ def test_mesh_binding_matches_untabulated_formulas(kind, name, vanishing,
         assert np.array_equal(bound.at_boundary(table), 1.0 * psi)
 
 
+@pytest.mark.parametrize("name", ["disk_pole", "graph", "sphere"])
+def test_barycentric_gradients_solved_once_per_mesh(monkeypatch, name):
+    members = [make_field(PLANAR[s % 2], seed=s, boundary_vanishing=s % 3 > 0)
+               for s in range(20)]
+    # the per-binding formula, solve(gram, dv), on a twin of the mesh
+    refs = [ref_vertex_samples(mesh_domain(name), f)[1] for f in members]
+    solves = []
+    real = np.linalg.solve
+
+    def counting(*args):
+        solves.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    domain = Domain(MESHES[name](), AmbientSpace.euclidean(3))
+    for field, ref in zip(members, refs):
+        assert _close(field.bind(domain).cell_gradients, ref)
+    domain.boundary_sites()   # the conormals read the same gradients
+    assert len(solves) == 1
+
+
 def test_kept_columns_do_not_depend_on_the_member(euclid3, bindings):
     domain = Domain(disk_mesh(1.0, rings=4), euclid3)
     options = {"p": 1.0, "gamma": 1.0}
@@ -146,7 +176,8 @@ def test_kept_columns_do_not_depend_on_the_member(euclid3, bindings):
     tables = _tables(domain)
     kept = [dict(t.kept) for t in tables] + [dict(domain.mesh.kept)]
     assert all(set(k) == {"mixture", "clamp"} for k in kept[:-1])
-    assert set(kept[-1]) == {"edge_gram", "mixture", "clamp"}
+    assert set(kept[-1]) == {"edge_gram", "barycentric_gradients", "mixture",
+                             "clamp"}
     iq.evaluate("hardy", domain, make_field("random_smooth", seed=2), options)
     iq.evaluate("hardy", domain, make_field("polynomial"), options)
     after = [t.kept for t in tables] + [domain.mesh.kept]

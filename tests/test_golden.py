@@ -19,23 +19,23 @@ from cknlab.corpus import build_corpus, run_corpus
 # scenario -> SHA-256 of its `verify --out` JSON and `--csv` file
 GOLDEN = {
     "disk_equality": (
-        "26d36195bfb030c721c047333fa520f769ef595e848ad987e636f23d26efd7b3",
-        "c9af343e11a492fad47eaa7e6752e90a38142dd88f06f4a21eea23a3a1a35972"),
+        "1b8371c93cebb1ae92e100e119ef645773630f81429c9562f309de93605baf96",
+        "3ceb4e70cac11cc2ffb24849808d2425c21a1eb252e7fef2e0409b5ff7ddebf5"),
     "geodesic_sobolev": (
-        "d8d4547485b44cbf3c062ea64c0e16d1c8b5023b6d955a5391db2816b9a715d6",
-        "842d69b954af5edab689f926fa3e13138a5183a63558686933a287468b6e1ac3"),
+        "bead6ee5f17c46bf45d0ed94472eadec202cdbd034d035f240c6633c7032f4ff",
+        "06bb41e38c7778ba9ce574194e7b7d41a07c80a317e0d84d926696db0ab1b9e8"),
     "hardy_cone": (
-        "7dbf3e35cbc0e175575a7af2fe9ac8e39f06a9a04d37ba1778f0cf149cefe5bb",
-        "20e4a60e1f2a59087d002a6c128fd301dcf945b68e143f0c12f76fef49acef04"),
+        "e8061b83fe776cf30cd66681777321f98b73c6180631f3e0b7a25d0a74211f1e",
+        "b5e62a49b3e6f803a623f9beffb683d3f72aa14714f1e665e917e66753b565ab"),
     "hpw_disk": (
-        "983d31421414dbc37cecb0b90a4eaa2d4f0ab30b2fa8cca7ca769e16b7e4a0a3",
-        "fe28d5e5cadeaa1a1108e37cade42b57af1471db7200e0930a6d308f66f0cb78"),
+        "d4e9213805b91e6f6f1964455db4dd5e40912fadedffe1e6eb51745d723ace79",
+        "655a3c1f1dc961dca73b694f2f6ddd90f9c2e82d318a446639fbe15f94efbf80"),
     "nash_ball": (
-        "887613ab241fe6e62035b2d3ac45d96b69f9496506ce6c289d33c85ce7fce820",
-        "017cd6328addd72efec9f8eef2df33470f506f4fd97c779bd85f5d46712542fe"),
+        "0d4f4d20b6fbce0bf77a86bdf1208b36fde8341ab117b6446d1bc63402c58a1b",
+        "929b06616df5365b06b042ba0604f81b576523eb8b89d698572f746250277f3b"),
     "weighted_cap": (
-        "2f838e72386603b1207f190b5a50f6ca2a6fdfc92af4d2c1f4f6e51f9a9fdca1",
-        "8cd007822e73ce336e9dd145620a0da0198036f3257df876699018b62788ba39"),
+        "48b4c7eaef5ad4878a311072dc8a8cb0b2ffbefceed7630a937707943d0d0ce8",
+        "e6db2b5e1960b8a76cb40f2b8bfa84de0635367842fda41525ffc5dc0cc8dabd"),
 }
 
 
@@ -58,29 +58,29 @@ def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
 # reports names the geometries it moved
 CORPUS_REPORTS = {
     "ball":
-        "c2195578597dfce168acb1fee9ca8c37aed5f99a3376a0f3cf8545bdf55b94f4",
+        "3ba18daad4c107ef3fc8db787c2e38c634677c20afc060bf19169d8cde756d73",
     "ball_warped":
-        "b25d68992414ae0e9b16be269ef89200c9dd4426e02331df64af57704ac0244e",
+        "fce0f0415fa47f10306fe22fa0288aa483086c0d8c31e134a8bd7eb5de6e8e83",
     "cap":
-        "18d1c86ad5aa0802681f42e6e2c757df03bf2e2561a8c02af7b4ebc4ff1af117",
+        "058c60907b508f020b6bd7709ca509b13464748c50f180da47be911d5e648dfa",
     "disk_offset":
-        "5daaa4f1d5bbdc2a7e35070a566e9ad26adc624bd140afd9fffb34655b1573ec",
+        "25ab50cbc3ec5fc6f53f7307643a0fcd440e0238cd99b2a6eb78603eb7ba19ca",
     "disk_patch":
-        "88df3db8083aeb7091ee998242d8a8a03c547f77df18fc77abc40b3695c7e81c",
+        "f15f8d8a52b9d51f017cd29ac2ca9603bf2857559dd071b4276e64e8798cc4d1",
     "disk_pole":
-        "ad8f7dd7a24912cc22877659ae398ac191a03d6b35387bccfd58674ed90e78dd",
+        "0d303c52d5ca946e597abde2d4ed430688e8d5bed6ae16f18cdeb7ec06b89d0d",
     "disk_tilted":
-        "221608a009e07856d6f26c9aac02804216a33813cfcdf5c50d6764642a502979",
+        "2030d965f2f95a0744ba44af0e3bc0a5be78f1bff965bfe33246336e879b61c0",
     "geodesic_disk":
-        "e56200e067a10bb0d26d432c2af752cdc8b754d8760c79d71a1c420bf3fd5afa",
+        "44c62f4dadd11ede1e20eec6683513173333eb00dc6ea22e00bdf21b8a96d53c",
     "graph_patch":
-        "c18b2144bc3e3d13754a88430dd8751fcc11ef57ca001e61f49cede897112766",
+        "98728b6477737ce54a334b49b9af460a4f3025caa8aadb75052e532fdf6dc781",
     "sphere_offset":
-        "d23df9fd40d0c463cb5635e7b4aaa738dccae87dd9fd98f84430068baa31e54c",
+        "38d745cda3a0a875a368aca4cafa66aed1d6f5a6773d0dc9f278b95740674c5f",
     "sphere_pole":
-        "311274848168c71bfe9d1c80b1ea702f75d5753841d3d8882323abd7b45f3177",
+        "0ac48d9b3ff6bd4270c3c58667fb11850b002d7badeb666892a092eb848e9d1c",
     "zone":
-        "138565e18ab656a5bfd0cb59d362674fc9402268f18d8c6d01cc8e68db8e6e1a",
+        "cfd924a1c39d3456740973bd9583ed67f6302a3d9920928233800b9a18b864ef",
 }
 # SHA-256 over the cases of `build_corpus(seed, draws=60)`, seeds 0-19
 CORPUS_CASES = (
@@ -139,7 +139,7 @@ field.kind = radial_power, radial_bump, polynomial, random_smooth
 """
 # SHA-256 of `search --budget 40 --seed 3 --levels 1 --out` on that sweep
 SEARCH_PAYLOAD = (
-    "2326c8bc878de7344776aad36d46692fba1af788860c91dbfb254715cc040117")
+    "8a96b82abbdcb426dbb31f83091a3478eaf4c1ae6edf973838f596affedc7867")
 
 
 def test_search_payload_is_golden(tmp_path, capsys):

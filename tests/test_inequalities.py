@@ -349,6 +349,27 @@ def test_sobolev_needs_vanishing_field(disk_domain):
         iq.evaluate("sobolev_hs", disk_domain, CONSTANT_ONE, {"p": 1.0})
 
 
+def test_radial_power_outside_w1p_is_refused(disk_domain, sphere_domain,
+                                            ball_domain_euclid):
+    # |grad (1 - r)^m|^p integrates at the rim r = 1 only for m > 1 - 1/p
+    half = make_field("radial_power", (0.5,))
+    for id, domain, options in (
+            ("hardy", disk_domain, {"p": 2.0, "gamma": 1.0}),
+            # p = 2 from the exponent tuple
+            ("gagliardo_nirenberg", ball_domain_euclid, {})):
+        with pytest.raises(PreconditionViolated, match="non-integrable"):
+            iq.evaluate(id, domain, half, options)
+    rep = iq.evaluate("hardy", disk_domain, half, {"p": 1.0, "gamma": 1.0})
+    assert math.isfinite(rep.ratio) and rep.ratio > 0.9
+    assert iq.evaluate("sobolev_hs", disk_domain, half, {"p": 1.5}).satisfied
+    # on a closed surface the rim lies beyond the domain
+    rep = iq.evaluate("hardy", sphere_domain,
+                      make_field("radial_power", (0.5,),
+                                 boundary_vanishing=False),
+                      {"p": 2.0, "gamma": 1.0})
+    assert rep.satisfied
+
+
 def test_hadamard_requires_flat_ambient(geodesic_domain):
     with pytest.raises(PreconditionViolated):
         iq.evaluate("hardy_hadamard", geodesic_domain, CONE,

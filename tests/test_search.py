@@ -162,7 +162,10 @@ def test_rejected_and_degenerate_members_are_counted(disk_domain_coarse):
     zero = make_field("polynomial", (0.0,) * 6, boundary_vanishing=False)
     negative = make_field("polynomial", (-1.0, 0, 0, 0, 0, 0),
                           boundary_vanishing=False)
-    for family, counts in ((zero, (0, 1)), (negative, (1, 0))):
+    # (1 - r)^0.5 leaves |grad psi|^2 non-integrable at the rim
+    outside_w12 = make_field("radial_power", (0.5,))
+    for family, counts in ((zero, (0, 1)), (negative, (1, 0)),
+                           (outside_w12, (1, 0))):
         result = maximize_ratio("hardy_signed", disk_domain_coarse, family,
                                 options, budget=1)
         assert result.best_ratio == 0.0
