@@ -85,7 +85,9 @@ def _frac(text):
 def cmd_constants(args) -> int:
     rows = {}
     try:
-        k = int(args.k)
+        k = int(args.k) if args.k.strip().isdecimal() else 0
+        if k < 1:
+            raise ConfigError(f"--k must be a positive integer, got {args.k!r}")
         p = _frac(args.p)
         pf = float(p)
         if not 1 <= pf:

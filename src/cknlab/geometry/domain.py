@@ -122,10 +122,9 @@ class SiteBatch:
     conormal_dot: np.ndarray = None  # boundary batches only
     tan_sq: np.ndarray = None  # (S,) |tangential radial part|^2 (unclamped)
     cell_ids: np.ndarray = None  # (S,) mesh cell of each site
-    bary: np.ndarray = None   # (S, m) barycentrics in that cell or facet
+    bary: np.ndarray = None   # (S, k) barycentrics in that boundary facet
     facet_ids: np.ndarray = None  # (S,) mesh boundary facet of each site
     chart: np.ndarray = None  # (S, k) patch chart point
-    h_vec: np.ndarray = None  # (S, n) mean curvature vector
     dF: np.ndarray = None     # (S, n, k) chart basis, columns of unit length
     chart_colnorm: np.ndarray = None  # (S, k) lengths of the chart columns
     metric_ginv: np.ndarray = None  # (S, k, k) inverse metric in that basis
@@ -495,12 +494,11 @@ class Domain:
         normal -= u
         perp = np.sqrt(np.einsum("sn,sn->s", normal, normal))
         del frames, normal   # before the curvature gather, the largest
-        hvec = np.einsum("sb,sbn->sn",
-                         bary, self._vertex_H[self.mesh.cells[cell_ids]])
-        h_norm = np.linalg.norm(hvec, axis=1)
+        h_norm = np.linalg.norm(np.einsum(
+            "sb,sbn->sn", bary, self._vertex_H[self.mesh.cells[cell_ids]]),
+            axis=1)
         return SiteBatch(points=pts, density=dens, r=r, h=h, hp=hp, perp=perp,
-                         h_norm=h_norm, tan_sq=tan_sq, cell_ids=cell_ids,
-                         bary=bary, h_vec=hvec)
+                         h_norm=h_norm, tan_sq=tan_sq, cell_ids=cell_ids)
 
     # ---- patch sites
 
@@ -661,7 +659,6 @@ class Domain:
         tan_sq = np.sum(dr * along, axis=1)
         k, n = patch.k, self.n
         if k == n:
-            Hvec = np.zeros((len(U), n))
             h_norm = np.zeros(len(U))
             perp = np.zeros(len(U))
             tan_sq = np.ones(len(U))
@@ -672,11 +669,11 @@ class Domain:
                  ).reshape(len(U), n, k * k)
             inner = (G @ dFn).swapaxes(1, 2) @ S
             S_perp = S - (dFn @ ginv) @ inner
-            Hvec = (S_perp @ ginv.reshape(len(U), k * k, 1))[..., 0]
-            h_norm = _metric_norm(G, Hvec)
+            h_norm = _metric_norm(
+                G, (S_perp @ ginv.reshape(len(U), k * k, 1))[..., 0])
         return SiteBatch(points=F, density=dens, r=r, h=h, hp=hp, perp=perp,
-                         h_norm=h_norm, tan_sq=tan_sq, chart=U, h_vec=Hvec,
-                         dF=dFn, chart_colnorm=colnorm, metric_ginv=ginv)
+                         h_norm=h_norm, tan_sq=tan_sq, chart=U, dF=dFn,
+                         chart_colnorm=colnorm, metric_ginv=ginv)
 
     # -- boundary sites -----------------------------------------------------------
 

@@ -279,8 +279,6 @@ def _vanish_points(domain: Domain, pts: np.ndarray) -> np.ndarray:
         x = (pts[:, 0] - cx) / L
         y = (pts[:, 1] - cy) / L
         return np.maximum((1.0 - x ** 2) * (1.0 - y ** 2), 0.0)
-    if gen == "sphere":
-        return np.ones(len(pts))
     raise InvalidArgument(f"no boundary-vanishing factor for generator {gen!r}")
 
 

@@ -47,11 +47,9 @@ class SimplicialMesh:
             self.boundary_facets = np.zeros((0, self.cells.shape[1] - 1), int)
         else:
             self.boundary_facets = np.asarray(self.boundary_facets, dtype=int)
-        self._fit_cache = None
-        self._frames_cache = None
-        # what every field binding on this mesh derives from its vertices
-        # and cells alone (edge Gram, barycentric gradients, vertex
-        # columns), filled by kept()
+        # what the domain and every field binding on this mesh derive from
+        # its vertices and cells alone (edge Gram, frames, curvature fit,
+        # barycentric gradients, vertex columns), filled by kept()
         self.kept = {}
 
     @property
@@ -88,11 +86,11 @@ class SimplicialMesh:
 
         Computed once per mesh.
         """
-        if self._frames_cache is None:
-            e, _ = self.edge_gram()
-            q, _ = np.linalg.qr(np.transpose(e, (0, 2, 1)))
-            self._frames_cache = np.transpose(q, (0, 2, 1))
-        return self._frames_cache
+        def build():
+            q, _ = np.linalg.qr(np.transpose(self.edge_gram()[0], (0, 2, 1)))
+            return np.transpose(q, (0, 2, 1))
+
+        return kept(self.kept, "cell_frames", build)
 
     def barycentric_gradients(self) -> np.ndarray:
         """(C, k, n) gradients ``gram^-1 e`` of each cell's barycentric
@@ -155,14 +153,14 @@ class SimplicialMesh:
         fitted together, ``_FIT_BLOCK`` at a time.  Raises
         :class:`InsufficientStencil` when a stencil stays too small, or when
         the fit takes a normal direction of the incident cells for a tangent
-        (a mesh too coarse for its curvature).
+        (a mesh too coarse for its curvature).  Computed once per mesh.
         """
-        if self._fit_cache is not None:
-            return self._fit_cache
+        return kept(self.kept, "vertex_mean_curvature", self._fit_all)
+
+    def _fit_all(self) -> np.ndarray:
         k, n, nv = self.k, self.n, len(self.vertices)
         if k == n:
-            self._fit_cache = np.zeros_like(self.vertices)
-            return self._fit_cache
+            return np.zeros_like(self.vertices)
         ncols = 1 + k + k * (k + 1) // 2
         # CSR stencils: the one-ring from every ordered pair of cell corners
         a = np.repeat(self.cells, k + 1, axis=1).reshape(-1)
@@ -195,7 +193,6 @@ class SimplicialMesh:
                 block = ids[lo:lo + _FIT_BLOCK]
                 nbrs = ring[1][ring[0][block][:, None] + np.arange(size)]
                 out[block] = self._fit(block, nbrs, cell_normals[block])
-        self._fit_cache = out
         return out
 
     def _fit(self, block, nbrs, cell_normals):
@@ -385,7 +382,8 @@ def disk_mesh(radius: float = 1.0, rings: int = 8, center=(0.0, 0.0, 0.0),
 
     The disk center is a vertex; ring ``j`` holds ``6 j`` vertices at radius
     ``j * radius / rings``, so boundary vertices sit exactly on the rim
-    circle.  ``axes`` gives the two in-plane unit vectors (default x, y).
+    circle.  ``axes`` gives the two in-plane unit vectors (default x, y),
+    orthonormal: the rim snap and the vanishing factor project with them.
     """
     if rings < 1:
         raise InvalidArgument("need at least one ring")
@@ -393,6 +391,9 @@ def disk_mesh(radius: float = 1.0, rings: int = 8, center=(0.0, 0.0, 0.0),
     if axes is None:
         axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     axes = np.asarray(axes, dtype=float)
+    if axes.shape != (2, 3) or not np.allclose(axes @ axes.T, np.eye(2),
+                                               rtol=0.0, atol=1e-9):
+        raise InvalidArgument("disk axes must be two orthonormal 3-vectors")
 
     ring_ids = [[0]]
     plane_pts = [(0.0, 0.0)]
@@ -434,7 +435,7 @@ def disk_mesh(radius: float = 1.0, rings: int = 8, center=(0.0, 0.0, 0.0),
     cells = np.array(cells, int)
     bfacets = detect_boundary(cells)
     meta = {"generator": "disk", "radius": radius, "center": center,
-            "axes": axes, "plane_origin": center}
+            "axes": axes}
     return SimplicialMesh(verts, cells, bfacets, metadata=meta)
 
 

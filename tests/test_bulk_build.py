@@ -233,7 +233,6 @@ def ref_patch_batch(domain, U):
     tan_sq = np.einsum("si,sij,sj->s", dr, ginv, dr)
     perp = np.sqrt(np.clip(1.0 - tan_sq, 0.0, 1.0))
     if patch.k == domain.n:
-        Hvec = np.zeros((len(U), domain.n))
         h_norm = np.zeros(len(U))
         perp = np.zeros(len(U))
         tan_sq = np.ones(len(U))
@@ -247,7 +246,7 @@ def ref_patch_batch(domain, U):
         h_norm = np.sqrt(np.maximum(
             np.einsum("sn,snm,sm->s", Hvec, G, Hvec), 0.0))
     return {"points": F, "density": dens, "r": r, "tan_sq": tan_sq,
-            "perp": perp, "h_norm": h_norm, "h_vec": Hvec, "dF": dFn,
+            "perp": perp, "h_norm": h_norm, "dF": dFn,
             "chart_colnorm": colnorm, "metric_ginv": ginv}
 
 

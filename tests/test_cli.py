@@ -92,6 +92,15 @@ def test_constants_invalid_exponents(capsys):
     assert "p must be" in err
 
 
+@pytest.mark.parametrize("k", ["abc", "2.5", "0", "-2"])
+def test_constants_k_must_be_a_positive_integer(capsys, k):
+    code, out, err = run(["constants", "--k", k, "--p", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"error: --k must be a positive integer, got {k!r}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--p", "--alpha", "--hprime"])
 def test_constants_overflowing_number_is_an_error(capsys, flag):
     args = {"--p": "2", "--alpha": "0", "--hprime": "1"}
@@ -460,6 +469,15 @@ def test_non_positive_size_is_a_config_error(tmp_path, capsys, line):
     for code, _, err in _verify_and_search(tmp_path, capsys, text):
         assert code == 1
         assert f"{option} must be positive" in err
+
+
+@pytest.mark.parametrize("axes", ["0 0 0 0 0 0", "1 0 0 1 0 0",
+                                  "2 0 0 0 1 0", "1 0 0 0.5 0.5 0"])
+def test_disk_axes_must_be_orthonormal(tmp_path, capsys, axes):
+    text = DISK_CONE_CFG.replace("rings = 12", f"rings = 12\naxes = {axes}")
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "config error: disk axes must be two orthonormal 3-vectors" in err
 
 
 @pytest.mark.parametrize("geometry,message", [

@@ -176,8 +176,9 @@ def test_kept_columns_do_not_depend_on_the_member(euclid3, bindings):
     tables = _tables(domain)
     kept = [dict(t.kept) for t in tables] + [dict(domain.mesh.kept)]
     assert all(set(k) == {"mixture", "clamp"} for k in kept[:-1])
-    assert set(kept[-1]) == {"edge_gram", "barycentric_gradients", "mixture",
-                             "clamp"}
+    assert set(kept[-1]) == {"edge_gram", "cell_frames",
+                             "vertex_mean_curvature", "barycentric_gradients",
+                             "mixture", "clamp"}
     iq.evaluate("hardy", domain, make_field("random_smooth", seed=2), options)
     iq.evaluate("hardy", domain, make_field("polynomial"), options)
     after = [t.kept for t in tables] + [domain.mesh.kept]

@@ -469,8 +469,8 @@ def test_poly_graph_patch_curvature(euclid3):
 
 
 def test_mean_curvature_vector_helper(sphere_domain):
-    hi, _ = sphere_domain.sites()
-    vecs = hi.h_vec
+    mesh = sphere_domain.mesh
+    vecs = mesh.vertex_mean_curvature()
     # vectors point inward on the sphere about the pole
-    inward = -np.einsum("sn,sn->s", vecs, hi.points)
+    inward = -np.einsum("vn,vn->v", vecs, mesh.vertices)
     assert np.all(inward > 0)

@@ -285,14 +285,38 @@ def test_field_columns_survive_concatenation(disk_patch_domain):
                           np.concatenate([hi.grad_psi, lo.grad_psi]))
 
 
+def _assert_table_columns(domain, interior, boundary):
+    """Band 0's, band 2's and the pole's tables carry the interior columns,
+    the boundary's its own."""
+    kinds = {"band 0": (domain.sites(0.0), interior),
+             "band 2": (domain.sites(1.5), interior),
+             "pole": (domain.pole_sites(1.5), interior),
+             "boundary": (domain.boundary_sites(), boundary)}
+    for kind, (tables, columns) in kinds.items():
+        assert len(tables) == 2, kind
+        for table in tables:
+            assert len(table.r) and _set_columns(table) == columns, kind
+
+
 def test_mesh_tables_carry_their_columns(disk_domain_coarse):
-    hi, _ = disk_domain_coarse.sites(0.0)
-    assert _set_columns(hi) == {"points", "density", "r", "h", "hp", "perp",
-                                "h_norm", "tan_sq", "cell_ids", "bary",
-                                "h_vec"}
-    bhi, _ = disk_domain_coarse.boundary_sites()
-    assert _set_columns(bhi) == {"points", "density", "r", "h", "hp",
-                                 "conormal_dot", "facet_ids", "bary"}
+    # the sites keep |H| only; the boundary keeps its barycentrics, which
+    # interpolate a field's vertex values
+    _assert_table_columns(
+        disk_domain_coarse,
+        {"points", "density", "r", "h", "hp", "perp", "h_norm", "tan_sq",
+         "cell_ids"},
+        {"points", "density", "r", "h", "hp", "conormal_dot", "facet_ids",
+         "bary"})
+
+
+@pytest.mark.parametrize("name", ["flat_disk_patch", "plane_rect"])
+def test_patch_tables_carry_their_columns(euclid3, warped3, name):
+    # pole tables on a polar face and on Kuhn triangles
+    _assert_table_columns(
+        Domain(_through_pole(euclid3, warped3)[name]()),
+        {"points", "density", "r", "h", "hp", "perp", "h_norm", "tan_sq",
+         "chart", "dF", "chart_colnorm", "metric_ginv"},
+        set(BOUNDARY_COLUMNS))
 
 
 # -- mesh quadrature order ----------------------------------------------------
@@ -308,7 +332,9 @@ def test_mesh_order_picks_grundmann_moller_indices(euclid3, order, indices):
     for batch, s_index in zip(domain.sites(0.0), indices):
         bary, _ = simplex_rule(2, s_index)
         assert len(batch.r) == cells * len(bary)
-        assert np.array_equal(batch.bary[:len(bary)], bary)
+        np.testing.assert_allclose(batch.points[:len(bary)],
+                                   bary @ mesh.vertices[mesh.cells[0]],
+                                   rtol=0, atol=1e-15)
     for batch, s_index in zip(domain.boundary_sites(), indices):
         bary, _ = simplex_rule(1, s_index)
         assert len(batch.r) == len(mesh.boundary_facets) * len(bary)
