@@ -64,6 +64,14 @@ def unit_ball_volume(k: int) -> float:
     return math.pi ** (k / 2.0) / _gamma_half(k + 2)
 
 
+def log_unit_ball_volume(k: int) -> float:
+    """Log of :func:`unit_ball_volume`, by log-gamma above k = 170, where
+    the exact half-integer gamma values start to overflow a float."""
+    if k <= 170:
+        return math.log(unit_ball_volume(k))
+    return 0.5 * k * math.log(math.pi) - math.lgamma(0.5 * k + 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Dimensional Sobolev constant
 # ---------------------------------------------------------------------------
@@ -83,14 +91,26 @@ def hoffman_spruck_constant(k: int, p: float, z: float,
         raise InvalidArgument("z must lie in (0, 1)")
     lead = 1.0 if flat_ambient else math.pi / 2.0
     # (omega_k^{-1} / (1-z))^{1/k} through exp/log to stay overflow-safe
-    root = math.exp((-math.log(unit_ball_volume(k)) - math.log(1.0 - z)) / k)
-    return (lead * (2.0 ** k * k) / (z * (k - 1)) * root
-            * 2.0 ** (p - 1.0) * (p * (k - 1) / (k - p)) ** p)
+    root = math.exp((-log_unit_ball_volume(k) - math.log(1.0 - z)) / k)
+    try:
+        value = (lead * (2.0 ** k * k) / (z * (k - 1)) * root
+                 * 2.0 ** (p - 1.0) * (p * (k - 1) / (k - p)) ** p)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ConstantUndefined(
+            f"the dimensional Sobolev constant at k = {k}, p = {p} "
+            "overflows a float")
+    return value
 
 
 def hoffman_spruck_optimal(k: int, p: float, flat_ambient: bool = False) -> float:
     """Minimum of the constant family over its free parameter (at z = k/(k+1))."""
-    return hoffman_spruck_constant(k, p, k / (k + 1.0), flat_ambient=flat_ambient)
+    z = k / (k + 1.0)
+    if z == 1.0:
+        raise ConstantUndefined(
+            f"the optimal parameter k/(k+1) rounds to 1 at k = {k}")
+    return hoffman_spruck_constant(k, p, z, flat_ambient=flat_ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -111,30 +131,6 @@ class WeightedConstants:
     grad_coeff: float        # Gamma: right-hand-side coefficient
     perp_sq_coeff: float     # Phi: |normal radial|^2 term coefficient
     perp_p_coeff: float      # Delta: |normal radial|^p term coefficient
-
-
-def eps_objective(k: int, p: float, alpha: float, h_prime_r0: float,
-                  eps: float) -> float:
-    """Gradient-coefficient objective whose minimizer is ``eps_opt``."""
-    a_p = pair_power_upper(p)
-    b_p = pair_power_flip(p)
-    g = p * (alpha + 1.0)
-    big_a = a_p / h_prime_r0 ** (p - 1.0) * p ** p / (k - g) ** p
-    aa = abs(alpha)
-    return a_p * ((aa + eps ** 2) ** (p / 2.0) * aa ** (p / 2.0) * b_p * big_a
-                  + (1.0 + aa * eps ** -2.0) ** (p / 2.0))
-
-
-def gradient_coeff_expanded(k: int, p: float, alpha: float,
-                            h_prime_r0: float) -> float:
-    """Unfactored form of the gradient coefficient (equal to the factored one)."""
-    a_p = pair_power_upper(p)
-    g = p * (alpha + 1.0)
-    inner = (abs(alpha) ** (2.0 * p / (2.0 + p))
-             * 2.0 ** (abs(p - 2.0) / (p + 2.0))
-             * h_prime_r0 ** (2.0 * (1.0 - p) / (2.0 + p))
-             * (p / (k - g)) ** (2.0 * p / (p + 2.0)))
-    return a_p * (1.0 + inner) ** ((p + 2.0) / 2.0)
 
 
 def weighted_sobolev_constants(k: int, p: float, alpha: float,

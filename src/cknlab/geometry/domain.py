@@ -14,11 +14,12 @@ lower-order rule on the same decomposition, and the difference feeds the
 quadrature error estimate.
 
 The tables are kept per weight band, band ``ceil(|gamma|)``.  Band 0 keeps
-every cell whole and is built first.  A higher band lists the cells its
-weight leaves whole first, in cell order, then its graded pieces; it
-computes the sites of the graded pieces only and copies the whole cells'
-rows from band 0's tables, where cell ``c`` holds rows ``c * q`` to
-``c * q + q - 1`` of a ``q``-point rule.
+every cell whole and is built first; cell ``c`` holds rows ``c * q`` to
+``c * q + q - 1`` of a ``q``-point rule.  A higher band keeps, per rule, a
+view of band 0's table, which shares all of its columns but the density,
+zero on the rows of the cells the band grades or hands to the pole; and the
+table of its graded pieces, the only sites it computes.  A field bound to
+the domain is evaluated on band 0's tables, and the views read those values.
 
 Above band 0 the cells at the pole leave those tables and are integrated per
 weight ``h(r) ** -gamma`` with Gauss-Jacobi for ``t ** (k - 1 - gamma)`` in
@@ -140,10 +141,12 @@ class SiteBatch:
         w = self.h ** (-gamma) if gamma != 0.0 else 1.0
         return w * self.hp if use_hprime else w
 
-    def with_field(self, psi, grad_psi=None) -> "SiteBatch":
-        """A shallow copy carrying a field's columns, with its own ``kept``."""
+    def with_field(self, psi, grad_psi=None, kept=None) -> "SiteBatch":
+        """A shallow copy carrying a field's columns, and ``kept`` or a new
+        ``kept`` of its own."""
         out = SiteBatch.__new__(SiteBatch)
-        out.__dict__.update(self.__dict__, psi=psi, grad_psi=grad_psi, kept={})
+        out.__dict__.update(self.__dict__, psi=psi, grad_psi=grad_psi,
+                            kept={} if kept is None else kept)
         return out
 
     def abs_psi_pow(self, p: float) -> np.ndarray:
@@ -351,15 +354,14 @@ class Domain:
         return cache[key]
 
     def sites(self, gamma: float = 0.0, bound_field=None):
-        """(hi, lo) site batches for the weight ``h(r) ** -gamma``.
+        """Site batches for the weight ``h(r) ** -gamma``, hi and lo rules
+        alternating: band 0's pair ``(hi, lo)``, or above band 0
+        ``(hi_view, lo_view, hi_graded, lo_graded)``.
 
-        The domain keeps one pair per band, graded for exponents up to
-        ``|gamma|``.  Band 0 keeps every cell whole and is built first; a
-        higher band computes the sites of its graded pieces only and copies
-        the rows of the cells it keeps whole from band 0's tables, which
-        hold them bit for bit.  Above band 0 the pair leaves out the cells
-        at the pole, which :meth:`pole_sites` integrates.  With the pole on
-        the domain the exponent must stay below ``k``.
+        The views share band 0's columns, with zero density on the cells
+        the band grades or leaves to :meth:`pole_sites` (see the module
+        docstring).  With the pole on the domain the exponent must stay
+        below ``k``.
         """
         if self.through_pole and gamma >= self.k:
             raise NonIntegrableWeight(
@@ -368,14 +370,14 @@ class Domain:
         band = self._gamma_band(gamma)
         build = (self._build_mesh_sites if self.kind == "mesh"
                  else self._build_patch_sites)
-        # band 0 first: the other bands copy their whole cells' rows from
-        # it, reading the cache directly, since the build lock is not
-        # reentrant
-        tables = self._cached(self._interior_cache, 0, lambda: build(0))
-        if band:
-            tables = self._cached(self._interior_cache, band,
-                                  lambda: build(band))
-        return self._with_field(tables, band, bound_field)
+        # band 0 first: the other bands view its tables, reading the cache
+        # directly, since the build lock is not reentrant
+        base = self._cached(self._interior_cache, 0, lambda: build(0))
+        base = self._with_field(base, 0, bound_field)
+        if not band:
+            return base
+        tables = self._cached(self._interior_cache, band, lambda: build(band))
+        return self._with_field(tables, band, bound_field, base)
 
     def pole_sites(self, gamma: float, bound_field=None):
         """(hi, lo) site batches of the cells at the pole for ``h ** -gamma``.
@@ -392,12 +394,25 @@ class Domain:
             slot = self._pole_slot = (gamma, self._pole_tables(gamma))
         return self._with_field(slot[1], ("pole", gamma), bound_field)
 
-    def _with_field(self, tables, key, bound_field):
-        """``tables`` with the field's values, kept in its binding."""
+    def _with_field(self, tables, key, bound_field, base=()):
+        """``tables`` with the field's values, kept in its binding.  The
+        first ones view ``base``, band 0's bound tables, and share their
+        values and ``kept`` (whose weights' exponents name their band)."""
         if bound_field is None:
             return tables
         return kept(bound_field.kept, key, lambda: tuple(
-            t.with_field(*bound_field.at_sites(t)) for t in tables))
+            view.with_field(b.psi, b.grad_psi, b.kept)
+            for view, b in zip(tables, base)) + tuple(
+            t.with_field(*bound_field.at_sites(t))
+            for t in tables[len(base):]))
+
+    def _band0_view(self, rule, cells, q) -> SiteBatch:
+        """Band 0's table of ``rule``, with density only at ``cells``."""
+        base = self._interior_cache[0][rule]
+        keep = np.zeros(len(base.r) // q, dtype=bool)
+        keep[cells] = True
+        return replace(base, density=np.where(keep.repeat(q), base.density,
+                                              0.0))
 
     # ---- graded decomposition helpers
 
@@ -423,27 +438,22 @@ class Domain:
         regular, owner, mb, stats = self._mesh_pieces(corners, band)
         graded_corners = corners[owner]
         vols = simplex_volume(mb @ graded_corners)
-        out = []
+        views, out = [], []
         for rule, s_index in enumerate(self._simplex_indices()):
             bary, wts = simplex_rule(k, s_index)
             if band:
-                whole = _cell_rows(self._interior_cache[0][rule], regular,
-                                   len(wts))
+                views.append(self._band0_view(rule, regular, len(wts)))
+                cells, vol, comp = owner, vols, bary @ mb   # (P, q, k+1)
+                pts = comp @ graded_corners
             else:
+                cells, vol = regular, self._volumes[regular]
                 pts = np.einsum("qb,cbn->cqn", bary, corners[regular])
-                dens = self._volumes[regular][:, None] * wts[None, :]
-                whole = self._mesh_batch(
-                    regular.repeat(len(wts)),
-                    np.broadcast_to(bary, (len(regular),) + bary.shape).reshape(
-                        -1, k + 1),
-                    pts.reshape(-1, n), dens.reshape(-1))
-            comp = bary @ mb                          # (P, q, k+1)
-            out.append(_concat_batches([whole, self._mesh_batch(
-                owner.repeat(len(wts)), comp.reshape(-1, k + 1),
-                (comp @ graded_corners).reshape(-1, n),
-                (vols[:, None] * wts).reshape(-1))]))
+                comp = np.broadcast_to(bary, (len(cells),) + bary.shape)
+            out.append(self._mesh_batch(
+                cells.repeat(len(wts)), comp.reshape(-1, k + 1),
+                pts.reshape(-1, n), (vol[:, None] * wts).reshape(-1)))
         self._grading[band] = stats
-        return tuple(out)
+        return tuple(views + out)
 
     def _mesh_pieces(self, corners, band):
         """Midpoint-subdivide the cells on which the weight varies strongly.
@@ -508,18 +518,16 @@ class Domain:
             lo, hi = self.patch.cell_boxes()
         width = hi - lo
         volume = np.prod(width, axis=1)
-        out = []
+        views, out = [], []
         for rule, npts in enumerate((self.order, self.order - 1)):
             nodes, wts = box_rule(self.k, npts)
             U = lo[:, None] + nodes * width[:, None]           # (P, q, k)
-            batch = self._patch_batch(U.reshape(-1, self.k),
-                                      (wts * volume[:, None]).reshape(-1))
+            out.append(self._patch_batch(U.reshape(-1, self.k),
+                                         (wts * volume[:, None]).reshape(-1)))
             if band:
-                batch = _concat_batches([_cell_rows(
-                    self._interior_cache[0][rule], whole, len(wts)), batch])
-            out.append(batch)
+                views.append(self._band0_view(rule, whole, len(wts)))
         self._grading[band] = stats
-        return tuple(out)
+        return tuple(views + out)
 
     def _patch_cells(self, band):
         """The cells kept whole and the chart boxes ``(lo, hi)`` graded.
@@ -823,16 +831,6 @@ def _grade(pieces, owner, var, split, base):
     pieces = tuple(np.concatenate([d[0][i] for d in done])[order]
                    for i in range(len(pieces)))
     return pieces, owner[order], GradingStats(len(order), depth)
-
-
-def _cell_rows(batch, cells, q) -> SiteBatch:
-    """The rows of ``batch`` at the whole cells ``cells``: a table that
-    lists every cell whole, ``q`` sites each, holds cell ``c``'s sites at
-    rows ``c * q`` to ``c * q + q - 1``."""
-    rows = (cells[:, None] * q + np.arange(q)).reshape(-1)
-    return SiteBatch(**{
-        f.name: None if getattr(batch, f.name) is None
-        else getattr(batch, f.name)[rows] for f in dc_fields(SiteBatch)})
 
 
 def _concat_batches(batches) -> SiteBatch:

@@ -9,12 +9,33 @@ radial Hessian bound of the model ambients.  Refinement studies run on
 ``search --levels`` evaluate on.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
 from cknlab.errors import InvalidArgument, PreconditionViolated
 from cknlab.geometry import Domain
+from cknlab.geometry.domain import SiteBatch
 from cknlab.inequalities import evaluate
 from cknlab.search import refinements
+
+
+def band_pair(domain: Domain, gamma: float, bound_field=None):
+    """``domain.sites(gamma)`` as one ``(hi, lo)`` pair.
+
+    Above band 0 each rule's table is rebuilt as one: the rows of band 0's
+    view that keep a density, then the graded pieces' rows.
+    """
+    tables = domain.sites(gamma, bound_field)
+    if len(tables) == 2:
+        return tables
+    return tuple(
+        SiteBatch(**{f.name: None if getattr(view, f.name) is None
+                     else np.concatenate([
+                         getattr(view, f.name)[view.density != 0.0],
+                         getattr(graded, f.name)])
+                     for f in fields(SiteBatch)})
+        for view, graded in zip(tables[:2], tables[2:]))
 
 
 def _require_mesh(domain: Domain):

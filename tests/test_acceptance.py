@@ -20,6 +20,7 @@ from cknlab.corpus import build_corpus, corpus_geometries, run_corpus
 from cknlab.geometry import AmbientSpace, Domain, disk_mesh, sphere_mesh
 from cknlab.geometry.fields import make_field
 from cknlab.warp import CurvatureProfile, solve_warping
+from constants_checks import eps_objective
 from geometry_checks import (comparison_margin, divergence_residuals,
                              observed_order)
 
@@ -91,7 +92,7 @@ def test_criterion_3_constant_optimality():
         hp = float(rng.uniform(0.3, 1.0))
         wc = cn.weighted_sobolev_constants(k, p, alpha, hp)
         res = minimize_scalar(
-            lambda e: cn.eps_objective(k, p, alpha, hp, e),
+            lambda e: eps_objective(k, p, alpha, hp, e),
             bounds=(1e-4, max(10.0, 3.0 * wc.eps_opt)), method="bounded",
             options={"xatol": 1e-9})
         worst_eps = max(worst_eps, abs(res.x - wc.eps_opt))

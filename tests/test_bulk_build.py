@@ -13,7 +13,7 @@ full symbol and contracts it.
 
 The mesh topology (boundary facets and their owning cells) comes from sorted
 facet rows and must equal the dict-based reference kept here, and a weight
-band above 0 must take the rows of the cells it keeps whole from band 0's
+band above 0 must read the rows of the cells it keeps whole in band 0's
 tables and compute only its graded pieces.
 """
 
@@ -44,6 +44,7 @@ from cknlab.geometry.fields import make_field
 from cknlab.geometry import mesh as mesh_module
 from cknlab.geometry.mesh import detect_boundary, read_mesh
 from cknlab.quadrature import simplex_rule
+from geometry_checks import band_pair
 
 
 def _close(got, want):
@@ -510,7 +511,7 @@ def test_band_copies_whole_cells_from_band0(monkeypatch, name):
     monkeypatch.setattr(domain, batch, counted)
     band = 2
     # asked for at -band: the gamma >= k check lets it by
-    tables = domain.sites(-band)
+    tables = band_pair(domain, -band)
     if domain.kind == "mesh":
         corners = domain.mesh.vertices[domain.mesh.cells]
         whole, owner, _, _ = domain._mesh_pieces(corners, band)

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -98,6 +100,39 @@ def test_constants_k_must_be_a_positive_integer(capsys, k):
     assert code == 1
     assert out == ""
     assert f"error: --k must be a positive integer, got {k!r}" in err
+    assert "Traceback" not in err
+
+
+def test_constants_rows_up_to_k_100_do_not_move(capsys):
+    # every row of `constants --json` for k = 2..100, three p values and
+    # both closures, as printed before the log-gamma ball volume
+    digest = hashlib.sha256()
+    for k in range(2, 101):
+        for p in ("1", "3/2", "2"):
+            for extra in (["--z", "1/3"],
+                          ["--alpha", "1/4", "--sigma", "1/2"]):
+                code, out, _ = run(["constants", "--k", str(k), "--p", p,
+                                    *extra, "--json"], capsys)
+                digest.update(f"{code}:{out}".encode())
+    assert digest.hexdigest() == (
+        "fd071fddb826a9753c1988462159d07532c6428b8e2a253d9b14ea2623737fa4")
+
+
+@pytest.mark.parametrize("k,p", [("1000", "2"), ("1000", "3/2")])
+def test_constants_at_large_k_are_finite(capsys, k, p):
+    code, out, err = run(["constants", "--k", k, "--p", p, "--json"], capsys)
+    assert code == 0 and err == ""
+    rows = json.loads(out)["constants"]
+    assert all(math.isfinite(rows[name]) for name in ("S_kp", "S_kp_flat"))
+
+
+@pytest.mark.parametrize("k,p", [("1030", "2"), ("100000000000000000", "2"),
+                                 ("500", "400")])
+def test_constants_beyond_a_float_name_k(capsys, k, p):
+    code, out, err = run(["constants", "--k", k, "--p", p], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and f"k = {k}" in err
     assert "Traceback" not in err
 
 

@@ -15,6 +15,7 @@ from cknlab.errors import (
     InfeasibleParameters,
     InvalidArgument,
 )
+from constants_checks import eps_objective, gradient_coeff_expanded
 
 # pinned by an independent hand evaluation of the closed formula with
 # omega_3 = 4*pi/3: the value equals 256*pi*(3/pi)**(1/3)
@@ -89,6 +90,28 @@ def test_unit_ball_volume_matches_gamma():
         assert cn.unit_ball_volume(k) == pytest.approx(expected, rel=1e-14)
 
 
+def test_log_unit_ball_volume_is_finite_for_every_k():
+    # the exact value's log up to k = 170, log-gamma beyond: the two forms
+    # agree where both exist, and the large-k rows stay finite
+    for k in range(1, 400):
+        lgamma_form = 0.5 * k * math.log(math.pi) - math.lgamma(0.5 * k + 1)
+        assert cn.log_unit_ball_volume(k) == pytest.approx(lgamma_form,
+                                                           rel=1e-12)
+    for k in range(1, 171):
+        assert cn.log_unit_ball_volume(k) == math.log(cn.unit_ball_volume(k))
+    assert math.isfinite(cn.log_unit_ball_volume(10 ** 6))
+
+
+def test_large_k_constants_are_finite_or_refused():
+    assert cn.hoffman_spruck_optimal(1000, 2.0) == pytest.approx(
+        1.04581753048e+303, rel=1e-10)
+    for k, p in ((1030, 2.0), (500, 400.0)):
+        with pytest.raises(ConstantUndefined, match=f"k = {k}"):
+            cn.hoffman_spruck_optimal(k, p)
+    with pytest.raises(ConstantUndefined, match=f"k = {10 ** 17}"):
+        cn.hoffman_spruck_optimal(10 ** 17, 2.0)
+
+
 def test_hoffman_spruck_regression_value():
     assert cn.hoffman_spruck_constant(3, 2, 0.75) == pytest.approx(
         S_323_REGRESSION, rel=1e-12)
@@ -159,7 +182,7 @@ def test_gradient_coeff_forms_agree():
         alpha = float(rng.uniform(-1.0, alpha_hi - 0.05))
         hp = float(rng.uniform(0.2, 1.0))
         wc = cn.weighted_sobolev_constants(k, p, alpha, hp)
-        expanded = cn.gradient_coeff_expanded(k, p, alpha, hp)
+        expanded = gradient_coeff_expanded(k, p, alpha, hp)
         assert wc.grad_coeff == pytest.approx(expanded, rel=1e-12)
 
 
@@ -168,7 +191,7 @@ def test_optimized_constants_match_objective_at_minimizer():
     for (k, p, alpha, hp) in ((4, 2, 0.5, 1.0), (3, 1.5, -0.3, 0.8),
                               (6, 2.5, 0.2, 0.9)):
         wc = cn.weighted_sobolev_constants(k, p, alpha, hp)
-        assert cn.eps_objective(k, p, alpha, hp, wc.eps_opt) == pytest.approx(
+        assert eps_objective(k, p, alpha, hp, wc.eps_opt) == pytest.approx(
             wc.grad_coeff, rel=1e-12)
 
 
@@ -185,7 +208,7 @@ def test_eps_opt_brute_force():
         hp = float(rng.uniform(0.3, 1.0))
         wc = cn.weighted_sobolev_constants(k, p, alpha, hp)
         res = minimize_scalar(
-            lambda e: cn.eps_objective(k, p, alpha, hp, e),
+            lambda e: eps_objective(k, p, alpha, hp, e),
             bounds=(1e-4, max(10.0, 3.0 * wc.eps_opt)), method="bounded",
             options={"xatol": 1e-8})
         assert abs(res.x - wc.eps_opt) < 1e-4

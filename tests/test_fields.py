@@ -173,7 +173,10 @@ def test_kept_columns_do_not_depend_on_the_member(euclid3, bindings):
     domain = Domain(disk_mesh(1.0, rings=4), euclid3)
     options = {"p": 1.0, "gamma": 1.0}
     iq.evaluate("hardy", domain, make_field("random_smooth", seed=1), options)
-    tables = _tables(domain)
+    # band 1's views of band 0's tables read band 0's values: the field is
+    # never evaluated on them, so they keep nothing
+    assert all(not view.kept for view in domain.sites(1.0)[:2])
+    tables = domain.sites(0.0) + domain.sites(1.0)[2:]
     kept = [dict(t.kept) for t in tables] + [dict(domain.mesh.kept)]
     assert all(set(k) == {"mixture", "clamp"} for k in kept[:-1])
     assert set(kept[-1]) == {"edge_gram", "cell_frames",
@@ -194,7 +197,7 @@ def test_kept_columns_pin_nothing(euclid3):
     domain = Domain(disk_mesh(1.0, rings=4), euclid3)
     iq.evaluate("hardy", domain, make_field("random_smooth", seed=1),
                 {"p": 1.0, "gamma": 1.0})
-    table = domain.sites(1.0)[0]
+    table = domain.sites(1.0)[2]   # band 1's graded pieces, hi rule
     refs = [weakref.ref(table), weakref.ref(table.kept["clamp"]),
             weakref.ref(domain.mesh), weakref.ref(domain.mesh.kept["clamp"])]
     del domain, table
@@ -218,11 +221,11 @@ def test_weights_computed_once_per_evaluation(euclid3, monkeypatch,
         iq.evaluate("hardy", domain, make_field(member),
                     {"p": 1.0, "gamma": 1.0})
         # the two left-side integrals share gamma = 1 with h' (on the
-        # band's pair and the pole's pair), the two right-side ones
-        # gamma - p = 0 without, and the boundary term weighs its own two
-        # tables with gamma - 1 = 0: one weight per table and pair, and none
-        # kept for the next evaluation
-        assert sorted(calls) == [(0.0, False)] * 4 + [(1.0, True)] * 4
+        # band's views of band 0's pair, its graded pair and the pole's
+        # pair), the two right-side ones gamma - p = 0 without, and the
+        # boundary term weighs its own two tables with gamma - 1 = 0: one
+        # weight per table and pair, and none kept for the next evaluation
+        assert sorted(calls) == [(0.0, False)] * 4 + [(1.0, True)] * 6
         assert [ref() for ref in bindings] == [None] * len(bindings)
 
 

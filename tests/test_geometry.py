@@ -29,7 +29,7 @@ from cknlab.geometry import (
 from cknlab.geometry.fields import make_field
 from cknlab.geometry.mesh import read_mesh, write_mesh
 from cknlab.warp import CurvatureProfile, WarpingFunction
-from geometry_checks import comparison_margin
+from geometry_checks import band_pair, comparison_margin
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def test_sphere_patch_brute_force_second_derivatives(euclid3):
 
 
 def test_geodesic_cone_is_minimal(geodesic_domain):
-    hi, _ = geodesic_domain.sites(1.0)
+    hi, _ = band_pair(geodesic_domain, 1.0)
     assert np.max(hi.h_norm) < 1e-5
 
 

@@ -10,9 +10,14 @@ says in CHANGES.md which terms moved and why.
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import cknlab
 from cknlab.cli import main
 from cknlab.corpus import build_corpus, run_corpus
 
@@ -25,11 +30,11 @@ GOLDEN = {
         "bead6ee5f17c46bf45d0ed94472eadec202cdbd034d035f240c6633c7032f4ff",
         "06bb41e38c7778ba9ce574194e7b7d41a07c80a317e0d84d926696db0ab1b9e8"),
     "hardy_cone": (
-        "e8061b83fe776cf30cd66681777321f98b73c6180631f3e0b7a25d0a74211f1e",
-        "b5e62a49b3e6f803a623f9beffb683d3f72aa14714f1e665e917e66753b565ab"),
+        "357af01e023b6935668bfa2bd4aea89a6c4cd0dc7d51cfe56981262c4e048b02",
+        "7a28987142129d5c93ab0a9d441ff2b7b1abe9531083b7dc128d4cfd74470fa7"),
     "hpw_disk": (
-        "d4e9213805b91e6f6f1964455db4dd5e40912fadedffe1e6eb51745d723ace79",
-        "655a3c1f1dc961dca73b694f2f6ddd90f9c2e82d318a446639fbe15f94efbf80"),
+        "4616379dd3c2fadc23bde9fbb8a5d8c1f69d036f7f87de181b0cf747b617f3fd",
+        "89635ce042a3de6eb0a53cf132765aa1b637375ebbc46e46a8078b8ee49f18ea"),
     "nash_ball": (
         "0d4f4d20b6fbce0bf77a86bdf1208b36fde8341ab117b6446d1bc63402c58a1b",
         "929b06616df5365b06b042ba0604f81b576523eb8b89d698572f746250277f3b"),
@@ -58,9 +63,9 @@ def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
 # reports names the geometries it moved
 CORPUS_REPORTS = {
     "ball":
-        "3ba18daad4c107ef3fc8db787c2e38c634677c20afc060bf19169d8cde756d73",
+        "d4d5755eeb6a4acefbbe96f089647cd407ed34ed30fa9f9460585a4993469930",
     "ball_warped":
-        "fce0f0415fa47f10306fe22fa0288aa483086c0d8c31e134a8bd7eb5de6e8e83",
+        "00f6566dd6ba2d5d968b3370d16f9dada23e26a8472f2cb35d24f31cb3a87241",
     "cap":
         "058c60907b508f020b6bd7709ca509b13464748c50f180da47be911d5e648dfa",
     "disk_offset":
@@ -68,13 +73,13 @@ CORPUS_REPORTS = {
     "disk_patch":
         "f15f8d8a52b9d51f017cd29ac2ca9603bf2857559dd071b4276e64e8798cc4d1",
     "disk_pole":
-        "0d303c52d5ca946e597abde2d4ed430688e8d5bed6ae16f18cdeb7ec06b89d0d",
+        "04c15264327c50e588f2ace9923839098d307c32979cf598ea2e8cbada3bd059",
     "disk_tilted":
         "2030d965f2f95a0744ba44af0e3bc0a5be78f1bff965bfe33246336e879b61c0",
     "geodesic_disk":
-        "44c62f4dadd11ede1e20eec6683513173333eb00dc6ea22e00bdf21b8a96d53c",
+        "1a333bc83a098776ad2104901c5293e7155ccf85eac936ac5effdeb8e2d47774",
     "graph_patch":
-        "98728b6477737ce54a334b49b9af460a4f3025caa8aadb75052e532fdf6dc781",
+        "c407c7a9af4901f903d64086a84577d6b043af38938c092661ed12986d4bfce7",
     "sphere_offset":
         "38d745cda3a0a875a368aca4cafa66aed1d6f5a6773d0dc9f278b95740674c5f",
     "sphere_pole":
@@ -87,8 +92,9 @@ CORPUS_CASES = (
     "9a7cb791b397518f9310cf951c78a4a21c1d65bd1051d886536f6f19c3ca9316")
 
 
-def _corpus_digests(threads):
-    cases = build_corpus(0)
+def _corpus_digests(threads, geometry=None):
+    cases = [case for case in build_corpus(0)
+             if geometry in (None, case.geometry)]
     reports = {}
     for case, rep in zip(cases, run_corpus(cases, threads=threads)):
         reports.setdefault(case.geometry, []).append(rep.to_dict())
@@ -139,7 +145,7 @@ field.kind = radial_power, radial_bump, polynomial, random_smooth
 """
 # SHA-256 of `search --budget 40 --seed 3 --levels 1 --out` on that sweep
 SEARCH_PAYLOAD = (
-    "8a96b82abbdcb426dbb31f83091a3478eaf4c1ae6edf973838f596affedc7867")
+    "473d9bb63546fb55e2e956f3bc06b39724c0f948364af39ee8d6cda8d64b4f51")
 
 
 def test_search_payload_is_golden(tmp_path, capsys):
@@ -150,3 +156,31 @@ def test_search_payload_is_golden(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert _sha256(out) == SEARCH_PAYLOAD
+
+
+# one vertex-pole mesh scenario and one vertex-pole corpus geometry, run with
+# a single BLAS thread: every sum runs in an order fixed by the data
+# (einsum), where BLAS's dot splits long vectors by its thread count
+SINGLE_BLAS_THREAD = """\
+import pathlib
+import sys
+from test_golden import _corpus_digests, _sha256, main
+out, csv = map(pathlib.Path, sys.argv[1:])
+assert main(["verify", "hardy_cone.cfg", "--out", str(out),
+             "--csv", str(csv)]) == 0
+print(_sha256(out), _sha256(csv), _corpus_digests(1, "disk_pole")["disk_pole"])
+"""
+
+
+def test_payloads_do_not_depend_on_blas_threads(tmp_path):
+    here = pathlib.Path(__file__).parent
+    src = pathlib.Path(cknlab.__file__).parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(src), str(here)])}
+    run = subprocess.run(
+        [sys.executable, "-c", SINGLE_BLAS_THREAD, str(tmp_path / "out.json"),
+         str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, check=True, timeout=600)
+    scenario_json, scenario_csv, corpus = run.stdout.split()[-3:]
+    assert (scenario_json, scenario_csv) == GOLDEN["hardy_cone"]
+    assert corpus == CORPUS_REPORTS["disk_pole"]

@@ -7,7 +7,8 @@ produce the same pieces in the same order, so the site tables agree bit for
 bit.  Above band 0 the cells with a corner at the pole (a polar chart's ring,
 the chart boxes and mesh cells around a vertex pole) are integrated by their
 own rule, so the reference grades only the other cells, and the band's
-tables hold exactly theirs.
+tables hold exactly theirs: its view of band 0's tables keeps a density on
+the rows of the cells it leaves whole, then come its graded pieces.
 """
 
 import math
@@ -33,6 +34,7 @@ from cknlab.geometry import (
 from cknlab.geometry import domain as domain_mod
 from cknlab.inequalities import evaluate
 from cknlab.quadrature import box_rule, simplex_rule, split_simplex_bary
+from geometry_checks import band_pair
 
 VAR_TOL = domain_mod._VAR_TOL
 TABLE_FIELDS = ("points", "density", "r")
@@ -228,7 +230,7 @@ def assert_same_pieces(domain, band):
         ref = list(regular) + ref
     assert stats.pieces == len(ref)
     # the band's tables, asked for at -band: the gamma >= k check lets it by
-    for got, want in zip(domain.sites(-band), ref_tables):
+    for got, want in zip(band_pair(domain, -band), ref_tables):
         for name in TABLE_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -358,4 +360,8 @@ def test_racing_threads_build_a_band_once(monkeypatch):
     assert builds == [0, 2]
     assert dom.grading[2].max_depth > 0
     assert len(results) == workers
-    assert all(hi is results[0][0] for hi, _ in results)
+    # every thread got the one build: the band's two views of band 0's
+    # tables and its two graded tables
+    assert len(results[0]) == 4
+    assert all(got is want for tables in results
+               for got, want in zip(tables, results[0]))

@@ -483,12 +483,16 @@ def test_field_bound_once_per_site_table(disk_domain, monkeypatch,
     seen = _record_at_sites(monkeypatch)
     rep = iq.evaluate("hardy", disk_domain, CONE, {"p": 1.0, "gamma": 1.0})
     # p = 1, gamma = 1 reads band 1 and the pole's cells (left side) and
-    # band 0 (right side, sup)
-    tables = (disk_domain.sites(1.0) + disk_domain.pole_sites(1.0)
-              + disk_domain.sites(0.0))
+    # band 0 (right side, sup); band 1's views of band 0's tables take the
+    # values bound on band 0, so the field meets band 0's tables, band 1's
+    # graded pieces and the pole's cells, once each
+    views = disk_domain.sites(1.0)[:2]
+    tables = (disk_domain.sites(0.0) + disk_domain.sites(1.0)[2:]
+              + disk_domain.pole_sites(1.0))
     assert len(seen) == len(tables) == 6
     assert all(any(batch is table for table in tables) for batch in seen)
     assert len({id(batch) for batch in seen}) == 6
+    assert not any(batch is view for batch in seen for view in views)
     # one binding holds the values, and it ends with the evaluation
     assert len(bindings) == 1 and bindings[0]() is None
     assert abs(rep.ratio - 1.0) < 5e-3
@@ -553,8 +557,8 @@ def test_threads_sharing_a_domain_match_serial(euclid3, monkeypatch,
     assert not any(t.is_alive() for t in threads)
     for i, reports in enumerate(results):
         assert reports == [serial[i]] * 6
-    # each evaluation binds its own field: 6 tables each (bands 0 and 1 and
-    # the pole's cells), as serially
+    # each evaluation binds its own field: 6 tables each (band 0, band 1's
+    # graded pieces and the pole's cells), as serially
     assert len(seen) == len(fields) * 6 * 6
     assert [ref() for ref in bindings] == [None] * len(bindings)
 

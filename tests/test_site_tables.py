@@ -38,6 +38,7 @@ from cknlab.geometry import (
 from cknlab.geometry import domain as domain_mod
 from cknlab.geometry.domain import SiteBatch
 from cknlab.geometry.fields import make_field
+from geometry_checks import band_pair
 from cknlab.quadrature import (box_rule, gauss_rule, jacobi_rule,
                                simplex_rule)
 
@@ -289,7 +290,7 @@ def _assert_table_columns(domain, interior, boundary):
     """Band 0's, band 2's and the pole's tables carry the interior columns,
     the boundary's its own."""
     kinds = {"band 0": (domain.sites(0.0), interior),
-             "band 2": (domain.sites(1.5), interior),
+             "band 2": (band_pair(domain, 1.5), interior),
              "pole": (domain.pole_sites(1.5), interior),
              "boundary": (domain.boundary_sites(), boundary)}
     for kind, (tables, columns) in kinds.items():
