@@ -3,7 +3,7 @@
 Builds a seeded set of admissible configurations covering every catalog id,
 all four test-function families and a spread of geometries (flat disks,
 tilted planes, spheres, caps, a curved graph, geodesic disks and balls in a
-positively curved model), and runs the whole sweep through a worker pool.
+positively curved model), and runs the sweep one geometry per worker task.
 Each geometry is a configuration of one of the CLI's ``BUILTINS``, built by
 :func:`cknlab.cli.build_domain` as a config file's case would be.
 
@@ -203,21 +203,24 @@ def build_corpus(seed: int = 0, draws: int = 50) -> list[Case]:
 
 
 def run_corpus(cases, threads: int = None):
-    """Evaluate all cases, reusing one Domain per geometry name."""
-    builders = corpus_geometries()
-    # domains are built up front; their lazy site tables are built under a
-    # per-domain lock, and each evaluation keeps its field's values in a
-    # binding of its own, so the sweep parallelizes at case granularity with
-    # an ordered result list
-    domains = {name: builders[name]()
-               for name in dict.fromkeys(case.geometry for case in cases)}
+    """Evaluate all cases; the reports come back in case order.
 
-    def run_one(case):
-        return evaluate(case.inequality, domains[case.geometry], case.field,
-                        case.options)
+    One task per geometry builds its Domain, evaluates its cases in case
+    order and drops it, so at most one domain per worker is alive.
+    """
+    builders = corpus_geometries()
+    names = dict.fromkeys(case.geometry for case in cases)
+
+    def run_geometry(name):
+        domain = builders[name]()
+        return iter([evaluate(c.inequality, domain, c.field, c.options)
+                     for c in cases if c.geometry == name])
 
     n = threads or worker_count()
     if n <= 1:
-        return [run_one(c) for c in cases]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(run_one, cases))
+        done = map(run_geometry, names)
+    else:
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            done = list(pool.map(run_geometry, names))
+    reports = dict(zip(names, done))
+    return [next(reports[case.geometry]) for case in cases]

@@ -18,8 +18,9 @@ every cell whole and is built first; cell ``c`` holds rows ``c * q`` to
 ``c * q + q - 1`` of a ``q``-point rule.  A higher band keeps, per rule, a
 view of band 0's table, which shares all of its columns but the density,
 zero on the rows of the cells the band grades or hands to the pole; and the
-table of its graded pieces, the only sites it computes.  A field bound to
-the domain is evaluated on band 0's tables, and the views read those values.
+table of its graded pieces, the only sites it computes (no view if it keeps
+no cell whole).  A field bound to the domain is evaluated on band 0's
+tables, and the views read those values.
 
 Above band 0 the cells at the pole leave those tables and are integrated per
 weight ``h(r) ** -gamma`` with Gauss-Jacobi for ``t ** (k - 1 - gamma)`` in
@@ -135,11 +136,24 @@ class SiteBatch:
         # mesh.kept(): on a domain's table what every field binding shares,
         # on a binding's copy what its evaluation shares
         self.kept = {}
+        # ((gamma, use_hprime), weighted densities), shared with the copies
+        self.weight_slot = [(None, None)]
 
     def weight(self, gamma: float, use_hprime: bool):
         """Per-site ``h ** -gamma`` (``* h'``); 1.0 when that is all ones."""
         w = self.h ** (-gamma) if gamma != 0.0 else 1.0
         return w * self.hp if use_hprime else w
+
+    def weighted_density(self, gamma: float, use_hprime: bool):
+        """``density * weight(gamma, use_hprime)`` through the slot
+        (threads racing on it at worst compute one twice)."""
+        if gamma == 0.0 and not use_hprime:
+            return self.density
+        key, w = self.weight_slot[0]
+        if key != (gamma, use_hprime):
+            w = self.density * self.weight(gamma, use_hprime)
+            self.weight_slot[0] = ((gamma, use_hprime), w)
+        return w
 
     def with_field(self, psi, grad_psi=None, kept=None) -> "SiteBatch":
         """A shallow copy carrying a field's columns, and ``kept`` or a new
@@ -356,11 +370,9 @@ class Domain:
     def sites(self, gamma: float = 0.0, bound_field=None):
         """Site batches for the weight ``h(r) ** -gamma``, hi and lo rules
         alternating: band 0's pair ``(hi, lo)``, or above band 0
-        ``(hi_view, lo_view, hi_graded, lo_graded)``.
-
-        The views share band 0's columns, with zero density on the cells
-        the band grades or leaves to :meth:`pole_sites` (see the module
-        docstring).  With the pole on the domain the exponent must stay
+        ``(hi_view, lo_view, hi_graded, lo_graded)``, without the views of
+        band 0's tables (see the module docstring) when the band keeps no
+        cell whole.  With the pole on the domain the exponent must stay
         below ``k``.
         """
         if self.through_pole and gamma >= self.k:
@@ -377,7 +389,8 @@ class Domain:
         if not band:
             return base
         tables = self._cached(self._interior_cache, band, lambda: build(band))
-        return self._with_field(tables, band, bound_field, base)
+        return self._with_field(tables, band, bound_field,
+                                base[:len(tables) - 2])
 
     def pole_sites(self, gamma: float, bound_field=None):
         """(hi, lo) site batches of the cells at the pole for ``h ** -gamma``.
@@ -442,7 +455,8 @@ class Domain:
         for rule, s_index in enumerate(self._simplex_indices()):
             bary, wts = simplex_rule(k, s_index)
             if band:
-                views.append(self._band0_view(rule, regular, len(wts)))
+                if len(regular):
+                    views.append(self._band0_view(rule, regular, len(wts)))
                 cells, vol, comp = owner, vols, bary @ mb   # (P, q, k+1)
                 pts = comp @ graded_corners
             else:
@@ -524,7 +538,7 @@ class Domain:
             U = lo[:, None] + nodes * width[:, None]           # (P, q, k)
             out.append(self._patch_batch(U.reshape(-1, self.k),
                                          (wts * volume[:, None]).reshape(-1)))
-            if band:
+            if band and len(whole):
                 views.append(self._band0_view(rule, whole, len(wts)))
         self._grading[band] = stats
         return tuple(views + out)
@@ -857,12 +871,8 @@ def weighted_integral(domain: Domain, integrand, gamma: float,
         raise InvalidArgument(f"unknown weight kind {weight_kind!r}")
     bound = domain.bind(field) if field is not None else None
     tables = domain.sites(gamma, bound) + domain.pole_sites(gamma, bound)
-    hprime = weight_kind == "h_power_times_hprime"
-    # the weighted densities, kept with the binding's tables for the
-    # evaluation's other integrals
-    weights = [kept({} if bound is None else t.kept, ("weight", gamma, hprime),
-                    lambda t=t: t.density * t.weight(gamma, hprime))
-               for t in tables]
+    weights = _weights(tables, bound, gamma,
+                       weight_kind == "h_power_times_hprime")
     return _reduce(tables, weights, integrand, "integrand must be nonnegative")
 
 
@@ -881,11 +891,19 @@ def boundary_integral(domain: Domain, integrand, weight_exponent: float,
         warnings.warn("boundary integral over a closed submanifold is 0",
                       stacklevel=2)
         return Qty(0.0, 0.0)
-    weights = [t.density * t.weight(weight_exponent, False) for t in tables]
+    weights = _weights(tables, bound, weight_exponent, False)
     if with_radial_conormal:
         weights = [w * t.conormal_dot for w, t in zip(weights, tables)]
     return _reduce(tables, weights, integrand,
                    "boundary integrand must be nonnegative")
+
+
+def _weights(tables, bound, gamma, hprime):
+    """Each table's weighted densities, through the binding's copy's kept
+    (an evaluation may alternate exponents on one table), then its slot."""
+    return [kept({} if bound is None else t.kept, ("weight", gamma, hprime),
+                 lambda t=t: t.weighted_density(gamma, hprime))
+            for t in tables]
 
 
 def _reduce(tables, weights, integrand, message) -> Qty:

@@ -14,10 +14,10 @@ Members that must vanish on the boundary either do so natively (radial
 kinds, whose support radius is the smallest boundary radius) or are
 multiplied by the domain's boundary-vanishing factor.
 
-On meshes, what a planar member's value takes from the points alone (the
-boundary-vanishing factor and the random_smooth basis) is computed once per
-site table and once per mesh, so binding another member pays only for its
-``dof``-weighted sums.
+On meshes, what a planar member's value takes from the points alone (scaled
+coordinates, boundary-vanishing factor, random_smooth basis) and the cell
+gradients' columns are computed once per site table or mesh, so binding
+another member pays only for its ``dof``-weighted sums.
 """
 
 from __future__ import annotations
@@ -131,23 +131,21 @@ def _radial_profile(field: Field, support_r: float):
     if tau <= 0:
         raise InvalidArgument("bump steepness must be positive")
 
-    def f(r):
+    def bump(r):
+        """The support's sites, ``r / R`` there (0.5 elsewhere), the bump."""
         x = np.clip(np.asarray(r, dtype=float) / support_r, 0.0, None)
         inside = x < 1.0
-        out = np.zeros_like(x)
         safe = np.where(inside, x, 0.5)
-        out[inside] = np.exp(tau * (1.0 - 1.0 / (1.0 - safe ** 2)))[inside]
-        return out
+        return inside, safe, np.exp(tau * (1.0 - 1.0 / (1.0 - safe ** 2)))
+
+    def f(r):
+        inside, _, val = bump(r)
+        return np.where(inside, val, 0.0)
 
     def fp(r):
-        x = np.clip(np.asarray(r, dtype=float) / support_r, 0.0, None)
-        inside = x < 1.0
-        out = np.zeros_like(x)
-        safe = np.where(inside, x, 0.5)
-        val = np.exp(tau * (1.0 - 1.0 / (1.0 - safe ** 2)))
-        out[inside] = (val * tau * (-2.0 * safe / (1.0 - safe ** 2) ** 2)
-                       / support_r)[inside]
-        return out
+        inside, safe, val = bump(r)
+        grad = val * tau * (-2.0 * safe / (1.0 - safe ** 2) ** 2) / support_r
+        return np.where(inside, grad, 0.0)
 
     return f, fp
 
@@ -329,19 +327,25 @@ class BoundField:
             vals = np.asarray(vals, dtype=float).copy()
             vals[domain.boundary_vertices] = 0.0
         self.vertex_values = vals
-        self.cell_gradients = mesh.reconstruct_gradients(vals)
-        self.cell_grad_norm = np.linalg.norm(self.cell_gradients, axis=1)
+        # |grad| per cell: the products and sums, in order, of np.linalg.norm(
+        # mesh.reconstruct_gradients(vals), axis=1), on columns kept per mesh
+        cells, grads = kept(mesh.kept, "cell_columns", lambda: (
+            np.ascontiguousarray(mesh.cells.T), np.ascontiguousarray(
+                mesh.barycentric_gradients().transpose(2, 1, 0))))
+        dv = vals[cells[1:]] - vals[cells[0]]                # (k, C)
+        g = [sum(d * col for d, col in zip(dv, axis)) for axis in grads]
+        self.cell_grad_norm = np.sqrt(sum(a * a for a in g))
 
     def _value_at(self, pts, r, memo):
         """Exact field value at ambient points of a mesh domain.
 
-        The clamp and the random_smooth basis do not depend on ``dof``: they
-        are computed once per point set and kept in ``memo``, the ``kept``
-        of the site table or of the mesh that holds ``pts``.
+        The scaled coordinates, the clamp and the random_smooth basis do not
+        depend on ``dof``: they are kept in ``memo``, the ``kept`` of the
+        site table or of the mesh that holds ``pts``.
         """
         if self.radial:
             return self._f(r)
-        x, y = _scaled_xy(pts, self._scale)
+        x, y = kept(memo, "xy", lambda: _scaled_xy(pts, self._scale))
         cols = None
         if self.field.kind == "random_smooth":
             cols = kept(memo, "mixture", lambda: _mixture_columns(x, y))

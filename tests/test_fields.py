@@ -1,13 +1,14 @@
 """Planar field bindings on meshes against their untabulated formulas.
 
-A binding on a mesh computes the boundary-vanishing factor and the
-random_smooth basis once per site table (and once per mesh for the
-vertices), and the cell-edge Gram and its barycentric gradients once per
-mesh.  The reference below recomputes everything from the points on every
-call, as the formulas read; the tabulated binding must agree with it bit for
-bit, except for the cell gradients: the mesh keeps ``gram^-1 e`` where the
-reference solves ``gram^-1 dv`` per binding, so those agree to ``1e-13``
-relative to the largest.
+A binding on a mesh computes the scaled coordinates, the boundary-vanishing
+factor and the random_smooth basis once per site table (and once per mesh
+for the vertices), and the cell-edge Gram, its barycentric gradients and
+their columns once per mesh.  The reference below recomputes everything
+from the points on every call, as the formulas read; the tabulated binding
+must agree with it bit for bit, except for the cell gradients: the mesh
+keeps ``gram^-1 e`` where the reference solves ``gram^-1 dv`` per binding,
+so those agree to ``1e-13`` relative to the largest.  A binding's gradient
+norms equal the norms of the mesh's ``reconstruct_gradients`` bit for bit.
 """
 
 import gc
@@ -130,8 +131,10 @@ def test_mesh_binding_matches_untabulated_formulas(kind, name, vanishing,
     assert np.array_equal(bound.vertex_values, vals)
     # the mesh keeps gram^-1 e, the reference solves for gram^-1 dv: the
     # same gradients in another order of operations
-    assert _close(bound.cell_gradients, grads)
-    norm = np.linalg.norm(bound.cell_gradients, axis=1)
+    cell_gradients = domain.mesh.reconstruct_gradients(vals)
+    assert _close(cell_gradients, grads)
+    norm = np.linalg.norm(cell_gradients, axis=1)
+    assert np.array_equal(bound.cell_grad_norm, norm)
     for table in _tables(domain):
         psi_ref = ref_value(domain, field, table.points)
         for _ in range(2):  # first use fills the table's columns
@@ -164,7 +167,8 @@ def test_barycentric_gradients_solved_once_per_mesh(monkeypatch, name):
     monkeypatch.setattr(np.linalg, "solve", counting)
     domain = Domain(MESHES[name](), AmbientSpace.euclidean(3))
     for field, ref in zip(members, refs):
-        assert _close(field.bind(domain).cell_gradients, ref)
+        assert _close(field.bind(domain).cell_grad_norm,
+                      np.linalg.norm(ref, axis=1))
     domain.boundary_sites()   # the conormals read the same gradients
     assert len(solves) == 1
 
@@ -178,17 +182,17 @@ def test_kept_columns_do_not_depend_on_the_member(euclid3, bindings):
     assert all(not view.kept for view in domain.sites(1.0)[:2])
     tables = domain.sites(0.0) + domain.sites(1.0)[2:]
     kept = [dict(t.kept) for t in tables] + [dict(domain.mesh.kept)]
-    assert all(set(k) == {"mixture", "clamp"} for k in kept[:-1])
+    assert all(set(k) == {"xy", "mixture", "clamp"} for k in kept[:-1])
     assert set(kept[-1]) == {"edge_gram", "cell_frames",
                              "vertex_mean_curvature", "barycentric_gradients",
-                             "mixture", "clamp"}
+                             "cell_columns", "xy", "mixture", "clamp"}
     iq.evaluate("hardy", domain, make_field("random_smooth", seed=2), options)
     iq.evaluate("hardy", domain, make_field("polynomial"), options)
     after = [t.kept for t in tables] + [domain.mesh.kept]
     for old, new in zip(kept, after):
         assert old.keys() == new.keys()
         assert all(new[key] is value for key, value in old.items())
-    # weights and field values end with the evaluation's one binding
+    # field values end with the evaluation's one binding
     assert len(bindings) == 3
     assert [ref() for ref in bindings] == [None] * 3
 
@@ -216,16 +220,17 @@ def test_weights_computed_once_per_evaluation(euclid3, monkeypatch,
         return real(self, gamma, use_hprime)
 
     monkeypatch.setattr(SiteBatch, "weight", counting)
-    for member in ("polynomial", "random_smooth"):
+    # the two left-side integrals share gamma = 1 with h' (on the band's
+    # views of band 0's pair, its graded pair and the pole's pair): one
+    # weight per table, kept in its slot for the next evaluation.  The two
+    # right-side ones (gamma - p = 0 without h') and the boundary term
+    # (gamma - 1 = 0) take the density itself
+    for member, expected in (("polynomial", [(1.0, True)] * 6),
+                             ("random_smooth", [])):
         calls.clear()
         iq.evaluate("hardy", domain, make_field(member),
                     {"p": 1.0, "gamma": 1.0})
-        # the two left-side integrals share gamma = 1 with h' (on the
-        # band's views of band 0's pair, its graded pair and the pole's
-        # pair), the two right-side ones gamma - p = 0 without, and the
-        # boundary term weighs its own two tables with gamma - 1 = 0: one
-        # weight per table and pair, and none kept for the next evaluation
-        assert sorted(calls) == [(0.0, False)] * 4 + [(1.0, True)] * 6
+        assert calls == expected
         assert [ref() for ref in bindings] == [None] * len(bindings)
 
 
@@ -234,7 +239,7 @@ def test_threads_binding_members_on_one_mesh_match_serial(euclid3):
 
     def values(domain, field):
         bound = domain.bind(field)
-        return ([bound.vertex_values, bound.cell_gradients]
+        return ([bound.vertex_values, bound.cell_grad_norm]
                 + [a for t in _tables(domain) for a in bound.at_sites(t)])
 
     serial = [values(Domain(disk_mesh(1.0, rings=5), euclid3), f)

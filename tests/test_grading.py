@@ -360,8 +360,8 @@ def test_racing_threads_build_a_band_once(monkeypatch):
     assert builds == [0, 2]
     assert dom.grading[2].max_depth > 0
     assert len(results) == workers
-    # every thread got the one build: the band's two views of band 0's
-    # tables and its two graded tables
-    assert len(results[0]) == 4
+    # every thread got the one build: the band keeps no cell whole, so it
+    # has no views of band 0's tables, only its two graded tables
+    assert len(results[0]) == 2
     assert all(got is want for tables in results
                for got, want in zip(tables, results[0]))

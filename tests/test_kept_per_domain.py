@@ -1,0 +1,214 @@
+"""What a domain keeps for every member a search binds on it.
+
+Each site table keeps the weighted densities of the last exponent asked for,
+in one slot that a binding's copies share; a mesh keeps the columns of its
+cells' barycentric gradients; the tables and the mesh keep the scaled planar
+coordinates of their points.  None of it may change a report, and the slot
+must not grow with the exponents a domain has seen.  The corpus keeps at
+most one domain per worker alive.
+"""
+
+import functools
+import sys
+import threading
+import weakref
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from cknlab import corpus
+from cknlab import inequalities as iq
+from cknlab.geometry import AmbientSpace, Domain, ball_domain, disk_mesh
+from cknlab.geometry.domain import SiteBatch
+from cknlab.geometry.fields import FAMILIES, _scaled_xy, make_field
+
+EUCLID = AmbientSpace.euclidean(3)
+DOMAINS = {
+    "disk_mesh": lambda: Domain(disk_mesh(1.0, rings=4), EUCLID),
+    "ball": lambda: Domain(ball_domain(EUCLID, 1.0, cells=(2, 2, 4))),
+}
+COLUMNS = {f.name for f in fields(SiteBatch)}
+
+
+def _domain_tables(domain):
+    """Every site table the domain holds: interior, pole and boundary."""
+    tables = [t for pair in domain._interior_cache.values() for t in pair]
+    tables += list(domain._pole_slot[1])
+    return tables + [t for t in domain._boundary_cache.get("b", ())
+                     if t is not None]
+
+
+def _count_weights(monkeypatch):
+    calls = []
+    real = SiteBatch.weight
+
+    def counting(self, gamma, use_hprime):
+        # the slot names the domain's table: its copies share it
+        calls.append((self.weight_slot, gamma, use_hprime))
+        return real(self, gamma, use_hprime)
+
+    monkeypatch.setattr(SiteBatch, "weight", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_tables_keep_one_weighted_density(name, bindings):
+    domain = DOMAINS[name]()
+    gammas = np.linspace(-0.9, 1.8, 10)
+    kinds = tuple(FAMILIES)
+    for i in range(50):
+        field = make_field(kinds[i % len(kinds)], seed=i)
+        iq.evaluate("hardy", domain, field,
+                    {"p": 1.0, "gamma": float(gammas[i % len(gammas)])})
+    assert [ref() for ref in bindings] == [None] * 50
+    exponents = {float(g) + d for g in gammas for d in (0.0, -1.0)}
+    for table in _domain_tables(domain):
+        # the dataclass columns, the kept columns and the one slot
+        assert set(vars(table)) == COLUMNS | {"kept", "weight_slot"}
+        assert not any(key[0] == "weight" for key in table.kept
+                       if isinstance(key, tuple))
+        assert len(table.weight_slot) == 1
+        key, weights = table.weight_slot[0]
+        assert key is None or key[0] in exponents
+        assert weights is None or len(weights) == len(table.density)
+
+
+# each table sees one exponent per evaluation (the pole's tables are kept
+# for one exponent, so the pole takes one band's exponent only)
+@pytest.mark.parametrize("options", [{"p": 1.0, "gamma": 1.0},
+                                     {"p": 2.0, "gamma": 0.0},
+                                     {"p": 1.5, "gamma": 0.0}])
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_second_evaluation_weighs_nothing(name, options, monkeypatch):
+    domain = DOMAINS[name]()
+    calls = _count_weights(monkeypatch)
+    iq.evaluate("hardy", domain, make_field("polynomial"), options)
+    assert calls
+    calls.clear()
+    for field in (make_field("polynomial"), make_field("random_smooth")):
+        iq.evaluate("hardy", domain, field, options)
+    assert calls == []
+
+
+def test_alternating_exponents_weigh_each_table_once(monkeypatch):
+    # gamma = 0.5 with h' and gamma - p = -1 without both fall in band 1:
+    # each evaluation weighs band 1's tables (and the pole's, rebuilt per
+    # exponent) once per exponent, as it did before the tables kept a
+    # slot; the boundary's one exponent stays in its tables' slots
+    domain = DOMAINS["disk_mesh"]()
+    calls = _count_weights(monkeypatch)
+    options = {"p": 1.5, "gamma": 0.5}
+    for seed in range(3):
+        calls.clear()
+        iq.evaluate("hardy", domain, make_field("random_smooth", seed=seed),
+                    options)
+        assert sorted((g, h) for _, g, h in calls) == sorted(
+            [(-1.0, False)] * 6 + [(0.5, True)] * 6
+            + [(-0.5, False)] * 2 * (seed == 0))
+        assert not any(a[0] is b[0] and a[1:] == b[1:]
+                       for i, a in enumerate(calls) for b in calls[:i])
+
+
+def test_threads_sharing_a_domains_slots_match_serial(bindings):
+    # exponents sharing band 1's tables, so the threads replace each
+    # other's weights in the tables' slots
+    runs = [(make_field(kind, seed=i), {"p": 1.0, "gamma": gamma})
+            for i, (kind, gamma) in enumerate(
+                [("polynomial", 0.3), ("random_smooth", 0.6),
+                 ("radial_power", 0.9), ("radial_bump", 1.0)])]
+    serial = [iq.evaluate("hardy", DOMAINS["disk_mesh"](), f, o).to_dict()
+              for f, o in runs]
+    shared = DOMAINS["disk_mesh"]()
+    barrier = threading.Barrier(len(runs))
+    results = [[] for _ in runs]
+
+    def work(i):
+        barrier.wait()
+        for _ in range(4):
+            results[i].append(iq.evaluate("hardy", shared, *runs[i]).to_dict())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(runs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, reports in enumerate(results):
+        assert reports == [serial[i]] * 4
+    assert [ref() for ref in bindings] == [None] * len(bindings)
+
+
+CORPUS_MESHES = ("disk_offset", "disk_pole", "disk_tilted", "graph_patch",
+                 "sphere_offset", "sphere_pole")
+
+
+@pytest.mark.parametrize("name", CORPUS_MESHES + ("disk_41",))
+def test_cell_gradient_norms_match_the_reconstruction(name):
+    domain = (Domain(disk_mesh(1.0, rings=41), EUCLID) if name == "disk_41"
+              else corpus.corpus_geometries()[name]())
+    assert domain.kind == "mesh"
+    mesh = domain.mesh
+    for seed, kind in enumerate(FAMILIES):
+        bound = make_field(kind, seed=seed).bind(domain)
+        ref = np.linalg.norm(mesh.reconstruct_gradients(bound.vertex_values),
+                             axis=1)
+        assert np.array_equal(bound.cell_grad_norm, ref)
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "random_smooth"])
+def test_kept_planar_coordinates_match_the_points(kind):
+    domain = DOMAINS["disk_mesh"]()
+    iq.evaluate("hardy", domain, make_field(kind), {"p": 1.0, "gamma": 1.0})
+    scale = domain.coord_scale
+    held = [(t.kept["xy"], t.points)
+            for t in domain.sites(0.0) + domain.sites(1.0)[2:]
+            + domain.pole_sites(1.0)]
+    held.append((domain.mesh.kept["xy"], domain.mesh.vertices))
+    for (x, y), points in held:
+        want_x, want_y = _scaled_xy(points, scale)
+        assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
+
+
+def _two_cases_per_geometry():
+    cases = corpus.build_corpus(0)
+    return [c for i, c in enumerate(cases)
+            if sum(d.geometry == c.geometry for d in cases[:i]) < 2]
+
+
+@functools.lru_cache(maxsize=None)
+def _reports_case_by_case():
+    """Each picked case's report on a domain built once per geometry."""
+    domains = corpus.corpus_geometries()
+    domains = {name: domains[name]() for name in corpus.GEOMETRIES}
+    return {c.name: iq.evaluate(c.inequality, domains[c.geometry], c.field,
+                                c.options).to_dict()
+            for c in _two_cases_per_geometry()}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_corpus_keeps_a_domain_per_worker(threads, monkeypatch):
+    picked = _two_cases_per_geometry()
+    alive, most = [], []
+    real = corpus.build_domain
+
+    def recording(case):
+        domain = real(case)
+        alive.append(weakref.ref(domain))
+        most.append(sum(ref() is not None for ref in alive))
+        return domain
+
+    monkeypatch.setattr(corpus, "build_domain", recording)
+    reports = corpus.run_corpus(picked, threads=threads)
+    assert len(alive) == len(corpus.GEOMETRIES)
+    assert max(most) <= threads
+    assert [ref() for ref in alive] == [None] * len(alive)
+    # in case order, though the geometries' cases interleave
+    want = _reports_case_by_case()
+    assert [r.to_dict() for r in reports] == [want[c.name] for c in picked]
