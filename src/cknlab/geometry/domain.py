@@ -126,7 +126,6 @@ class SiteBatch:
     cell_ids: np.ndarray = None  # (S,) mesh cell of each site
     bary: np.ndarray = None   # (S, k) barycentrics in that boundary facet
     facet_ids: np.ndarray = None  # (S,) mesh boundary facet of each site
-    chart: np.ndarray = None  # (S, k) patch chart point
     dF: np.ndarray = None     # (S, n, k) chart basis, columns of unit length
     chart_colnorm: np.ndarray = None  # (S, k) lengths of the chart columns
     metric_ginv: np.ndarray = None  # (S, k, k) inverse metric in that basis
@@ -410,7 +409,7 @@ class Domain:
     def _with_field(self, tables, key, bound_field, base=()):
         """``tables`` with the field's values, kept in its binding.  The
         first ones view ``base``, band 0's bound tables, and share their
-        values and ``kept`` (whose weights' exponents name their band)."""
+        values and ``kept``."""
         if bound_field is None:
             return tables
         return kept(bound_field.kept, key, lambda: tuple(
@@ -694,7 +693,7 @@ class Domain:
             h_norm = _metric_norm(
                 G, (S_perp @ ginv.reshape(len(U), k * k, 1))[..., 0])
         return SiteBatch(points=F, density=dens, r=r, h=h, hp=hp, perp=perp,
-                         h_norm=h_norm, tan_sq=tan_sq, chart=U, dF=dFn,
+                         h_norm=h_norm, tan_sq=tan_sq, dF=dFn,
                          chart_colnorm=colnorm, metric_ginv=ginv)
 
     # -- boundary sites -----------------------------------------------------------
@@ -770,8 +769,7 @@ class Domain:
                     density=b.density * gaa / b.chart_colnorm[:, axis],
                     r=b.r, h=b.h, hp=b.hp,
                     conormal_dot=sign * np.sum(
-                        b.metric_ginv[:, axis] * dr, axis=1) / gaa,
-                    chart=U))
+                        b.metric_ginv[:, axis] * dr, axis=1) / gaa))
             out.append(_concat_batches(parts))
         return tuple(out)
 
@@ -871,8 +869,8 @@ def weighted_integral(domain: Domain, integrand, gamma: float,
         raise InvalidArgument(f"unknown weight kind {weight_kind!r}")
     bound = domain.bind(field) if field is not None else None
     tables = domain.sites(gamma, bound) + domain.pole_sites(gamma, bound)
-    weights = _weights(tables, bound, gamma,
-                       weight_kind == "h_power_times_hprime")
+    hprime = weight_kind == "h_power_times_hprime"
+    weights = [t.weighted_density(gamma, hprime) for t in tables]
     return _reduce(tables, weights, integrand, "integrand must be nonnegative")
 
 
@@ -891,19 +889,11 @@ def boundary_integral(domain: Domain, integrand, weight_exponent: float,
         warnings.warn("boundary integral over a closed submanifold is 0",
                       stacklevel=2)
         return Qty(0.0, 0.0)
-    weights = _weights(tables, bound, weight_exponent, False)
+    weights = [t.weighted_density(weight_exponent, False) for t in tables]
     if with_radial_conormal:
         weights = [w * t.conormal_dot for w, t in zip(weights, tables)]
     return _reduce(tables, weights, integrand,
                    "boundary integrand must be nonnegative")
-
-
-def _weights(tables, bound, gamma, hprime):
-    """Each table's weighted densities, through the binding's copy's kept
-    (an evaluation may alternate exponents on one table), then its slot."""
-    return [kept({} if bound is None else t.kept, ("weight", gamma, hprime),
-                 lambda t=t: t.weighted_density(gamma, hprime))
-            for t in tables]
 
 
 def _reduce(tables, weights, integrand, message) -> Qty:

@@ -12,12 +12,14 @@ jet.
 
 Members that must vanish on the boundary either do so natively (radial
 kinds, whose support radius is the smallest boundary radius) or are
-multiplied by the domain's boundary-vanishing factor.
+multiplied by the domain's boundary-vanishing factor, the clamp: per
+generator one function of ambient points with its ambient gradient
+(:data:`CLAMPS`), resolved when the member is bound.
 
 On meshes, what a planar member's value takes from the points alone (scaled
-coordinates, boundary-vanishing factor, random_smooth basis) and the cell
-gradients' columns are computed once per site table or mesh, so binding
-another member pays only for its ``dof``-weighted sums.
+coordinates, the clamp's value, random_smooth basis) and the cell gradients'
+columns are computed once per site table or mesh, so binding another member
+pays only for its ``dof``-weighted sums.
 """
 
 from __future__ import annotations
@@ -212,72 +214,80 @@ def _planar_profile(field: Field, scale: float):
 # Boundary-vanishing factors per generator
 # ---------------------------------------------------------------------------
 
-def _vanish_chart(domain: Domain):
-    """(value, chart gradient) of the clamp factor on a patch."""
-    meta = domain.metadata
-    gen = meta.get("generator")
-    if gen in ("flat_disk", "geodesic_disk", "ball"):
-        R = meta["radius"]
+def _subspace_clamp(center, axes, R):
+    """1 - |axes (P - center)|^2 / R^2: a disk (two axes) or ball (three)."""
+    center, axes = np.asarray(center, dtype=float), np.asarray(axes, float)
 
-        def clamp(U):
-            rho = U[:, 0]
-            val = 1.0 - (rho / R) ** 2
-            grad = np.zeros_like(U)
-            grad[:, 0] = -2.0 * rho / R ** 2
-            return val, grad
-
-        return clamp
-    if gen in ("plane_rect", "poly_graph"):
-        L = meta["half_width"]
-        cx, cy = meta.get("center_xy", (0.0, 0.0))
-
-        def clamp(U):
-            x = (U[:, 0] - cx) / L
-            y = (U[:, 1] - cy) / L
-            val = (1.0 - x ** 2) * (1.0 - y ** 2)
-            grad = np.zeros_like(U)
-            grad[:, 0] = -2.0 * x * (1.0 - y ** 2) / L
-            grad[:, 1] = -2.0 * y * (1.0 - x ** 2) / L
-            return val, grad
-
-        return clamp
-    if gen == "sphere_patch":
-        t0, t1 = meta["theta_range"]
-        span = t1 - t0
-
-        def clamp(U):
-            th = U[:, 0]
-            val = (t1 - th) / span
-            grad = np.zeros_like(U)
-            grad[:, 0] = -1.0 / span
-            if t0 > 0.0:
-                lo = (th - t0) / span
-                grad[:, 0] = grad[:, 0] * lo + val / span
-                val = val * lo
-            return val, grad
-
-        return clamp
-    raise InvalidArgument(f"no boundary-vanishing factor for generator {gen!r}")
-
-
-def _vanish_points(domain: Domain, pts: np.ndarray) -> np.ndarray:
-    """Clamp factor of a mesh domain at arbitrary ambient points."""
-    meta = domain.metadata
-    gen = meta.get("generator")
-    if gen == "disk":
-        center = np.asarray(meta["center"], dtype=float)
-        axes = np.asarray(meta["axes"], dtype=float)
-        R = meta["radius"]
-        plane = (pts - center) @ axes.T
+    def clamp(P, grad=True):
+        plane = (P - center) @ axes.T
         rho2 = np.einsum("vi,vi->v", plane, plane)
-        return np.maximum(1.0 - rho2 / R ** 2, 0.0)
-    if gen == "graph":
-        L = meta["half_width"]
-        cx, cy = meta.get("center_xy", (0.0, 0.0))
-        x = (pts[:, 0] - cx) / L
-        y = (pts[:, 1] - cy) / L
-        return np.maximum((1.0 - x ** 2) * (1.0 - y ** 2), 0.0)
-    raise InvalidArgument(f"no boundary-vanishing factor for generator {gen!r}")
+        val = np.maximum(1.0 - rho2 / R ** 2, 0.0)
+        return (val, plane @ axes * (-2.0 / R ** 2)) if grad else val
+
+    return clamp
+
+
+def _square_clamp(meta):
+    """(1 - x^2)(1 - y^2), x and y the centred first two coordinates / L."""
+    L = meta["half_width"]
+    cx, cy = meta["center_xy"]
+
+    def clamp(P, grad=True):
+        x = (P[:, 0] - cx) / L
+        y = (P[:, 1] - cy) / L
+        val = np.maximum((1.0 - x ** 2) * (1.0 - y ** 2), 0.0)
+        return (val, np.column_stack([-2.0 * x * (1.0 - y ** 2) / L,
+                                      -2.0 * y * (1.0 - x ** 2) / L,
+                                      np.zeros_like(x)])) if grad else val
+
+    return clamp
+
+
+def _polar_clamp(meta):
+    """(t1 - theta) / span, times (theta - t0) / span on a zone (t0 > 0),
+    theta the polar angle about the sphere's centre."""
+    t0, t1 = meta["theta_range"]
+    span = t1 - t0
+
+    def clamp(P, grad=True):
+        d = P - meta["center"]
+        rho = np.hypot(d[:, 0], d[:, 1])
+        theta = np.arctan2(rho, d[:, 2])     # finite on the axis
+        # grad theta = e_theta / |d|, taken as 0 on the axis
+        dtheta = np.column_stack([
+            d[:, :2] * (d[:, 2] / np.where(rho > 0, rho, 1.0))[:, None],
+            -rho]) / np.einsum("vi,vi->v", d, d)[:, None]
+        val, dval = (t1 - theta) / span, np.full_like(theta, -1.0 / span)
+        if t0 > 0.0:
+            lo = (theta - t0) / span
+            val, dval = val * lo, dval * lo + val / span
+        val = np.maximum(val, 0.0)
+        return (val, dval[:, None] * dtheta) if grad else val
+
+    return clamp
+
+
+_PLANE = np.eye(3)[:2]
+# generator -> the clamp of a domain with that metadata: (value, ambient
+# gradient) at ambient points, or with grad=False the value alone, zero on
+# the boundary; patch coordinates are ambient ones centred on the origin
+CLAMPS = {
+    "disk": lambda m: _subspace_clamp(m["center"], m["axes"], m["radius"]),
+    "flat_disk": lambda m: _subspace_clamp(0.0, _PLANE, m["radius"]),
+    "geodesic_disk": lambda m: _subspace_clamp(0.0, _PLANE, m["radius"]),
+    "ball": lambda m: _subspace_clamp(0.0, np.eye(3), m["radius"]),
+    "graph": _square_clamp, "plane_rect": _square_clamp,
+    "poly_graph": _square_clamp, "sphere_patch": _polar_clamp,
+}
+
+
+def _clamp(domain: Domain):
+    """The clamp of ``domain``'s generator (see :data:`CLAMPS`)."""
+    gen = domain.metadata.get("generator")
+    if gen not in CLAMPS:
+        raise InvalidArgument(
+            f"no boundary-vanishing factor for generator {gen!r}")
+    return CLAMPS[gen](domain.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +316,13 @@ class BoundField:
             self._scale = max(domain.coord_scale, 1e-12)
             if domain.kind == "patch":
                 self._planar = _planar_profile(field, self._scale)
-                self._clamp = (_vanish_chart(domain)
-                               if field.boundary_vanishing and domain.has_boundary
-                               else None)
+        self._clamp = (_clamp(domain) if not self.radial
+                       and field.boundary_vanishing and domain.has_boundary
+                       else None)
         if domain.kind == "mesh":
             self._setup_mesh_samples()
-        # values per site table (key: band or "b") and the weights the
-        # integrals used (key: ("weight", gamma, hprime)), for one evaluation
+        # field values per site table (key: band, ("pole", gamma) or "b"),
+        # for one evaluation
         self.kept = {}
 
     def bind(self, domain: Domain) -> "BoundField":
@@ -337,11 +347,11 @@ class BoundField:
         self.cell_grad_norm = np.sqrt(sum(a * a for a in g))
 
     def _value_at(self, pts, r, memo):
-        """Exact field value at ambient points of a mesh domain.
+        """Exact field value at ambient points, without its gradient.
 
-        The scaled coordinates, the clamp and the random_smooth basis do not
-        depend on ``dof``: they are kept in ``memo``, the ``kept`` of the
-        site table or of the mesh that holds ``pts``.
+        The scaled coordinates, the clamp's value and the random_smooth
+        basis do not depend on ``dof``: they are kept in ``memo``, on a mesh
+        the ``kept`` of the site table or of the mesh that holds ``pts``.
         """
         if self.radial:
             return self._f(r)
@@ -350,9 +360,9 @@ class BoundField:
         if self.field.kind == "random_smooth":
             cols = kept(memo, "mixture", lambda: _mixture_columns(x, y))
         vals = _planar_value(self.field.dof, x, y, cols)
-        if self.field.boundary_vanishing and self.domain.has_boundary:
+        if self._clamp is not None:
             vals = vals * kept(memo, "clamp",
-                               lambda: _vanish_points(self.domain, pts))
+                               lambda: self._clamp(pts, grad=False))
         return vals
 
     # -- evaluation at site batches -----------------------------------------
@@ -364,19 +374,18 @@ class BoundField:
             # exact values at the quadrature sites; tangential gradient from
             # the per-cell linear reconstruction of the vertex samples
             psi = self._value_at(batch.points, batch.r, batch.kept)
-            return amp * psi, amp * self.cell_grad_norm[batch.cell_ids]
+            return amp * psi, abs(amp) * self.cell_grad_norm[batch.cell_ids]
         if self.radial:
             psi = self._f(batch.r)
             grad = np.abs(self._fp(batch.r)) * np.sqrt(
                 np.clip(batch.tan_sq, 0.0, None))
             return amp * psi, abs(amp) * grad
         psi, amb_grad = self._planar(batch.points)
-        dpsi = np.einsum("sa,sai->si", amb_grad, batch.dF)
         if self._clamp is not None:
-            cval, cgrad = self._clamp(batch.chart)
-            dpsi = (dpsi * cval[:, None]
-                    + psi[:, None] * cgrad / batch.chart_colnorm)
+            cval, cgrad = self._clamp(batch.points)
+            amb_grad = amb_grad * cval[:, None] + psi[:, None] * cgrad
             psi = psi * cval
+        dpsi = np.einsum("sa,sai->si", amb_grad, batch.dF)
         grad = np.sqrt(np.maximum(np.sum(
             (dpsi[:, None, :] @ batch.metric_ginv)[:, 0] * dpsi, axis=1), 0.0))
         return amp * psi, abs(amp) * grad
@@ -389,8 +398,7 @@ class BoundField:
             facets = domain.mesh.boundary_facets[batch.facet_ids]
             vv = self.vertex_values[facets]
             psi = np.einsum("sb,sb->s", batch.bary, vv)
-        elif self.radial:
-            psi = self._f(batch.r)
         else:
-            psi, _ = self._planar(batch.points)
+            # patch tables keep no planar columns (README, "What is kept")
+            psi = self._value_at(batch.points, batch.r, {})
         return self.field.amplitude * psi

@@ -38,6 +38,54 @@ def band_pair(domain: Domain, gamma: float, bound_field=None):
         for view, graded in zip(tables[:2], tables[2:]))
 
 
+def chart_clamp(meta: dict):
+    """The boundary-vanishing factor of a patch in its chart coordinates:
+    ``clamp(U)`` gives its value and its chart partials at chart points.
+
+    The reference for the ambient clamps of ``cknlab.geometry.fields``.
+    """
+    gen = meta["generator"]
+    if gen in ("flat_disk", "geodesic_disk", "ball"):
+        R = meta["radius"]
+
+        def clamp(U):
+            rho = U[:, 0]
+            grad = np.zeros_like(U)
+            grad[:, 0] = -2.0 * rho / R ** 2
+            return 1.0 - (rho / R) ** 2, grad
+
+        return clamp
+    if gen in ("plane_rect", "poly_graph"):
+        L = meta["half_width"]
+        cx, cy = meta["center_xy"]
+
+        def clamp(U):
+            x = (U[:, 0] - cx) / L
+            y = (U[:, 1] - cy) / L
+            grad = np.zeros_like(U)
+            grad[:, 0] = -2.0 * x * (1.0 - y ** 2) / L
+            grad[:, 1] = -2.0 * y * (1.0 - x ** 2) / L
+            return (1.0 - x ** 2) * (1.0 - y ** 2), grad
+
+        return clamp
+    assert gen == "sphere_patch", gen
+    t0, t1 = meta["theta_range"]
+    span = t1 - t0
+
+    def clamp(U):
+        th = U[:, 0]
+        val = (t1 - th) / span
+        grad = np.zeros_like(U)
+        grad[:, 0] = -1.0 / span
+        if t0 > 0.0:
+            lo = (th - t0) / span
+            grad[:, 0] = grad[:, 0] * lo + val / span
+            val = val * lo
+        return val, grad
+
+    return clamp
+
+
 def _require_mesh(domain: Domain):
     if domain.kind != "mesh":
         raise InvalidArgument("calculus residuals are defined on meshes")

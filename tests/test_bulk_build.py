@@ -44,7 +44,7 @@ from cknlab.geometry.fields import make_field
 from cknlab.geometry import mesh as mesh_module
 from cknlab.geometry.mesh import detect_boundary, read_mesh
 from cknlab.quadrature import simplex_rule
-from geometry_checks import band_pair
+from geometry_checks import band_pair, chart_clamp
 
 
 def _close(got, want):
@@ -251,12 +251,13 @@ def ref_patch_batch(domain, U):
             "chart_colnorm": colnorm, "metric_ginv": ginv}
 
 
-def ref_at_sites(bound, batch):
-    """``BoundField.at_sites`` of a planar field on a chart, by einsum."""
+def ref_at_sites(bound, batch, U):
+    """``BoundField.at_sites`` of a planar field on a chart, by einsum, with
+    the clamp taken in the chart coordinates ``U`` of the sites."""
     psi, amb_grad = bound._planar(batch.points)
     dpsi = np.einsum("sa,sai->si", amb_grad, batch.dF)
     if bound._clamp is not None:
-        cval, cgrad = bound._clamp(batch.chart)
+        cval, cgrad = chart_clamp(bound.domain.metadata)(U)
         dpsi = (dpsi * cval[:, None]
                 + psi[:, None] * cgrad / batch.chart_colnorm)
         psi = psi * cval
@@ -289,16 +290,30 @@ CHARTS = ("disk_patch", "cap", "zone", "geodesic_disk", "ball", "ball_warped",
 FLAT_THROUGH_POLE = ("disk_patch", "geodesic_disk", "plane_rect")
 
 
-def _chart_tables(domain):
+def _chart_points(domain):
+    """The chart points of band 0's tables, of a band above it and of the
+    pole's, each table's as the domain's builders lay them out."""
     gamma = 1.5 if domain.through_pole else 2.5
-    return (domain.sites(0.0) + domain.sites(gamma)
-            + domain.pole_sites(gamma))
+    points = []
+    build = domain._patch_batch
+
+    def recording(U, rule_dens):
+        points.append(U)
+        return build(U, rule_dens)
+
+    domain._patch_batch = recording
+    try:
+        domain.sites(0.0) + domain.sites(gamma) + domain.pole_sites(gamma)
+    finally:
+        del domain._patch_batch
+    assert points, "the domain had built its tables already"
+    return points
 
 
 @pytest.mark.parametrize("name", CHARTS)
 def test_patch_sites_match_einsum_reference(warped3, name):
     domain = _charts(warped3)[name]()
-    U = np.concatenate([t.chart for t in _chart_tables(domain)])
+    U = np.concatenate(_chart_points(domain))
     got = domain._patch_batch(U, np.ones(len(U)))
     want = ref_patch_batch(domain, U)
     for column, value in want.items():
@@ -332,14 +347,16 @@ def test_connection_contracts_the_full_symbol(warped3, k):
                                   "poly_graph"])
 def test_planar_field_matches_einsum_reference(warped3, name):
     domain = _charts(warped3)[name]()
+    points = _chart_points(domain)
     for vanishing in (False, True):
         field = make_field("polynomial",
                            [0.3, -0.7, 0.5, 1.1, -0.4, 0.8],
                            boundary_vanishing=vanishing).scaled(1.7)
         bound = domain.bind(field)
-        for batch in _chart_tables(domain):
+        for U in points:
+            batch = domain._patch_batch(U, np.ones(len(U)))
             for got, want in zip(bound.at_sites(batch),
-                                 ref_at_sites(bound, batch)):
+                                 ref_at_sites(bound, batch, U)):
                 _close(got, want)
 
 

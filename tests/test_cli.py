@@ -427,6 +427,25 @@ gamma = 1
     assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
 
 
+@pytest.mark.parametrize("kind", ["polynomial", "random_smooth"])
+def test_mesh_file_has_no_clamp_for_a_planar_member(tmp_path, capsys, kind):
+    # a file mesh records no generator, so a planar member that must vanish
+    # on its boundary is refused before any integral, with a message
+    from cknlab.geometry.mesh import disk_mesh, write_mesh
+    mesh_path = tmp_path / "disk.mesh"
+    write_mesh(disk_mesh(1.0, rings=4), mesh_path)
+    text = (DISK_CONE_CFG
+            .replace("builtin = disk_mesh\nradius = 1.0\nrings = 12",
+                     f"path = {mesh_path}")
+            .replace("kind = radial_power\ndof = 1.0", f"kind = {kind}"))
+    assert f"path = {mesh_path}" in text and f"kind = {kind}" in text
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert ("no boundary-vanishing factor for generator 'file'"
+                in err)
+        assert "Traceback" not in err
+
+
 # -- verify --levels and search --levels refine the level-0 domain one way
 
 @pytest.mark.parametrize("geometry,exponents", [

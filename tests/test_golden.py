@@ -39,8 +39,8 @@ GOLDEN = {
         "0d4f4d20b6fbce0bf77a86bdf1208b36fde8341ab117b6446d1bc63402c58a1b",
         "929b06616df5365b06b042ba0604f81b576523eb8b89d698572f746250277f3b"),
     "weighted_cap": (
-        "48b4c7eaef5ad4878a311072dc8a8cb0b2ffbefceed7630a937707943d0d0ce8",
-        "e6db2b5e1960b8a76cb40f2b8bfa84de0635367842fda41525ffc5dc0cc8dabd"),
+        "1eac03fd69bd3858d26393c432e4240a5e1a25bfe850617c3b517e308b245f4e",
+        "b9c22364601d54ec77ca2983466cb6a65fa4f7ceb928785f644396c80e82d565"),
 }
 
 
@@ -63,11 +63,11 @@ def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
 # reports names the geometries it moved
 CORPUS_REPORTS = {
     "ball":
-        "d4d5755eeb6a4acefbbe96f089647cd407ed34ed30fa9f9460585a4993469930",
+        "1bbc2b179c601809ba86004b73a3b241d04b6f7c0ac0f03198e8b3d10155e5c9",
     "ball_warped":
-        "00f6566dd6ba2d5d968b3370d16f9dada23e26a8472f2cb35d24f31cb3a87241",
+        "b978610f187d5e3c6c596294fc9d85dec635c24bff544ac08e632040cb6c993a",
     "cap":
-        "058c60907b508f020b6bd7709ca509b13464748c50f180da47be911d5e648dfa",
+        "6090af112a66971a7e63700588e63a390762e2758ce0954b46fbd12789189242",
     "disk_offset":
         "25ab50cbc3ec5fc6f53f7307643a0fcd440e0238cd99b2a6eb78603eb7ba19ca",
     "disk_patch":
@@ -77,7 +77,7 @@ CORPUS_REPORTS = {
     "disk_tilted":
         "2030d965f2f95a0744ba44af0e3bc0a5be78f1bff965bfe33246336e879b61c0",
     "geodesic_disk":
-        "1a333bc83a098776ad2104901c5293e7155ccf85eac936ac5effdeb8e2d47774",
+        "0608ac938bca76f6c6228817e3f713690faaa75d616972baa6fff450fe698a3d",
     "graph_patch":
         "c407c7a9af4901f903d64086a84577d6b043af38938c092661ed12986d4bfce7",
     "sphere_offset":
@@ -85,7 +85,7 @@ CORPUS_REPORTS = {
     "sphere_pole":
         "0ac48d9b3ff6bd4270c3c58667fb11850b002d7badeb666892a092eb848e9d1c",
     "zone":
-        "cfd924a1c39d3456740973bd9583ed67f6302a3d9920928233800b9a18b864ef",
+        "f8066b1aca2c4ea2747d870d22ece1e0ad6892345d81c0c8d4f61fd82bb01776",
 }
 # SHA-256 over the cases of `build_corpus(seed, draws=60)`, seeds 0-19
 CORPUS_CASES = (

@@ -1,12 +1,16 @@
 import gc
 import math
 import weakref
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.integrate as sint
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cknlab import constants as cn
+from cknlab.corpus import build_corpus, corpus_geometries
 from cknlab.errors import (
     InvalidArgument,
     InvalidExponent,
@@ -182,6 +186,71 @@ def test_ratio_homogeneous_in_the_field(disk_domain, kind, dof):
         r1 = evaluator(base).ratio
         r2 = evaluator(scaled).ratio
         assert abs(r1 - r2) < 1e-10 * max(1.0, abs(r1))
+
+
+# the examples of one id run in a row: keep that id's domain only
+@lru_cache(maxsize=1)
+def _first_corpus_case(id):
+    """The first seed-0 corpus case of ``id``, its domain and its report."""
+    case = next(c for c in build_corpus(0) if c.inequality == id)
+    domain = corpus_geometries()[case.geometry]()
+    return case, domain, iq.evaluate(id, domain, case.field, case.options)
+
+
+@pytest.mark.parametrize("id", iq.CATALOG_IDS)
+@settings(max_examples=10, deadline=None)
+@given(size=st.floats(1e-3, 1e3), negative=st.booleans())
+def test_ratio_homogeneous_on_every_catalog_id(id, size, negative):
+    # hardy_signed needs a nonnegative test function
+    case, domain, base = _first_corpus_case(id)
+    amplitude = -size if negative and id != "hardy_signed" else size
+    report = iq.evaluate(id, domain, case.field.scaled(amplitude),
+                         case.options)
+    assert abs(report.ratio - base.ratio) <= 1e-10 * abs(base.ratio)
+    assert (report.satisfied, report.degenerate) == (base.satisfied,
+                                                     base.degenerate)
+
+
+# rigid motions of a disk together with the pole: radial members on a
+# hardy, a Sobolev and two weighted ids
+MOTION_CASES = [
+    (kind, id, options)
+    for kind in ("radial_power", "radial_bump")
+    for id, options in (("hardy", {"p": 1.5, "gamma": 0.5}),
+                        ("hardy", {"p": 1.0, "gamma": 1.0}),
+                        ("sobolev_hs", {"p": 1.2}),
+                        ("ckn_single", {"p": 1.2, "alpha": 0.1,
+                                        "sigma": 0.6}),
+                        ("weighted_sobolev", {"p": 1.3, "alpha": 0.2}))]
+
+
+@lru_cache(maxsize=None)
+def _centred_disk_reports():
+    domain = Domain(disk_mesh(1.0, rings=8), AmbientSpace.euclidean(3))
+    return [iq.evaluate(id, domain, make_field(kind), options)
+            for kind, id, options in MOTION_CASES]
+
+
+@settings(max_examples=6, deadline=None)
+@given(quaternion=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+       .filter(lambda q: np.linalg.norm(q) > 0.1),
+       shift=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_ratio_invariant_under_rigid_motion_with_the_pole(quaternion, shift):
+    w, x, y, z = np.asarray(quaternion) / np.linalg.norm(quaternion)
+    Q = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z),
+                   2 * (x * z + w * y)],
+                  [2 * (x * y + w * z), 1 - 2 * (x * x + z * z),
+                   2 * (y * z - w * x)],
+                  [2 * (x * z - w * y), 2 * (y * z + w * x),
+                   1 - 2 * (x * x + y * y)]])
+    domain = Domain(disk_mesh(1.0, rings=8, center=shift, axes=Q[:2]),
+                    AmbientSpace.euclidean(3, pole=shift))
+    for (kind, id, options), base in zip(MOTION_CASES,
+                                         _centred_disk_reports()):
+        report = iq.evaluate(id, domain, make_field(kind), options)
+        # the grading may flip cells: equal within the error estimates
+        assert abs(report.ratio - base.ratio) <= max(
+            report.quadrature_error, base.quadrature_error), (kind, id)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,7 @@ from geometry_checks import band_pair
 from cknlab.quadrature import (box_rule, gauss_rule, jacobi_rule,
                                simplex_rule)
 
-BOUNDARY_COLUMNS = ("points", "density", "r", "h", "hp", "conormal_dot",
-                    "chart")
+BOUNDARY_COLUMNS = ("points", "density", "r", "h", "hp", "conormal_dot")
 
 
 # -- reference: the per-cell boundary builder ---------------------------------
@@ -105,8 +104,7 @@ def ref_patch_boundary(domain):
                 for name, value in (("points", F), ("density", dS),
                                     ("r", r), ("h", h), ("hp", hp),
                                     ("conormal_dot",
-                                     _metric_dot(G, u, nu)),
-                                    ("chart", U)):
+                                     _metric_dot(G, u, nu))):
                     cols[name].append(value)
         out.append({name: np.concatenate(v) for name, v in cols.items()})
     return out
@@ -153,7 +151,7 @@ def test_patch_boundary_matches_per_cell_reference(warped3, name, order):
     tables = domain.boundary_sites()
     for got, want in zip(tables, ref_patch_boundary(domain)):
         assert _set_columns(got) == set(BOUNDARY_COLUMNS)
-        for column in ("points", "r", "h", "hp", "chart"):
+        for column in ("points", "r", "h", "hp"):
             assert np.array_equal(getattr(got, column), want[column]), column
         for column in ("density", "conormal_dot"):
             np.testing.assert_allclose(getattr(got, column), want[column],
@@ -270,7 +268,7 @@ def test_concatenated_patch_tables_keep_every_column(disk_patch_domain):
         assert np.array_equal(getattr(merged, column),
                               np.concatenate([getattr(hi, column),
                                               getattr(lo, column)])), column
-    # the planar kinds read the chart basis, chart points and inverse metric
+    # the planar kinds read the chart basis and inverse metric
     bound = disk_patch_domain.bind(make_field("polynomial"))
     psi, grad = bound.at_sites(merged)
     for part, got in zip(bound.at_sites(hi), (psi, grad)):
@@ -316,7 +314,7 @@ def test_patch_tables_carry_their_columns(euclid3, warped3, name):
     _assert_table_columns(
         Domain(_through_pole(euclid3, warped3)[name]()),
         {"points", "density", "r", "h", "hp", "perp", "h_norm", "tan_sq",
-         "chart", "dF", "chart_colnorm", "metric_ginv"},
+         "dF", "chart_colnorm", "metric_ginv"},
         set(BOUNDARY_COLUMNS))
 
 
