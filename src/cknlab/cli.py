@@ -9,8 +9,9 @@ Subcommands:
 - ``search``: tightness maximization over a test-function family.
 - ``list-scenarios``: bundled scenario configurations.
 
-Exit codes: 0 pass, 1 configuration error, 2 inequality violation,
-3 numerical failure.  ``CKN_LAB_THREADS`` caps sweep workers.
+Exit codes: 0 pass, 1 configuration error (a malformed command line too),
+2 inequality violation, 3 numerical failure.  ``CKN_LAB_THREADS`` caps
+sweep workers.
 """
 
 from __future__ import annotations
@@ -640,7 +641,7 @@ def cmd_search(args) -> int:
             results.append(result)
     except CknLabError as exc:
         return _evaluation_failed(exc)
-    _write_outputs(records, args.out, args.csv, args.json)
+    _write_outputs(records, args.out, None, args.json)
     if not all(math.isfinite(r.best_ratio) for r in results):
         return EXIT_NUMERICAL
     beyond = [r for r in results if r.best_ratio > 1.0 + r.slack]
@@ -691,7 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("config")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--csv")
         p.add_argument("--out", help="write the JSON payload to this path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--levels", type=int, default=0)
@@ -699,6 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="evaluate configured inequalities")
     common(pv)
+    pv.add_argument("--csv")
     pv.set_defaults(fn=cmd_verify)
 
     ps = sub.add_parser("search", help="maximize the tightness ratio")
@@ -712,7 +713,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse's usage errors exit 2, which here means a violation
+        return EXIT_CONFIG if exc.code == 2 else exc.code
     return args.fn(args)
 
 

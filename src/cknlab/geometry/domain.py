@@ -31,7 +31,8 @@ on the ring of cells on that face.  Every simplex with the pole at a vertex
 pole) takes Duffy's collapse onto that vertex, with area element ``2 t``.
 The rest of the domain stays a cell away from the pole and grades within a
 few levels.  A pole on a cell away from every vertex and grid corner is
-refused when the domain is built.
+refused when the domain is built.  Each band keeps the pole's pair of the
+last ``gamma`` asked for in it, and returns it after its own tables.
 """
 
 from __future__ import annotations
@@ -127,7 +128,6 @@ class SiteBatch:
     bary: np.ndarray = None   # (S, k) barycentrics in that boundary facet
     facet_ids: np.ndarray = None  # (S,) mesh boundary facet of each site
     dF: np.ndarray = None     # (S, n, k) chart basis, columns of unit length
-    chart_colnorm: np.ndarray = None  # (S, k) lengths of the chart columns
     metric_ginv: np.ndarray = None  # (S, k, k) inverse metric in that basis
 
     def __post_init__(self):
@@ -212,8 +212,8 @@ class Domain:
         self._interior_cache = {}
         self._boundary_cache = {}
         self._grading = {}
-        # (gamma, pole tables) of the last gamma asked for, replaced whole
-        self._pole_slot = (None, ())
+        # per band, (gamma, pole tables) of the last gamma asked for in it
+        self._pole_slots = {}
         # site tables are built lazily; the lock keeps threads sharing a
         # domain from building the same table twice
         self._build_lock = threading.Lock()
@@ -367,12 +367,13 @@ class Domain:
         return cache[key]
 
     def sites(self, gamma: float = 0.0, bound_field=None):
-        """Site batches for the weight ``h(r) ** -gamma``, hi and lo rules
-        alternating: band 0's pair ``(hi, lo)``, or above band 0
-        ``(hi_view, lo_view, hi_graded, lo_graded)``, without the views of
-        band 0's tables (see the module docstring) when the band keeps no
-        cell whole.  With the pole on the domain the exponent must stay
-        below ``k``.
+        """Every site batch an integral of ``h(r) ** -gamma`` reads, hi and
+        lo rules alternating: band 0's pair ``(hi, lo)``, or above band 0
+        the band's views of band 0's tables (none if it keeps no cell
+        whole), its graded pieces and on the pole the pole's pair for
+        ``gamma`` (threads racing on the band's slot at worst build one
+        twice).  With the pole on the domain the exponent must stay below
+        ``k``.
         """
         if self.through_pole and gamma >= self.k:
             raise NonIntegrableWeight(
@@ -388,23 +389,15 @@ class Domain:
         if not band:
             return base
         tables = self._cached(self._interior_cache, band, lambda: build(band))
-        return self._with_field(tables, band, bound_field,
-                                base[:len(tables) - 2])
-
-    def pole_sites(self, gamma: float, bound_field=None):
-        """(hi, lo) site batches of the cells at the pole for ``h ** -gamma``.
-
-        Empty at band 0, whose tables hold every cell, and off the pole.
-        The rule depends on ``gamma`` itself: the domain keeps the last
-        ``gamma``'s pair in one slot, replaced whole, so threads sharing it
-        at worst build a pair twice; the binding keeps the field's values.
-        """
-        if not (self._gamma_band(gamma) and len(self._pole_cells)):
-            return ()
-        slot = self._pole_slot
+        tables = self._with_field(tables, band, bound_field,
+                                  base[:len(tables) - 2])
+        if not len(self._pole_cells):
+            return tables
+        slot = self._pole_slots.get(band, (None,))
         if slot[0] != gamma:
-            slot = self._pole_slot = (gamma, self._pole_tables(gamma))
-        return self._with_field(slot[1], ("pole", gamma), bound_field)
+            slot = self._pole_slots[band] = (gamma, self._pole_tables(gamma))
+        return tables + self._with_field(slot[1], ("pole", gamma),
+                                         bound_field)
 
     def _with_field(self, tables, key, bound_field, base=()):
         """``tables`` with the field's values, kept in its binding.  The
@@ -474,7 +467,7 @@ class Domain:
         Returns the ids of the cells kept whole and, per graded piece, its
         cell id and the barycentric coordinates of its corners with respect
         to that cell, in depth-first order.  Above band 0 the cells at the
-        pole are left out (see :meth:`pole_sites`).
+        pole are left out (see :meth:`_pole_tables`).
         """
         k, n = self.k, self.n
         radius = self.ambient.radius
@@ -535,8 +528,8 @@ class Domain:
         for rule, npts in enumerate((self.order, self.order - 1)):
             nodes, wts = box_rule(self.k, npts)
             U = lo[:, None] + nodes * width[:, None]           # (P, q, k)
-            out.append(self._patch_batch(U.reshape(-1, self.k),
-                                         (wts * volume[:, None]).reshape(-1)))
+            out.append(self._patch_batch(
+                U.reshape(-1, self.k), (wts * volume[:, None]).reshape(-1))[0])
             if band and len(whole):
                 views.append(self._band0_view(rule, whole, len(wts)))
         self._grading[band] = stats
@@ -546,7 +539,7 @@ class Domain:
         """The cells kept whole and the chart boxes ``(lo, hi)`` graded.
 
         Above band 0 the boxes with a corner at the pole are left out (see
-        :meth:`pole_sites`).  The cells on which the weight varies mildly
+        :meth:`_pole_tables`).  The cells on which the weight varies mildly
         are kept whole, listed in cell order; the pieces of the other cells
         follow in depth-first order.
         Each level bisects one axis per box, the one whose worse child
@@ -614,7 +607,7 @@ class Domain:
                 wts = ((wt * t ** -alpha)[:, None] * wo).reshape(-1)
                 U = lo[:, None] + nodes.reshape(-1, k) * (hi - lo)[:, None]
                 out.append(self._patch_batch(
-                    U.reshape(-1, k), (wts * volume[:, None]).reshape(-1)))
+                    U.reshape(-1, k), (wts * volume[:, None]).reshape(-1))[0])
                 continue
             # Duffy: (t, u) -> (1 - t, t (1 - u), t u), area element 2 t
             t_, u = t[:, None], others[:, 0]
@@ -638,7 +631,7 @@ class Domain:
                             p, np.where([False, True], q, p), q], axis=1)
             out.append(self._patch_batch(
                 (bary @ tri.reshape(-1, 3, 2)).reshape(-1, k),
-                (np.repeat(volume / 2.0, 2)[:, None] * wts).reshape(-1)))
+                (np.repeat(volume / 2.0, 2)[:, None] * wts).reshape(-1))[0])
         return tuple(out)
 
     def _box_variations(self, lo, hi, band):
@@ -653,7 +646,9 @@ class Domain:
             for i in range(0, len(U), _CORNER_CHUNK)])
         return self._variations(r.reshape(len(lo), 2 ** k), band)
 
-    def _patch_batch(self, U, rule_dens) -> SiteBatch:
+    def _patch_batch(self, U, rule_dens):
+        """The site batch at chart points ``U``, and the (S, k) lengths of
+        the chart columns, which only the boundary's measure reads."""
         patch, amb = self.patch, self.ambient
         F, dF, d2F = patch.jet(U)
         G = amb.metric_matrix(F)
@@ -694,7 +689,7 @@ class Domain:
                 G, (S_perp @ ginv.reshape(len(U), k * k, 1))[..., 0])
         return SiteBatch(points=F, density=dens, r=r, h=h, hp=hp, perp=perp,
                          h_norm=h_norm, tan_sq=tan_sq, dF=dFn,
-                         chart_colnorm=colnorm, metric_ginv=ginv)
+                         metric_ginv=ginv), colnorm
 
     # -- boundary sites -----------------------------------------------------------
 
@@ -758,7 +753,7 @@ class Domain:
                             patch.bounds[axis][side])
                 U[:, :, others] = lo_f[:, None] + nodes * width[:, None]
                 U = U.reshape(-1, k)
-                b = self._patch_batch(
+                b, colnorm = self._patch_batch(
                     U, (wts * np.prod(width, axis=1)[:, None]).reshape(-1))
                 gaa = np.sqrt(b.metric_ginv[:, axis, axis])
                 u = self._radial(b.points)[3]
@@ -766,7 +761,7 @@ class Domain:
                 sign = 1.0 if side == 1 else -1.0
                 parts.append(SiteBatch(
                     points=b.points,
-                    density=b.density * gaa / b.chart_colnorm[:, axis],
+                    density=b.density * gaa / colnorm[:, axis],
                     r=b.r, h=b.h, hp=b.hp,
                     conormal_dot=sign * np.sum(
                         b.metric_ginv[:, axis] * dr, axis=1) / gaa))
@@ -868,7 +863,7 @@ def weighted_integral(domain: Domain, integrand, gamma: float,
     if weight_kind not in ("h_power", "h_power_times_hprime"):
         raise InvalidArgument(f"unknown weight kind {weight_kind!r}")
     bound = domain.bind(field) if field is not None else None
-    tables = domain.sites(gamma, bound) + domain.pole_sites(gamma, bound)
+    tables = domain.sites(gamma, bound)
     hprime = weight_kind == "h_power_times_hprime"
     weights = [t.weighted_density(gamma, hprime) for t in tables]
     return _reduce(tables, weights, integrand, "integrand must be nonnegative")

@@ -227,21 +227,20 @@ def _first_sign_change(grid, hp):
 
 
 def solve_warping(profile: CurvatureProfile, r_max: float,
-                  step: float = 1e-3, force_ode: bool = False) -> WarpingFunction:
+                  step: float = 1e-3) -> WarpingFunction:
     """Build the warping function for ``profile`` on ``[0, r_max]``.
 
-    Constant profiles use their closed forms unless ``force_ode`` is set;
-    tabulated profiles are integrated with fixed-step RK4 at ``step`` and a
-    step-halving Richardson error estimate.  The supremum radius of increase
-    is located from the first sign change of ``h'`` on the grid, refined by
-    bisection.
+    Constant profiles use their closed forms; tabulated profiles are
+    integrated with fixed-step RK4 at ``step`` and a step-halving Richardson
+    error estimate.  The supremum radius of increase is located from the
+    first sign change of ``h'`` on the grid, refined by bisection.
     """
     if r_max <= 0:
         raise InvalidArgument("r_max must be positive")
     if step <= 0:
         raise InvalidArgument("step must be positive")
 
-    if profile.kind == "constant" and not force_ode:
+    if profile.kind == "constant":
         b2 = profile.b_squared
         if b2 == 0.0:
             return WarpingFunction(profile, "flat", math.inf, math.inf)

@@ -20,13 +20,23 @@ from cknlab.inequalities import evaluate
 from cknlab.search import refinements
 
 
+def band_tables(domain: Domain, gamma: float, bound_field=None):
+    """``domain.sites(gamma)`` without the pole's pair: the band's own
+    tables."""
+    tables = domain.sites(gamma, bound_field)
+    if domain._gamma_band(gamma) and len(domain._pole_cells):
+        return tables[:-2]
+    return tables
+
+
 def band_pair(domain: Domain, gamma: float, bound_field=None):
-    """``domain.sites(gamma)`` as one ``(hi, lo)`` pair.
+    """The band's own tables of ``domain.sites(gamma)`` as one ``(hi, lo)``
+    pair.
 
     Above band 0 each rule's table is rebuilt as one: the rows of band 0's
     view that keep a density, then the graded pieces' rows.
     """
-    tables = domain.sites(gamma, bound_field)
+    tables = band_tables(domain, gamma, bound_field)
     if len(tables) == 2:
         return tables
     return tuple(
@@ -36,6 +46,14 @@ def band_pair(domain: Domain, gamma: float, bound_field=None):
                          getattr(graded, f.name)])
                      for f in fields(SiteBatch)})
         for view, graded in zip(tables[:2], tables[2:]))
+
+
+def chart_column_lengths(domain: Domain, U):
+    """The metric lengths of a chart's columns at chart points ``U``, from
+    its jet."""
+    F, dF, _ = domain.patch.jet(U)
+    G = domain.ambient.metric_matrix(F)
+    return np.sqrt(np.einsum("sai,sab,sbi->si", dF, G, dF))
 
 
 def chart_clamp(meta: dict):

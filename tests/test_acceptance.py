@@ -45,8 +45,9 @@ def test_criterion_1_ode_fidelity():
     worst = 0.0
     for b in (0.5, 1.0, 2.0):
         r_max = 0.9 * math.pi / (2.0 * b)
-        w = solve_warping(CurvatureProfile.constant(b * b), r_max,
-                          step=1e-3, force_ode=True)
+        w = solve_warping(CurvatureProfile.tabulated([(0.0, b * b),
+                                                      (r_max, b * b)]),
+                          r_max, step=1e-3)
         ts = np.linspace(0.0, r_max, 500)
         worst = max(worst, float(np.max(np.abs(w.h(ts) - np.sin(b * ts) / b))))
     elapsed = time.perf_counter() - start

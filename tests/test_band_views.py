@@ -26,7 +26,7 @@ from cknlab.geometry import (
 )
 from cknlab.geometry.domain import SiteBatch
 from cknlab.geometry.fields import make_field
-from geometry_checks import band_pair
+from geometry_checks import band_pair, band_tables
 
 EUCLID = AmbientSpace.euclidean(3)
 # the pole at a mesh vertex, on a polar chart's face and at a chart corner
@@ -53,7 +53,7 @@ def _domain(name):
 def test_views_share_band0_columns(name, gamma):
     domain = _domain(name)
     base = domain.sites(0.0)
-    tables = domain.sites(gamma)
+    tables = band_tables(domain, gamma)
     assert len(base) == 2 and len(tables) == 4
     for view, table in zip(tables[:2], base):
         for column in fields(SiteBatch):
@@ -94,7 +94,7 @@ def test_excluded_rows_add_exactly_nothing(name, gamma):
             # fsum is exact: the rows left out change no bit of the sum
             assert math.fsum(terms) == math.fsum(terms[~out])
     # a constant integrand: c times the summed weights of the kept rows
-    tables = band_pair(domain, gamma) + domain.pole_sites(gamma)
+    tables = band_pair(domain, gamma) + domain.sites(gamma)[-2:]
     ref = [3.0 * math.fsum(np.concatenate([t.density * t.weight(gamma, False)
                                            for t in tables[rule::2]]))
            for rule in (0, 1)]
@@ -109,7 +109,7 @@ def _reference(domain, integrand, gamma, hprime, field):
     with the field evaluated on each of them afresh."""
     bound = domain.bind(field)
     tables = [t.with_field(*bound.at_sites(t))
-              for t in band_pair(domain, gamma) + domain.pole_sites(gamma)]
+              for t in band_pair(domain, gamma) + domain.sites(gamma)[-2:]]
     return [math.fsum(np.concatenate([
         t.density * t.weight(gamma, hprime) * integrand(t)
         for t in tables[rule::2]])) for rule in (0, 1)]

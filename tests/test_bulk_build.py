@@ -44,7 +44,12 @@ from cknlab.geometry.fields import make_field
 from cknlab.geometry import mesh as mesh_module
 from cknlab.geometry.mesh import detect_boundary, read_mesh
 from cknlab.quadrature import simplex_rule
-from geometry_checks import band_pair, chart_clamp
+from geometry_checks import (
+    band_pair,
+    band_tables,
+    chart_clamp,
+    chart_column_lengths,
+)
 
 
 def _close(got, want):
@@ -258,8 +263,8 @@ def ref_at_sites(bound, batch, U):
     dpsi = np.einsum("sa,sai->si", amb_grad, batch.dF)
     if bound._clamp is not None:
         cval, cgrad = chart_clamp(bound.domain.metadata)(U)
-        dpsi = (dpsi * cval[:, None]
-                + psi[:, None] * cgrad / batch.chart_colnorm)
+        dpsi = (dpsi * cval[:, None] + psi[:, None] * cgrad
+                / chart_column_lengths(bound.domain, U))
         psi = psi * cval
     grad = np.sqrt(np.maximum(
         np.einsum("si,sij,sj->s", dpsi, batch.metric_ginv, dpsi), 0.0))
@@ -303,7 +308,7 @@ def _chart_points(domain):
 
     domain._patch_batch = recording
     try:
-        domain.sites(0.0) + domain.sites(gamma) + domain.pole_sites(gamma)
+        domain.sites(0.0) + domain.sites(gamma)
     finally:
         del domain._patch_batch
     assert points, "the domain had built its tables already"
@@ -314,8 +319,9 @@ def _chart_points(domain):
 def test_patch_sites_match_einsum_reference(warped3, name):
     domain = _charts(warped3)[name]()
     U = np.concatenate(_chart_points(domain))
-    got = domain._patch_batch(U, np.ones(len(U)))
+    got, colnorm = domain._patch_batch(U, np.ones(len(U)))
     want = ref_patch_batch(domain, U)
+    _close(colnorm, want.pop("chart_colnorm"))
     for column, value in want.items():
         if column != "perp":
             _close(getattr(got, column), value)
@@ -354,7 +360,7 @@ def test_planar_field_matches_einsum_reference(warped3, name):
                            boundary_vanishing=vanishing).scaled(1.7)
         bound = domain.bind(field)
         for U in points:
-            batch = domain._patch_batch(U, np.ones(len(U)))
+            batch = domain._patch_batch(U, np.ones(len(U)))[0]
             for got, want in zip(bound.at_sites(batch),
                                  ref_at_sites(bound, batch, U)):
                 _close(got, want)
@@ -389,7 +395,7 @@ def test_perp_vanishes_on_flat_domains_through_the_pole(euclid3, geometry):
                     else disk_mesh(1.0, rings=8), euclid3)
     assert domain.through_pole
     for gamma in (0.0, 1.5):
-        for batch in domain.sites(gamma) + domain.pole_sites(gamma):
+        for batch in domain.sites(gamma):
             assert np.max(batch.perp) <= 1e-15
 
 
@@ -537,7 +543,9 @@ def test_band_copies_whole_cells_from_band0(monkeypatch, name):
         whole, lo, _, _ = domain._patch_cells(band)
         graded = len(lo)
     sizes = _rule_sizes(domain)
-    assert rows == [graded * q for q in sizes]
+    # and, through the pole, the pole's pair once
+    pole = domain.sites(-band)[len(band_tables(domain, -band)):]
+    assert rows == [graded * q for q in sizes] + [len(t.r) for t in pole]
     assert len(whole) > 0
     for table, base, q in zip(tables, band0, sizes):
         assert len(table.r) == (len(whole) + graded) * q

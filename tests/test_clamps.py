@@ -19,7 +19,7 @@ import pytest
 from cknlab.cli import BUILTINS, build_domain
 from cknlab.geometry.fields import _clamp
 from cknlab.quadrature import box_rule
-from geometry_checks import chart_clamp
+from geometry_checks import chart_clamp, chart_column_lengths
 
 _CURVED = {"kind": "warped", "curvature": "1.0", "r_max": "1.55"}
 # builtin -> (ambient section, geometry options) of each variant with a
@@ -51,7 +51,7 @@ def _chart_sites(domain):
     lo, hi = domain.patch.cell_boxes()
     nodes, _ = box_rule(domain.k, domain.order)
     U = (lo[:, None] + nodes * (hi - lo)[:, None]).reshape(-1, domain.k)
-    return U, domain._patch_batch(U, np.ones(len(U)))
+    return U, domain._patch_batch(U, np.ones(len(U)))[0]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -71,7 +71,7 @@ def test_every_builtin_with_a_boundary_has_a_clamp(name):
     want_value, want_grad = chart_clamp(domain.metadata)(U)
     assert np.min(want_value) > 0.0
     np.testing.assert_allclose(value, want_value, rtol=0, atol=1e-12)
-    want = want_grad / batch.chart_colnorm
+    want = want_grad / chart_column_lengths(domain, U)
     np.testing.assert_allclose(np.einsum("sa,sai->si", grad, batch.dF), want,
                                rtol=0, atol=1e-12 * max(1.0, np.max(
                                    np.abs(want))))

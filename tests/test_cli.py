@@ -214,6 +214,34 @@ def test_verify_csv_output(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_search_refuses_csv(tmp_path, capsys):
+    # a search writes no report rows, so it takes no --csv
+    csv_path = tmp_path / "rows.csv"
+    code, _, err = run(["search", "hardy_cone.cfg", "--budget", "1",
+                        "--csv", str(csv_path)], capsys)
+    assert code == 1
+    assert "--csv" in err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "disk_equality", "--seed", "x"],
+    ["verify", "disk_equality", "--no-such-flag"],
+    ["constants", "--p", "2"],
+], ids=["bad value", "unknown flag", "missing flag"])
+def test_malformed_command_line_exits_1(argv, capsys):
+    # exit 2 means an inequality violated beyond its slack
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == "" and "usage: ckn-lab" in err and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(["verify", "--help"], capsys)
+    assert code == 0
+    assert out.startswith("usage: ckn-lab verify")
+
+
 def test_verify_csv_columns_equal_json_records(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(DISK_CONE_CFG.replace("rings = 12", "rings = 4")

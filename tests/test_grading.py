@@ -34,7 +34,7 @@ from cknlab.geometry import (
 from cknlab.geometry import domain as domain_mod
 from cknlab.inequalities import evaluate
 from cknlab.quadrature import box_rule, simplex_rule, split_simplex_bary
-from geometry_checks import band_pair
+from geometry_checks import band_pair, band_tables
 
 VAR_TOL = domain_mod._VAR_TOL
 TABLE_FIELDS = ("points", "density", "r")
@@ -136,7 +136,7 @@ def ref_patch_sites(domain, band):
             U.append(lo + nodes * width)
             dens.append(wts * np.prod(width))
         out.append(domain._patch_batch(np.concatenate(U),
-                                       np.concatenate(dens)))
+                                       np.concatenate(dens))[0])
     return pieces, out
 
 
@@ -344,7 +344,7 @@ def test_racing_threads_build_a_band_once(monkeypatch):
 
     def worker():
         barrier.wait()
-        results.append(dom.sites(1.5))
+        results.append(band_tables(dom, 1.5))
 
     threads = [threading.Thread(target=worker) for _ in range(workers)]
     interval = sys.getswitchinterval()

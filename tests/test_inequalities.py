@@ -556,8 +556,7 @@ def test_field_bound_once_per_site_table(disk_domain, monkeypatch,
     # values bound on band 0, so the field meets band 0's tables, band 1's
     # graded pieces and the pole's cells, once each
     views = disk_domain.sites(1.0)[:2]
-    tables = (disk_domain.sites(0.0) + disk_domain.sites(1.0)[2:]
-              + disk_domain.pole_sites(1.0))
+    tables = disk_domain.sites(0.0) + disk_domain.sites(1.0)[2:]
     assert len(seen) == len(tables) == 6
     assert all(any(batch is table for table in tables) for batch in seen)
     assert len({id(batch) for batch in seen}) == 6
@@ -647,9 +646,14 @@ def test_distinct_gammas_grow_no_domain_cache(bindings):
     assert [ref() for ref in bindings] == [None] * 50
     assert set(ball._interior_cache) == set(ball.grading) <= set(range(5))
     assert list(ball._boundary_cache) == ["b"]
-    # one pair of pole tables, for an exponent of the last evaluation
-    # (gamma on the left side, gamma - p on the right)
-    assert ball._pole_slot[0] in (float(gamma), float(gamma) - 1.0)
+    # one pair of pole tables per band built, for an exponent in that band;
+    # the last evaluation's two (gamma on the left side, gamma - p on the
+    # right) fall in bands 3 and 2
+    assert set(ball._pole_slots) <= set(ball._interior_cache) - {0}
+    assert all(ball._gamma_band(g) == band
+               for band, (g, _) in ball._pole_slots.items())
+    assert ball._pole_slots[3][0] == float(gamma)
+    assert ball._pole_slots[2][0] == float(gamma) - 1.0
 
 
 def test_threads_with_distinct_gammas_match_serial(bindings):

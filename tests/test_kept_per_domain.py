@@ -9,6 +9,7 @@ most one domain per worker alive.
 """
 
 import functools
+import json
 import sys
 import threading
 import weakref
@@ -19,7 +20,13 @@ import pytest
 
 from cknlab import corpus
 from cknlab import inequalities as iq
-from cknlab.geometry import AmbientSpace, Domain, ball_domain, disk_mesh
+from cknlab.geometry import (
+    AmbientSpace,
+    Domain,
+    ball_domain,
+    disk_mesh,
+    weighted_integral,
+)
 from cknlab.geometry.domain import SiteBatch
 from cknlab.geometry.fields import FAMILIES, _scaled_xy, make_field
 
@@ -34,7 +41,7 @@ COLUMNS = {f.name for f in fields(SiteBatch)}
 def _domain_tables(domain):
     """Every site table the domain holds: interior, pole and boundary."""
     tables = [t for pair in domain._interior_cache.values() for t in pair]
-    tables += list(domain._pole_slot[1])
+    tables += [t for _, pair in domain._pole_slots.values() for t in pair]
     return tables + [t for t in domain._boundary_cache.get("b", ())
                      if t is not None]
 
@@ -74,8 +81,8 @@ def test_tables_keep_one_weighted_density(name, bindings):
         assert weights is None or len(weights) == len(table.density)
 
 
-# each table sees one exponent per evaluation (the pole's tables are kept
-# for one exponent, so the pole takes one band's exponent only)
+# each table sees one exponent per evaluation (each band keeps the pole's
+# tables of one exponent)
 @pytest.mark.parametrize("options", [{"p": 1.0, "gamma": 1.0},
                                      {"p": 2.0, "gamma": 0.0},
                                      {"p": 1.5, "gamma": 0.0}])
@@ -108,6 +115,33 @@ def test_alternating_exponents_weigh_each_table_once(monkeypatch):
             + [(-0.5, False)] * 2 * (seed == 0))
         assert not any(a[0] is b[0] and a[1:] == b[1:]
                        for i, a in enumerate(calls) for b in calls[:i])
+
+
+def test_repeat_evaluation_builds_no_pole_table(monkeypatch):
+    # p = 1.5, gamma = -0.5 reaches the pole at gamma (band 1) and at
+    # gamma - p (band 2): each band keeps its exponent's pole tables
+    domain = Domain(disk_mesh(1.0, rings=16), EUCLID)
+    builds = []
+    real = Domain._pole_tables
+
+    def counted(self, gamma):
+        builds.append(gamma)
+        return real(self, gamma)
+
+    monkeypatch.setattr(Domain, "_pole_tables", counted)
+    field, options = make_field("polynomial"), {"p": 1.5, "gamma": -0.5}
+    first = iq.evaluate("hardy", domain, field, options).to_dict()
+    assert sorted(builds) == [-2.0, -0.5]
+    builds.clear()
+    second = iq.evaluate("hardy", domain, field, options).to_dict()
+    assert builds == []
+    assert (json.dumps(second, sort_keys=True)
+            == json.dumps(first, sort_keys=True))
+    # a third band takes a slot of its own
+    weighted_integral(domain, 1.0, -2.5)
+    assert builds == [-2.5]
+    assert {band: gamma for band, (gamma, _) in domain._pole_slots.items()
+            } == {1: -0.5, 2: -2.0, 3: -2.5}
 
 
 def test_threads_sharing_a_domains_slots_match_serial(bindings):
@@ -168,8 +202,7 @@ def test_kept_planar_coordinates_match_the_points(kind):
     iq.evaluate("hardy", domain, make_field(kind), {"p": 1.0, "gamma": 1.0})
     scale = domain.coord_scale
     held = [(t.kept["xy"], t.points)
-            for t in domain.sites(0.0) + domain.sites(1.0)[2:]
-            + domain.pole_sites(1.0)]
+            for t in domain.sites(0.0) + domain.sites(1.0)[2:]]
     held.append((domain.mesh.kept["xy"], domain.mesh.vertices))
     for (x, y), points in held:
         want_x, want_y = _scaled_xy(points, scale)

@@ -28,10 +28,7 @@ class TableDomain:
         self.band, self.pole, self.boundary = band, pole, boundary
 
     def sites(self, gamma, bound):
-        return self.band
-
-    def pole_sites(self, gamma, bound):
-        return self.pole
+        return self.band + self.pole
 
     def boundary_sites(self, bound=None):
         return self.boundary

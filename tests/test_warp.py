@@ -28,8 +28,10 @@ def test_constant_curvature_closed_form():
 @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
 def test_ode_path_matches_trig(b):
     r_max = 0.9 * math.pi / (2 * b)
-    w = solve_warping(CurvatureProfile.constant(b * b), r_max, step=1e-4,
-                      force_ode=True)
+    # a tabulated constant takes the RK4 path
+    w = solve_warping(CurvatureProfile.tabulated([(0.0, b * b),
+                                                  (r_max, b * b)]),
+                      r_max, step=1e-4)
     ts = np.linspace(0.0, r_max, 400)
     assert np.max(np.abs(w.h(ts) - np.sin(b * ts) / b)) < 1e-8
     assert np.max(np.abs(w.h_prime(ts) - np.cos(b * ts))) < 1e-8
