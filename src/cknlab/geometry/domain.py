@@ -22,17 +22,17 @@ table of its graded pieces, the only sites it computes (no view if it keeps
 no cell whole).  A field bound to the domain is evaluated on band 0's
 tables, and the views read those values.
 
-Above band 0 the cells at the pole leave those tables and are integrated per
-weight ``h(r) ** -gamma`` with Gauss-Jacobi for ``t ** (k - 1 - gamma)`` in
-the distance ``t`` to the pole, times Gauss-Legendre across.  On a polar
-chart, whose degenerate face ``rho = 0`` maps to the pole, ``t`` is ``rho``
-on the ring of cells on that face.  Every simplex with the pole at a vertex
-(mesh cells, and the Kuhn triangles of chart boxes with a corner at the
-pole) takes Duffy's collapse onto that vertex, with area element ``2 t``.
-The rest of the domain stays a cell away from the pole and grades within a
-few levels.  A pole on a cell away from every vertex and grid corner is
-refused when the domain is built.  Each band keeps the pole's pair of the
-last ``gamma`` asked for in it, and returns it after its own tables.
+Above band 0 the cells at the pole leave those tables for one pair of pole
+tables, on fixed nodes in the distance ``t`` to the pole times Gauss-Legendre
+across: on a polar chart, whose face ``rho = 0`` maps to the pole, ``t`` is
+``rho`` on the ring of cells on that face; every simplex with the pole at a
+vertex (mesh cells, and the Kuhn triangles of chart boxes with a corner at
+the pole) takes Duffy's collapse onto it, area element ``2 t``.  A field is
+evaluated on the pair once.  Per ``gamma`` only the radial weights change,
+fitted to ``t ** (k - 1 - gamma)``; each band keeps the pair weighted for its
+last ``gamma``.  The rest of the domain stays a cell away from the pole and
+grades within a few levels.  A pole on a cell away from every vertex and
+grid corner is refused when the domain is built.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from ..errors import InvalidArgument, NonIntegrableWeight
 from ..quadrature import (
     box_rule,
     jacobi_rule,
+    product_weights,
     simplex_rule,
     simplex_volume,
     split_simplex_bary,
@@ -63,6 +64,8 @@ _DEGENERATE = "degenerate chart cell at a quadrature node"
 # chart points per batched corner evaluation while grading: bounds the jets'
 # scratch memory far below the size of the site tables
 _CORNER_CHUNK = 1 << 14
+# the pole tables' radial nodes are Gauss-Jacobi's for t ** _POLE_ALPHA
+_POLE_ALPHA = -0.8
 
 
 @dataclass
@@ -212,7 +215,7 @@ class Domain:
         self._interior_cache = {}
         self._boundary_cache = {}
         self._grading = {}
-        # per band, (gamma, pole tables) of the last gamma asked for in it
+        # per band, (gamma, the pole tables weighted for it) of its last gamma
         self._pole_slots = {}
         # site tables are built lazily; the lock keeps threads sharing a
         # domain from building the same table twice
@@ -370,8 +373,8 @@ class Domain:
         """Every site batch an integral of ``h(r) ** -gamma`` reads, hi and
         lo rules alternating: band 0's pair ``(hi, lo)``, or above band 0
         the band's views of band 0's tables (none if it keeps no cell
-        whole), its graded pieces and on the pole the pole's pair for
-        ``gamma`` (threads racing on the band's slot at worst build one
+        whole), its graded pieces and on the pole the pole's pair weighted
+        for ``gamma`` (threads racing on the band's slot at worst weigh one
         twice).  With the pole on the domain the exponent must stay below
         ``k``.
         """
@@ -395,9 +398,11 @@ class Domain:
             return tables
         slot = self._pole_slots.get(band, (None,))
         if slot[0] != gamma:
-            slot = self._pole_slots[band] = (gamma, self._pole_tables(gamma))
+            slot = self._pole_slots[band] = (gamma, self._pole_weighted(gamma))
+        pole = self._with_field(self._interior_cache["pole"], "pole",
+                                bound_field)
         return tables + self._with_field(slot[1], ("pole", gamma),
-                                         bound_field)
+                                         bound_field, pole)
 
     def _with_field(self, tables, key, bound_field, base=()):
         """``tables`` with the field's values, kept in its binding.  The
@@ -579,15 +584,14 @@ class Domain:
         return (whole, lo, hi,
                 replace(stats, pieces=stats.pieces + len(whole)))
 
-    def _pole_tables(self, gamma):
-        """(hi, lo) tables of the cells at the pole for ``h ** -gamma``.
+    def _pole_tables(self):
+        """(hi, lo) tables of the cells at the pole, without radial weights.
 
-        One node set per rule, ``order`` and ``order - 1`` points per axis,
-        t outer, under one of the two maps of the module docstring.  The
-        weights divide the Jacobi weight back out, so the tables take the
-        weight and the integrands as every other table does.
+        Per rule ``2 * npts`` radial nodes, Gauss-Jacobi's for ``t **
+        _POLE_ALPHA``, outer, times ``npts = order, order - 1`` per other
+        axis, under one of the two maps of the module docstring.
         """
-        k, cells, alpha = self.k, self._pole_cells, self.k - 1 - gamma
+        k, cells = self.k, self._pole_cells
         if self._pole_face is None and k != 2:
             raise InvalidArgument(
                 f"no pole rule for a {k}-dimensional domain with the pole at "
@@ -597,23 +601,22 @@ class Domain:
             volume = np.prod(hi - lo, axis=1)
         out = []
         for npts in (self.order, self.order - 1):
-            t, wt = jacobi_rule(npts, alpha)
+            t = jacobi_rule(2 * npts, _POLE_ALPHA)[0]
             others, wo = box_rule(k - 1, npts)
             if self._pole_face is not None:
                 axis, side = self._pole_face
-                nodes = np.empty((npts, len(wo), k))
+                nodes = np.empty((len(t), len(wo), k))
                 nodes[..., axis] = (t if side == 0 else 1.0 - t)[:, None]
                 nodes[..., np.arange(k) != axis] = others
-                wts = ((wt * t ** -alpha)[:, None] * wo).reshape(-1)
                 U = lo[:, None] + nodes.reshape(-1, k) * (hi - lo)[:, None]
-                out.append(self._patch_batch(
-                    U.reshape(-1, k), (wts * volume[:, None]).reshape(-1))[0])
+                out.append(self._patch_batch(U.reshape(-1, k), (
+                    np.tile(wo, len(t)) * volume[:, None]).reshape(-1))[0])
                 continue
             # Duffy: (t, u) -> (1 - t, t (1 - u), t u), area element 2 t
             t_, u = t[:, None], others[:, 0]
             bary = np.stack(np.broadcast_arrays(
                 1.0 - t_, t_ * (1.0 - u), t_ * u), 2).reshape(-1, 3)
-            wts = ((wt * (2.0 * t ** gamma))[:, None] * wo).reshape(-1)
+            wts = (2.0 * t_ * wo).reshape(-1)
             if self.kind == "mesh":
                 # rotate each cell's barycentric columns to put the pole first
                 cols = (np.arange(3) - self._pole_corner[:, None]) % 3
@@ -632,6 +635,22 @@ class Domain:
             out.append(self._patch_batch(
                 (bary @ tri.reshape(-1, 3, 2)).reshape(-1, k),
                 (np.repeat(volume / 2.0, 2)[:, None] * wts).reshape(-1))[0])
+        return tuple(out)
+
+    def _pole_weighted(self, gamma):
+        """The pole pair for ``h ** -gamma``: per radial node ``t`` the
+        density times the weight fitted to ``t ** (k - 1 - gamma)``, over that
+        power; a few of these weights are negative (README, "Graded
+        quadrature")."""
+        alpha = self.k - 1 - gamma
+        pair = self._cached(self._interior_cache, "pole", self._pole_tables)
+        out = []
+        for table, npts in zip(pair, (self.order, self.order - 1)):
+            t = jacobi_rule(2 * npts, _POLE_ALPHA)[0]
+            radial = product_weights(t, alpha) * t ** -alpha
+            out.append(replace(table, density=(table.density.reshape(
+                -1, len(t), npts ** (self.k - 1)) * radial[:, None]
+                ).reshape(-1)))
         return tuple(out)
 
     def _box_variations(self, lo, hi, band):

@@ -321,8 +321,8 @@ class BoundField:
                        else None)
         if domain.kind == "mesh":
             self._setup_mesh_samples()
-        # field values per site table (key: band, ("pole", gamma) or "b"),
-        # for one evaluation
+        # field values per site table (key: band, "pole", ("pole", gamma)
+        # or "b"), for one evaluation
         self.kept = {}
 
     def bind(self, domain: Domain) -> "BoundField":

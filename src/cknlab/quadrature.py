@@ -75,6 +75,19 @@ def jacobi_rule(npts: int, alpha: float):
     return (x + 1.0) / 2.0, v[0] ** 2 / (alpha + 1.0)
 
 
+def product_weights(t, alpha: float):
+    """Weights at nodes ``t`` in (0, 1) exact on ``t ** alpha`` times every
+    polynomial of degree below ``len(t)``, ``alpha > -1`` (product
+    integration): the shifted Legendre polynomials' moments against ``t **
+    alpha``, ``m_0 = 1 / (alpha + 1)``, ``m_j = m_(j-1) (alpha - j + 1) /
+    (alpha + j + 1)``, solved against their values at the nodes."""
+    j = np.arange(1.0, len(t))
+    moments = np.cumprod(np.concatenate((
+        [1.0 / (alpha + 1.0)], (alpha - j + 1.0) / (alpha + j + 1.0))))
+    vander = np.polynomial.legendre.legvander(2.0 * t - 1.0, len(t) - 1)
+    return np.linalg.solve(vander.T, moments)
+
+
 @cache
 def box_rule(k: int, npts: int):
     """Tensor Gauss-Legendre rule on the unit k-cube (weights sum to 1)."""

@@ -322,6 +322,15 @@ def test_patch_sites_match_einsum_reference(warped3, name):
     got, colnorm = domain._patch_batch(U, np.ones(len(U)))
     want = ref_patch_batch(domain, U)
     _close(colnorm, want.pop("chart_colnorm"))
+    if name in FLAT_THROUGH_POLE:
+        # |H| = 0 exactly on a totally geodesic surface, the difference of
+        # second-derivative terms of size 1 / r; within 1e-3 of the pole
+        # (the pole's innermost radial nodes) the roundoff of either
+        # contraction exceeds 1e-12, so both answer to the exact value
+        # within 1e-12 or 1e-15 / r
+        bound = np.maximum(1e-12, 1e-15 / want["r"])
+        assert np.all(want.pop("h_norm") <= bound)
+        assert np.all(got.h_norm <= bound)
     for column, value in want.items():
         if column != "perp":
             _close(getattr(got, column), value)

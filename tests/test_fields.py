@@ -177,10 +177,13 @@ def test_kept_columns_do_not_depend_on_the_member(euclid3, bindings):
     domain = Domain(disk_mesh(1.0, rings=4), euclid3)
     options = {"p": 1.0, "gamma": 1.0}
     iq.evaluate("hardy", domain, make_field("random_smooth", seed=1), options)
-    # band 1's views of band 0's tables read band 0's values: the field is
-    # never evaluated on them, so they keep nothing
-    assert all(not view.kept for view in domain.sites(1.0)[:2])
-    tables = domain.sites(0.0) + domain.sites(1.0)[2:]
+    # band 1's views of band 0's tables read band 0's values, and its pole
+    # tables those of the domain's pole pair: the field is never evaluated
+    # on them, so they keep nothing
+    band1 = domain.sites(1.0)
+    assert all(not view.kept for view in band1[:2] + band1[4:])
+    tables = (domain.sites(0.0) + band1[2:4]
+              + domain._interior_cache["pole"])
     kept = [dict(t.kept) for t in tables] + [dict(domain.mesh.kept)]
     assert all(set(k) == {"xy", "mixture", "clamp"} for k in kept[:-1])
     assert set(kept[-1]) == {"edge_gram", "cell_frames",

@@ -30,11 +30,11 @@ GOLDEN = {
         "bead6ee5f17c46bf45d0ed94472eadec202cdbd034d035f240c6633c7032f4ff",
         "06bb41e38c7778ba9ce574194e7b7d41a07c80a317e0d84d926696db0ab1b9e8"),
     "hardy_cone": (
-        "357af01e023b6935668bfa2bd4aea89a6c4cd0dc7d51cfe56981262c4e048b02",
-        "7a28987142129d5c93ab0a9d441ff2b7b1abe9531083b7dc128d4cfd74470fa7"),
+        "fb893325f0d9b41d2c2ae03dcf1f1c8077464bc4ba5cd53d6fb23908f3b55887",
+        "8e17e3ac451bfc3838fbfffe291f2485e81cdb0c58ab20edc775839da63cd7cd"),
     "hpw_disk": (
-        "4616379dd3c2fadc23bde9fbb8a5d8c1f69d036f7f87de181b0cf747b617f3fd",
-        "89635ce042a3de6eb0a53cf132765aa1b637375ebbc46e46a8078b8ee49f18ea"),
+        "3f82aed5ba45d00654565fa33a88d36c19c7988a622cb551a31f68b97ac35d30",
+        "2f2704cff8d6106cdbdad3a9d5c4b0b6560a21fa05c6c25738f833478f1014b5"),
     "nash_ball": (
         "0d4f4d20b6fbce0bf77a86bdf1208b36fde8341ab117b6446d1bc63402c58a1b",
         "929b06616df5365b06b042ba0604f81b576523eb8b89d698572f746250277f3b"),
@@ -63,9 +63,9 @@ def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
 # reports names the geometries it moved
 CORPUS_REPORTS = {
     "ball":
-        "1bbc2b179c601809ba86004b73a3b241d04b6f7c0ac0f03198e8b3d10155e5c9",
+        "5f747d17f7e75481833f4e1fdf92e6dd760301ce0869159864bec7a8c15dd662",
     "ball_warped":
-        "b978610f187d5e3c6c596294fc9d85dec635c24bff544ac08e632040cb6c993a",
+        "74ea47aecfc4bd2ff441cdde96c190c87ef0531785fd68ad5a8cc1cd3619da30",
     "cap":
         "6090af112a66971a7e63700588e63a390762e2758ce0954b46fbd12789189242",
     "disk_offset":
@@ -73,13 +73,13 @@ CORPUS_REPORTS = {
     "disk_patch":
         "f15f8d8a52b9d51f017cd29ac2ca9603bf2857559dd071b4276e64e8798cc4d1",
     "disk_pole":
-        "04c15264327c50e588f2ace9923839098d307c32979cf598ea2e8cbada3bd059",
+        "90b87646cbab6358781462a75187e60eb382103e9c431ddbc413572d49490a60",
     "disk_tilted":
         "2030d965f2f95a0744ba44af0e3bc0a5be78f1bff965bfe33246336e879b61c0",
     "geodesic_disk":
-        "0608ac938bca76f6c6228817e3f713690faaa75d616972baa6fff450fe698a3d",
+        "a1c47e4c3d44f01c0a867b013f5013d1cf4f82a242010f6b544422d9003b4be5",
     "graph_patch":
-        "c407c7a9af4901f903d64086a84577d6b043af38938c092661ed12986d4bfce7",
+        "1d637c1aa0f4b4a8c8fd2b3cffb6ef845f72171e633b9aa7b28ddfcb1751cd73",
     "sphere_offset":
         "38d745cda3a0a875a368aca4cafa66aed1d6f5a6773d0dc9f278b95740674c5f",
     "sphere_pole":
@@ -145,7 +145,7 @@ field.kind = radial_power, radial_bump, polynomial, random_smooth
 """
 # SHA-256 of `search --budget 40 --seed 3 --levels 1 --out` on that sweep
 SEARCH_PAYLOAD = (
-    "473d9bb63546fb55e2e956f3bc06b39724c0f948364af39ee8d6cda8d64b4f51")
+    "165c0fb6b86c283e5f35d826d45f8b8e06953dda8e197531c5f8ae98c64647f7")
 
 
 def test_search_payload_is_golden(tmp_path, capsys):

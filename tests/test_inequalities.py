@@ -553,10 +553,13 @@ def test_field_bound_once_per_site_table(disk_domain, monkeypatch,
     rep = iq.evaluate("hardy", disk_domain, CONE, {"p": 1.0, "gamma": 1.0})
     # p = 1, gamma = 1 reads band 1 and the pole's cells (left side) and
     # band 0 (right side, sup); band 1's views of band 0's tables take the
-    # values bound on band 0, so the field meets band 0's tables, band 1's
-    # graded pieces and the pole's cells, once each
-    views = disk_domain.sites(1.0)[:2]
-    tables = disk_domain.sites(0.0) + disk_domain.sites(1.0)[2:]
+    # values bound on band 0, and its pole tables those bound on the
+    # domain's pole pair, so the field meets band 0's tables, band 1's
+    # graded pieces and the pole pair, once each
+    band1 = disk_domain.sites(1.0)
+    views = band1[:2] + band1[4:]
+    tables = (disk_domain.sites(0.0) + band1[2:4]
+              + disk_domain._interior_cache["pole"])
     assert len(seen) == len(tables) == 6
     assert all(any(batch is table for table in tables) for batch in seen)
     assert len({id(batch) for batch in seen}) == 6
@@ -631,7 +634,7 @@ def test_threads_sharing_a_domain_match_serial(euclid3, monkeypatch,
     assert [ref() for ref in bindings] == [None] * len(bindings)
 
 
-# the pole ring of a polar chart depends on gamma itself, not only on its band
+# the pole ring's weights depend on gamma itself, not only on its band
 
 def _coarse_ball():
     return Domain(ball_domain(AmbientSpace.euclidean(3), 1.0,
@@ -644,11 +647,12 @@ def test_distinct_gammas_grow_no_domain_cache(bindings):
         iq.evaluate("hardy", ball, CONE, {"p": 1.0, "gamma": float(gamma)})
     assert len(bindings) == 50
     assert [ref() for ref in bindings] == [None] * 50
-    assert set(ball._interior_cache) == set(ball.grading) <= set(range(5))
+    assert set(ball._interior_cache) == set(ball.grading) | {"pole"}
+    assert set(ball.grading) <= set(range(5))
     assert list(ball._boundary_cache) == ["b"]
-    # one pair of pole tables per band built, for an exponent in that band;
-    # the last evaluation's two (gamma on the left side, gamma - p on the
-    # right) fall in bands 3 and 2
+    # one pole pair for the domain, and per band the pair weighted for an
+    # exponent in that band; the last evaluation's two (gamma on the left
+    # side, gamma - p on the right) fall in bands 3 and 2
     assert set(ball._pole_slots) <= set(ball._interior_cache) - {0}
     assert all(ball._gamma_band(g) == band
                for band, (g, _) in ball._pole_slots.items())

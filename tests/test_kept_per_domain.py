@@ -3,8 +3,10 @@
 Each site table keeps the weighted densities of the last exponent asked for,
 in one slot that a binding's copies share; a mesh keeps the columns of its
 cells' barycentric gradients; the tables and the mesh keep the scaled planar
-coordinates of their points.  None of it may change a report, and the slot
-must not grow with the exponents a domain has seen.  The corpus keeps at
+coordinates of their points; the domain keeps one pair of pole tables, and
+each band that pair weighted for its last exponent.  None of it may change a
+report, and neither the slots nor the rule caches may grow with the
+exponents a domain has seen.  The corpus keeps at
 most one domain per worker alive.
 """
 
@@ -27,8 +29,10 @@ from cknlab.geometry import (
     disk_mesh,
     weighted_integral,
 )
+from cknlab.geometry import domain as domain_mod
 from cknlab.geometry.domain import SiteBatch
 from cknlab.geometry.fields import FAMILIES, _scaled_xy, make_field
+from cknlab.quadrature import jacobi_rule
 
 EUCLID = AmbientSpace.euclidean(3)
 DOMAINS = {
@@ -117,31 +121,110 @@ def test_alternating_exponents_weigh_each_table_once(monkeypatch):
                        for i, a in enumerate(calls) for b in calls[:i])
 
 
+def _count_pole_work(monkeypatch):
+    """The pole pairs built and the radial weights solved, as appended."""
+    builds, solves = [], []
+    real_build, real_solve = Domain._pole_tables, domain_mod.product_weights
+
+    def build(self):
+        builds.append(self)
+        return real_build(self)
+
+    def solve(t, alpha):
+        solves.append(alpha)
+        return real_solve(t, alpha)
+
+    monkeypatch.setattr(Domain, "_pole_tables", build)
+    monkeypatch.setattr(domain_mod, "product_weights", solve)
+    return builds, solves
+
+
 def test_repeat_evaluation_builds_no_pole_table(monkeypatch):
     # p = 1.5, gamma = -0.5 reaches the pole at gamma (band 1) and at
-    # gamma - p (band 2): each band keeps its exponent's pole tables
+    # gamma - p (band 2): the domain builds one pole pair, and each band
+    # keeps it weighted for its exponent
     domain = Domain(disk_mesh(1.0, rings=16), EUCLID)
-    builds = []
-    real = Domain._pole_tables
-
-    def counted(self, gamma):
-        builds.append(gamma)
-        return real(self, gamma)
-
-    monkeypatch.setattr(Domain, "_pole_tables", counted)
+    builds, solves = _count_pole_work(monkeypatch)
     field, options = make_field("polynomial"), {"p": 1.5, "gamma": -0.5}
     first = iq.evaluate("hardy", domain, field, options).to_dict()
-    assert sorted(builds) == [-2.0, -0.5]
-    builds.clear()
+    assert builds == [domain]
+    # one solve per rule and exponent, alpha = k - 1 - gamma
+    assert sorted(solves) == [1.5, 1.5, 3.0, 3.0]
+    builds.clear(), solves.clear()
     second = iq.evaluate("hardy", domain, field, options).to_dict()
-    assert builds == []
+    assert builds == solves == []
     assert (json.dumps(second, sort_keys=True)
             == json.dumps(first, sort_keys=True))
-    # a third band takes a slot of its own
+    # a third band weighs the same pair in a slot of its own
     weighted_integral(domain, 1.0, -2.5)
-    assert builds == [-2.5]
+    assert builds == [] and solves == [3.5, 3.5]
     assert {band: gamma for band, (gamma, _) in domain._pole_slots.items()
             } == {1: -0.5, 2: -2.0, 3: -2.5}
+
+
+def test_distinct_exponents_keep_the_caches_bounded():
+    # 50 exponents over bands 1 to 3 take the one pole pair, one weighted
+    # pair per band, and no Gauss-Jacobi rule beyond the pair's nodes
+    domain = DOMAINS["ball"]()
+    field = make_field("radial_power", (2.0,))
+    sizes = []
+    for gamma in np.linspace(0.05, 2.95, 50):
+        weighted_integral(domain, lambda b: b.psi, float(gamma), field=field)
+        sizes.append(jacobi_rule.cache_info().currsize)
+    assert sizes == sizes[:1] * 50
+    assert set(domain._pole_slots) == {1, 2, 3}
+    assert all(domain._gamma_band(gamma) == band
+               for band, (gamma, _) in domain._pole_slots.items())
+
+
+def test_seed0_corpus_builds_few_pole_pairs(monkeypatch):
+    builds, _ = _count_pole_work(monkeypatch)
+    reports = corpus.run_corpus(corpus.build_corpus(0))
+    assert all(r.satisfied for r in reports)
+    # one per domain with cells at the pole that reads a band above 0
+    assert 0 < len(builds) <= 5
+    assert len(set(map(id, builds))) == len(builds)
+
+
+def test_threads_racing_on_the_pole_slots_match_serial(monkeypatch,
+                                                       bindings):
+    # exponents of both signs in bands 1 and 2 on one fresh ball: the
+    # threads replace each other's weighted pairs in the bands' slots
+    gammas = (0.6, -0.6, 1.6, -1.6)
+    fields_ = [make_field("radial_power", (1.5 + 0.5 * i,)) for i in range(4)]
+    runs = [[(f, {"p": 1.0, "gamma": gammas[(i + j) % 4]})
+             for j in range(4)] for i, f in enumerate(fields_)]
+
+    def reports(domain, run):
+        return [json.dumps(iq.evaluate("hardy", domain, f, o).to_dict(),
+                           sort_keys=True) for f, o in run]
+
+    serial = [reports(DOMAINS["ball"](), run) for run in runs]
+    shared = DOMAINS["ball"]()
+    builds, _ = _count_pole_work(monkeypatch)
+    barrier = threading.Barrier(len(runs))
+    results = [None] * len(runs)
+
+    def work(i):
+        barrier.wait()
+        results[i] = [reports(shared, runs[i]) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(runs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [shared]
+    for i, got in enumerate(results):
+        assert got == [serial[i]] * 3
+    assert [ref() for ref in bindings] == [None] * len(bindings)
 
 
 def test_threads_sharing_a_domains_slots_match_serial(bindings):
@@ -201,8 +284,11 @@ def test_kept_planar_coordinates_match_the_points(kind):
     domain = DOMAINS["disk_mesh"]()
     iq.evaluate("hardy", domain, make_field(kind), {"p": 1.0, "gamma": 1.0})
     scale = domain.coord_scale
+    # band 0's tables, band 1's graded pieces and the pole pair, which the
+    # pole tables of each exponent view
     held = [(t.kept["xy"], t.points)
-            for t in domain.sites(0.0) + domain.sites(1.0)[2:]]
+            for t in domain.sites(0.0) + domain.sites(1.0)[2:4]
+            + domain._interior_cache["pole"]]
     held.append((domain.mesh.kept["xy"], domain.mesh.vertices))
     for (x, y), points in held:
         want_x, want_y = _scaled_xy(points, scale)

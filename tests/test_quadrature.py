@@ -7,6 +7,7 @@ from cknlab.quadrature import (
     box_rule,
     gauss_rule,
     jacobi_rule,
+    product_weights,
     simplex_rule,
     simplex_volume,
     split_simplex_bary,
@@ -95,3 +96,42 @@ def test_jacobi_rule_exactness(npts, alpha):
     for j in range(2 * npts):
         exact = 1.0 / (alpha + j + 1.0)
         assert np.sum(w * t ** j) == pytest.approx(exact, rel=1e-13)
+
+
+# product weights on the pole's fixed nodes, the Gauss-Jacobi nodes of
+# t ** -0.8, for the weight t ** alpha of any exponent
+
+POLE_ALPHA = -0.8
+
+
+@pytest.mark.parametrize("alpha", [-0.99, -0.95, -0.5, 0.0, 1.0, 3.0, 6.5])
+@pytest.mark.parametrize("npts", [2, 3, 4, 5, 6, 7, 8])
+def test_product_weights_exactness(npts, alpha):
+    t = jacobi_rule(2 * npts, POLE_ALPHA)[0]
+    w = product_weights(t, alpha)
+    for j in range(2 * npts):
+        exact = 1.0 / (alpha + j + 1.0)
+        assert np.sum(w * t ** j) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("npts", [2, 3, 4, 5, 6, 7, 8])
+def test_product_weights_as_accurate_as_gauss_jacobi(npts):
+    # the worst error over the exponents, each relative to the weight's
+    # mass 1 / (alpha + 1), of the 2 * npts fixed nodes against npts
+    # Gauss-Jacobi points placed for each exponent (at 8 points both reach
+    # the roundoff of the reference on the first integrand)
+    from scipy.integrate import quad
+    alphas = np.linspace(-0.95, 6.5, 32)
+    t = jacobi_rule(2 * npts, POLE_ALPHA)[0]
+    for f in (lambda x: np.exp(-2.0 * x) * np.cos(3.0 * x),
+              lambda x: 1.0 / (1.0 + 4.0 * x * x)):
+        fitted, gauss = [], []
+        for alpha in alphas:
+            exact = quad(f, 0.0, 1.0, weight="alg", wvar=(alpha, 0.0),
+                         epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            tg, wg = jacobi_rule(npts, alpha)
+            fitted.append(abs(product_weights(t, alpha) @ f(t) - exact))
+            gauss.append(abs(wg @ f(tg) - exact))
+        mass = 1.0 / (alphas + 1.0)
+        assert np.max(fitted / mass) <= max(np.max(np.array(gauss) / mass),
+                                            1e-14)

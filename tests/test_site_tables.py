@@ -12,8 +12,10 @@ products to roundoff.
 The pole references are the three builders that ``Domain._pole_tables``
 replaces: Duffy's rule on a triangle, applied to the mesh cells at a pole
 vertex, and the chart builder with its ring of boxes on a polar face and
-its Kuhn triangles at a grid corner.  Every column of both pole tables must
-agree bit for bit.
+its Kuhn triangles at a grid corner.  Each lays its sites on the Gauss-Jacobi
+nodes of ``t ** -0.8`` and weighs each radial node by the weight fitted to
+``t ** (k - 1 - gamma)``, over ``t ** (k - 1 - gamma)``.  Every column of
+both pole tables must agree bit for bit, for each ``gamma``.
 """
 
 import math
@@ -40,7 +42,7 @@ from cknlab.geometry.domain import SiteBatch
 from cknlab.geometry.fields import make_field
 from geometry_checks import band_pair
 from cknlab.quadrature import (box_rule, gauss_rule, jacobi_rule,
-                               simplex_rule)
+                               product_weights, simplex_rule)
 
 BOUNDARY_COLUMNS = ("points", "density", "r", "h", "hp", "conormal_dot")
 
@@ -166,13 +168,30 @@ def test_closed_patch_has_no_boundary_table(euclid3):
 
 # -- reference: the per-kind pole builders ------------------------------------
 
-def ref_duffy_rule(k, npts, gamma):
+def ref_radial(domain, npts, gamma):
+    """The radial nodes of a rule of ``npts`` points per axis, and per node
+    the weight fitted to ``t ** alpha`` over ``t ** alpha``."""
+    t = jacobi_rule(2 * npts, -0.8)[0]
+    alpha = domain.k - 1 - gamma
+    return t, product_weights(t, alpha) * t ** -alpha
+
+
+def ref_weigh(batch, domain, npts, gamma):
+    """``batch``'s density times each site's radial factor, t outer."""
+    t, radial = ref_radial(domain, npts, gamma)
+    per_node = npts ** (domain.k - 1)
+    batch.density = (batch.density.reshape(-1, len(t), per_node)
+                     * radial[:, None]).reshape(-1)
+    return batch
+
+
+def ref_duffy_rule(k, npts):
     assert k == 2
-    t, wt = jacobi_rule(npts, 1.0 - gamma)
+    t = jacobi_rule(2 * npts, -0.8)[0]
     u, wu = gauss_rule(npts)
-    t, wt = t[:, None], wt[:, None]
+    t = t[:, None]
     bary = np.stack(np.broadcast_arrays(1.0 - t, t * (1.0 - u), t * u), 2)
-    return bary.reshape(-1, 3), (2.0 * wt * t ** gamma * wu).reshape(-1)
+    return bary.reshape(-1, 3), (2.0 * t * wu).reshape(-1)
 
 
 def ref_mesh_pole_sites(domain, gamma):
@@ -180,13 +199,14 @@ def ref_mesh_pole_sites(domain, gamma):
     cols = (np.arange(k + 1) - domain._pole_corner[:, None]) % (k + 1)
     out = []
     for npts in (domain.order, domain.order - 1):
-        bary, wts = ref_duffy_rule(k, npts, gamma)
+        bary, wts = ref_duffy_rule(k, npts)
         bary = bary[:, cols].swapaxes(0, 1)
-        out.append(domain._mesh_batch(
+        out.append(ref_weigh(domain._mesh_batch(
             cells.repeat(len(wts)), bary.reshape(-1, k + 1),
             (bary @ domain.mesh.vertices[domain.mesh.cells[cells]]).reshape(
                 -1, domain.n),
-            (domain._volumes[cells][:, None] * wts).reshape(-1)))
+            (domain._volumes[cells][:, None] * wts).reshape(-1)),
+            domain, npts, gamma))
     return tuple(out)
 
 
@@ -198,18 +218,17 @@ def ref_patch_pole_sites(domain, gamma):
 
     def ring(npts):
         axis, side = domain._pole_face
-        alpha = k - 1 - gamma
-        t, wt = jacobi_rule(npts, alpha)
+        t = jacobi_rule(2 * npts, -0.8)[0]
         others, wo = box_rule(k - 1, npts)
-        nodes = np.empty((npts, len(wo), k))
+        nodes = np.empty((len(t), len(wo), k))
         nodes[..., axis] = (t if side == 0 else 1.0 - t)[:, None]
         nodes[..., np.arange(k) != axis] = others
-        wts = ((wt * t ** -alpha)[:, None] * wo).reshape(-1)
+        wts = np.broadcast_to(wo, (len(t), len(wo))).reshape(-1)
         U = lo[:, None] + nodes.reshape(-1, k) * width[:, None]
         return U.reshape(-1, k), (wts * volume[:, None]).reshape(-1)
 
     def kuhn(npts):
-        bary, wts = ref_duffy_rule(k, npts, gamma)
+        bary, wts = ref_duffy_rule(k, npts)
         at_pole = (domain._pole_corner[:, None] >> np.arange(k) & 1) > 0
         p, q = np.where(at_pole, hi, lo), np.where(at_pole, lo, hi)
         tri = np.stack([p, np.where([True, False], q, p), q,
@@ -218,7 +237,8 @@ def ref_patch_pole_sites(domain, gamma):
                 (np.repeat(volume / 2.0, 2)[:, None] * wts).reshape(-1))
 
     rule = ring if domain._pole_face else kuhn
-    return tuple(domain._patch_batch(*rule(npts))[0]
+    return tuple(ref_weigh(domain._patch_batch(*rule(npts))[0], domain, npts,
+                           gamma)
                  for npts in (domain.order, domain.order - 1))
 
 
