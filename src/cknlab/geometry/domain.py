@@ -48,7 +48,7 @@ import numpy as np
 from ..errors import InvalidArgument, NonIntegrableWeight
 from ..quadrature import (
     box_rule,
-    jacobi_rule,
+    product_rule,
     product_weights,
     simplex_rule,
     simplex_volume,
@@ -399,15 +399,16 @@ class Domain:
         slot = self._pole_slots.get(band, (None,))
         if slot[0] != gamma:
             slot = self._pole_slots[band] = (gamma, self._pole_weighted(gamma))
-        pole = self._with_field(self._interior_cache["pole"], "pole",
-                                bound_field)
-        return tables + self._with_field(slot[1], ("pole", gamma),
-                                         bound_field, pole)
+        key = ("pole", gamma)
+        pole = () if bound_field is None or key in bound_field.kept else (
+            self._with_field(self._interior_cache["pole"][0], "pole",
+                             bound_field))
+        return tables + self._with_field(slot[1], key, bound_field, pole)
 
     def _with_field(self, tables, key, bound_field, base=()):
         """``tables`` with the field's values, kept in its binding.  The
-        first ones view ``base``, band 0's bound tables, and share their
-        values and ``kept``."""
+        first ones view ``base``, the bound tables they were made from, and
+        share their values and ``kept``."""
         if bound_field is None:
             return tables
         return kept(bound_field.kept, key, lambda: tuple(
@@ -585,7 +586,9 @@ class Domain:
                 replace(stats, pieces=stats.pieces + len(whole)))
 
     def _pole_tables(self):
-        """(hi, lo) tables of the cells at the pole, without radial weights.
+        """(hi, lo) tables of the cells at the pole, without radial weights,
+        and per table its radial rule (:func:`product_rule`) and the nodes
+        of that rule under one cell's (or triangle's) sites.
 
         Per rule ``2 * npts`` radial nodes, Gauss-Jacobi's for ``t **
         _POLE_ALPHA``, outer, times ``npts = order, order - 1`` per other
@@ -599,10 +602,11 @@ class Domain:
         if self.kind == "patch":
             lo, hi = (a[cells] for a in self.patch.cell_boxes())
             volume = np.prod(hi - lo, axis=1)
-        out = []
+        out, radial = [], []
         for npts in (self.order, self.order - 1):
-            t = jacobi_rule(2 * npts, _POLE_ALPHA)[0]
+            t, fit = product_rule(2 * npts, _POLE_ALPHA)
             others, wo = box_rule(k - 1, npts)
+            radial.append((t, fit, np.arange(len(t)).repeat(len(wo))))
             if self._pole_face is not None:
                 axis, side = self._pole_face
                 nodes = np.empty((len(t), len(wo), k))
@@ -635,23 +639,20 @@ class Domain:
             out.append(self._patch_batch(
                 (bary @ tri.reshape(-1, 3, 2)).reshape(-1, k),
                 (np.repeat(volume / 2.0, 2)[:, None] * wts).reshape(-1))[0])
-        return tuple(out)
+        return tuple(out), tuple(radial)
 
     def _pole_weighted(self, gamma):
-        """The pole pair for ``h ** -gamma``: per radial node ``t`` the
-        density times the weight fitted to ``t ** (k - 1 - gamma)``, over that
+        """The pole pair for ``h ** -gamma``: its density times, per radial
+        node ``t``, the weight fitted to ``t ** (k - 1 - gamma)`` over that
         power; a few of these weights are negative (README, "Graded
         quadrature")."""
         alpha = self.k - 1 - gamma
-        pair = self._cached(self._interior_cache, "pole", self._pole_tables)
-        out = []
-        for table, npts in zip(pair, (self.order, self.order - 1)):
-            t = jacobi_rule(2 * npts, _POLE_ALPHA)[0]
-            radial = product_weights(t, alpha) * t ** -alpha
-            out.append(replace(table, density=(table.density.reshape(
-                -1, len(t), npts ** (self.k - 1)) * radial[:, None]
-                ).reshape(-1)))
-        return tuple(out)
+        pair, radial = self._cached(self._interior_cache, "pole",
+                                    self._pole_tables)
+        return tuple(replace(table, density=(
+            table.density.reshape(-1, len(node))
+            * (product_weights(fit, alpha) * t ** -alpha)[node]).reshape(-1))
+            for table, (t, fit, node) in zip(pair, radial))
 
     def _box_variations(self, lo, hi, band):
         """Weight variation over the corners of each chart box."""
@@ -699,13 +700,15 @@ class Domain:
             tan_sq = np.ones(len(U))
         else:
             perp = _metric_norm(G, u - (dFn @ along[..., None])[..., 0])
-            S = d2F + amb.connection(F, dF)
-            S = (S / (colnorm[:, None, :, None] * colnorm[:, None, None, :])
-                 ).reshape(len(U), n, k * k)
-            inner = (G @ dFn).swapaxes(1, 2) @ S
-            S_perp = S - (dFn @ ginv) @ inner
-            h_norm = _metric_norm(
-                G, (S_perp @ ginv.reshape(len(U), k * k, 1))[..., 0])
+            S = (d2F + amb.connection(F, dF)) / (
+                colnorm[:, None, :, None] * colnorm[:, None, None, :])
+            # the trace, projected normal twice: near a polar chart's axis it
+            # grows like 1 / r, and one projection leaves roundoff that size
+            H = S.reshape(len(U), n, k * k) @ ginv.reshape(len(U), k * k, 1)
+            to_tangent, inner = dFn @ ginv, (G @ dFn).swapaxes(1, 2)
+            for _ in range(2):
+                H = H - to_tangent @ (inner @ H)
+            h_norm = _metric_norm(G, H[..., 0])
         return SiteBatch(points=F, density=dens, r=r, h=h, hp=hp, perp=perp,
                          h_norm=h_norm, tan_sq=tan_sq, dF=dFn,
                          metric_ginv=ginv), colnorm

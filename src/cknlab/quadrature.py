@@ -75,28 +75,32 @@ def jacobi_rule(npts: int, alpha: float):
     return (x + 1.0) / 2.0, v[0] ** 2 / (alpha + 1.0)
 
 
-def product_weights(t, alpha: float):
-    """Weights at nodes ``t`` in (0, 1) exact on ``t ** alpha`` times every
-    polynomial of degree below ``len(t)``, ``alpha > -1`` (product
-    integration): the shifted Legendre polynomials' moments against ``t **
-    alpha``, ``m_0 = 1 / (alpha + 1)``, ``m_j = m_(j-1) (alpha - j + 1) /
-    (alpha + j + 1)``, solved against their values at the nodes."""
-    j = np.arange(1.0, len(t))
-    moments = np.cumprod(np.concatenate((
+@cache
+def product_rule(npts: int, alpha0: float):
+    """The ``npts`` Gauss-Jacobi nodes ``t`` of ``t ** alpha0`` and the
+    inverse of their transposed shifted-Legendre Vandermonde matrix, which
+    takes a weight's moments to its interpolatory weights at ``t``."""
+    t = jacobi_rule(npts, alpha0)[0]
+    legendre = np.polynomial.legendre.legvander(2.0 * t - 1.0, npts - 1)
+    return t, np.linalg.inv(legendre.T)
+
+
+def product_weights(fit, alpha: float):
+    """Weights at the nodes of ``fit`` (:func:`product_rule`) exact on ``t
+    ** alpha``, ``alpha > -1``, times polynomials below their count: ``fit``
+    times the shifted Legendre polynomials' moments against ``t ** alpha``,
+    ``m_0 = 1 / (alpha + 1)``, ``m_j = m_(j-1) (alpha-j+1) / (alpha+j+1)``."""
+    j = np.arange(1.0, len(fit))
+    return fit @ np.cumprod(np.concatenate((
         [1.0 / (alpha + 1.0)], (alpha - j + 1.0) / (alpha + j + 1.0))))
-    vander = np.polynomial.legendre.legvander(2.0 * t - 1.0, len(t) - 1)
-    return np.linalg.solve(vander.T, moments)
 
 
 @cache
 def box_rule(k: int, npts: int):
     """Tensor Gauss-Legendre rule on the unit k-cube (weights sum to 1)."""
     x1, w1 = gauss_rule(npts)
-    idx = np.meshgrid(*([np.arange(npts)] * k), indexing="ij")
-    idx = np.stack([g.ravel() for g in idx], axis=1)
-    pts = x1[idx]
-    wts = np.prod(w1[idx], axis=1)
-    return pts, wts
+    idx = np.indices((npts,) * k).reshape(k, -1).T    # the last axis fastest
+    return x1[idx], np.prod(w1[idx], axis=1)
 
 
 def split_simplex_bary(k: int):

@@ -27,8 +27,8 @@ GOLDEN = {
         "1b8371c93cebb1ae92e100e119ef645773630f81429c9562f309de93605baf96",
         "3ceb4e70cac11cc2ffb24849808d2425c21a1eb252e7fef2e0409b5ff7ddebf5"),
     "geodesic_sobolev": (
-        "bead6ee5f17c46bf45d0ed94472eadec202cdbd034d035f240c6633c7032f4ff",
-        "06bb41e38c7778ba9ce574194e7b7d41a07c80a317e0d84d926696db0ab1b9e8"),
+        "b66b3cb45b17dcf6a6d51d940de75b441883a7798ede7ea8b55f8f84035c7429",
+        "f21f7f6e347ac395c86fe053500fd26705ed7fcb34aa46da2c8c3ea3e420993c"),
     "hardy_cone": (
         "fb893325f0d9b41d2c2ae03dcf1f1c8077464bc4ba5cd53d6fb23908f3b55887",
         "8e17e3ac451bfc3838fbfffe291f2485e81cdb0c58ab20edc775839da63cd7cd"),
@@ -63,29 +63,29 @@ def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
 # reports names the geometries it moved
 CORPUS_REPORTS = {
     "ball":
-        "5f747d17f7e75481833f4e1fdf92e6dd760301ce0869159864bec7a8c15dd662",
+        "f0cd75a13f57585ae166b51957ce8fc6ca9bb112a49ae036b13d4ba8f0fbf030",
     "ball_warped":
-        "74ea47aecfc4bd2ff441cdde96c190c87ef0531785fd68ad5a8cc1cd3619da30",
+        "27b3845518ee52b1e4c4761f51a185eb8039bfc52edecd44ad9f446a55ad65a1",
     "cap":
-        "6090af112a66971a7e63700588e63a390762e2758ce0954b46fbd12789189242",
+        "cae1f04138f7dba994001adf99615be58c1b3b9fb5cb467f4ede04376695d6eb",
     "disk_offset":
         "25ab50cbc3ec5fc6f53f7307643a0fcd440e0238cd99b2a6eb78603eb7ba19ca",
     "disk_patch":
         "f15f8d8a52b9d51f017cd29ac2ca9603bf2857559dd071b4276e64e8798cc4d1",
     "disk_pole":
-        "90b87646cbab6358781462a75187e60eb382103e9c431ddbc413572d49490a60",
+        "5b1d74bc83874325809785ed6518714d032cea6dcdc9c0790df925962ded932e",
     "disk_tilted":
         "2030d965f2f95a0744ba44af0e3bc0a5be78f1bff965bfe33246336e879b61c0",
     "geodesic_disk":
-        "a1c47e4c3d44f01c0a867b013f5013d1cf4f82a242010f6b544422d9003b4be5",
+        "0df0e3b19f15c424bacd5dcd824fa8bf413babb224a5ba805ec678853b7c04a0",
     "graph_patch":
-        "1d637c1aa0f4b4a8c8fd2b3cffb6ef845f72171e633b9aa7b28ddfcb1751cd73",
+        "76a77026f1fef63dd41b07df90ce8083cf2dbd2ef40f1457539214c7b0185ad8",
     "sphere_offset":
         "38d745cda3a0a875a368aca4cafa66aed1d6f5a6773d0dc9f278b95740674c5f",
     "sphere_pole":
         "0ac48d9b3ff6bd4270c3c58667fb11850b002d7badeb666892a092eb848e9d1c",
     "zone":
-        "f8066b1aca2c4ea2747d870d22ece1e0ad6892345d81c0c8d4f61fd82bb01776",
+        "8582d3ad022c3ac2328ad0ccee9cd80f59c4ff38b4b31f6b7f942fb93e852830",
 }
 # SHA-256 over the cases of `build_corpus(seed, draws=60)`, seeds 0-19
 CORPUS_CASES = (
@@ -145,7 +145,7 @@ field.kind = radial_power, radial_bump, polynomial, random_smooth
 """
 # SHA-256 of `search --budget 40 --seed 3 --levels 1 --out` on that sweep
 SEARCH_PAYLOAD = (
-    "165c0fb6b86c283e5f35d826d45f8b8e06953dda8e197531c5f8ae98c64647f7")
+    "f5a3fab5f244362919e6a205e92ce7a818336259795ba369efe867058693d997")
 
 
 def test_search_payload_is_golden(tmp_path, capsys):

@@ -559,7 +559,7 @@ def test_field_bound_once_per_site_table(disk_domain, monkeypatch,
     band1 = disk_domain.sites(1.0)
     views = band1[:2] + band1[4:]
     tables = (disk_domain.sites(0.0) + band1[2:4]
-              + disk_domain._interior_cache["pole"])
+              + disk_domain._interior_cache["pole"][0])
     assert len(seen) == len(tables) == 6
     assert all(any(batch is table for table in tables) for batch in seen)
     assert len({id(batch) for batch in seen}) == 6

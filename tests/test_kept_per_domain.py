@@ -32,7 +32,7 @@ from cknlab.geometry import (
 from cknlab.geometry import domain as domain_mod
 from cknlab.geometry.domain import SiteBatch
 from cknlab.geometry.fields import FAMILIES, _scaled_xy, make_field
-from cknlab.quadrature import jacobi_rule
+from cknlab.quadrature import jacobi_rule, product_rule
 
 EUCLID = AmbientSpace.euclidean(3)
 DOMAINS = {
@@ -44,7 +44,8 @@ COLUMNS = {f.name for f in fields(SiteBatch)}
 
 def _domain_tables(domain):
     """Every site table the domain holds: interior, pole and boundary."""
-    tables = [t for pair in domain._interior_cache.values() for t in pair]
+    tables = [t for key, pair in domain._interior_cache.items()
+              for t in (pair[0] if key == "pole" else pair)]
     tables += [t for _, pair in domain._pole_slots.values() for t in pair]
     return tables + [t for t in domain._boundary_cache.get("b", ())
                      if t is not None]
@@ -130,9 +131,9 @@ def _count_pole_work(monkeypatch):
         builds.append(self)
         return real_build(self)
 
-    def solve(t, alpha):
+    def solve(fit, alpha):
         solves.append(alpha)
-        return real_solve(t, alpha)
+        return real_solve(fit, alpha)
 
     monkeypatch.setattr(Domain, "_pole_tables", build)
     monkeypatch.setattr(domain_mod, "product_weights", solve)
@@ -164,13 +165,15 @@ def test_repeat_evaluation_builds_no_pole_table(monkeypatch):
 
 def test_distinct_exponents_keep_the_caches_bounded():
     # 50 exponents over bands 1 to 3 take the one pole pair, one weighted
-    # pair per band, and no Gauss-Jacobi rule beyond the pair's nodes
+    # pair per band, and no Gauss-Jacobi or product rule beyond the pair's
+    # nodes
     domain = DOMAINS["ball"]()
     field = make_field("radial_power", (2.0,))
     sizes = []
     for gamma in np.linspace(0.05, 2.95, 50):
         weighted_integral(domain, lambda b: b.psi, float(gamma), field=field)
-        sizes.append(jacobi_rule.cache_info().currsize)
+        sizes.append((jacobi_rule.cache_info().currsize,
+                      product_rule.cache_info().currsize))
     assert sizes == sizes[:1] * 50
     assert set(domain._pole_slots) == {1, 2, 3}
     assert all(domain._gamma_band(gamma) == band
@@ -288,7 +291,7 @@ def test_kept_planar_coordinates_match_the_points(kind):
     # pole tables of each exponent view
     held = [(t.kept["xy"], t.points)
             for t in domain.sites(0.0) + domain.sites(1.0)[2:4]
-            + domain._interior_cache["pole"]]
+            + domain._interior_cache["pole"][0]]
     held.append((domain.mesh.kept["xy"], domain.mesh.vertices))
     for (x, y), points in held:
         want_x, want_y = _scaled_xy(points, scale)

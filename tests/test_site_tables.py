@@ -42,7 +42,7 @@ from cknlab.geometry.domain import SiteBatch
 from cknlab.geometry.fields import make_field
 from geometry_checks import band_pair
 from cknlab.quadrature import (box_rule, gauss_rule, jacobi_rule,
-                               product_weights, simplex_rule)
+                               product_rule, product_weights, simplex_rule)
 
 BOUNDARY_COLUMNS = ("points", "density", "r", "h", "hp", "conormal_dot")
 
@@ -171,9 +171,9 @@ def test_closed_patch_has_no_boundary_table(euclid3):
 def ref_radial(domain, npts, gamma):
     """The radial nodes of a rule of ``npts`` points per axis, and per node
     the weight fitted to ``t ** alpha`` over ``t ** alpha``."""
-    t = jacobi_rule(2 * npts, -0.8)[0]
+    t, fit = product_rule(2 * npts, -0.8)
     alpha = domain.k - 1 - gamma
-    return t, product_weights(t, alpha) * t ** -alpha
+    return t, product_weights(fit, alpha) * t ** -alpha
 
 
 def ref_weigh(batch, domain, npts, gamma):
