@@ -702,8 +702,9 @@ class Domain:
             perp = _metric_norm(G, u - (dFn @ along[..., None])[..., 0])
             S = (d2F + amb.connection(F, dF)) / (
                 colnorm[:, None, :, None] * colnorm[:, None, None, :])
-            # the trace, projected normal twice: near a polar chart's axis it
-            # grows like 1 / r, and one projection leaves roundoff that size
+            # the trace, and its normal part taken twice: near a polar
+            # chart's axis the trace grows like 1 / r, and one projection
+            # leaves tangential roundoff of that size
             H = S.reshape(len(U), n, k * k) @ ginv.reshape(len(U), k * k, 1)
             to_tangent, inner = dFn @ ginv, (G @ dFn).swapaxes(1, 2)
             for _ in range(2):

@@ -87,9 +87,10 @@ def product_rule(npts: int, alpha0: float):
 
 def product_weights(fit, alpha: float):
     """Weights at the nodes of ``fit`` (:func:`product_rule`) exact on ``t
-    ** alpha``, ``alpha > -1``, times polynomials below their count: ``fit``
-    times the shifted Legendre polynomials' moments against ``t ** alpha``,
-    ``m_0 = 1 / (alpha + 1)``, ``m_j = m_(j-1) (alpha-j+1) / (alpha+j+1)``."""
+    ** alpha``, ``alpha > -1``, times every polynomial of degree below the
+    node count (product integration): ``fit`` times the shifted Legendre
+    polynomials' moments against ``t ** alpha``, ``m_0 = 1 / (alpha + 1)``,
+    ``m_j = m_(j-1) (alpha - j + 1) / (alpha + j + 1)``."""
     j = np.arange(1.0, len(fit))
     return fit @ np.cumprod(np.concatenate((
         [1.0 / (alpha + 1.0)], (alpha - j + 1.0) / (alpha + j + 1.0))))
@@ -99,8 +100,11 @@ def product_weights(fit, alpha: float):
 def box_rule(k: int, npts: int):
     """Tensor Gauss-Legendre rule on the unit k-cube (weights sum to 1)."""
     x1, w1 = gauss_rule(npts)
-    idx = np.indices((npts,) * k).reshape(k, -1).T    # the last axis fastest
-    return x1[idx], np.prod(w1[idx], axis=1)
+    idx = np.meshgrid(*([np.arange(npts)] * k), indexing="ij")
+    idx = np.stack([g.ravel() for g in idx], axis=1)
+    pts = x1[idx]
+    wts = np.prod(w1[idx], axis=1)
+    return pts, wts
 
 
 def split_simplex_bary(k: int):

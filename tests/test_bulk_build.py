@@ -10,9 +10,9 @@ not as ``sqrt(1 - |tangential part|^2)``, which leaves ``sqrt(eps)`` of
 noise where the radial direction is tangent.  The chart sites take the
 ambient connection contracted with the chart basis; the reference builds the
 full symbol and contracts it.  Both take the mean curvature's normal part
-by projecting twice, the sites after tracing, the reference before; on a
-totally geodesic chart through the pole, where the trace grows like
-``1 / r``, that leaves ``|H|`` at roundoff of the exact 0.
+by projecting twice, the sites after tracing, the reference before: on a
+totally geodesic chart through the pole the trace grows like ``1 / r``, and
+the second projection keeps ``|H|`` within roundoff of its exact 0.
 
 The mesh topology (boundary facets and their owning cells) comes from sorted
 facet rows and must equal the dict-based reference kept here, and a weight
