@@ -163,6 +163,25 @@ def test_repeat_evaluation_builds_no_pole_table(monkeypatch):
             } == {1: -0.5, 2: -2.0, 3: -2.5}
 
 
+def test_repeat_sites_call_reads_the_weighted_pole_pair_alone(monkeypatch):
+    # a binding that holds gamma's weighted pole pair returns it as is: the
+    # domain's pole pair is bound only to build that copy
+    domain = DOMAINS["disk_mesh"]()
+    bound = domain.bind(make_field("polynomial"))
+    first = domain.sites(1.5, bound)
+    keys, real = [], Domain._with_field
+
+    def counting(self, tables, key, *args):
+        keys.append(key)
+        return real(self, tables, key, *args)
+
+    monkeypatch.setattr(Domain, "_with_field", counting)
+    again = domain.sites(1.5, bound)
+    assert keys == [0, 2, ("pole", 1.5)]
+    assert len(again) == len(first)
+    assert all(a is b for a, b in zip(again, first))
+
+
 def test_distinct_exponents_keep_the_caches_bounded():
     # 50 exponents over bands 1 to 3 take the one pole pair, one weighted
     # pair per band, and no Gauss-Jacobi or product rule beyond the pair's
