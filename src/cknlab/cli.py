@@ -339,7 +339,8 @@ BUILTINS = {
             axes=None if o["axes"] is None
             else np.array(o["axes"]).reshape(2, 3))),
     "sphere_mesh": Builtin(
-        2, {"radius": _RADIUS, "level": (int, 3, None), "center": _CENTER},
+        2, {"radius": _RADIUS, "level": (int, 3, _at_least(0)),
+            "center": _CENTER},
         lambda amb, o: sphere_mesh(o["radius"], level=o["level"],
                                    center=o["center"])),
     "graph_mesh": Builtin(
@@ -441,14 +442,10 @@ def validate_case(case: dict) -> dict:
     except CknLabError as exc:
         raise ConfigError(f"invariant violated: {exc}") from exc
 
-    fld = case.get("field", {})
-    kind = _read("field", fld, _FIELD)["kind"]
-    if "dof" in fld:
-        dof = _vector("field", "dof", fld["dof"])
-        size = len(FAMILIES[kind].bounds)
-        if len(dof) != size:
-            raise ConfigError(f"[field] {kind} takes {size} dof, "
-                              f"got {len(dof)}")
+    try:
+        build_field(case, 0)
+    except InvalidArgument as exc:
+        raise ConfigError(f"[field] dof: {exc}") from exc
     return options
 
 

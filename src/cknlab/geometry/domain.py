@@ -29,10 +29,10 @@ across: on a polar chart, whose face ``rho = 0`` maps to the pole, ``t`` is
 vertex (mesh cells, and the Kuhn triangles of chart boxes with a corner at
 the pole) takes Duffy's collapse onto it, area element ``2 t``.  A field is
 evaluated on the pair once.  Per ``gamma`` only the radial weights change,
-fitted to ``t ** (k - 1 - gamma)``; each band keeps the pair weighted for its
-last ``gamma``.  The rest of the domain stays a cell away from the pole and
-grades within a few levels.  A pole on a cell away from every vertex and
-grid corner is refused when the domain is built.
+fitted to ``t ** (k - 1 - gamma)``: each pole table carries its radial rule,
+which its weighted densities apply.  The rest of the domain stays a cell
+away from the pole and grades within a few levels.  A pole on a cell away
+from every vertex and grid corner is refused when the domain is built.
 """
 
 from __future__ import annotations
@@ -132,6 +132,9 @@ class SiteBatch:
     facet_ids: np.ndarray = None  # (S,) mesh boundary facet of each site
     dF: np.ndarray = None     # (S, n, k) chart basis, columns of unit length
     metric_ginv: np.ndarray = None  # (S, k, k) inverse metric in that basis
+    # pole tables only: (k - 1, radial nodes t, their product_rule fit, the
+    # node under each of one cell's sites)
+    radial_rule: tuple = None
 
     def __post_init__(self):
         # what is derived from this table's columns alone, filled by
@@ -148,12 +151,21 @@ class SiteBatch:
 
     def weighted_density(self, gamma: float, use_hprime: bool):
         """``density * weight(gamma, use_hprime)`` through the slot
-        (threads racing on it at worst compute one twice)."""
-        if gamma == 0.0 and not use_hprime:
+        (threads racing on it at worst compute one twice).  A pole table's
+        density first takes, per radial node ``t``, the weight fitted to
+        ``t ** alpha``, ``alpha = k - 1 - gamma``, over that power; a few of
+        these weights are negative (README, "Graded quadrature")."""
+        if gamma == 0.0 and not use_hprime and self.radial_rule is None:
             return self.density
         key, w = self.weight_slot[0]
         if key != (gamma, use_hprime):
-            w = self.density * self.weight(gamma, use_hprime)
+            w = self.density
+            if self.radial_rule is not None:
+                k1, t, fit, node = self.radial_rule
+                alpha = k1 - gamma
+                w = (w.reshape(-1, len(node)) * (product_weights(fit, alpha)
+                     * t ** -alpha)[node]).reshape(-1)
+            w = w * self.weight(gamma, use_hprime)
             self.weight_slot[0] = ((gamma, use_hprime), w)
         return w
 
@@ -212,11 +224,10 @@ class Domain:
             raise InvalidArgument("quadrature order must be >= 2")
         self.order = order
         self.metadata = dict(geometry.metadata)
-        self._interior_cache = {}
-        self._boundary_cache = {}
+        # site tables per band, "pole" and "b" (boundary): the keys of their
+        # copies in a binding
+        self._tables = {}
         self._grading = {}
-        # per band, (gamma, the pole tables weighted for it) of its last gamma
-        self._pole_slots = {}
         # site tables are built lazily; the lock keeps threads sharing a
         # domain from building the same table twice
         self._build_lock = threading.Lock()
@@ -362,21 +373,20 @@ class Domain:
         """Read-only :class:`GradingStats` per weight band built so far."""
         return MappingProxyType(self._grading)
 
-    def _cached(self, cache, key, build):
-        if key not in cache:
+    def _cached(self, key, build):
+        if key not in self._tables:
             with self._build_lock:
-                if key not in cache:
-                    cache[key] = build()
-        return cache[key]
+                if key not in self._tables:
+                    self._tables[key] = build()
+        return self._tables[key]
 
     def sites(self, gamma: float = 0.0, bound_field=None):
         """Every site batch an integral of ``h(r) ** -gamma`` reads, hi and
         lo rules alternating: band 0's pair ``(hi, lo)``, or above band 0
         the band's views of band 0's tables (none if it keeps no cell
-        whole), its graded pieces and on the pole the pole's pair weighted
-        for ``gamma`` (threads racing on the band's slot at worst weigh one
-        twice).  With the pole on the domain the exponent must stay below
-        ``k``.
+        whole), its graded pieces and on the pole the domain's pole pair,
+        which :meth:`SiteBatch.weighted_density` weighs for ``gamma``.  With
+        the pole on the domain the exponent must stay below ``k``.
         """
         if self.through_pole and gamma >= self.k:
             raise NonIntegrableWeight(
@@ -387,23 +397,17 @@ class Domain:
                  else self._build_patch_sites)
         # band 0 first: the other bands view its tables, reading the cache
         # directly, since the build lock is not reentrant
-        base = self._cached(self._interior_cache, 0, lambda: build(0))
-        base = self._with_field(base, 0, bound_field)
+        base = self._with_field(self._cached(0, lambda: build(0)), 0,
+                                bound_field)
         if not band:
             return base
-        tables = self._cached(self._interior_cache, band, lambda: build(band))
+        tables = self._cached(band, lambda: build(band))
         tables = self._with_field(tables, band, bound_field,
                                   base[:len(tables) - 2])
-        if not len(self._pole_cells):
-            return tables
-        slot = self._pole_slots.get(band, (None,))
-        if slot[0] != gamma:
-            slot = self._pole_slots[band] = (gamma, self._pole_weighted(gamma))
-        key = ("pole", gamma)
-        pole = () if bound_field is None or key in bound_field.kept else (
-            self._with_field(self._interior_cache["pole"][0], "pole",
-                             bound_field))
-        return tables + self._with_field(slot[1], key, bound_field, pole)
+        if len(self._pole_cells):
+            tables += self._with_field(self._cached("pole", self._pole_tables),
+                                       "pole", bound_field)
+        return tables
 
     def _with_field(self, tables, key, bound_field, base=()):
         """``tables`` with the field's values, kept in its binding.  The
@@ -419,7 +423,7 @@ class Domain:
 
     def _band0_view(self, rule, cells, q) -> SiteBatch:
         """Band 0's table of ``rule``, with density only at ``cells``."""
-        base = self._interior_cache[0][rule]
+        base = self._tables[0][rule]
         keep = np.zeros(len(base.r) // q, dtype=bool)
         keep[cells] = True
         return replace(base, density=np.where(keep.repeat(q), base.density,
@@ -586,9 +590,9 @@ class Domain:
                 replace(stats, pieces=stats.pieces + len(whole)))
 
     def _pole_tables(self):
-        """(hi, lo) tables of the cells at the pole, without radial weights,
-        and per table its radial rule (:func:`product_rule`) and the nodes
-        of that rule under one cell's (or triangle's) sites.
+        """(hi, lo) tables of the cells at the pole, without radial weights:
+        each carries its radial rule (:func:`product_rule`) and the node of
+        that rule under each of one cell's (or triangle's) sites.
 
         Per rule ``2 * npts`` radial nodes, Gauss-Jacobi's for ``t **
         _POLE_ALPHA``, outer, times ``npts = order, order - 1`` per other
@@ -606,7 +610,7 @@ class Domain:
         for npts in (self.order, self.order - 1):
             t, fit = product_rule(2 * npts, _POLE_ALPHA)
             others, wo = box_rule(k - 1, npts)
-            radial.append((t, fit, np.arange(len(t)).repeat(len(wo))))
+            radial.append((k - 1, t, fit, np.arange(len(t)).repeat(len(wo))))
             if self._pole_face is not None:
                 axis, side = self._pole_face
                 nodes = np.empty((len(t), len(wo), k))
@@ -639,20 +643,9 @@ class Domain:
             out.append(self._patch_batch(
                 (bary @ tri.reshape(-1, 3, 2)).reshape(-1, k),
                 (np.repeat(volume / 2.0, 2)[:, None] * wts).reshape(-1))[0])
-        return tuple(out), tuple(radial)
-
-    def _pole_weighted(self, gamma):
-        """The pole pair for ``h ** -gamma``: its density times, per radial
-        node ``t``, the weight fitted to ``t ** (k - 1 - gamma)`` over that
-        power; a few of these weights are negative (README, "Graded
-        quadrature")."""
-        alpha = self.k - 1 - gamma
-        pair, radial = self._cached(self._interior_cache, "pole",
-                                    self._pole_tables)
-        return tuple(replace(table, density=(
-            table.density.reshape(-1, len(node))
-            * (product_weights(fit, alpha) * t ** -alpha)[node]).reshape(-1))
-            for table, (t, fit, node) in zip(pair, radial))
+        for table, rule in zip(out, radial):
+            table.radial_rule = rule
+        return tuple(out)
 
     def _box_variations(self, lo, hi, band):
         """Weight variation over the corners of each chart box."""
@@ -717,8 +710,8 @@ class Domain:
     # -- boundary sites -----------------------------------------------------------
 
     def boundary_sites(self, bound_field=None):
-        tables = self._cached(self._boundary_cache, "b",
-                              self._build_mesh_boundary if self.kind == "mesh"
+        tables = self._cached("b", self._build_mesh_boundary
+                              if self.kind == "mesh"
                               else self._build_patch_boundary)
         if bound_field is None or tables[0] is None:
             return tables

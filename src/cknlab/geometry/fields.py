@@ -51,6 +51,15 @@ class Field:
     boundary_vanishing: bool = True
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        # the radial kinds' one dof must lie in the family's domain
+        if self.kind == "radial_power" and not self.dof[0] >= 0.5:
+            raise InvalidArgument("radial power exponent must be >= 0.5, "
+                                  f"got {self.dof[0]}")
+        if self.kind == "radial_bump" and not self.dof[0] > 0.0:
+            raise InvalidArgument("bump steepness must be positive, "
+                                  f"got {self.dof[0]}")
+
     def with_dof(self, dof) -> "Field":
         return Field(self.kind, tuple(float(x) for x in dof),
                      self.boundary_vanishing, self.amplitude)
@@ -113,8 +122,6 @@ def _radial_profile(field: Field, support_r: float):
     """f(r) and f'(r) for the radial kinds."""
     if field.kind == "radial_power":
         m = field.dof[0]
-        if m < 0.5:
-            raise InvalidArgument("radial power exponent must be >= 0.5")
 
         def f(r):
             base = np.maximum(1.0 - r / support_r, 0.0)
@@ -130,8 +137,6 @@ def _radial_profile(field: Field, support_r: float):
         return f, fp
 
     tau = field.dof[0]
-    if tau <= 0:
-        raise InvalidArgument("bump steepness must be positive")
 
     def bump(r):
         """The support's sites, ``r / R`` there (0.5 elsewhere), the bump."""
@@ -321,8 +326,8 @@ class BoundField:
                        else None)
         if domain.kind == "mesh":
             self._setup_mesh_samples()
-        # field values per site table (key: band, "pole", ("pole", gamma)
-        # or "b"), for one evaluation
+        # field values per site table, under the domain's table keys (band,
+        # "pole" or "b"), for one evaluation
         self.kept = {}
 
     def bind(self, domain: Domain) -> "BoundField":

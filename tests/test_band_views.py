@@ -24,8 +24,10 @@ from cknlab.geometry import (
     plane_rect,
     weighted_integral,
 )
+from cknlab.geometry import domain as domain_mod
 from cknlab.geometry.domain import SiteBatch
 from cknlab.geometry.fields import make_field
+from cknlab.quadrature import product_rule, product_weights
 from geometry_checks import band_pair, band_tables
 
 EUCLID = AmbientSpace.euclidean(3)
@@ -94,25 +96,65 @@ def test_excluded_rows_add_exactly_nothing(name, gamma):
             # fsum is exact: the rows left out change no bit of the sum
             assert math.fsum(terms) == math.fsum(terms[~out])
     # a constant integrand: c times the summed weights of the kept rows
-    tables = band_pair(domain, gamma) + domain.sites(gamma)[-2:]
-    ref = [3.0 * math.fsum(np.concatenate([t.density * t.weight(gamma, False)
-                                           for t in tables[rule::2]]))
-           for rule in (0, 1)]
+    band, pole = band_pair(domain, gamma), domain.sites(gamma)[-2:]
+    ref = [3.0 * math.fsum(np.concatenate(
+        [t.density * t.weight(gamma, False) for t in band[rule::2]]
+        + [t.weighted_density(gamma, False) for t in pole[rule::2]]))
+        for rule in (0, 1)]
     got = weighted_integral(domain, 3.0, gamma)
     assert got.value == pytest.approx(ref[0], rel=1e-14)
     assert got.err == pytest.approx(abs(ref[0] - ref[1]),
                                     abs=1e-14 * abs(ref[0]))
 
 
+@pytest.mark.parametrize("hprime", [False, True])
+@pytest.mark.parametrize("gamma", [-0.5, 0.5, 1.5])
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_reduce_receives_every_tables_weighted_density(name, gamma, hprime,
+                                                       monkeypatch):
+    domain = _domain(name)
+    seen, real = [], domain_mod._reduce
+
+    def recording(tables, weights, *args):
+        seen.append((tables, weights))
+        return real(tables, weights, *args)
+
+    monkeypatch.setattr(domain_mod, "_reduce", recording)
+    weighted_integral(domain, 1.0, gamma,
+                      "h_power_times_hprime" if hprime else "h_power")
+    (tables, weights), = seen
+    # the band's views and graded pieces, then the domain's pole pair
+    assert len(tables) == len(weights) == 6
+    assert all(a is b for a, b in zip(tables[4:], domain._tables["pole"]))
+    for table, w in zip(tables, weights):
+        assert np.array_equal(w, table.weighted_density(gamma, hprime))
+    for table, w in zip(tables[:4], weights):
+        assert np.array_equal(w, table.density * table.weight(gamma, hprime))
+    # the pole pair's densities take the weights fitted to t ** alpha over
+    # that power at their radial nodes, t outer
+    alpha = domain.k - 1 - gamma
+    for table, w, npts in zip(tables[4:], weights[4:],
+                              (domain.order, domain.order - 1)):
+        t, fit = product_rule(2 * npts, -0.8)
+        radial = product_weights(fit, alpha) * t ** -alpha
+        want = (table.density.reshape(-1, len(t), npts ** (domain.k - 1))
+                * radial[:, None]).reshape(-1)
+        assert np.array_equal(w, want * table.weight(gamma, hprime))
+
+
 def _reference(domain, integrand, gamma, hprime, field):
     """Hi and lo sums over the rebuilt band tables and the pole's, exact,
-    with the field evaluated on each of them afresh."""
+    with the field evaluated on each of them afresh; the pole's weighted
+    densities carry its radial weights."""
     bound = domain.bind(field)
-    tables = [t.with_field(*bound.at_sites(t))
-              for t in band_pair(domain, gamma) + domain.sites(gamma)[-2:]]
-    return [math.fsum(np.concatenate([
-        t.density * t.weight(gamma, hprime) * integrand(t)
-        for t in tables[rule::2]])) for rule in (0, 1)]
+    band, pole = ([t.with_field(*bound.at_sites(t)) for t in tables]
+                  for tables in (band_pair(domain, gamma),
+                                 domain.sites(gamma)[-2:]))
+    return [math.fsum(np.concatenate(
+        [t.density * t.weight(gamma, hprime) * integrand(t)
+         for t in band[rule::2]]
+        + [t.weighted_density(gamma, hprime) * integrand(t)
+           for t in pole[rule::2]])) for rule in (0, 1)]
 
 
 @settings(max_examples=30, deadline=None)

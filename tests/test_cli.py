@@ -709,6 +709,29 @@ def test_catalog_check_runs_before_geometry(tmp_path, capsys, monkeypatch,
         assert "invariant violated" in err
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("dof = 1.0", "dof = 0.3",
+     "[field] dof: radial power exponent must be >= 0.5, got 0.3"),
+    ("kind = radial_power\ndof = 1.0", "kind = radial_bump\ndof = 0",
+     "[field] dof: bump steepness must be positive, got 0.0"),
+    ("kind = radial_power\ndof = 1.0", "kind = radial_bump\ndof = -1",
+     "[field] dof: bump steepness must be positive, got -1.0"),
+    ("builtin = disk_mesh\nradius = 1.0\nrings = 12",
+     "builtin = sphere_mesh\nlevel = -1",
+     "[geometry] level must be at least 0, got -1"),
+])
+def test_out_of_range_value_is_found_before_geometry(tmp_path, capsys,
+                                                     monkeypatch, old, new,
+                                                     message):
+    # a radial dof outside its family's domain and a negative sphere level
+    monkeypatch.setattr(cli, "build_domain", _never_build)
+    text = DISK_CONE_CFG.replace(old, new)
+    assert new in text
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert message in err
+
+
 # -- the README describes the catalog and the geometry registry
 
 def _readme():

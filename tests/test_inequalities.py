@@ -553,13 +553,11 @@ def test_field_bound_once_per_site_table(disk_domain, monkeypatch,
     rep = iq.evaluate("hardy", disk_domain, CONE, {"p": 1.0, "gamma": 1.0})
     # p = 1, gamma = 1 reads band 1 and the pole's cells (left side) and
     # band 0 (right side, sup); band 1's views of band 0's tables take the
-    # values bound on band 0, and its pole tables those bound on the
-    # domain's pole pair, so the field meets band 0's tables, band 1's
-    # graded pieces and the pole pair, once each
+    # values bound on band 0, so the field meets band 0's tables, band 1's
+    # graded pieces and the domain's pole pair, once each
     band1 = disk_domain.sites(1.0)
-    views = band1[:2] + band1[4:]
-    tables = (disk_domain.sites(0.0) + band1[2:4]
-              + disk_domain._interior_cache["pole"][0])
+    views = band1[:2]
+    tables = disk_domain.sites(0.0) + band1[2:4] + disk_domain._tables["pole"]
     assert len(seen) == len(tables) == 6
     assert all(any(batch is table for table in tables) for batch in seen)
     assert len({id(batch) for batch in seen}) == 6
@@ -647,17 +645,14 @@ def test_distinct_gammas_grow_no_domain_cache(bindings):
         iq.evaluate("hardy", ball, CONE, {"p": 1.0, "gamma": float(gamma)})
     assert len(bindings) == 50
     assert [ref() for ref in bindings] == [None] * 50
-    assert set(ball._interior_cache) == set(ball.grading) | {"pole"}
+    assert set(ball._tables) == set(ball.grading) | {"pole", "b"}
     assert set(ball.grading) <= set(range(5))
-    assert list(ball._boundary_cache) == ["b"]
-    # one pole pair for the domain, and per band the pair weighted for an
-    # exponent in that band; the last evaluation's two (gamma on the left
-    # side, gamma - p on the right) fall in bands 3 and 2
-    assert set(ball._pole_slots) <= set(ball._interior_cache) - {0}
-    assert all(ball._gamma_band(g) == band
-               for band, (g, _) in ball._pole_slots.items())
-    assert ball._pole_slots[3][0] == float(gamma)
-    assert ball._pole_slots[2][0] == float(gamma) - 1.0
+    # one pole pair for the domain, each table weighted for one of the last
+    # evaluation's exponents (gamma on the left side, gamma - p on the right)
+    for table in ball._tables["pole"]:
+        (last, _), weights = table.weight_slot[0]
+        assert last in (float(gamma), float(gamma) - 1.0)
+        assert len(weights) == len(table.density)
 
 
 def test_threads_with_distinct_gammas_match_serial(bindings):

@@ -3,11 +3,11 @@
 Each site table keeps the weighted densities of the last exponent asked for,
 in one slot that a binding's copies share; a mesh keeps the columns of its
 cells' barycentric gradients; the tables and the mesh keep the scaled planar
-coordinates of their points; the domain keeps one pair of pole tables, and
-each band that pair weighted for its last exponent.  None of it may change a
-report, and neither the slots nor the rule caches may grow with the
-exponents a domain has seen.  The corpus keeps at
-most one domain per worker alive.
+coordinates of their points; the domain keeps one pair of pole tables,
+whose slots hold them weighted with their radial rule like any other table.
+None of it may change a report, and neither the slots, the table cache nor
+the rule caches may grow with the exponents a domain has seen.  The corpus
+keeps at most one domain per worker alive.
 """
 
 import functools
@@ -44,11 +44,8 @@ COLUMNS = {f.name for f in fields(SiteBatch)}
 
 def _domain_tables(domain):
     """Every site table the domain holds: interior, pole and boundary."""
-    tables = [t for key, pair in domain._interior_cache.items()
-              for t in (pair[0] if key == "pole" else pair)]
-    tables += [t for _, pair in domain._pole_slots.values() for t in pair]
-    return tables + [t for t in domain._boundary_cache.get("b", ())
-                     if t is not None]
+    return [t for pair in domain._tables.values() for t in pair
+            if t is not None]
 
 
 def _count_weights(monkeypatch):
@@ -86,8 +83,7 @@ def test_tables_keep_one_weighted_density(name, bindings):
         assert weights is None or len(weights) == len(table.density)
 
 
-# each table sees one exponent per evaluation (each band keeps the pole's
-# tables of one exponent)
+# each table, the pole's too, sees one exponent per evaluation
 @pytest.mark.parametrize("options", [{"p": 1.0, "gamma": 1.0},
                                      {"p": 2.0, "gamma": 0.0},
                                      {"p": 1.5, "gamma": 0.0}])
@@ -105,9 +101,9 @@ def test_second_evaluation_weighs_nothing(name, options, monkeypatch):
 
 def test_alternating_exponents_weigh_each_table_once(monkeypatch):
     # gamma = 0.5 with h' and gamma - p = -1 without both fall in band 1:
-    # each evaluation weighs band 1's tables (and the pole's, rebuilt per
-    # exponent) once per exponent, as it did before the tables kept a
-    # slot; the boundary's one exponent stays in its tables' slots
+    # each evaluation weighs band 1's tables and the pole's once per
+    # exponent, as it did before the tables kept a slot; the boundary's one
+    # exponent stays in its tables' slots
     domain = DOMAINS["disk_mesh"]()
     calls = _count_weights(monkeypatch)
     options = {"p": 1.5, "gamma": 0.5}
@@ -142,8 +138,8 @@ def _count_pole_work(monkeypatch):
 
 def test_repeat_evaluation_builds_no_pole_table(monkeypatch):
     # p = 1.5, gamma = -0.5 reaches the pole at gamma (band 1) and at
-    # gamma - p (band 2): the domain builds one pole pair, and each band
-    # keeps it weighted for its exponent
+    # gamma - p (band 2): the domain builds one pole pair, whose slots hold
+    # one exponent, so each evaluation fits both exponents' radial weights
     domain = Domain(disk_mesh(1.0, rings=16), EUCLID)
     builds, solves = _count_pole_work(monkeypatch)
     field, options = make_field("polynomial"), {"p": 1.5, "gamma": -0.5}
@@ -153,19 +149,20 @@ def test_repeat_evaluation_builds_no_pole_table(monkeypatch):
     assert sorted(solves) == [1.5, 1.5, 3.0, 3.0]
     builds.clear(), solves.clear()
     second = iq.evaluate("hardy", domain, field, options).to_dict()
-    assert builds == solves == []
+    assert builds == [] and sorted(solves) == [1.5, 1.5, 3.0, 3.0]
     assert (json.dumps(second, sort_keys=True)
             == json.dumps(first, sort_keys=True))
-    # a third band weighs the same pair in a slot of its own
+    # a third band weighs the same pair
+    solves.clear()
     weighted_integral(domain, 1.0, -2.5)
     assert builds == [] and solves == [3.5, 3.5]
-    assert {band: gamma for band, (gamma, _) in domain._pole_slots.items()
-            } == {1: -0.5, 2: -2.0, 3: -2.5}
+    assert all(t.weight_slot[0][0] == (-2.5, False)
+               for t in domain._tables["pole"])
 
 
 def test_repeat_sites_call_reads_the_weighted_pole_pair_alone(monkeypatch):
-    # a binding that holds gamma's weighted pole pair returns it as is: the
-    # domain's pole pair is bound only to build that copy
+    # a binding that holds band 0's, the band's and the pole pair's copies
+    # returns them as they are
     domain = DOMAINS["disk_mesh"]()
     bound = domain.bind(make_field("polynomial"))
     first = domain.sites(1.5, bound)
@@ -177,15 +174,14 @@ def test_repeat_sites_call_reads_the_weighted_pole_pair_alone(monkeypatch):
 
     monkeypatch.setattr(Domain, "_with_field", counting)
     again = domain.sites(1.5, bound)
-    assert keys == [0, 2, ("pole", 1.5)]
+    assert keys == [0, 2, "pole"]
     assert len(again) == len(first)
     assert all(a is b for a, b in zip(again, first))
 
 
 def test_distinct_exponents_keep_the_caches_bounded():
-    # 50 exponents over bands 1 to 3 take the one pole pair, one weighted
-    # pair per band, and no Gauss-Jacobi or product rule beyond the pair's
-    # nodes
+    # 50 exponents over bands 1 to 3 take the one pole pair and no
+    # Gauss-Jacobi or product rule beyond the pair's nodes
     domain = DOMAINS["ball"]()
     field = make_field("radial_power", (2.0,))
     sizes = []
@@ -194,9 +190,28 @@ def test_distinct_exponents_keep_the_caches_bounded():
         sizes.append((jacobi_rule.cache_info().currsize,
                       product_rule.cache_info().currsize))
     assert sizes == sizes[:1] * 50
-    assert set(domain._pole_slots) == {1, 2, 3}
-    assert all(domain._gamma_band(gamma) == band
-               for band, (gamma, _) in domain._pole_slots.items())
+
+
+def test_distinct_exponents_key_nothing_by_exponent():
+    # 50 exponents over bands 1 to 3, with h' and without: the table cache
+    # holds the bands, the pole pair and the boundary, a binding read by
+    # all of them holds its copies under the same keys, and no dict of the
+    # domain has an exponent in a key
+    domain = DOMAINS["ball"]()
+    bound = domain.bind(make_field("radial_power", (2.0,)))
+    gammas = [float(g) for g in np.linspace(0.05, 2.95, 50)]
+    for i, gamma in enumerate(gammas):
+        weighted_integral(domain, lambda b: b.psi, gamma,
+                          ("h_power", "h_power_times_hprime")[i % 2],
+                          field=bound)
+    assert {1, 2, 3, "pole"} <= set(domain._tables) <= {0, 1, 2, 3, "pole",
+                                                        "b"}
+    assert set(bound.kept) == {0, 1, 2, 3, "pole"}
+    for name, value in vars(domain).items():
+        if isinstance(value, dict):
+            parts = {part for key in value
+                     for part in (key if isinstance(key, tuple) else (key,))}
+            assert not parts & set(gammas), name
 
 
 def test_seed0_corpus_builds_few_pole_pairs(monkeypatch):
@@ -208,10 +223,11 @@ def test_seed0_corpus_builds_few_pole_pairs(monkeypatch):
     assert len(set(map(id, builds))) == len(builds)
 
 
-def test_threads_racing_on_the_pole_slots_match_serial(monkeypatch,
-                                                       bindings):
+def test_threads_racing_on_the_pole_pairs_slot_match_serial(monkeypatch,
+                                                            bindings):
     # exponents of both signs in bands 1 and 2 on one fresh ball: the
-    # threads replace each other's weighted pairs in the bands' slots
+    # threads replace each other's weights in the slot the pole pair's
+    # tables share with their copies
     gammas = (0.6, -0.6, 1.6, -1.6)
     fields_ = [make_field("radial_power", (1.5 + 0.5 * i,)) for i in range(4)]
     runs = [[(f, {"p": 1.0, "gamma": gammas[(i + j) % 4]})
@@ -306,11 +322,10 @@ def test_kept_planar_coordinates_match_the_points(kind):
     domain = DOMAINS["disk_mesh"]()
     iq.evaluate("hardy", domain, make_field(kind), {"p": 1.0, "gamma": 1.0})
     scale = domain.coord_scale
-    # band 0's tables, band 1's graded pieces and the pole pair, which the
-    # pole tables of each exponent view
+    # band 0's tables, band 1's graded pieces and the pole pair
     held = [(t.kept["xy"], t.points)
             for t in domain.sites(0.0) + domain.sites(1.0)[2:4]
-            + domain._interior_cache["pole"][0]]
+            + domain._tables["pole"]]
     held.append((domain.mesh.kept["xy"], domain.mesh.vertices))
     for (x, y), points in held:
         want_x, want_y = _scaled_xy(points, scale)

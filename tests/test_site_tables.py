@@ -273,10 +273,14 @@ def test_pole_tables_match_per_kind_reference(euclid3, warped3, name, order):
         tables = domain.sites(gamma)[-2:]
         assert len(tables) == 2
         for got, want in zip(tables, ref(domain, gamma)):
-            assert _set_columns(got) == _set_columns(want)
-            for column in _set_columns(want):
+            # the radial weights for gamma join the density in the
+            # weighted densities, through the table's radial rule
+            assert _set_columns(got) == _set_columns(want) | {"radial_rule"}
+            for column in _set_columns(want) - {"density"}:
                 assert np.array_equal(getattr(got, column),
                                       getattr(want, column)), column
+            assert np.array_equal(got.weighted_density(gamma, False),
+                                  want.density * want.weight(gamma, False))
 
 
 # -- one schema ---------------------------------------------------------------
@@ -309,7 +313,7 @@ def _assert_table_columns(domain, interior, boundary):
     the boundary's its own."""
     kinds = {"band 0": (domain.sites(0.0), interior),
              "band 2": (band_pair(domain, 1.5), interior),
-             "pole": (domain.sites(1.5)[-2:], interior),
+             "pole": (domain.sites(1.5)[-2:], interior | {"radial_rule"}),
              "boundary": (domain.boundary_sites(), boundary)}
     for kind, (tables, columns) in kinds.items():
         assert len(tables) == 2, kind
