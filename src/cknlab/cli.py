@@ -178,7 +178,11 @@ def resolve_config_path(name: str) -> Path:
 
 
 def load_config(path: Path) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
+    # "#" starts a comment anywhere on a line, as in mesh and profile files;
+    # no section lends its options to the others, so [DEFAULT] is one more
+    # section name that validate_case checks
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                    default_section="")
     try:
         with open(path) as handle:
             cfg.read_file(handle)
@@ -399,8 +403,34 @@ def _geometry(case: dict):
     return builtin, _read("geometry", geo, {**builtin.options, **_ORDER})
 
 
+_INEQUALITY_NUMBERS = ("p", "gamma", "alpha", "sigma", "beta", "q", "a", "t",
+                       "r0", "slack", "inj_radius", "vol_threshold")
+# the options each section reads; [geometry]'s are those of any builtin, so
+# a sweep across builtins may set options that only some of them read
+_KNOWN = {
+    "ambient": {*_AMBIENT, "profile_file"},
+    "geometry": {"builtin", "path", *_ORDER,
+                 *(o for b in BUILTINS.values() for o in b.options)},
+    "field": {*_FIELD, "dof"},
+    "inequality": {"id", *_INEQUALITY_NUMBERS, "minimal"},
+    "run": {*_RUN},
+}
+
+
+def _check_names(case: dict):
+    """Refuse a section or an option that nothing reads (a misspelling)."""
+    for section, values in case.items():
+        if section not in _KNOWN:
+            raise ConfigError(f"unknown section [{section}]; choices: "
+                              f"{', '.join(_KNOWN)} and sweep")
+        for option in values:
+            if option not in _KNOWN[section]:
+                raise ConfigError(f"[{section}] unknown option {option!r}")
+
+
 def validate_case(case: dict) -> dict:
     """Check a case before any geometry work; returns parsed options."""
+    _check_names(case)
     builtin, _ = _geometry(case)
     ambient = _read("ambient", case.get("ambient", {}), _AMBIENT)
     if ambient["kind"] == "warped" and "profile_file" in case["ambient"]:
@@ -425,8 +455,7 @@ def validate_case(case: dict) -> dict:
         raise ConfigError(f"unknown inequality id {ineq_id!r}; "
                           f"choices: {CATALOG_IDS}")
     options = {}
-    for key in ("p", "gamma", "alpha", "sigma", "beta", "q", "a", "t", "r0",
-                "slack", "inj_radius", "vol_threshold"):
+    for key in _INEQUALITY_NUMBERS:
         if key in ineq:
             options[key] = float(_frac(ineq[key]))
     if options.get("slack", 0.0) < 0:
@@ -529,8 +558,10 @@ def worker_count() -> int:
 _FLAG_BOUNDS = {"levels": 0, "seed": 0, "budget": 1, "slack": 0}
 
 
-def _load_cases(args):
-    """Validated ``(case, options)`` pairs, or None after a config error."""
+def _load_cases(args, search=False):
+    """Validated ``(case, options)`` pairs, or None after a config error.
+    For ``search``, each case's start member must lie in its family's search
+    box, which the search would otherwise clip without a word."""
     try:
         cases = expand_sweep(load_config(resolve_config_path(args.config)))
         parsed = [(case, validate_case(case)) for case in cases]
@@ -538,6 +569,12 @@ def _load_cases(args):
             value = getattr(args, flag, None)
             if value is not None and not value >= least:
                 raise ConfigError(f"--{flag} must be >= {least}, got {value}")
+        for field in (build_field(c, args.seed) for c in cases if search):
+            for x, (lo, hi) in zip(field.dof, FAMILIES[field.kind].bounds):
+                if not lo <= x <= hi:
+                    raise ConfigError(
+                        f"[field] dof {x:g} lies outside the {field.kind} "
+                        f"search bounds [{lo:g}, {hi:g}]")
     except (CknLabError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return None
@@ -612,7 +649,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    parsed = _load_cases(args)
+    parsed = _load_cases(args, search=True)
     if parsed is None:
         return EXIT_CONFIG
     records = []

@@ -128,8 +128,6 @@ class SiteBatch:
     conormal_dot: np.ndarray = None  # boundary batches only
     tan_sq: np.ndarray = None  # (S,) |tangential radial part|^2 (unclamped)
     cell_ids: np.ndarray = None  # (S,) mesh cell of each site
-    bary: np.ndarray = None   # (S, k) barycentrics in that boundary facet
-    facet_ids: np.ndarray = None  # (S,) mesh boundary facet of each site
     dF: np.ndarray = None     # (S, n, k) chart basis, columns of unit length
     metric_ginv: np.ndarray = None  # (S, k, k) inverse metric in that basis
     # pole tables only: (k - 1, radial nodes t, their product_rule fit, the
@@ -722,22 +720,19 @@ class Domain:
         mesh = self.mesh
         if not len(mesh.boundary_facets):
             return None, None
-        k = self.k
         corners = mesh.vertices[mesh.boundary_facets]         # (B, k, n)
         vols = simplex_volume(corners)
         conormals = mesh.boundary_conormals()
         out = []
         for s_index in self._simplex_indices():
-            bary, wts = simplex_rule(k - 1, s_index)
+            bary, wts = simplex_rule(self.k - 1, s_index)
             pts = np.einsum("qb,fbn->fqn", bary, corners).reshape(-1, self.n)
             r, h, hp, u = self._radial(pts)
             conorm = np.repeat(conormals, len(wts), axis=0)
             out.append(SiteBatch(
                 points=pts, density=(vols[:, None] * wts[None, :]).reshape(-1),
-                r=r, h=h, hp=hp, conormal_dot=np.einsum("sn,sn->s", u, conorm),
-                facet_ids=np.repeat(np.arange(len(corners)), len(wts)),
-                bary=np.broadcast_to(
-                    bary, (len(corners),) + bary.shape).reshape(-1, k)))
+                r=r, h=h, hp=hp,
+                conormal_dot=np.einsum("sn,sn->s", u, conorm)))
         return tuple(out)
 
     def _build_patch_boundary(self):

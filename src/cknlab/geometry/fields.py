@@ -5,10 +5,10 @@ zero, smooth radial bumps with compact support, low-order polynomials, and
 seeded random smooth mixtures.  The planar kinds are functions of the first
 two ambient coordinates, so they restrict to a smooth function on any
 submanifold (no chart seams).  A family member is geometry-agnostic until
-bound to a domain: on meshes it is sampled at the vertices with per-cell
-linear reconstruction providing the tangential gradient; on parametric
-patches it is evaluated with analytic partials chained through the chart
-jet.
+bound to a domain.  Its value at every site, interior or boundary, is the
+field itself.  Its tangential gradient on meshes is the per-cell linear
+reconstruction of its vertex samples; on parametric patches it comes from
+analytic partials chained through the chart jet.
 
 Members that must vanish on the boundary either do so natively (radial
 kinds, whose support radius is the smallest boundary radius) or are
@@ -352,7 +352,8 @@ class BoundField:
         self.cell_grad_norm = np.sqrt(sum(a * a for a in g))
 
     def _value_at(self, pts, r, memo):
-        """Exact field value at ambient points, without its gradient.
+        """Exact field value at ambient points (every boundary site, and on
+        a mesh every site and vertex), without its gradient.
 
         The scaled coordinates, the clamp's value and the random_smooth
         basis do not depend on ``dof``: they are kept in ``memo``, on a mesh
@@ -398,12 +399,6 @@ class BoundField:
     def at_boundary(self, batch: SiteBatch):
         if self.boundary_vanishing:
             return np.zeros(len(batch.r))
-        domain = self.domain
-        if domain.kind == "mesh":
-            facets = domain.mesh.boundary_facets[batch.facet_ids]
-            vv = self.vertex_values[facets]
-            psi = np.einsum("sb,sb->s", batch.bary, vv)
-        else:
-            # patch tables keep no planar columns (README, "What is kept")
-            psi = self._value_at(batch.points, batch.r, {})
-        return self.field.amplitude * psi
+        # the field itself, as at interior sites; boundary tables keep no
+        # planar columns (README, "What is kept")
+        return self.field.amplitude * self._value_at(batch.points, batch.r, {})

@@ -732,6 +732,49 @@ def test_out_of_range_value_is_found_before_geometry(tmp_path, capsys,
         assert message in err
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("rings = 12", "ring = 3", "[geometry] unknown option 'ring'"),
+    ("gamma = 1", "gamma = 1\nslak = 1e-9",
+     "[inequality] unknown option 'slak'"),
+    ("[field]", "[feild]", "unknown section [feild]"),
+    ("[field]", "[DEFAULT]\nrings = 4\n\n[field]",
+     "unknown section [DEFAULT]"),
+])
+def test_misspelled_name_is_found_before_geometry(tmp_path, capsys,
+                                                  monkeypatch, old, new,
+                                                  message):
+    # read silently, each would leave its default in place
+    monkeypatch.setattr(cli, "build_domain", _never_build)
+    text = DISK_CONE_CFG.replace(old, new)
+    assert new in text
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert message in err
+
+
+def test_search_refuses_a_start_outside_its_box(tmp_path, capsys,
+                                                monkeypatch):
+    text = DISK_CONE_CFG.replace("rings = 12", "rings = 4").replace(
+        "dof = 1.0", "dof = 20")
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_domain", _never_build)
+        code, _, err = run(["search", str(cfg), "--budget", "1"], capsys)
+    assert code == 1
+    assert "radial_power search bounds [0.5, 8]" in err
+    # verify evaluates the member as given
+    evaluated = []
+
+    def recording(ineq_id, domain, field, options):
+        evaluated.append(field.dof)
+        return evaluate(ineq_id, domain, field, options)
+
+    monkeypatch.setattr(cli, "evaluate", recording)
+    code, _, _ = run(["verify", str(cfg)], capsys)
+    assert code == 0 and evaluated == [(20.0,)]
+
+
 # -- the README describes the catalog and the geometry registry
 
 def _readme():

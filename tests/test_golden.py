@@ -73,7 +73,7 @@ CORPUS_REPORTS = {
     "disk_patch":
         "f15f8d8a52b9d51f017cd29ac2ca9603bf2857559dd071b4276e64e8798cc4d1",
     "disk_pole":
-        "5b1d74bc83874325809785ed6518714d032cea6dcdc9c0790df925962ded932e",
+        "d5d14b3cec31dddc79ca639ee0ea6bff76e58122291137f53961831973d7a767",
     "disk_tilted":
         "2030d965f2f95a0744ba44af0e3bc0a5be78f1bff965bfe33246336e879b61c0",
     "geodesic_disk":

@@ -18,6 +18,7 @@ from cknlab import inequalities as iq
 from cknlab.geometry import (
     Domain,
     ball_domain,
+    boundary_integral,
     disk_mesh,
     flat_disk_patch,
     geodesic_disk,
@@ -341,3 +342,61 @@ def test_square_through_the_pole_near_the_integrability_limit(
     got = weighted_integral(_grid(grid_domains, name, euclid3, warped3), 1.0,
                             1.9)
     assert abs(true - got.value) <= got.err
+
+
+# -- mesh boundary integrals of members that do not vanish there --------------
+#
+# |psi| h^-gamma over the polygonal rim of disk_mesh, against a 60-point
+# Gauss-Legendre rule on each edge.  A radial member that need not vanish
+# has support radius 2 max_radius, so it is smooth on the rim; the
+# polynomial reads the coordinates over the domain's coord_scale.  At
+# gamma = 0 a polynomial's error and its estimate are both roundoff, which
+# the few ulps of the value stand for.
+
+RIM_MEMBERS = [("radial_power", (1.0,)), ("radial_power", (2.0,)),
+               ("radial_power", (3.5,)), ("radial_bump", (1.0,)),
+               ("polynomial", (1.0, 0.3, -0.2, 0.1, 0.0, 0.05))]
+
+
+def rim_value(kind, dof, pts, domain):
+    if kind == "polynomial":
+        x, y = pts[:, 0] / domain.coord_scale, pts[:, 1] / domain.coord_scale
+        c = dof
+        return (c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y
+                + c[5] * y * y)
+    s = np.linalg.norm(pts, axis=1) / (2.0 * domain.max_radius)
+    if kind == "radial_power":
+        return (1.0 - s) ** dof[0]
+    return np.exp(dof[0] * (1.0 - 1.0 / (1.0 - s * s)))
+
+
+def rim_reference(domain, kind, dof, gamma):
+    t, w = np.polynomial.legendre.leggauss(60)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    mesh = domain.mesh
+    a, b = (mesh.vertices[mesh.boundary_facets[:, i]] for i in (0, 1))
+    pts = (a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]).reshape(
+        -1, 3)
+    f = (np.abs(rim_value(kind, dof, pts, domain))
+         * np.linalg.norm(pts, axis=1) ** -gamma)
+    length = np.linalg.norm(b - a, axis=1)
+    return float(np.sum(f.reshape(len(a), -1) @ w * length))
+
+
+@pytest.fixture(scope="module")
+def rim_domains():
+    return {}
+
+
+@pytest.mark.parametrize("kind,dof", RIM_MEMBERS)
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("rings", [4, 8])
+def test_mesh_boundary_integral_against_edge_rule(rim_domains, euclid3,
+                                                  rings, gamma, kind, dof):
+    if rings not in rim_domains:
+        rim_domains[rings] = Domain(disk_mesh(1.0, rings=rings), euclid3)
+    dom = rim_domains[rings]
+    field = make_field(kind, dof, boundary_vanishing=False)
+    got = boundary_integral(dom, lambda b: np.abs(b.psi), gamma, field=field)
+    true = rim_reference(dom, kind, dof, gamma)
+    assert abs(true - got.value) <= got.err + 4 * np.spacing(abs(true))

@@ -322,14 +322,13 @@ def _assert_table_columns(domain, interior, boundary):
 
 
 def test_mesh_tables_carry_their_columns(disk_domain_coarse):
-    # the sites keep |H| only; the boundary keeps its barycentrics, which
-    # interpolate a field's vertex values
+    # the sites keep |H| only; the boundary keeps the conormal product only,
+    # a field's values there coming from the field itself
     _assert_table_columns(
         disk_domain_coarse,
         {"points", "density", "r", "h", "hp", "perp", "h_norm", "tan_sq",
          "cell_ids"},
-        {"points", "density", "r", "h", "hp", "conormal_dot", "facet_ids",
-         "bary"})
+        set(BOUNDARY_COLUMNS))
 
 
 @pytest.mark.parametrize("name", ["flat_disk_patch", "plane_rect"])
