@@ -10,8 +10,8 @@ Subcommands:
 - ``list-scenarios``: bundled scenario configurations.
 
 Exit codes: 0 pass, 1 configuration error (a malformed command line too),
-2 inequality violation, 3 numerical failure.  ``CKN_LAB_THREADS`` caps
-sweep workers.
+2 inequality violation, 3 numerical failure.  ``CKN_LAB_THREADS``, a
+positive integer, sets the sweep's worker count.
 """
 
 from __future__ import annotations
@@ -404,7 +404,7 @@ def _geometry(case: dict):
 
 
 _INEQUALITY_NUMBERS = ("p", "gamma", "alpha", "sigma", "beta", "q", "a", "t",
-                       "r0", "slack", "inj_radius", "vol_threshold")
+                       "r0", "slack", "inj_radius")
 # the options each section reads; [geometry]'s are those of any builtin, so
 # a sweep across builtins may set options that only some of them read
 _KNOWN = {
@@ -544,14 +544,15 @@ def _write_outputs(records, json_path, csv_path, echo_json):
 
 
 def worker_count() -> int:
-    """Sweep workers: ``CKN_LAB_THREADS`` when set, else up to 4 cores."""
+    """Sweep workers: ``CKN_LAB_THREADS`` when set, else up to 4 cores.
+    Raises :class:`ConfigError` unless the variable is a positive integer."""
     env = os.environ.get("CKN_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+    if not env:
+        return min(4, os.cpu_count() or 1)
+    if not env.isdecimal() or int(env) < 1:
+        raise ConfigError(
+            f"CKN_LAB_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 # least value of each numeric flag of verify and search (--budget: search)
@@ -559,12 +560,14 @@ _FLAG_BOUNDS = {"levels": 0, "seed": 0, "budget": 1, "slack": 0}
 
 
 def _load_cases(args, search=False):
-    """Validated ``(case, options)`` pairs, or None after a config error.
-    For ``search``, each case's start member must lie in its family's search
-    box, which the search would otherwise clip without a word."""
+    """Validated ``(case, options)`` pairs and the sweep's worker count (1
+    for ``search``), or Nones after a config error.  For ``search``, each
+    case's start member must lie in its family's search box, which the
+    search would otherwise clip without a word."""
     try:
         cases = expand_sweep(load_config(resolve_config_path(args.config)))
         parsed = [(case, validate_case(case)) for case in cases]
+        n_workers = 1 if search else worker_count()
         for flag, least in _FLAG_BOUNDS.items():
             value = getattr(args, flag, None)
             if value is not None and not value >= least:
@@ -577,11 +580,11 @@ def _load_cases(args, search=False):
                         f"search bounds [{lo:g}, {hi:g}]")
     except (CknLabError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return None
+        return None, None
     if args.slack is not None:
         for _, options in parsed:
             options["slack"] = args.slack
-    return parsed
+    return parsed, n_workers
 
 
 def _evaluation_failed(exc: CknLabError) -> int:
@@ -596,7 +599,7 @@ def _evaluation_failed(exc: CknLabError) -> int:
 
 
 def cmd_verify(args) -> int:
-    parsed = _load_cases(args)
+    parsed, n_workers = _load_cases(args)
     if parsed is None:
         return EXIT_CONFIG
     records = []
@@ -611,13 +614,13 @@ def cmd_verify(args) -> int:
                 for level, domain in refinements(build_domain(case),
                                                  args.levels)]
 
-    n_workers = worker_count()
     try:
         if n_workers > 1 and len(parsed) > 1:
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=n_workers) as pool:
                 chunks = list(pool.map(run_case, parsed))
         else:
+            # a pool thread would contend for the GIL with bench/run.py's probe
             chunks = [run_case(item) for item in parsed]
     except CknLabError as exc:
         return _evaluation_failed(exc)
@@ -649,7 +652,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    parsed = _load_cases(args, search=True)
+    parsed, _ = _load_cases(args, search=True)
     if parsed is None:
         return EXIT_CONFIG
     records = []

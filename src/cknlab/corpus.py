@@ -218,6 +218,7 @@ def run_corpus(cases, threads: int = None):
 
     n = threads or worker_count()
     if n <= 1:
+        # a pool thread would contend for the GIL with bench/run.py's probe
         done = map(run_geometry, names)
     else:
         with ThreadPoolExecutor(max_workers=n) as pool:

@@ -18,10 +18,6 @@ class DomainTooShort(InvalidArgument):
     """A tabulated curvature profile does not cover the requested radius range."""
 
 
-class OutOfRange(InvalidArgument):
-    """A value lies outside the invertible branch of the warping function."""
-
-
 class SingularPoint(InvalidArgument):
     """Radial quantities were requested at the pole itself."""
 

@@ -223,11 +223,13 @@ def _subspace_clamp(center, axes, R):
     """1 - |axes (P - center)|^2 / R^2: a disk (two axes) or ball (three)."""
     center, axes = np.asarray(center, dtype=float), np.asarray(axes, float)
 
-    def clamp(P, grad=True):
+    def clamp(P):
         plane = (P - center) @ axes.T
         rho2 = np.einsum("vi,vi->v", plane, plane)
         val = np.maximum(1.0 - rho2 / R ** 2, 0.0)
-        return (val, plane @ axes * (-2.0 / R ** 2)) if grad else val
+        grad = plane @ axes
+        grad *= -2.0 / R ** 2       # in place: no second array at the peak
+        return val, grad
 
     return clamp
 
@@ -237,13 +239,14 @@ def _square_clamp(meta):
     L = meta["half_width"]
     cx, cy = meta["center_xy"]
 
-    def clamp(P, grad=True):
+    def clamp(P):
         x = (P[:, 0] - cx) / L
         y = (P[:, 1] - cy) / L
         val = np.maximum((1.0 - x ** 2) * (1.0 - y ** 2), 0.0)
-        return (val, np.column_stack([-2.0 * x * (1.0 - y ** 2) / L,
-                                      -2.0 * y * (1.0 - x ** 2) / L,
-                                      np.zeros_like(x)])) if grad else val
+        grad = np.zeros_like(P)     # filled in place, for the peak memory
+        grad[:, 0] = -2.0 * x * (1.0 - y ** 2) / L
+        grad[:, 1] = -2.0 * y * (1.0 - x ** 2) / L
+        return val, grad
 
     return clamp
 
@@ -254,7 +257,7 @@ def _polar_clamp(meta):
     t0, t1 = meta["theta_range"]
     span = t1 - t0
 
-    def clamp(P, grad=True):
+    def clamp(P):
         d = P - meta["center"]
         rho = np.hypot(d[:, 0], d[:, 1])
         theta = np.arctan2(rho, d[:, 2])     # finite on the axis
@@ -267,15 +270,15 @@ def _polar_clamp(meta):
             lo = (theta - t0) / span
             val, dval = val * lo, dval * lo + val / span
         val = np.maximum(val, 0.0)
-        return (val, dval[:, None] * dtheta) if grad else val
+        return val, dval[:, None] * dtheta
 
     return clamp
 
 
 _PLANE = np.eye(3)[:2]
 # generator -> the clamp of a domain with that metadata: (value, ambient
-# gradient) at ambient points, or with grad=False the value alone, zero on
-# the boundary; patch coordinates are ambient ones centred on the origin
+# gradient) at ambient points, the value zero on the boundary; patch
+# coordinates are ambient ones centred on the origin
 CLAMPS = {
     "disk": lambda m: _subspace_clamp(m["center"], m["axes"], m["radius"]),
     "flat_disk": lambda m: _subspace_clamp(0.0, _PLANE, m["radius"]),
@@ -368,7 +371,7 @@ class BoundField:
         vals = _planar_value(self.field.dof, x, y, cols)
         if self._clamp is not None:
             vals = vals * kept(memo, "clamp",
-                               lambda: self._clamp(pts, grad=False))
+                               lambda: self._clamp(pts)[0])
         return vals
 
     # -- evaluation at site batches -----------------------------------------

@@ -91,26 +91,10 @@ def _polar_plane_jet(height: float):
 def plane_rect(ambient: AmbientSpace, half_width: float = 1.0,
                height: float = 0.0, cells: int = 8,
                center_xy=(0.0, 0.0)) -> ParametricPatch:
-    """Flat rectangle (s, t) -> (s, t, height) in Euclidean 3-space."""
-    if ambient.kind != "euclidean" or ambient.dim != 3:
-        raise InvalidArgument("plane_rect needs Euclidean 3-space")
-    cx, cy = center_xy
-
-    def jet(U):
-        m = len(U)
-        F = np.stack([U[:, 0], U[:, 1], np.full(m, height)], axis=1)
-        dF, d2F = _zero_jet(m, 3, 2)
-        dF[:, 0, 0] = 1.0
-        dF[:, 1, 1] = 1.0
-        return F, dF, d2F
-
-    bounds = ((cx - half_width, cx + half_width),
-              (cy - half_width, cy + half_width))
-    faces = {(0, 0): "boundary", (0, 1): "boundary",
-             (1, 0): "boundary", (1, 1): "boundary"}
-    meta = {"generator": "plane_rect", "half_width": half_width,
-            "height": height, "center_xy": center_xy}
-    return ParametricPatch(ambient, 2, bounds, jet, faces, (cells, cells), meta)
+    """Flat rectangle (s, t) -> (s, t, height) in Euclidean 3-space: the
+    graph of the constant ``height``."""
+    return _graph_patch("plane_rect", ambient, {(0, 0): height}, half_width,
+                        cells, center_xy, height=height)
 
 
 def flat_disk_patch(ambient: AmbientSpace, radius: float = 1.0,
@@ -237,8 +221,17 @@ def poly_graph_patch(ambient: AmbientSpace, coeffs: dict,
                      half_width: float = 1.0, cells: int = 8,
                      center_xy=(0.0, 0.0)) -> ParametricPatch:
     """Graph z = sum coeffs[(i, j)] x^i y^j over a square chart."""
+    return _graph_patch("poly_graph", ambient, coeffs, half_width, cells,
+                        center_xy)
+
+
+def _graph_patch(generator, ambient, coeffs, half_width, cells, center_xy,
+                 **meta) -> ParametricPatch:
+    """The polynomial graph behind ``plane_rect`` and ``poly_graph_patch``,
+    ``meta`` joining its metadata.  Neither generator calls the other, so a
+    wrapper around each one sees every patch once."""
     if ambient.kind != "euclidean" or ambient.dim != 3:
-        raise InvalidArgument("poly_graph_patch needs Euclidean 3-space")
+        raise InvalidArgument(f"{generator} needs Euclidean 3-space")
     cx, cy = center_xy
     terms = [(i, j, float(c)) for (i, j), c in coeffs.items()]
 
@@ -272,6 +265,6 @@ def poly_graph_patch(ambient: AmbientSpace, coeffs: dict,
               (cy - half_width, cy + half_width))
     faces = {(0, 0): "boundary", (0, 1): "boundary",
              (1, 0): "boundary", (1, 1): "boundary"}
-    meta = {"generator": "poly_graph", "half_width": half_width,
+    meta = {"generator": generator, "half_width": half_width, **meta,
             "center_xy": center_xy}
     return ParametricPatch(ambient, 2, bounds, jet, faces, (cells, cells), meta)

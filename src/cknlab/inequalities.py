@@ -84,7 +84,7 @@ def _assemble(id, params, constants, lhs_terms, rhs_terms, domain, field,
     lhs = sum(lhs_terms.values(), Qty(0.0))
     rhs = sum(rhs_terms.values(), Qty(0.0))
     degenerate = abs(lhs.value) < 1e-250 and abs(rhs.value) < 1e-250
-    psi = _band0(domain, field).psi
+    psi = _band0(domain, field, "psi")
     if len(psi) == 0 or float(np.max(np.abs(psi))) < 1e-10:
         # the discretized test function is numerically zero; any ratio
         # would be roundoff noise
@@ -156,9 +156,12 @@ def _admit(id: str, domain: Domain, field, options: dict):
     return admitted
 
 
-def _band0(domain: Domain, field):
-    """High-order band-0 sites of ``domain`` with ``field`` bound."""
-    return domain.sites(0.0, domain.bind(field))[0]
+def _band0(domain: Domain, field, column: str) -> np.ndarray:
+    """``column`` over every high-order band-0 table of ``domain``, with
+    ``field`` bound unless it is None."""
+    bound = None if field is None else domain.bind(field)
+    cols = [getattr(t, column) for t in domain.sites(0.0, bound)[::2]]
+    return cols[0] if len(cols) == 1 else np.concatenate(cols)
 
 
 def _resolve_r0(domain: Domain, r0):
@@ -184,8 +187,8 @@ def _resolve_r0(domain: Domain, r0):
 def _minimality(domain: Domain, minimal: bool):
     if not minimal:
         return
-    hi, _ = domain.sites(0.0)
-    worst = float(np.max(hi.h_norm)) if len(hi.h_norm) else 0.0
+    h_norm = _band0(domain, None, "h_norm")
+    worst = float(np.max(h_norm)) if len(h_norm) else 0.0
     if worst > MINIMAL_TOL:
         raise NotMinimal(
             f"max |H| = {worst:.3e} exceeds the minimality tolerance")
@@ -266,7 +269,7 @@ def _hardy(id: str, domain: Domain, field, o: dict) -> InequalityReport:
     signed = id == "hardy_signed" and not routed
     minimal = id == "hardy" and bool(o.get("minimal", False))
     if signed:
-        psi = _band0(domain, field).psi
+        psi = _band0(domain, field, "psi")
         if len(psi) and float(np.min(psi)) < -1e-12:
             raise PreconditionViolated("test function must be nonnegative")
     else:
@@ -336,8 +339,8 @@ def _sobolev_side_conditions(domain: Domain, field, inj_radius):
     """Support-volume side conditions of the dimensional Sobolev constant."""
     k = domain.k
     reasons = []
-    hi = _band0(domain, field)
-    vol = float(np.sum(hi.density[np.abs(hi.psi) > 0]))
+    psi = _band0(domain, field, "psi")
+    vol = float(np.sum(_band0(domain, field, "density")[np.abs(psi) > 0]))
     jbar = ((k + 1) / cn.unit_ball_volume(k) * vol) ** (1.0 / k)
     amb = domain.ambient
     b = 0.0
@@ -366,20 +369,10 @@ def _sobolev_side_conditions(domain: Domain, field, inj_radius):
             "support_volume": vol, "support_ball_radius": jbar}
 
 
-def _volume_hypothesis(domain: Domain, vol_threshold):
-    reasons = []
-    status = "verified"
-    if domain.k >= 7:
-        vol = weighted_integral(domain, 1.0, 0.0).value
-        if vol_threshold is None:
-            status = "unverified"
-            reasons.append("dimension >= 7 and no volume threshold declared")
-        elif vol >= vol_threshold:
-            status = "unverified"
-            reasons.append("volume exceeds the declared threshold")
-    reasons.append("volume threshold depends only on the ambient injectivity "
-                   "radius over the submanifold and the ball radius")
-    return status, reasons
+# meshes have k <= 2 and charts k <= 3, below the k >= 7 that needs a
+# volume threshold; every Sobolev-type report states why
+_VOLUME_REASON = ("volume threshold depends only on the ambient injectivity "
+                  "radius over the submanifold and the ball radius")
 
 
 def _sobolev_hs(id: str, domain: Domain, field, o: dict) -> InequalityReport:
@@ -396,10 +389,7 @@ def _sobolev_hs(id: str, domain: Domain, field, o: dict) -> InequalityReport:
         lambda b: b.grad_psi ** p + b.abs_psi_pow(p) * b.h_norm ** p / p ** p,
         0.0, field=field)
     hyp = _sobolev_side_conditions(domain, field, o.get("inj_radius"))
-    vstat, vreasons = _volume_hypothesis(domain, o.get("vol_threshold"))
-    if vstat == "unverified":
-        hyp["status"] = "unverified"
-    hyp["reasons"] = hyp["reasons"] + vreasons
+    hyp["reasons"].append(_VOLUME_REASON)
     return _assemble(
         id,
         {"p": p, "p_star": p_star, "k": k},
@@ -432,8 +422,7 @@ def _weighted_sobolev(id: str, domain: Domain, field,
         domain,
         lambda b: b.grad_psi ** p + b.abs_psi_pow(p) * b.h_norm ** p / p ** p,
         p * alpha, field=field)
-    vstat, vreasons = _volume_hypothesis(domain, o.get("vol_threshold"))
-    hyp = {"status": vstat, "reasons": vreasons}
+    hyp = {"status": "verified", "reasons": [_VOLUME_REASON]}
     return _assemble(
         id,
         {"p": p, "alpha": alpha, "p_star": p_star, "r0": r0, "k": k},
@@ -489,8 +478,7 @@ def _interpolate(id: str, domain: Domain, field, o: dict) -> InequalityReport:
         alpha * p, field=field)
     q_int = weighted_integral(domain, lambda b: b.abs_psi_pow(q),
                               beta * q, field=field)
-    vstat, vreasons = _volume_hypothesis(domain, o.get("vol_threshold"))
-    hyp = {"status": vstat, "reasons": vreasons}
+    hyp = {"status": "verified", "reasons": [_VOLUME_REASON]}
     lhs = lhs_int.powf(1.0 / t)
     rhs = c_eff * grad_int.powf(a / p) * q_int.powf((1.0 - a) / q)
     note = _INTERPOLATION_NOTES.get(id)

@@ -15,12 +15,12 @@ consistent to C^1 as required by the weighted integrals downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainTooShort, InvalidArgument, OutOfRange
+from .errors import DomainTooShort, InvalidArgument
 
 _ROOT_TOL = 1e-10
 
@@ -101,8 +101,6 @@ class WarpingFunction:
         "flat", "trig" (constant positive curvature) or "ode_table".
     increasing_limit : float
         Supremum radius up to which ``h`` is increasing (may be ``inf``).
-    height_sup : float
-        Supremum of ``h`` on the increasing branch (may be ``inf``).
     step : float
         Grid step of the table representation (0 for analytic).
     ode_error : float
@@ -112,7 +110,6 @@ class WarpingFunction:
     profile: CurvatureProfile
     representation: str
     increasing_limit: float
-    height_sup: float
     step: float = 0.0
     ode_error: float = 0.0
     _b: float = 0.0
@@ -169,31 +166,6 @@ class WarpingFunction:
                + (-2 * t3 + 3 * t2) * v1 + (t3 - t2) * m1)
         return float(out[0]) if scalar else out
 
-    def inverse(self, y: float) -> float:
-        """Radius ``t`` on the increasing branch with ``h(t) = y``."""
-        if not 0 < y < self.height_sup:
-            raise OutOfRange(f"value {y} outside (0, {self.height_sup})")
-        if self.representation == "flat":
-            return float(y)
-        if self.representation == "trig":
-            return math.asin(y * self._b) / self._b
-        grid_end = self._grid[-1]
-        hi = min(self.increasing_limit, grid_end)
-        if y > self.h(hi):
-            raise OutOfRange(
-                f"value {y} beyond solved increasing branch (h({hi:.6g}) = "
-                f"{self.h(hi):.6g})")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.h(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14 * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
-
 
 def _rk4_path(profile: CurvatureProfile, r_max: float, n_intervals: int):
     n = n_intervals + 1
@@ -243,9 +215,9 @@ def solve_warping(profile: CurvatureProfile, r_max: float,
     if profile.kind == "constant":
         b2 = profile.b_squared
         if b2 == 0.0:
-            return WarpingFunction(profile, "flat", math.inf, math.inf)
+            return WarpingFunction(profile, "flat", math.inf)
         b = math.sqrt(b2)
-        return WarpingFunction(profile, "trig", math.pi / (2 * b), 1.0 / b, _b=b)
+        return WarpingFunction(profile, "trig", math.pi / (2 * b), _b=b)
 
     if profile.kind == "tabulated" and profile.r_end < r_max - 1e-12:
         raise DomainTooShort(
@@ -259,25 +231,19 @@ def solve_warping(profile: CurvatureProfile, r_max: float,
                           np.max(np.abs(hp - hp2[::2]))) / 15.0)
     h, hp = h2[::2], hp2[::2]  # keep the finer solution values
 
-    bracket = _first_sign_change(grid, hp)
-    wf = WarpingFunction(profile, "ode_table", math.inf, math.inf,
+    wf = WarpingFunction(profile, "ode_table", math.inf,
                          step=step, ode_error=ode_error,
                          _grid=grid, _h=h, _hp=hp)
+    bracket = _first_sign_change(grid, hp)
     if bracket is None:
-        increasing_limit = math.inf
-        height_sup = math.inf
-    else:
-        lo, hi = bracket
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if wf.h_prime(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < _ROOT_TOL:
-                break
-        increasing_limit = 0.5 * (lo + hi)
-        height_sup = float(wf.h(increasing_limit))
-    return WarpingFunction(profile, "ode_table", increasing_limit, height_sup,
-                           step=step, ode_error=ode_error,
-                           _grid=grid, _h=h, _hp=hp)
+        return wf
+    lo, hi = bracket
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if wf.h_prime(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < _ROOT_TOL:
+            break
+    return replace(wf, increasing_limit=0.5 * (lo + hi))

@@ -176,3 +176,64 @@ def test_integrals_match_the_rebuilt_tables(name, kind, gamma, p, hprime):
     hi, lo = _reference(domain, integrand, gamma, hprime, field)
     assert got.value == pytest.approx(hi, rel=1e-13)
     assert got.err == pytest.approx(abs(hi - lo), abs=1e-13 * abs(hi))
+
+
+def _rows(table, rows):
+    """``table``'s sites at ``rows``, as a table of its own."""
+    columns = {f.name: getattr(table, f.name) for f in fields(SiteBatch)}
+    return SiteBatch(**{
+        name: value[rows] if isinstance(value, np.ndarray) else value
+        for name, value in columns.items()})
+
+
+def _band0_in_two_pairs(real):
+    """``Domain.sites`` with band 0 as two (hi, lo) pairs, each of half the
+    rows of its rule's table."""
+
+    def sites(self, gamma=0.0, bound_field=None):
+        tables = real(self, gamma, bound_field)
+        if gamma != 0.0:
+            return tables
+        hi, lo = ([_rows(t, slice(None, len(t.r) // 2)),
+                   _rows(t, slice(len(t.r) // 2, None))] for t in tables)
+        return hi[0], lo[0], hi[1], lo[1]
+
+    return sites
+
+
+def _close(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_close(a[k], b[k]) for k in a)
+    if isinstance(a, float):
+        return abs(a - b) <= 1e-12 * max(1.0, abs(a))
+    return a == b
+
+
+# each reader of band 0: the degenerate check (every report and the zero
+# field), the Sobolev support volume, the signed check and the minimality
+BAND0_CASES = [
+    ("hardy", FIELDS["radial_power"], {"p": 1.5, "gamma": 0.5}),
+    ("hardy", make_field("polynomial", (0.0,) * 6), {"p": 2.0, "gamma": 1.0}),
+    ("sobolev_hs", FIELDS["polynomial"], {"p": 1.5}),
+    ("hardy_signed", FIELDS["radial_power"], {"p": 2.0, "gamma": 1.0}),
+    ("hardy", FIELDS["radial_power"],
+     {"p": 2.0, "gamma": 1.0, "minimal": True}),
+]
+
+
+@pytest.mark.parametrize("name", ["disk_mesh", "flat_disk_patch"])
+def test_band0_readers_read_every_band0_pair(monkeypatch, name):
+    from cknlab.errors import PreconditionViolated
+    from cknlab.inequalities import evaluate
+    domain = DOMAINS[name]()
+    want = [evaluate(i, domain, f, o).to_dict() for i, f, o in BAND0_CASES]
+    monkeypatch.setattr(Domain, "sites", _band0_in_two_pairs(Domain.sites))
+    assert len(DOMAINS[name]().sites(0.0)) == 4
+    got = [evaluate(i, DOMAINS[name](), f, o).to_dict()
+           for i, f, o in BAND0_CASES]
+    assert want[1]["degenerate"] and not want[0]["degenerate"]
+    assert all(map(_close, got, want))
+    with pytest.raises(PreconditionViolated, match="nonnegative"):
+        evaluate("hardy_signed", domain,
+                 make_field("polynomial", (0.1, 1.0, 0.0, 0.0, 0.0, 0.0)),
+                 {"p": 2.0, "gamma": 1.0})

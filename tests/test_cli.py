@@ -331,10 +331,14 @@ def test_missing_config(capsys):
 
 def test_worker_count_env(monkeypatch):
     from cknlab.corpus import worker_count
+    from cknlab.errors import ConfigError
     monkeypatch.setenv("CKN_LAB_THREADS", "2")
     assert worker_count() == 2
-    monkeypatch.setenv("CKN_LAB_THREADS", "not-a-number")
-    assert worker_count() >= 1
+    # a value that is not a positive integer is refused, not replaced
+    for bad in ("not-a-number", "0", "-1", "1.5", " 2"):
+        monkeypatch.setenv("CKN_LAB_THREADS", bad)
+        with pytest.raises(ConfigError, match="positive integer"):
+            worker_count()
     monkeypatch.delenv("CKN_LAB_THREADS")
     assert worker_count() >= 1
 
@@ -752,6 +756,28 @@ def test_misspelled_name_is_found_before_geometry(tmp_path, capsys,
         assert message in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_verify_refuses_a_malformed_thread_count(tmp_path, capsys,
+                                                 monkeypatch, value):
+    monkeypatch.setattr(cli, "build_domain", _never_build)
+    monkeypatch.setenv("CKN_LAB_THREADS", value)
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(DISK_CONE_CFG)
+    code, _, err = run(["verify", str(cfg)], capsys)
+    assert code == 1
+    assert err == ("config error: CKN_LAB_THREADS must be a positive "
+                   f"integer, got {value!r}\n")
+
+
+def test_vol_threshold_is_an_unknown_option(tmp_path, capsys):
+    # every domain has k <= 3, below the k >= 7 branch it was read by
+    text = DISK_CONE_CFG.replace("rings = 12", "rings = 4").replace(
+        "gamma = 1", "gamma = 1\nvol_threshold = 5")
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert "[inequality] unknown option 'vol_threshold'" in err
+
+
 def test_search_refuses_a_start_outside_its_box(tmp_path, capsys,
                                                 monkeypatch):
     text = DISK_CONE_CFG.replace("rings = 12", "rings = 4").replace(
@@ -997,8 +1023,7 @@ FUZZ_KEYS = {
         ["builtin", "path", *cli._ORDER,
          *(o for b in cli.BUILTINS.values() for o in b.options)])),
     "inequality": ["id", "p", "gamma", "alpha", "sigma", "beta", "q", "a",
-                   "t", "r0", "slack", "inj_radius", "vol_threshold",
-                   "minimal"],
+                   "t", "r0", "slack", "inj_radius", "minimal"],
     "field": [*cli._FIELD, "dof"],
     "run": [*cli._RUN],
 }

@@ -68,7 +68,7 @@ def test_radial_data_hyperbolic_like_table():
     grid = np.linspace(0.0, 2.0, 2001)
     w = WarpingFunction(profile=CurvatureProfile.constant(0.0),
                         representation="ode_table", increasing_limit=math.inf,
-                        height_sup=math.inf, step=1e-3,
+                        step=1e-3,
                         _grid=grid, _h=np.sinh(grid), _hp=np.cosh(grid))
     amb = AmbientSpace.warped(3, w)
     _, _, bound = radial_data(amb, (1.0, 0.0, 0.0))
@@ -466,6 +466,20 @@ def test_poly_graph_patch_curvature(euclid3):
     rho2 = x ** 2 + y ** 2
     expect = (2.0 + rho2) / (1.0 + rho2) ** 1.5
     assert np.max(np.abs(hi.h_norm - expect)) < 1e-10
+
+
+@pytest.mark.parametrize("height", [0.0, 0.5, -0.3])
+def test_plane_rect_jet_is_the_flat_rectangle(euclid3, height):
+    # plane_rect is built as the graph of the constant height; its jet is
+    # still (s, t, height), the identity frame and no curvature, bit for bit
+    U = np.random.default_rng(0).uniform(-1.0, 1.0, (1000, 2))
+    rect = plane_rect(euclid3, 1.0, height)
+    F, dF, d2F = rect.jet(U)
+    assert np.array_equal(F, np.column_stack([U, np.full(len(U), height)]))
+    assert np.array_equal(dF, np.broadcast_to(np.eye(3, 2), dF.shape))
+    assert np.array_equal(d2F, np.zeros((len(U), 3, 2, 2)))
+    assert rect.metadata == {"generator": "plane_rect", "half_width": 1.0,
+                             "height": height, "center_xy": (0.0, 0.0)}
 
 
 def test_mean_curvature_vector_helper(sphere_domain):

@@ -5,20 +5,28 @@ lists and one tightness-search payload are pinned the same way.
 
 A refactor must leave these files unchanged.  A change that moves a report
 on purpose (a new rule, a new error estimate) re-records the hashes here and
-says in CHANGES.md which terms moved and why.
+says in CHANGES.md which terms moved and why.  Run as a script,
+
+    PYTHONPATH=src python tests/test_golden.py
+
+this module prints today's pins in its own literal format, to paste over
+the old ones.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 import cknlab
-from cknlab.cli import main
+from cknlab.cli import main, scenario_dir
 from cknlab.corpus import build_corpus, run_corpus
 
 # scenario -> SHA-256 of its `verify --out` JSON and `--csv` file
@@ -48,14 +56,18 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _scenario_digests(tmp_path, scenario):
+    out, csv = tmp_path / f"{scenario}.json", tmp_path / f"{scenario}.csv"
+    assert main(["verify", f"{scenario}.cfg", "--out", str(out),
+                 "--csv", str(csv)]) == 0
+    return _sha256(out), _sha256(csv)
+
+
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
 def test_bundled_scenario_payloads_are_golden(tmp_path, capsys, scenario):
-    out, csv = tmp_path / "out.json", tmp_path / "out.csv"
-    code = main(["verify", f"{scenario}.cfg", "--out", str(out),
-                 "--csv", str(csv)])
+    digests = _scenario_digests(tmp_path, scenario)
     capsys.readouterr()
-    assert code == 0
-    assert (_sha256(out), _sha256(csv)) == GOLDEN[scenario]
+    assert digests == GOLDEN[scenario]
 
 
 # SHA-256 of each corpus geometry's seed-0 `run_corpus` reports, in case
@@ -111,14 +123,18 @@ def test_seed0_corpus_reports_are_golden_on_four_threads():
     assert _corpus_digests(threads=4) == CORPUS_REPORTS
 
 
-def test_corpus_case_lists_are_golden():
+def _case_lists_digest():
     digest = hashlib.sha256()
     for seed in range(20):
         for case in build_corpus(seed, draws=60):
             digest.update(json.dumps(
                 [case.name, case.geometry, case.inequality, case.family,
                  repr(case.field), sorted(case.options.items())]).encode())
-    assert digest.hexdigest() == CORPUS_CASES
+    return digest.hexdigest()
+
+
+def test_corpus_case_lists_are_golden():
+    assert _case_lists_digest() == CORPUS_CASES
 
 
 # the cone-equality sweep of hardy_cone.cfg over every field kind, on a
@@ -148,14 +164,18 @@ SEARCH_PAYLOAD = (
     "f5a3fab5f244362919e6a205e92ce7a818336259795ba369efe867058693d997")
 
 
-def test_search_payload_is_golden(tmp_path, capsys):
+def _search_digest(tmp_path):
     cfg, out = tmp_path / "cone_sweep.cfg", tmp_path / "search.json"
     cfg.write_text(SEARCH_CONFIG)
-    code = main(["search", str(cfg), "--budget", "40", "--seed", "3",
-                 "--levels", "1", "--out", str(out)])
+    assert main(["search", str(cfg), "--budget", "40", "--seed", "3",
+                 "--levels", "1", "--out", str(out)]) == 0
+    return _sha256(out)
+
+
+def test_search_payload_is_golden(tmp_path, capsys):
+    digest = _search_digest(tmp_path)
     capsys.readouterr()
-    assert code == 0
-    assert _sha256(out) == SEARCH_PAYLOAD
+    assert digest == SEARCH_PAYLOAD
 
 
 # one vertex-pole mesh scenario and one vertex-pole corpus geometry, run with
@@ -184,3 +204,41 @@ def test_payloads_do_not_depend_on_blas_threads(tmp_path):
     scenario_json, scenario_csv, corpus = run.stdout.split()[-3:]
     assert (scenario_json, scenario_csv) == GOLDEN["hardy_cone"]
     assert corpus == CORPUS_REPORTS["disk_pole"]
+
+
+# -- the pins as the program computes them today
+
+def pin_literals(tmp_path):
+    """``GOLDEN``, ``CORPUS_REPORTS``, ``CORPUS_CASES`` and
+    ``SEARCH_PAYLOAD`` as this module writes them, from fresh runs."""
+    scenarios = sorted(p.name.removesuffix(".cfg")
+                       for p in scenario_dir().iterdir()
+                       if p.name.endswith(".cfg"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        golden = [(name, _scenario_digests(tmp_path, name))
+                  for name in scenarios]
+        search = _search_digest(tmp_path)
+    corpus = sorted(_corpus_digests(threads=1).items())
+    return [
+        "GOLDEN = {\n" + "".join(
+            f'    "{name}": (\n        "{out}",\n        "{csv}"),\n'
+            for name, (out, csv) in golden) + "}",
+        "CORPUS_REPORTS = {\n" + "".join(
+            f'    "{name}":\n        "{digest}",\n'
+            for name, digest in corpus) + "}",
+        f'CORPUS_CASES = (\n    "{_case_lists_digest()}")',
+        f'SEARCH_PAYLOAD = (\n    "{search}")',
+    ]
+
+
+def test_pin_literals_reproduce_the_pins(tmp_path, capsys):
+    source = pathlib.Path(__file__).read_text()
+    literals = pin_literals(tmp_path)
+    capsys.readouterr()
+    for literal in literals:
+        assert literal in source
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print("\n\n".join(pin_literals(pathlib.Path(tmp))))

@@ -24,6 +24,7 @@ from cknlab.geometry import (
     geodesic_disk,
     graph_mesh,
     plane_rect,
+    sphere_patch,
     weighted_integral,
 )
 from cknlab.geometry.fields import make_field
@@ -400,3 +401,84 @@ def test_mesh_boundary_integral_against_edge_rule(rim_domains, euclid3,
     got = boundary_integral(dom, lambda b: np.abs(b.psi), gamma, field=field)
     true = rim_reference(dom, kind, dof, gamma)
     assert abs(true - got.value) <= got.err + 4 * np.spacing(abs(true))
+
+
+# -- a curved submanifold through the pole: the spherical cap -----------------
+#
+# The cap theta <= pi/3 of the unit sphere about (0, 0, -1), theta the polar
+# angle from its top point, the pole.  There r = 2 sin(theta/2), the normal
+# part of grad r is perp = r/2, |H| = 2 and the area element is
+# sin(theta) dtheta dphi, so every term of a Hardy report is a 1-D integral.
+# The rim theta = pi/3 is the circle r = 1 of length 2 pi sin(pi/3).  Each
+# term must match within 1e-8 relative or the report's own error estimate,
+# whichever is looser.  Only the vanishing p = 1.5 row needs its estimate:
+# there |grad psi|^p ~ (1 - r)^1.5 is not smooth at the rim, and the
+# gradient term is off by 3.7e-6 relative against an estimate of 9.3e-6.
+
+CAP_THETA = math.pi / 3
+
+
+@pytest.fixture(scope="module")
+def cap_through_pole(euclid3):
+    return Domain(sphere_patch(euclid3, 1.0, (0.0, 0.0, -1.0),
+                               (0.0, CAP_THETA), cells=(8, 16)))
+
+
+def cap_oracle(fn):
+    """Integral over the cap of ``fn(r)``."""
+    return 2.0 * math.pi * sint.quad(
+        lambda th: fn(2.0 * math.sin(th / 2.0)) * math.sin(th), 0.0,
+        CAP_THETA, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def cap_hardy_terms(signed, m, p, gamma, vanishing):
+    """Every term of the cap's Hardy report for psi = (1 - r/R)^m, R the
+    rim radius 1 for a vanishing member and 2 max_radius = 2 otherwise."""
+    R = 1.0 if vanishing else 2.0
+    psi_p = lambda r: (1.0 - r / R) ** (m * p)
+    grad = lambda r: m / R * (1.0 - r / R) ** (m - 1.0) * math.sqrt(
+        1.0 - (r / 2.0) ** 2)
+    k = 2
+    coeff = ((k - gamma) / p) ** (p - 1.0)      # h' = 1 in the flat ambient
+    terms = {
+        "weighted_norm": (k - gamma) / p * coeff * cap_oracle(
+            lambda r: psi_p(r) * r ** -gamma),
+        "perp_term": gamma * coeff * cap_oracle(
+            lambda r: psi_p(r) * (r / 2.0) ** 2 * r ** -gamma),
+        "boundary_term": 0.0 if vanishing else (
+            coeff * psi_p(1.0) * 2.0 * math.pi * math.sin(CAP_THETA)),
+    }
+    if signed:
+        terms["gradient_term"] = cap_oracle(lambda r: (
+            grad(r) ** 2 + (1.0 - r / R) ** (2 * m) * 4.0 / p ** 2)
+            ** (p / 2.0) * r ** (p - gamma))
+    else:
+        a_p = cn.pair_power_upper(p)
+        terms["gradient_term"] = a_p * cap_oracle(
+            lambda r: grad(r) ** p * r ** (p - gamma))
+        terms["curvature_term"] = a_p * cap_oracle(
+            lambda r: psi_p(r) * (2.0 / p) ** p * r ** (p - gamma))
+    return terms
+
+
+@pytest.mark.parametrize("id,m,p,gamma,vanishing", [
+    ("hardy", 2.0, 2.0, 1.0, True),
+    ("hardy", 2.0, 2.0, 1.0, False),
+    ("hardy", 2.0, 1.5, 0.5, True),
+    ("hardy", 2.0, 1.5, 0.5, False),
+    ("hardy_signed", 3.0, 2.0, 1.0, True),
+    ("hardy_signed", 2.0, 2.0, 1.0, True),
+])
+def test_hardy_terms_on_the_cap_through_the_pole(cap_through_pole, id, m, p,
+                                                 gamma, vanishing):
+    rep = iq.evaluate(id, cap_through_pole,
+                      make_field("radial_power", (m,), vanishing),
+                      {"p": p, "gamma": gamma})
+    want = cap_hardy_terms(id == "hardy_signed", m, p, gamma, vanishing)
+    got = {**rep.lhs_terms, **rep.rhs_terms}
+    assert got.keys() == want.keys()
+    rel = max(1e-8, rep.quadrature_error)
+    for term, value in want.items():
+        assert abs(got[term] - value) <= rel * abs(value), term
+    assert rep.constants["h_prime_r0"] == 1.0
+    assert rep.satisfied

@@ -10,11 +10,13 @@ checks that uninstalling restores every original.
 import sys
 from pathlib import Path
 
+import numpy as np
+
 # every module the tracer wraps, loaded before the first snapshot
 import cknlab.cli  # noqa: F401
 import cknlab.corpus  # noqa: F401
 from cknlab import inequalities
-from cknlab.geometry import AmbientSpace, Domain, disk_mesh
+from cknlab.geometry import AmbientSpace, Domain, disk_mesh, patch
 from cknlab.geometry.fields import make_field
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -58,3 +60,23 @@ def test_tracer_installs_and_uninstalls_on_the_program(monkeypatch):
     assert metrics["fields.at_sites_calls"] == 6
     assert metrics["domain.weighted_integral_calls"] == 4
     assert metrics["domain.boundary_integral_calls"] == 1
+
+
+def test_tracer_counts_each_chart_jet_once(monkeypatch):
+    # plane_rect and poly_graph_patch share a builder, not each other: a
+    # wrapped generator calling the other would count its jet twice
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    euclid = AmbientSpace.euclidean(3)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for chart in (patch.plane_rect(euclid),
+                      patch.poly_graph_patch(euclid, {(2, 0): 0.25})):
+            chart.jet(np.zeros((5, 2)))
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["patch.jet_calls"] == 2
+    assert metrics["patch.jet_points"] == 10

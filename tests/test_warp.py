@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cknlab.errors import DomainTooShort, InvalidArgument, OutOfRange
+from cknlab.errors import DomainTooShort, InvalidArgument
 from cknlab.warp import CurvatureProfile, load_profile, solve_warping
 
 
@@ -14,7 +14,6 @@ def test_flat_profile_closed_form():
     assert w.h(3.0) == 3.0
     assert w.h_prime(7.5) == 1.0
     assert math.isinf(w.increasing_limit)
-    assert math.isinf(w.height_sup)
 
 
 def test_constant_curvature_closed_form():
@@ -22,7 +21,6 @@ def test_constant_curvature_closed_form():
     ts = np.linspace(0.0, 0.7, 50)
     assert np.allclose(w.h(ts), np.sin(2 * ts) / 2.0, atol=1e-15)
     assert w.increasing_limit == pytest.approx(math.pi / 4, abs=1e-15)
-    assert w.height_sup == pytest.approx(0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
@@ -49,7 +47,6 @@ def test_increasing_limit_detected_on_grid():
     profile = CurvatureProfile.tabulated([(0.0, 4.0), (3.0, 4.0)])
     w = solve_warping(profile, 1.2, step=1e-3)
     assert w.increasing_limit == pytest.approx(math.pi / 4, abs=1e-9)
-    assert w.height_sup == pytest.approx(0.5, abs=1e-9)
 
 
 def test_slope_monotone_and_below_flat():
@@ -61,28 +58,6 @@ def test_slope_monotone_and_below_flat():
     assert np.all(np.diff(hp) <= 1e-12)
     assert np.all(hp <= 1.0 + 1e-12)
     assert np.all(w.h(ts) <= ts + 1e-12)
-
-
-def test_inverse_closed_forms():
-    flat = solve_warping(CurvatureProfile.constant(0.0), 10.0)
-    assert flat.inverse(3.0) == 3.0
-    trig = solve_warping(CurvatureProfile.constant(4.0), 10.0)
-    assert trig.inverse(0.25) == pytest.approx(math.pi / 12, abs=1e-14)
-
-
-def test_inverse_roundtrip_tabulated():
-    profile = CurvatureProfile.tabulated([(0.0, 1.0), (2.0, 1.0)])
-    w = solve_warping(profile, 1.4, step=1e-3)
-    for t in (0.1, 0.35, 0.7, 1.2):
-        assert abs(w.inverse(w.h(t)) - t) < 1e-9
-
-
-def test_inverse_out_of_range():
-    trig = solve_warping(CurvatureProfile.constant(4.0), 10.0)
-    with pytest.raises(OutOfRange):
-        trig.inverse(0.5)  # equals the supremum
-    with pytest.raises(OutOfRange):
-        trig.inverse(-0.1)
 
 
 def test_argument_validation():
