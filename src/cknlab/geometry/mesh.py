@@ -24,6 +24,9 @@ from ..errors import DegenerateGeometry, InsufficientStencil, InvalidArgument
 
 # vertices per stacked curvature fit: bounds the fit's scratch memory
 _FIT_BLOCK = 512
+# least eigenvalue the fit's equilibrated normal equations must provably
+# have; stencils short of it are fitted by pseudo-inverse
+_FIT_MIN_EIG = 1e-6
 
 
 @dataclass
@@ -201,10 +204,11 @@ class SimplicialMesh:
         k, n = self.k, self.n
         m = nbrs.shape[1]
         disp = self.vertices[nbrs] - self.vertices[block][:, None, :]
-        # tangent estimate: principal directions of the displacement cloud;
-        # with m >= n the reduced SVD has the whole n x n vt
-        _, _, vt = np.linalg.svd(disp, full_matrices=m < n)
-        tan, nor = vt[:, :k], vt[:, k:]
+        # tangent estimate: principal directions of the displacement cloud,
+        # the eigenvectors of its n x n scatter, largest first
+        frame = np.linalg.eigh(disp.swapaxes(1, 2) @ disp)[1][..., ::-1]
+        rows = frame.swapaxes(1, 2)
+        tan, nor = rows[:, :k], rows[:, k:]
         # the fitted normal space must hold most of the cells' normal space
         agree = np.sum((nor @ cell_normals) ** 2, axis=(1, 2)) / (n - k)
         if np.any(agree < 0.5):
@@ -212,15 +216,12 @@ class SimplicialMesh:
             raise InsufficientStencil(
                 f"{self._name()}: the curvature fit at vertex {v} takes a "
                 "normal of its cells for a tangent; refine the mesh")
-        t = disp @ tan.swapaxes(1, 2)                 # (B, m, k)
-        w = disp @ nor.swapaxes(1, 2)                 # (B, m, n - k)
+        coords = disp @ frame                         # (B, m, n)
+        t, w = coords[..., :k], coords[..., k:]
         iu, ju = np.triu_indices(k)
         A = np.concatenate([np.ones((len(block), m, 1)), t,
                             t[..., iu] * t[..., ju]], axis=2)
-        # least squares with lstsq's default cutoff: the minimum-norm fit
-        # where the stencil leaves the quadratic undetermined
-        cutoff = max(A.shape[1:]) * np.finfo(float).eps
-        coef = np.linalg.pinv(A, rcond=cutoff) @ w
+        coef = _least_squares(A, w)
         grad = coef[:, 1:1 + k]                       # (B, k, n - k)
         # graph immersion t -> (t, f(t)): exact trace of the second
         # fundamental form of the fitted quadratic at the vertex, whose
@@ -242,27 +243,26 @@ class SimplicialMesh:
         """Midpoint subdivision (k = 2); snaps to round metadata surfaces."""
         if self.k != 2:
             raise InvalidArgument("refine supports triangle meshes only")
-        midpoint = {}
-        new_vertices = list(self.vertices)
-
-        def mid(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in midpoint:
-                p = 0.5 * (self.vertices[a] + self.vertices[b])
-                midpoint[key] = len(new_vertices)
-                new_vertices.append(p)
-            return midpoint[key]
-
-        cells = []
-        for a, b, c in self.cells:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            cells.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-        bfacets = []
-        for a, b in self.boundary_facets:
-            m = mid(a, b)
-            bfacets.extend([[a, m], [m, b]])
-        mesh = SimplicialMesh(np.array(new_vertices), np.array(cells),
-                              np.array(bfacets) if bfacets else None,
+        nv = len(self.vertices)
+        # every cell's edges (a, b), (b, c), (c, a), then the boundary
+        # facets; midpoints are numbered by first appearance along them
+        edges = np.concatenate([self.cells[:, [0, 1, 1, 2, 2, 0]]
+                                .reshape(-1, 2), self.boundary_facets])
+        key = edges.min(axis=1) * nv + edges.max(axis=1)
+        _, at, which = np.unique(key, return_index=True, return_inverse=True)
+        rank = np.empty(len(at), dtype=int)
+        rank[np.argsort(at)] = np.arange(len(at))
+        mid = nv + rank[which]
+        firsts = edges[np.sort(at)]
+        vertices = np.concatenate([self.vertices, 0.5 * (
+            self.vertices[firsts[:, 0]] + self.vertices[firsts[:, 1]])])
+        a, b, c = self.cells.T
+        ab, bc, ca = mid[:3 * len(self.cells)].reshape(-1, 3).T
+        cells = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], 1)
+        fa, fb = self.boundary_facets.T
+        fm = mid[3 * len(self.cells):]
+        mesh = SimplicialMesh(vertices, cells.reshape(-1, 3),
+                              np.stack([fa, fm, fm, fb], 1).reshape(-1, 2),
                               metadata=dict(self.metadata))
         _snap_to_surface(mesh)
         return mesh
@@ -279,6 +279,31 @@ def kept(memo: dict, key, compute):
     if out is None:
         out = memo.setdefault(key, compute())
     return out
+
+
+def _least_squares(A: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(B, c, r) least-squares solutions of the stacked ``A @ coef = w``.
+
+    The normal equations on unit-norm columns: their Gram ``G`` has unit
+    diagonal, so its other eigenvalues sum to at most ``c`` and
+    ``lambda_min(G) >= det(G) ((c - 1) / c)^(c - 1)``.  Where that bound
+    falls below ``_FIT_MIN_EIG`` the fit takes the pseudo-inverse with
+    lstsq's default cutoff instead: the minimum-norm fit where the stencil
+    leaves the quadratic undetermined (a one-ring on a circle).
+    """
+    c = A.shape[2]
+    gram = A.swapaxes(1, 2) @ A
+    scale = 1.0 / np.sqrt(np.diagonal(gram, axis1=1, axis2=2))   # (B, c)
+    gram *= scale[:, :, None] * scale[:, None, :]
+    rhs = (A.swapaxes(1, 2) @ w) * scale[:, :, None]
+    ok = np.linalg.det(gram) * ((c - 1) / c) ** (c - 1) >= _FIT_MIN_EIG
+    if ok.all():
+        return scale[:, :, None] * (np.linalg.inv(gram) @ rhs)
+    coef = np.empty(rhs.shape)
+    coef[ok] = scale[ok][:, :, None] * (np.linalg.inv(gram[ok]) @ rhs[ok])
+    cutoff = max(A.shape[1:]) * np.finfo(float).eps
+    coef[~ok] = np.linalg.pinv(A[~ok], rcond=cutoff) @ w[~ok]
+    return coef
 
 
 def _csr(pairs: np.ndarray, nv: int):
@@ -395,44 +420,49 @@ def disk_mesh(radius: float = 1.0, rings: int = 8, center=(0.0, 0.0, 0.0),
                                                rtol=0.0, atol=1e-9):
         raise InvalidArgument("disk axes must be two orthonormal 3-vectors")
 
-    ring_ids = [[0]]
-    plane_pts = [(0.0, 0.0)]
-    for j in range(1, rings + 1):
-        ids = []
-        rr = radius * j / rings
-        for i in range(6 * j):
-            th = 2.0 * math.pi * i / (6 * j)
-            ids.append(len(plane_pts))
-            plane_pts.append((rr * math.cos(th), rr * math.sin(th)))
-        ring_ids.append(ids)
+    # ring j holds 6 j vertices numbered from 1 + 3 j (j - 1); i is each
+    # vertex's place in its ring
+    js = np.arange(1, rings + 1)
+    j = np.repeat(js, 6 * js)
+    i = np.arange(1, len(j) + 1) - (1 + 3 * j * (j - 1))
+    th = 2.0 * math.pi * i / (6 * j)
+    rr = radius * j / rings
+    plane = np.zeros((1 + len(j), 2))
+    plane[1:, 0] = rr * np.fromiter(map(math.cos, th), float, len(th))
+    plane[1:, 1] = rr * np.fromiter(map(math.sin, th), float, len(th))
 
-    cells = []
-    for j in range(1, rings + 1):
-        inner, outer = ring_ids[j - 1], ring_ids[j]
-        if j == 1:
-            for i in range(6):
-                cells.append([inner[0], outer[i], outer[(i + 1) % 6]])
-            continue
-        ni, no = len(inner), len(outer)
-        ai = [2.0 * math.pi * i / ni for i in range(ni)]
-        ao = [2.0 * math.pi * i / no for i in range(no)]
-        i1 = i2 = 0
-        # circular merge of the two rings by angle
-        for _ in range(ni + no):
-            next_i = ai[(i1 + 1) % ni] + (2 * math.pi if i1 + 1 >= ni else 0)
-            next_o = ao[(i2 + 1) % no] + (2 * math.pi if i2 + 1 >= no else 0)
-            if next_o <= next_i:
-                cells.append([inner[i1 % ni], outer[i2 % no],
-                              outer[(i2 + 1) % no]])
-                i2 += 1
-            else:
-                cells.append([inner[i1 % ni], outer[i2 % no],
-                              inner[(i1 + 1) % ni]])
-                i1 += 1
+    # ring 1 fans out from the centre; each later ring j is stitched to
+    # ring j - 1 by a circular merge of the angles at which the two rings
+    # step to their next vertex, the outer ring first on ties: vertex i of
+    # a ring of N steps at 2 pi (i + 1) / N, its last vertex at 2 pi
+    fan = np.arange(6)
+    cells = [np.stack([np.zeros(6, int), 1 + fan, 1 + (fan + 1) % 6], 1)]
+    if rings > 1:
+        outer = j >= 2                   # a vertex steps in its own ring's
+        inner = j < rings                # merge and in the next one's
+        ring = np.concatenate([j[outer], j[inner] + 1])
+        size = 6 * np.concatenate([j[outer], j[inner]])
+        step = 1 + np.concatenate([i[outer], i[inner]])
+        angle = np.where(step < size, 2.0 * math.pi * step / size,
+                         2.0 * math.pi)
+        is_in = np.arange(len(ring)) >= outer.sum()
+        order = np.lexsort((is_in, angle, ring))
+        ring, is_in = ring[order], is_in[order]
+        # the steps each ring has taken before this one in its merge: all
+        # earlier steps of its side, less one per vertex of the rings that
+        # side stitched in earlier merges (ring 1 is never the outer ring)
+        at_in = 1 + 3 * (ring - 1) * (ring - 2)
+        at_out = 1 + 3 * ring * (ring - 1)
+        i1 = np.cumsum(is_in) - is_in - (at_in - 1)
+        i2 = np.cumsum(~is_in) - ~is_in - (at_out - 1 - 6)
+        ni, no = 6 * (ring - 1), 6 * ring
+        cells.append(np.stack([
+            at_in + i1 % ni, at_out + i2 % no,
+            np.where(is_in, at_in + (i1 + 1) % ni,
+                     at_out + (i2 + 1) % no)], 1))
 
-    plane = np.array(plane_pts)
     verts = center + plane @ axes
-    cells = np.array(cells, int)
+    cells = np.concatenate(cells)
     bfacets = detect_boundary(cells)
     meta = {"generator": "disk", "radius": radius, "center": center,
             "axes": axes}
@@ -442,6 +472,8 @@ def disk_mesh(radius: float = 1.0, rings: int = 8, center=(0.0, 0.0, 0.0),
 def sphere_mesh(radius: float = 1.0, level: int = 3,
                 center=(0.0, 0.0, 0.0)) -> SimplicialMesh:
     """Icosphere: subdivided icosahedron projected to the sphere."""
+    if level < 0:
+        raise InvalidArgument("sphere level must be nonnegative")
     t = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
@@ -464,6 +496,8 @@ def sphere_mesh(radius: float = 1.0, level: int = 3,
 def graph_mesh(height_fn, half_width: float = 1.0, divisions: int = 8,
                center_xy=(0.0, 0.0)) -> SimplicialMesh:
     """Triangulated graph z = f(x, y) over a square grid."""
+    if divisions < 1:
+        raise InvalidArgument("need at least one division")
     m = divisions
     cx, cy = center_xy
     xs = np.linspace(cx - half_width, cx + half_width, m + 1)

@@ -14,8 +14,13 @@ by projecting twice, the sites after tracing, the reference before: on a
 totally geodesic chart through the pole the trace grows like ``1 / r``, and
 the second projection keeps ``|H|`` within roundoff of its exact 0.
 
-The mesh topology (boundary facets and their owning cells) comes from sorted
-facet rows and must equal the dict-based reference kept here, and a weight
+The fit solves normal equations where the per-vertex reference calls lstsq,
+and both take the minimum-norm fit where a stencil leaves the quadratic
+undetermined.  The mesh generators and the midpoint refinement build their
+arrays without per-vertex loops and must equal, bit for bit, the loop
+generators kept here.  The mesh topology (boundary facets and their owning
+cells) comes from sorted facet rows and must equal the dict-based reference
+kept here, and a weight
 band above 0 must read the rows of the cells it keeps whole in band 0's
 tables and compute only its graded pieces.
 """
@@ -165,6 +170,37 @@ def test_stencil_dedup_matches_np_unique(monkeypatch, name):
     fresh.vertex_mean_curvature()
     # the one-ring, one block's widening and the two-ring, at least
     assert len(sizes) >= 3 and min(sizes) > 0
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5)])
+@pytest.mark.parametrize("rings", [8, 10, 16, 41])
+def test_fit_is_exactly_zero_on_coordinate_plane_disks(rings, center):
+    # the scatter's eigenvectors are the coordinate axes bit for bit, so
+    # the normal displacements and the fitted quadratic vanish exactly
+    got = disk_mesh(1.0, rings=rings, center=center).vertex_mean_curvature()
+    assert np.array_equal(got, np.zeros_like(got))
+
+
+def test_conic_stencil_takes_the_minimum_norm_fit(monkeypatch):
+    # a one-ring hexagon lifted onto a sphere cap: the centre's neighbours
+    # lie on one circle, so its design matrix has rank 5 of 6
+    disk = disk_mesh(1.0, rings=1)
+    radius = 2.0
+    lifted = disk.vertices.copy()
+    lifted[:, 2] = radius - np.sqrt(radius ** 2 - lifted[:, 0] ** 2
+                                    - lifted[:, 1] ** 2)
+    mesh = SimplicialMesh(lifted, disk.cells, disk.boundary_facets)
+    real, pinv_rows = np.linalg.pinv, []
+
+    def counting(a, **kwargs):
+        pinv_rows.append(len(a))
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting)
+    got = mesh.vertex_mean_curvature()
+    assert pinv_rows == [1]
+    np.testing.assert_allclose(got, ref_vertex_mean_curvature(mesh),
+                               rtol=0.0, atol=1e-12)
 
 
 def test_fit_matches_on_a_refined_sphere():
@@ -403,6 +439,126 @@ def test_perp_vanishes_on_flat_domains_through_the_pole(euclid3, geometry):
     for gamma in (0.0, 1.5):
         for batch in domain.sites(gamma):
             assert np.max(batch.perp) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# mesh generators
+# ---------------------------------------------------------------------------
+
+def ref_disk_plane(radius, rings):
+    """Planar vertices and cells of ``disk_mesh``, built point by point and
+    merged ring by ring."""
+    ring_ids = [[0]]
+    plane_pts = [(0.0, 0.0)]
+    for j in range(1, rings + 1):
+        ids = []
+        rr = radius * j / rings
+        for i in range(6 * j):
+            th = 2.0 * math.pi * i / (6 * j)
+            ids.append(len(plane_pts))
+            plane_pts.append((rr * math.cos(th), rr * math.sin(th)))
+        ring_ids.append(ids)
+    cells = []
+    for j in range(1, rings + 1):
+        inner, outer = ring_ids[j - 1], ring_ids[j]
+        if j == 1:
+            for i in range(6):
+                cells.append([inner[0], outer[i], outer[(i + 1) % 6]])
+            continue
+        ni, no = len(inner), len(outer)
+        ai = [2.0 * math.pi * i / ni for i in range(ni)]
+        ao = [2.0 * math.pi * i / no for i in range(no)]
+        i1 = i2 = 0
+        for _ in range(ni + no):
+            next_i = ai[(i1 + 1) % ni] + (2 * math.pi if i1 + 1 >= ni else 0)
+            next_o = ao[(i2 + 1) % no] + (2 * math.pi if i2 + 1 >= no else 0)
+            if next_o <= next_i:
+                cells.append([inner[i1 % ni], outer[i2 % no],
+                              outer[(i2 + 1) % no]])
+                i2 += 1
+            else:
+                cells.append([inner[i1 % ni], outer[i2 % no],
+                              inner[(i1 + 1) % ni]])
+                i1 += 1
+    return np.array(plane_pts), np.array(cells, int)
+
+
+@pytest.mark.parametrize("rings", [1, 2, 8, 10, 16, 41])
+def test_disk_mesh_matches_the_loop_generator(rings):
+    axes = np.array([[math.cos(0.3), 0.0, math.sin(0.3)], [0.0, 1.0, 0.0]])
+    center = np.array([0.1, -0.2, 0.5])
+    plane, cells = ref_disk_plane(0.7, rings)
+    mesh = disk_mesh(0.7, rings=rings, center=center, axes=axes)
+    assert np.array_equal(mesh.vertices, center + plane @ axes)
+    assert np.array_equal(mesh.cells, cells)
+    assert np.array_equal(mesh.boundary_facets, ref_detect_boundary(cells))
+
+
+def ref_refine(mesh):
+    """Midpoint subdivision numbering each midpoint in a dict on first use."""
+    midpoint = {}
+    new_vertices = list(mesh.vertices)
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in midpoint:
+            midpoint[key] = len(new_vertices)
+            new_vertices.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
+        return midpoint[key]
+
+    cells = []
+    for a, b, c in mesh.cells:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        cells.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
+    bfacets = []
+    for a, b in mesh.boundary_facets:
+        m = mid(a, b)
+        bfacets.extend([[a, m], [m, b]])
+    out = SimplicialMesh(np.array(new_vertices), np.array(cells),
+                         np.array(bfacets) if bfacets else None,
+                         metadata=dict(mesh.metadata))
+    mesh_module._snap_to_surface(out)
+    return out
+
+
+REFINED = {
+    "disk": lambda: disk_mesh(0.8, rings=5, center=(0.0, 0.1, 0.2)),
+    "graph": lambda: graph_mesh(lambda x, y: 0.2 * x * y - 0.1 * y * y,
+                                1.0, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINED))
+def test_refine_matches_the_dict_refinement(name):
+    mesh = REFINED[name]()
+    got, want = mesh.refine(), ref_refine(mesh)
+    for part in ("vertices", "cells", "boundary_facets"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+    assert got.boundary_facets.shape[1] == 2
+    assert len(got.boundary_facets) == 2 * len(mesh.boundary_facets) > 0
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_sphere_levels_match_the_dict_refinement(level):
+    want = sphere_mesh(1.3, level=0, center=(0.1, 0.0, -0.2))
+    for _ in range(level):
+        want = ref_refine(want)
+    got = sphere_mesh(1.3, level=level, center=(0.1, 0.0, -0.2))
+    for part in ("vertices", "cells", "boundary_facets"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sphere_mesh(1.0, level=-2),
+    lambda: sphere_mesh(1.0, level=-1),
+    lambda: graph_mesh(lambda x, y: x * y, 1.0, divisions=0),
+    lambda: graph_mesh(lambda x, y: x * y, 1.0, divisions=-3),
+    lambda: disk_mesh(1.0, rings=0),
+], ids=["sphere_level_-2", "sphere_level_-1", "graph_divisions_0",
+        "graph_divisions_-3", "disk_rings_0"])
+def test_generators_refuse_empty_resolutions(build):
+    with pytest.raises(InvalidArgument):
+        build()
 
 
 # ---------------------------------------------------------------------------

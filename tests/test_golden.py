@@ -91,11 +91,11 @@ CORPUS_REPORTS = {
     "geodesic_disk":
         "0df0e3b19f15c424bacd5dcd824fa8bf413babb224a5ba805ec678853b7c04a0",
     "graph_patch":
-        "76a77026f1fef63dd41b07df90ce8083cf2dbd2ef40f1457539214c7b0185ad8",
+        "4f5e58e4e47a250dd1411abc1738dece293deb69cf61fc1c3f9a79cd4223e2ef",
     "sphere_offset":
-        "38d745cda3a0a875a368aca4cafa66aed1d6f5a6773d0dc9f278b95740674c5f",
+        "a7e9adc0ee1d1880f5e05ced3fec046fc783ed8dedc0c77a9d45cb63ba11718a",
     "sphere_pole":
-        "0ac48d9b3ff6bd4270c3c58667fb11850b002d7badeb666892a092eb848e9d1c",
+        "150d5e82816e3b227a61b1d5fa7c4394eadcd62df9317a8bf7b17bacb80dd2d8",
     "zone":
         "8582d3ad022c3ac2328ad0ccee9cd80f59c4ff38b4b31f6b7f942fb93e852830",
 }
