@@ -5,13 +5,15 @@ inequality evaluator consumes per site: position, radius, warp values,
 tangential/normal split of the radial direction, mean curvature norm, and
 (optionally bound) scalar-field values with tangential gradient norms.
 
-Cells on which the radial weight varies strongly are subdivided (bisection
-per axis, midpoint subdivision for triangles) until the weight variation
-across each piece is mild.  The subdivision runs level by level, one
-batched corner evaluation per depth, and lists the pieces in the order a
-depth-first recursion would.  Every integral is evaluated with a high- and a
-lower-order rule on the same decomposition, and the difference feeds the
-quadrature error estimate.
+Cells on which the radial weight varies strongly are subdivided until the
+weight variation across each piece is mild, by one builder for meshes and
+charts (``Domain._pieces``, ``Domain._build_sites``): the kinds differ only
+in a piece's corners, its split (midpoint simplices, or a box's bisection
+along its best axis) and a rule's sites on pieces.  The subdivision runs
+level by level, one batched corner evaluation per depth, and lists the
+pieces in the order a depth-first recursion would.  Every integral is
+evaluated with a high- and a lower-order rule on the same decomposition,
+and the difference feeds the quadrature error estimate.
 
 The tables are kept per weight band, band ``ceil(|gamma|)``.  Band 0 keeps
 every cell whole and is built first; cell ``c`` holds rows ``c * q`` to
@@ -271,6 +273,7 @@ class Domain:
                 np.indices(patch.cells_per_axis).reshape(self.k, -1, 1)
                 + (np.arange(2 ** self.k) >> np.arange(self.k)[:, None] & 1)
                 [:, None]), shape)
+        self._ncells = len(corners)
         # the cells with a mesh vertex or grid corner at the pole, and which
         # of their corners it is
         tol = 1e-12 * max(1.0, self.coord_scale)
@@ -345,13 +348,9 @@ class Domain:
         return Domain(self.patch.refined(), order=self.order)
 
     def describe(self) -> dict:
-        if self.kind == "mesh":
-            cells = len(self.mesh.cells)
-        else:
-            cells = int(np.prod(self.patch.cells_per_axis))
         return {"kind": self.kind, "k": self.k, "n": self.n,
                 "generator": self.metadata.get("generator", "custom"),
-                "cells": cells, "ambient": self.ambient.kind,
+                "cells": self._ncells, "ambient": self.ambient.kind,
                 "through_pole": self.through_pole,
                 "quadrature_order": self.order}
 
@@ -391,15 +390,13 @@ class Domain:
                 f"weight exponent {gamma} >= dimension {self.k} with the "
                 "pole on the domain")
         band = self._gamma_band(gamma)
-        build = (self._build_mesh_sites if self.kind == "mesh"
-                 else self._build_patch_sites)
         # band 0 first: the other bands view its tables, reading the cache
         # directly, since the build lock is not reentrant
-        base = self._with_field(self._cached(0, lambda: build(0)), 0,
-                                bound_field)
+        base = self._with_field(self._cached(0, lambda: self._build_sites(0)),
+                                0, bound_field)
         if not band:
             return base
-        tables = self._cached(band, lambda: build(band))
+        tables = self._cached(band, lambda: self._build_sites(band))
         tables = self._with_field(tables, band, bound_field,
                                   base[:len(tables) - 2])
         if len(self._pole_cells):
@@ -419,86 +416,154 @@ class Domain:
             t.with_field(*bound_field.at_sites(t))
             for t in tables[len(base):]))
 
-    def _band0_view(self, rule, cells, q) -> SiteBatch:
+    def _band0_view(self, rule, cells) -> SiteBatch:
         """Band 0's table of ``rule``, with density only at ``cells``."""
         base = self._tables[0][rule]
-        keep = np.zeros(len(base.r) // q, dtype=bool)
+        keep = np.zeros(self._ncells, dtype=bool)
         keep[cells] = True
-        return replace(base, density=np.where(keep.repeat(q), base.density,
-                                              0.0))
+        return replace(base, density=np.where(
+            keep.repeat(len(base.r) // self._ncells), base.density, 0.0))
 
-    # ---- graded decomposition helpers
+    # ---- graded decomposition
 
-    def _variations(self, corner_r, band):
-        """Weight ratio ``(max h / min h) ** band`` over each row of radii."""
-        if band == 0:
-            return np.ones(len(corner_r))
-        h, _ = self.ambient.h_values(corner_r.reshape(-1))
-        h = h.reshape(corner_r.shape)
+    def _pieces(self, band):
+        """The cells kept whole, the graded pieces with their owner cells,
+        and the band's :class:`GradingStats`.
+
+        Above band 0 the cells at the pole are left out (see
+        :meth:`_pole_tables`).  The cells on which the weight varies mildly
+        are kept whole, in cell order; the others' pieces follow in
+        depth-first order: on a mesh the barycentrics of each piece's
+        corners in its cell, on a chart the boxes ``(lo, hi)``.
+        """
+        cells = np.setdiff1d(np.arange(self._ncells),
+                             self._pole_cells if band else [])
+        if self.kind == "mesh":
+            eye = np.eye(self.k + 1)
+            start = (np.broadcast_to(eye, (len(cells),) + eye.shape),)
+        else:
+            start = tuple(a[cells] for a in self.patch.cell_boxes())
+        var = self._corner_variation(start, cells, band)
+        mild = var <= _VAR_TOL
+        pieces, owner, stats = _grade(
+            tuple(p[~mild] for p in start), cells[~mild], var[~mild],
+            lambda pieces, owner: self._split(pieces, owner, band),
+            2 ** self.k if self.kind == "mesh" else 2)
+        whole = cells[mild]
+        return (whole, pieces, owner,
+                replace(stats, pieces=stats.pieces + len(whole)))
+
+    def _corner_variation(self, pieces, owner, band):
+        """Weight ratio ``(max h / min h) ** band`` over each piece's
+        corners (``owner``: the mesh cell of each piece)."""
+        count = len(pieces[0])
+        if band == 0 or not count:
+            return np.ones(count)
+        if self.kind == "mesh":
+            corners = pieces[0] @ self.mesh.vertices[self.mesh.cells[owner]]
+            r = self.ambient.radius(corners.reshape(-1, self.n))
+        else:
+            # corner c of a box takes the upper end of axis d if bit d is set
+            lo, hi = pieces
+            k = self.k
+            upper = (np.arange(2 ** k)[:, None] >> np.arange(k) & 1) > 0
+            U = np.where(upper, hi[:, None, :], lo[:, None, :]).reshape(-1, k)
+            r = np.concatenate([
+                self.ambient.radius(self.patch.jet(U[i:i + _CORNER_CHUNK])[0])
+                for i in range(0, len(U), _CORNER_CHUNK)])
+        h = self.ambient.h_values(r)[0].reshape(count, -1)
         # one float power per row: numpy's ** takes fast paths (square,
         # SIMD pow) whose rounding need not match pow()
         return np.array([math.inf if lo <= 0.0 else (hi / lo) ** band
                          for lo, hi in zip(h.min(axis=1).tolist(),
                                            h.max(axis=1).tolist())])
 
+    def _split(self, pieces, owner, band):
+        """Every piece's children, grouped by piece, and their variations.
+
+        A mesh piece splits into its ``2 ** k`` midpoint simplices.  A chart
+        box is bisected on one axis, the one whose worse child varies least
+        (the wider axis on a tie): splitting every axis would multiply the
+        pieces along an edge near the pole at every level.
+        """
+        k = self.k
+        if self.kind == "mesh":
+            children = np.stack(split_simplex_bary(k))
+            # dyadic barycentric entries: the products are exact
+            mb = (children @ pieces[0][:, None]).reshape(-1, k + 1, k + 1)
+            return (mb,), self._corner_variation(
+                (mb,), owner.repeat(len(children)), band)
+        lo, hi = pieces
+        # children of a box on every axis, (axis, lower/upper child, coord)
+        on_axis = np.eye(k, dtype=bool)[:, None, :]
+        upper = np.array([[False], [True]])
+        mid = 0.5 * (lo + hi)[:, None, None, :]
+        clo = np.where(on_axis & upper, mid, lo[:, None, None, :])
+        chi = np.where(on_axis & ~upper, mid, hi[:, None, None, :])
+        cvar = self._corner_variation(
+            (clo.reshape(-1, k), chi.reshape(-1, k)), None,
+            band).reshape(len(lo), k, 2)
+        # per box, the first axis of least (worse child, -width)
+        best = np.lexsort((lo - hi, cvar.max(axis=2)), axis=1)[:, 0]
+        rows = np.arange(len(lo))
+        return ((clo[rows, best].reshape(-1, k),
+                 chi[rows, best].reshape(-1, k)),
+                cvar[rows, best].reshape(-1))
+
+    # ---- site tables
+
     def _simplex_indices(self):
         """Grundmann-Moller indices of the high and low mesh rules."""
         return self.order // 2, self.order // 2 - 1
 
-    def _build_mesh_sites(self, band):
-        mesh, k, n = self.mesh, self.k, self.n
-        corners = mesh.vertices[mesh.cells]
-        regular, owner, mb, stats = self._mesh_pieces(corners, band)
-        graded_corners = corners[owner]
-        vols = simplex_volume(mb @ graded_corners)
-        views, out = [], []
-        for rule, s_index in enumerate(self._simplex_indices()):
-            bary, wts = simplex_rule(k, s_index)
-            if band:
-                if len(regular):
-                    views.append(self._band0_view(rule, regular, len(wts)))
-                cells, vol, comp = owner, vols, bary @ mb   # (P, q, k+1)
-                pts = comp @ graded_corners
-            else:
-                cells, vol = regular, self._volumes[regular]
-                pts = np.einsum("qb,cbn->cqn", bary, corners[regular])
-                comp = np.broadcast_to(bary, (len(cells),) + bary.shape)
-            out.append(self._mesh_batch(
-                cells.repeat(len(wts)), comp.reshape(-1, k + 1),
-                pts.reshape(-1, n), (vol[:, None] * wts).reshape(-1)))
+    def _build_sites(self, band):
+        """The band's tables, hi rule first: above band 0 a view of band
+        0's table per rule at the cells it keeps whole (if any), then per
+        rule the sites of its graded pieces.  Band 0's are every cell's
+        sites, on a mesh from its cell volumes and by ``einsum``: the graded
+        formulas differ from these in the last bits."""
+        whole, pieces, owner, stats = self._pieces(band)
         self._grading[band] = stats
-        return tuple(views + out)
+        out = [self._band0_view(rule, whole) for rule in (0, 1)
+               if band and len(whole)]
+        if self.kind == "patch":
+            lo, hi = pieces if band else self.patch.cell_boxes()
+            return tuple(out + [self._box_sites(box_rule(self.k, npts), lo, hi)
+                                for npts in (self.order, self.order - 1)])
+        # the pieces' cells, corners and volumes, shared by both rules
+        cells = owner if band else whole
+        corners = self.mesh.vertices[self.mesh.cells[cells]]
+        vols = (simplex_volume(pieces[0] @ corners) if band
+                else self._volumes[cells])
+        for s_index in self._simplex_indices():
+            bary, wts = simplex_rule(self.k, s_index)
+            out.append(self._simplex_sites(
+                (bary @ pieces[0] if band else bary, wts), cells, corners,
+                vols))
+        return tuple(out)
 
-    def _mesh_pieces(self, corners, band):
-        """Midpoint-subdivide the cells on which the weight varies strongly.
+    def _simplex_sites(self, rule, cells, corners, vols) -> SiteBatch:
+        """The sites of ``rule``, barycentrics in ``cells`` (shared, (q, k +
+        1), or per piece, (P, q, k + 1)) and weights, on pieces of volumes
+        ``vols``; ``corners`` are the cells'."""
+        bary, wts = rule
+        if bary.ndim == 2:
+            pts = np.einsum("qb,cbn->cqn", bary, corners)
+            bary = np.broadcast_to(bary, (len(cells),) + bary.shape)
+        else:
+            pts = bary @ corners
+        return self._mesh_batch(
+            cells.repeat(len(wts)), bary.reshape(-1, self.k + 1),
+            pts.reshape(-1, self.n), (vols[:, None] * wts).reshape(-1))
 
-        Returns the ids of the cells kept whole and, per graded piece, its
-        cell id and the barycentric coordinates of its corners with respect
-        to that cell, in depth-first order.  Above band 0 the cells at the
-        pole are left out (see :meth:`_pole_tables`).
-        """
-        k, n = self.k, self.n
-        radius = self.ambient.radius
-        r = radius(corners.reshape(-1, n)).reshape(len(corners), k + 1)
-        var = self._variations(r, band)
-        mild = var <= _VAR_TOL
-        children = np.stack(split_simplex_bary(k))
-
-        def split(pieces, owner):
-            # dyadic barycentric entries: the products are exact
-            mb = (children @ pieces[0][:, None]).reshape(-1, k + 1, k + 1)
-            sub = mb @ corners[owner.repeat(len(children))]
-            rr = radius(sub.reshape(-1, n)).reshape(len(mb), k + 1)
-            return (mb,), self._variations(rr, band)
-
-        # the cells at the pole take the pole rule: mild only at band 0
-        owner = np.setdiff1d(np.flatnonzero(~mild), self._pole_cells)
-        eye = np.broadcast_to(np.eye(k + 1), (len(owner), k + 1, k + 1))
-        (mb,), owner, stats = _grade((eye,), owner, var[owner], split,
-                                     len(children))
-        regular = np.flatnonzero(mild)
-        return (regular, owner, mb,
-                replace(stats, pieces=stats.pieces + len(regular)))
+    def _box_sites(self, rule, lo, hi) -> SiteBatch:
+        """The sites of ``rule``, nodes on the unit cube and weights, on
+        each chart box ``(lo, hi)``."""
+        nodes, wts = rule
+        width = hi - lo
+        U = lo[:, None] + nodes * width[:, None]               # (P, q, k)
+        return self._patch_batch(U.reshape(-1, self.k), (
+            wts * np.prod(width, axis=1)[:, None]).reshape(-1))[0]
 
     def _radial(self, pts):
         """r, h(r), h'(r) and the unit radial direction at ambient points."""
@@ -523,69 +588,6 @@ class Domain:
             axis=1)
         return SiteBatch(points=pts, density=dens, r=r, h=h, hp=hp, perp=perp,
                          h_norm=h_norm, tan_sq=tan_sq, cell_ids=cell_ids)
-
-    # ---- patch sites
-
-    def _build_patch_sites(self, band):
-        whole, lo, hi, stats = self._patch_cells(band)
-        if not band:
-            lo, hi = self.patch.cell_boxes()
-        width = hi - lo
-        volume = np.prod(width, axis=1)
-        views, out = [], []
-        for rule, npts in enumerate((self.order, self.order - 1)):
-            nodes, wts = box_rule(self.k, npts)
-            U = lo[:, None] + nodes * width[:, None]           # (P, q, k)
-            out.append(self._patch_batch(
-                U.reshape(-1, self.k), (wts * volume[:, None]).reshape(-1))[0])
-            if band and len(whole):
-                views.append(self._band0_view(rule, whole, len(wts)))
-        self._grading[band] = stats
-        return tuple(views + out)
-
-    def _patch_cells(self, band):
-        """The cells kept whole and the chart boxes ``(lo, hi)`` graded.
-
-        Above band 0 the boxes with a corner at the pole are left out (see
-        :meth:`_pole_tables`).  The cells on which the weight varies mildly
-        are kept whole, listed in cell order; the pieces of the other cells
-        follow in depth-first order.
-        Each level bisects one axis per box, the one whose worse child
-        varies least (the wider axis on a tie): splitting every axis would
-        multiply the pieces along an edge near the pole at every level.
-        """
-        k = self.k
-        lo, hi = self.patch.cell_boxes()
-        cells = np.setdiff1d(np.arange(len(lo)),
-                             self._pole_cells if band else [])
-        var = self._box_variations(lo[cells], hi[cells], band)
-        mild = var <= _VAR_TOL
-        graded = cells[~mild]
-        # children of a box on every axis, (axis, lower/upper child, coord)
-        on_axis = np.eye(k, dtype=bool)[:, None, :]
-        upper = np.array([[False], [True]])
-
-        def split(pieces, _owner):
-            lo, hi = pieces
-            mid = 0.5 * (lo + hi)[:, None, None, :]
-            clo = np.where(on_axis & upper, mid, lo[:, None, None, :])
-            chi = np.where(on_axis & ~upper, mid, hi[:, None, None, :])
-            cvar = self._box_variations(clo.reshape(-1, k),
-                                        chi.reshape(-1, k),
-                                        band).reshape(len(lo), k, 2)
-            # per box, the first axis of least (worse child, -width)
-            best = np.lexsort((lo - hi, cvar.max(axis=2)), axis=1)[:, 0]
-            rows = np.arange(len(lo))
-            return ((clo[rows, best].reshape(-1, k),
-                     chi[rows, best].reshape(-1, k)),
-                    cvar[rows, best].reshape(-1))
-
-        (lo, hi), _, stats = _grade((lo[graded], hi[graded]),
-                                    np.arange(len(graded)), var[~mild],
-                                    split, 2)
-        whole = cells[mild]
-        return (whole, lo, hi,
-                replace(stats, pieces=stats.pieces + len(whole)))
 
     def _pole_tables(self):
         """(hi, lo) tables of the cells at the pole, without radial weights:
@@ -614,9 +616,8 @@ class Domain:
                 nodes = np.empty((len(t), len(wo), k))
                 nodes[..., axis] = (t if side == 0 else 1.0 - t)[:, None]
                 nodes[..., np.arange(k) != axis] = others
-                U = lo[:, None] + nodes.reshape(-1, k) * (hi - lo)[:, None]
-                out.append(self._patch_batch(U.reshape(-1, k), (
-                    np.tile(wo, len(t)) * volume[:, None]).reshape(-1))[0])
+                out.append(self._box_sites(
+                    (nodes.reshape(-1, k), np.tile(wo, len(t))), lo, hi))
                 continue
             # Duffy: (t, u) -> (1 - t, t (1 - u), t u), area element 2 t
             t_, u = t[:, None], others[:, 0]
@@ -627,11 +628,10 @@ class Domain:
                 # rotate each cell's barycentric columns to put the pole first
                 cols = (np.arange(3) - self._pole_corner[:, None]) % 3
                 bary = bary[:, cols].swapaxes(0, 1)           # (C, q, 3)
-                corners = self.mesh.vertices[self.mesh.cells[cells]]
-                out.append(self._mesh_batch(
-                    cells.repeat(len(wts)), bary.reshape(-1, 3),
-                    (bary @ corners).reshape(-1, self.n),
-                    (self._volumes[cells][:, None] * wts).reshape(-1)))
+                out.append(self._simplex_sites(
+                    (bary, wts), cells,
+                    self.mesh.vertices[self.mesh.cells[cells]],
+                    self._volumes[cells]))
                 continue
             # the box's corner p at the pole, its opposite corner q
             at_pole = (self._pole_corner[:, None] >> np.arange(k) & 1) > 0
@@ -644,18 +644,6 @@ class Domain:
         for table, rule in zip(out, radial):
             table.radial_rule = rule
         return tuple(out)
-
-    def _box_variations(self, lo, hi, band):
-        """Weight variation over the corners of each chart box."""
-        if band == 0 or not len(lo):
-            return np.ones(len(lo))
-        k = lo.shape[1]
-        upper = (np.arange(2 ** k)[:, None] >> np.arange(k) & 1).astype(bool)
-        U = np.where(upper, hi[:, None, :], lo[:, None, :]).reshape(-1, k)
-        r = np.concatenate([
-            self.ambient.radius(self.patch.jet(U[i:i + _CORNER_CHUNK])[0])
-            for i in range(0, len(U), _CORNER_CHUNK)])
-        return self._variations(r.reshape(len(lo), 2 ** k), band)
 
     def _patch_batch(self, U, rule_dens):
         """The site batch at chart points ``U``, and the (S, k) lengths of

@@ -288,8 +288,9 @@ def _least_squares(A: np.ndarray, w: np.ndarray) -> np.ndarray:
     diagonal, so its other eigenvalues sum to at most ``c`` and
     ``lambda_min(G) >= det(G) ((c - 1) / c)^(c - 1)``.  Where that bound
     falls below ``_FIT_MIN_EIG`` the fit takes the pseudo-inverse with
-    lstsq's default cutoff instead: the minimum-norm fit where the stencil
-    leaves the quadratic undetermined (a one-ring on a circle).
+    lstsq's default cutoff instead, with the constant term (column 0) fixed
+    at 0, since the graph passes through the vertex: a one-ring on a circle,
+    whose squared radii equal the constant column, leaves it undetermined.
     """
     c = A.shape[2]
     gram = A.swapaxes(1, 2) @ A
@@ -302,7 +303,8 @@ def _least_squares(A: np.ndarray, w: np.ndarray) -> np.ndarray:
     coef = np.empty(rhs.shape)
     coef[ok] = scale[ok][:, :, None] * (np.linalg.inv(gram[ok]) @ rhs[ok])
     cutoff = max(A.shape[1:]) * np.finfo(float).eps
-    coef[~ok] = np.linalg.pinv(A[~ok], rcond=cutoff) @ w[~ok]
+    coef[~ok, 0] = 0.0
+    coef[~ok, 1:] = np.linalg.pinv(A[~ok, :, 1:], rcond=cutoff) @ w[~ok]
     return coef
 
 

@@ -343,14 +343,12 @@ def _sobolev_side_conditions(domain: Domain, field, inj_radius):
     vol = float(np.sum(_band0(domain, field, "density")[np.abs(psi) > 0]))
     jbar = ((k + 1) / cn.unit_ball_volume(k) * vol) ** (1.0 / k)
     amb = domain.ambient
-    b = 0.0
-    if amb.kind == "warped" and amb.warp.profile.kind == "constant":
-        b = math.sqrt(amb.warp.profile.b_squared)
+    b = (math.sqrt(amb.warp.profile.max_b_squared) if amb.kind == "warped"
+         else 0.0)
     status = "verified"
-    if b > 0:
-        if jbar >= 1.0 / b:
-            status = "unverified"
-            reasons.append("support volume too large for the curvature bound")
+    if b > 0 and jbar >= 1.0 / b:
+        status = "unverified"
+        reasons.append("support volume too large for the curvature bound")
     if status == "verified":
         if b == 0:
             needed = 2.0 * jbar

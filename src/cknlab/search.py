@@ -10,7 +10,7 @@ nested refinements: ``verify --levels`` evaluates each case on it, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -48,22 +48,7 @@ class TightnessResult:
     degenerate: int = 0    # degenerate or non-finite reports (scored 0)
 
     def to_dict(self) -> dict:
-        return {
-            "type": "search",
-            "inequality": self.inequality,
-            "best_ratio": self.best_ratio,
-            "argmax_dof": list(self.argmax_dof),
-            "evaluations": self.evaluations,
-            "refinement_trace": [[int(l), float(x)]
-                                 for l, x in self.refinement_trace],
-            "seed": self.seed,
-            "trace": [float(x) for x in self.trace],
-            "slack": self.slack,
-            "quadrature_error": self.quadrature_error,
-            "distinct_evaluations": self.distinct_evaluations,
-            "rejected": self.rejected,
-            "degenerate": self.degenerate,
-        }
+        return {"type": "search", **asdict(self)}
 
 
 def _clip_dof(kind: str, x: np.ndarray) -> np.ndarray:

@@ -64,6 +64,12 @@ class CurvatureProfile:
             return math.inf
         return self.samples[-1][0]
 
+    @property
+    def max_b_squared(self) -> float:
+        """The largest value, the constant or the largest sample: it bounds
+        every sectional curvature on the increasing branch."""
+        return max([self.b_squared] + [v for _, v in self.samples])
+
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         if self.kind == "constant":

@@ -181,7 +181,7 @@ def test_fit_is_exactly_zero_on_coordinate_plane_disks(rings, center):
     assert np.array_equal(got, np.zeros_like(got))
 
 
-def test_conic_stencil_takes_the_minimum_norm_fit(monkeypatch):
+def test_conic_stencil_fits_through_the_vertex(monkeypatch):
     # a one-ring hexagon lifted onto a sphere cap: the centre's neighbours
     # lie on one circle, so its design matrix has rank 5 of 6
     disk = disk_mesh(1.0, rings=1)
@@ -199,8 +199,19 @@ def test_conic_stencil_takes_the_minimum_norm_fit(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", counting)
     got = mesh.vertex_mean_curvature()
     assert pinv_rows == [1]
-    np.testing.assert_allclose(got, ref_vertex_mean_curvature(mesh),
+    # the graph through the centre with constant term 0 is dz (x^2 + y^2),
+    # dz = 2 - sqrt(3) the neighbours' height: trace 4 dz
+    centre = np.all(disk.vertices == 0.0, axis=1)
+    assert centre.sum() == 1
+    assert abs(np.linalg.norm(got[centre]) - 4.0 * (2.0 - math.sqrt(3.0))
+               ) <= 1e-12
+    np.testing.assert_allclose(got[~centre],
+                               ref_vertex_mean_curvature(mesh)[~centre],
                                rtol=0.0, atol=1e-12)
+    # the flat hexagon's centre takes the same fit and reads exactly 0
+    flat = disk.vertex_mean_curvature()
+    assert pinv_rows == [1, 1]
+    assert np.array_equal(flat, np.zeros_like(flat))
 
 
 def test_fit_matches_on_a_refined_sphere():
@@ -697,13 +708,8 @@ def test_band_copies_whole_cells_from_band0(monkeypatch, name):
     band = 2
     # asked for at -band: the gamma >= k check lets it by
     tables = band_pair(domain, -band)
-    if domain.kind == "mesh":
-        corners = domain.mesh.vertices[domain.mesh.cells]
-        whole, owner, _, _ = domain._mesh_pieces(corners, band)
-        graded = len(owner)
-    else:
-        whole, lo, _, _ = domain._patch_cells(band)
-        graded = len(lo)
+    whole, pieces, _, _ = domain._pieces(band)
+    graded = len(pieces[0])
     sizes = _rule_sizes(domain)
     # and, through the pole, the pole's pair once
     pole = domain.sites(-band)[len(band_tables(domain, -band)):]

@@ -428,6 +428,53 @@ r0 = 0.55
     assert data["records"][0]["satisfied"] is True
 
 
+SOBOLEV_CURVED_CFG = """
+[ambient]
+kind = warped
+{curvature}
+r_max = 1.55
+
+[geometry]
+builtin = geodesic_disk
+radius = 0.9
+cells_r = 8
+cells_theta = 16
+
+[field]
+kind = radial_power
+dof = 1.5
+boundary_vanishing = true
+
+[inequality]
+id = sobolev_hs
+p = 1.2
+inj_radius = 3.141592653589793
+"""
+
+
+def test_sobolev_side_conditions_read_a_tabulated_curvature(tmp_path,
+                                                            capsys):
+    # the table holds curvature 1 everywhere: the constant profile's model
+    # (its scale function integrated, so its volumes agree to roundoff),
+    # so the same support-volume verdict
+    profile = tmp_path / "profile.txt"
+    profile.write_text("0 1\n2 1\n")
+    statuses = []
+    for curvature in ("curvature = 1.0", f"profile_file = {profile}"):
+        cfg = tmp_path / "sobolev.cfg"
+        cfg.write_text(SOBOLEV_CURVED_CFG.format(curvature=curvature))
+        out_path = tmp_path / "out.json"
+        code, _, _ = run(["verify", str(cfg), "--out", str(out_path)],
+                         capsys)
+        assert code == 0
+        status = json.loads(out_path.read_text())["records"][0][
+            "hypothesis_status"]
+        statuses.append((status["status"], status["reasons"]))
+    assert statuses[0] == statuses[1]
+    assert statuses[0][0] == "unverified"
+    assert "support volume too large for the curvature bound" in statuses[0][1]
+
+
 def test_verify_mesh_file_geometry(tmp_path, capsys):
     from cknlab.geometry.mesh import disk_mesh, write_mesh
     mesh_path = tmp_path / "disk.mesh"

@@ -32,6 +32,7 @@ from cknlab.geometry import (
     weighted_integral,
 )
 from cknlab.geometry import domain as domain_mod
+from cknlab.geometry.mesh import SimplicialMesh, detect_boundary
 from cknlab.inequalities import evaluate
 from cknlab.quadrature import box_rule, simplex_rule, split_simplex_bary
 from geometry_checks import band_pair, band_tables
@@ -210,19 +211,18 @@ def ref_mesh_sites(domain, band):
 # -- comparisons ----------------------------------------------------------------
 
 def assert_same_pieces(domain, band):
+    whole, pieces, owner, stats = domain._pieces(band)
     if domain.kind == "patch":
         ref, ref_tables = ref_patch_sites(domain, band)
-        whole, lo, hi, stats = domain._patch_cells(band)
         cell_lo, cell_hi = domain.patch.cell_boxes()
-        lo = np.concatenate([cell_lo[whole], lo])
-        hi = np.concatenate([cell_hi[whole], hi])
+        lo = np.concatenate([cell_lo[whole], pieces[0]])
+        hi = np.concatenate([cell_hi[whole], pieces[1]])
         assert np.array_equal(lo, np.array([p[0] for p in ref]))
         assert np.array_equal(hi, np.array([p[1] for p in ref]))
     else:
         regular, ref, ref_tables = ref_mesh_sites(domain, band)
-        corners = domain.mesh.vertices[domain.mesh.cells]
-        got_regular, owner, mb, stats = domain._mesh_pieces(corners, band)
-        assert np.array_equal(got_regular, regular)
+        (mb,) = pieces
+        assert np.array_equal(whole, regular)
         assert np.array_equal(owner, [cid for cid, _ in ref])
         assert np.array_equal(mb.reshape(-1, domain.k + 1),
                               np.array([m for _, m in ref]).reshape(
@@ -269,6 +269,20 @@ def test_mesh_with_pole_at_vertex_matches_reference():
     assert_same_pieces(dom, 3)
     # the cells at the pole vertex left the table; the rest grades shallow
     assert 0 < dom.grading[3].max_depth <= 4
+
+
+@pytest.mark.parametrize("band", [1, 2, 3, 4])
+def test_curve_matches_reference(band):
+    # a polyline passing 0.1 from the pole: its graded cells split into
+    # two halves per level
+    x = np.linspace(-1.0, 1.0, 11)
+    cells = np.stack([np.arange(10), np.arange(1, 11)], axis=1)
+    curve = SimplicialMesh(np.stack([x, 0.1 + 0.2 * x ** 2, 0.0 * x], 1),
+                           cells, detect_boundary(cells))
+    dom = Domain(curve, AmbientSpace.euclidean(3))
+    assert dom.k == 1 and not dom.through_pole
+    assert_same_pieces(dom, band)
+    assert dom.grading[band].max_depth > 0
 
 
 @pytest.mark.parametrize("kind", ["mesh", "patch"])
@@ -330,14 +344,14 @@ def test_racing_threads_build_a_band_once(monkeypatch):
     amb = AmbientSpace.euclidean(3)
     dom = Domain(plane_rect(amb, 1.0, cells=4))
     builds = []
-    build = dom._build_patch_sites
+    build = dom._build_sites
 
     def counted(band):
         builds.append(band)
         time.sleep(0.05)  # hold the build open while the others ask
         return build(band)
 
-    monkeypatch.setattr(dom, "_build_patch_sites", counted)
+    monkeypatch.setattr(dom, "_build_sites", counted)
     workers = 4
     barrier = threading.Barrier(workers)
     results = []
