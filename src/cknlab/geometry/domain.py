@@ -543,9 +543,9 @@ class Domain:
         return tuple(out)
 
     def _simplex_sites(self, rule, cells, corners, vols) -> SiteBatch:
-        """The sites of ``rule``, barycentrics in ``cells`` (shared, (q, k +
-        1), or per piece, (P, q, k + 1)) and weights, on pieces of volumes
-        ``vols``; ``corners`` are the cells'."""
+        """The sites of ``rule`` on pieces of ``cells``: barycentrics in the
+        cell, shared (q, k + 1) or per piece (P, q, k + 1), and weights;
+        ``corners`` are the cells', ``vols`` the pieces' volumes."""
         bary, wts = rule
         if bary.ndim == 2:
             pts = np.einsum("qb,cbn->cqn", bary, corners)
