@@ -9,9 +9,13 @@ Subcommands:
 - ``search``: tightness maximization over a test-function family.
 - ``list-scenarios``: bundled scenario configurations.
 
+The config stage parses each case once, before any geometry work:
+:func:`validate_case` reads its mesh or profile file, builds its field and
+returns a :class:`ParsedCase`, from which the run stage builds the domain.
+
 Exit codes: 0 pass, 1 configuration error (a malformed command line too),
-2 inequality violation, 3 numerical failure.  ``CKN_LAB_THREADS``, a
-positive integer, sets the sweep's worker count.
+2 inequality violation, 3 numerical failure (a failed ``minimal`` check
+too).  ``CKN_LAB_THREADS``, a positive integer, sets the sweep's workers.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .geometry import (
     sphere_mesh,
     sphere_patch,
 )
-from .geometry.fields import FAMILIES, make_field
+from .geometry.fields import FAMILIES, Field, make_field
 from .geometry.mesh import read_mesh
 from .inequalities import (CATALOG, CATALOG_IDS, _ckn_params, _single_params,
                            evaluate, require_options)
@@ -167,12 +171,9 @@ def resolve_config_path(name: str) -> Path:
     path = Path(name)
     if path.exists():
         return path
-    candidate = scenario_dir() / name
-    if candidate.is_file():
-        return Path(str(candidate))
-    candidate = scenario_dir() / f"{name}.cfg"
-    if candidate.is_file():
-        return Path(str(candidate))
+    for candidate in (scenario_dir() / name, scenario_dir() / f"{name}.cfg"):
+        if candidate.is_file():
+            return Path(str(candidate))
     raise ConfigError(f"config file {name!r} not found "
                       f"(and no bundled scenario with that name)")
 
@@ -223,20 +224,18 @@ def _finite(text):
     return value
 
 
-def _number(section, option, text, parse=_finite):
+def _parse(section, option, text, parse=_finite):
     try:
         return parse(text)
+    except InvalidArgument as exc:
+        # a file reader's error names the file
+        raise ConfigError(f"[{section}] {option}: {exc}") from exc
     except ValueError as exc:
         if parse in (int, _finite):
             kind = "an integer" if parse is int else "a finite number"
             raise ConfigError(f"[{section}] {option} = {text!r} is not "
                               f"{kind}") from exc
         raise ConfigError(f"[{section}] {option} = {text!r}: {exc}") from exc
-
-
-def _vector(section, option, text):
-    return tuple(_number(section, option, x)
-                 for x in text.replace(",", " ").split())
 
 
 def _floats(n):
@@ -249,20 +248,44 @@ def _floats(n):
     return parse
 
 
+def _dof(text):
+    """The field's dof: finite numbers, as many as its family takes."""
+    return tuple(_parse("field", "dof", x)
+                 for x in text.replace(",", " ").split())
+
+
+def _exact(text):
+    """A number read exactly, as ``constants`` reads it (``3/5`` too)."""
+    return float(_frac(text))
+
+
 def _poly(text):
-    """``i j coefficient`` terms separated by semicolons."""
+    """``i j coefficient`` terms separated by semicolons: the coefficient of
+    x^i y^j, for natural i and j, each pair at most once."""
     coeffs = {}
-    for chunk in text.split(";"):
-        parts = chunk.split()
-        if len(parts) != 3:
-            raise ValueError(f"term {chunk.strip()!r} must be "
-                             "'i j coefficient'")
-        coeffs[(int(parts[0]), int(parts[1]))] = _finite(parts[2])
+    for term in (chunk.strip() for chunk in text.split(";")):
+        try:
+            i, j, c = term.split()
+            i, j = int(i), int(j)
+        except ValueError:
+            raise ValueError(
+                f"term {term!r} must be 'i j coefficient'") from None
+        if min(i, j) < 0:
+            raise ValueError(f"term {term!r} has a negative exponent")
+        if (i, j) in coeffs:
+            raise ValueError(f"term {term!r} repeats the exponents of an "
+                             "earlier term")
+        coeffs[i, j] = _finite(c)
     return coeffs
 
 
 def _flag(text):
-    return text.lower() in ("1", "true", "yes")
+    """configparser's boolean words, in any case."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("must be one of " + ", ".join(
+            configparser.ConfigParser.BOOLEAN_STATES)) from None
 
 
 def _choice(*names):
@@ -283,16 +306,14 @@ def _at_least(least):
 
 
 def _read(section: str, values: dict, table: dict) -> dict:
-    """Parse the options ``table`` lists, with defaults, checking ranges.
-
-    ``table`` maps option -> (parser, default, lower bound or None).
-    """
+    """Parse the options ``table`` lists, with defaults, checking ranges;
+    ``table`` maps option -> (parser, default, lower bound or None)."""
     out = {}
     for option, (parse, default, bound) in table.items():
         if option not in values:
             out[option] = default
             continue
-        value = _number(section, option, values[option], parse)
+        value = _parse(section, option, values[option], parse)
         if bound is not None and not bound[0](value):
             raise ConfigError(f"[{section}] {option} must be {bound[1]}, "
                               f"got {value}")
@@ -300,12 +321,23 @@ def _read(section: str, values: dict, table: dict) -> dict:
     return out
 
 
+# one option table per section; [geometry]'s is its builtin's or _PATH.  The
+# file readers are looked up when a case is parsed, so a wrapper installed
+# on one after import also wraps these calls.
 _AMBIENT = {"kind": (_choice("euclidean", "warped"), "euclidean", None),
             "dim": (int, 3, _POSITIVE), "r_max": (_finite, 1.5, None),
-            "step": (_finite, 1e-3, None), "curvature": (_finite, 1.0, None)}
+            "step": (_finite, 1e-3, None), "curvature": (_finite, 1.0, None),
+            "profile_file": (lambda path: load_profile(path), None, None)}
 _FIELD = {"kind": (_choice(*FAMILIES), "radial_power", None),
           "boundary_vanishing": (_flag, True, None),
-          "seed": (int, None, _at_least(0))}
+          "seed": (int, None, _at_least(0)), "dof": (_dof, None, None)}
+# an unset number is absent from the options, which require_options checks
+_EXACT = (_exact, None, None)
+_INEQUALITY = {"id": (str, None, None), "p": _EXACT, "gamma": _EXACT,
+               "alpha": _EXACT, "sigma": _EXACT, "beta": _EXACT, "q": _EXACT,
+               "a": _EXACT, "t": _EXACT, "r0": _EXACT,
+               "slack": (_exact, None, (lambda value: value >= 0, ">= 0")),
+               "inj_radius": _EXACT, "minimal": (_flag, None, None)}
 _RUN = {"budget": (int, 100, _POSITIVE)}
 
 _RADIUS = (_finite, 1.0, _POSITIVE)
@@ -386,128 +418,115 @@ BUILTINS = {
 }
 # the Domain pairs each rule with one of the next lower order
 _ORDER = {"quadrature_order": (int, 4, _at_least(2))}
-
-
-def _geometry(case: dict):
-    """The case's builtin (None for a mesh file) and its parsed options."""
-    geo = case.get("geometry", {})
-    name = geo.get("builtin")
-    if name is None:
-        if "path" not in geo:
-            raise ConfigError("[geometry] needs 'builtin' or 'path'")
-        return None, _read("geometry", geo, _ORDER)
-    if name not in BUILTINS:
-        raise ConfigError(f"unknown geometry builtin {name!r}; "
-                          f"choices: {sorted(BUILTINS)}")
-    builtin = BUILTINS[name]
-    return builtin, _read("geometry", geo, {**builtin.options, **_ORDER})
-
-
-_INEQUALITY_NUMBERS = ("p", "gamma", "alpha", "sigma", "beta", "q", "a", "t",
-                       "r0", "slack", "inj_radius")
-# the options each section reads; [geometry]'s are those of any builtin, so
-# a sweep across builtins may set options that only some of them read
-_KNOWN = {
-    "ambient": {*_AMBIENT, "profile_file"},
-    "geometry": {"builtin", "path", *_ORDER,
-                 *(o for b in BUILTINS.values() for o in b.options)},
-    "field": {*_FIELD, "dof"},
-    "inequality": {"id", *_INEQUALITY_NUMBERS, "minimal"},
-    "run": {*_RUN},
-}
+# a [geometry] without a builtin: a mesh file
+_PATH = {"path": (lambda path: read_mesh(path), None, None), **_ORDER}
 
 
 def _check_names(case: dict):
-    """Refuse a section or an option that nothing reads (a misspelling)."""
+    """Refuse a section or an option that nothing reads (a misspelling).
+
+    [geometry] knows the options of every builtin, so a sweep across
+    builtins may set options that only some of them read."""
+    known = {"ambient": _AMBIENT,
+             "geometry": {"builtin", *_PATH,
+                          *(o for b in BUILTINS.values() for o in b.options)},
+             "field": _FIELD, "inequality": _INEQUALITY, "run": _RUN}
     for section, values in case.items():
-        if section not in _KNOWN:
+        if section not in known:
             raise ConfigError(f"unknown section [{section}]; choices: "
-                              f"{', '.join(_KNOWN)} and sweep")
+                              f"{', '.join(known)} and sweep")
         for option in values:
-            if option not in _KNOWN[section]:
+            if option not in known[section]:
                 raise ConfigError(f"[{section}] unknown option {option!r}")
 
 
-def validate_case(case: dict) -> dict:
-    """Check a case before any geometry work; returns parsed options."""
-    _check_names(case)
-    builtin, _ = _geometry(case)
-    ambient = _read("ambient", case.get("ambient", {}), _AMBIENT)
-    if ambient["kind"] == "warped" and "profile_file" in case["ambient"]:
-        try:
-            load_profile(case["ambient"]["profile_file"])
-        except InvalidArgument as exc:
-            raise ConfigError(f"[ambient] profile_file: {exc}") from exc
-    _read("run", case.get("run", {}), _RUN)
-    if builtin is None:
-        try:
-            mesh = read_mesh(case["geometry"]["path"])
-        except InvalidArgument as exc:
-            raise ConfigError(f"[geometry] path: {exc}") from exc
-        if mesh.n != ambient["dim"]:
-            raise ConfigError(f"[geometry] path: the mesh has {mesh.n}-d "
-                              f"vertices in a {ambient['dim']}-d ambient")
-    k = builtin.k if builtin else mesh.k
+class DomainSpec(NamedTuple):
+    """A case's parsed [ambient] and [geometry]: what build_domain builds."""
 
-    ineq = case.get("inequality", {})
-    ineq_id = ineq.get("id")
+    ambient: dict     # its profile_file read, else None
+    builtin: Builtin  # None for a mesh file
+    geometry: dict    # its path read, for a mesh file
+
+
+class ParsedCase(NamedTuple):
+    """A checked case, each option parsed and each file read once."""
+
+    domain: DomainSpec
+    field: Field
+    id: str
+    options: dict     # the inequality's options
+    budget: int
+    source: tuple     # the raw [ambient] and [geometry]: search's reuse key
+
+
+def parse_domain(case: dict) -> DomainSpec:
+    """Parse a case's [ambient] and [geometry], reading its files."""
+    geo = case.get("geometry", {})
+    name = geo.get("builtin")
+    builtin = BUILTINS.get(name)
+    if name is None and "path" not in geo:
+        raise ConfigError("[geometry] needs 'builtin' or 'path'")
+    if name is not None and builtin is None:
+        raise ConfigError(f"unknown geometry builtin {name!r}; "
+                          f"choices: {sorted(BUILTINS)}")
+    table = _PATH if builtin is None else {**builtin.options, **_ORDER}
+    ambient = _read("ambient", case.get("ambient", {}), _AMBIENT)
+    options = _read("geometry", geo, table)
+    if builtin is None and options["path"].n != ambient["dim"]:
+        raise ConfigError(f"[geometry] path: the mesh has "
+                          f"{options['path'].n}-d vertices in a "
+                          f"{ambient['dim']}-d ambient")
+    return DomainSpec(ambient, builtin, options)
+
+
+def validate_case(case: dict, seed: int = 0) -> ParsedCase:
+    """Parse and check a case before any geometry work; the run stage reads
+    the parse it returns.  ``seed`` draws a ``random_smooth`` member that
+    sets neither ``dof`` nor ``[field] seed``."""
+    _check_names(case)
+    domain = parse_domain(case)
+    budget = _read("run", case.get("run", {}), _RUN)["budget"]
+    options = _read("inequality", case.get("inequality", {}), _INEQUALITY)
+    ineq_id = options.pop("id")
     if ineq_id not in CATALOG:
         raise ConfigError(f"unknown inequality id {ineq_id!r}; "
                           f"choices: {CATALOG_IDS}")
-    options = {}
-    for key in _INEQUALITY_NUMBERS:
-        if key in ineq:
-            options[key] = float(_frac(ineq[key]))
-    if options.get("slack", 0.0) < 0:
-        raise ConfigError("[inequality] slack must be >= 0")
-    if "minimal" in ineq:
-        options["minimal"] = _flag(ineq["minimal"])
+    options = {key: value for key, value in options.items()
+               if value is not None}
     try:
         require_options(ineq_id, options)
     except InvalidArgument as exc:
         raise ConfigError(str(exc)) from exc
+    k = domain.builtin.k if domain.builtin else domain.geometry["path"].k
     try:
         CATALOG[ineq_id].check(k, options)
     except CknLabError as exc:
         raise ConfigError(f"invariant violated: {exc}") from exc
 
+    o = _read("field", case.get("field", {}), _FIELD)
     try:
-        build_field(case, 0)
+        field = make_field(o["kind"], o["dof"],
+                           boundary_vanishing=o["boundary_vanishing"],
+                           seed=seed if o["seed"] is None else o["seed"])
     except InvalidArgument as exc:
         raise ConfigError(f"[field] dof: {exc}") from exc
-    return options
+    return ParsedCase(domain, field, ineq_id, options, budget,
+                      (case.get("ambient"), case.get("geometry")))
 
 
-def build_ambient(case: dict) -> AmbientSpace:
-    amb = case.get("ambient", {})
-    o = _read("ambient", amb, _AMBIENT)
+def build_domain(spec: DomainSpec) -> Domain:
+    """The Domain of a parsed [ambient] and [geometry]."""
+    o = spec.ambient
     if o["kind"] == "euclidean":
-        return AmbientSpace.euclidean(o["dim"])
-    if "profile_file" in amb:
-        profile = load_profile(amb["profile_file"])
+        ambient = AmbientSpace.euclidean(o["dim"])
     else:
-        profile = CurvatureProfile.constant(o["curvature"])
-    warp = solve_warping(profile, o["r_max"], step=o["step"])
-    return AmbientSpace.warped(o["dim"], warp)
-
-
-def build_domain(case: dict) -> Domain:
-    builtin, o = _geometry(case)
-    ambient = build_ambient(case)
-    if builtin is None:
-        geometry = read_mesh(case["geometry"]["path"])
-    else:
-        geometry = builtin.build(ambient, o)
-    return Domain(geometry, ambient, o["quadrature_order"])
-
-
-def build_field(case: dict, seed: int):
-    fld = case.get("field", {})
-    o = _read("field", fld, _FIELD)
-    dof = _vector("field", "dof", fld["dof"]) if "dof" in fld else None
-    return make_field(o["kind"], dof,
-                      boundary_vanishing=o["boundary_vanishing"],
-                      seed=seed if o["seed"] is None else o["seed"])
+        profile = (o["profile_file"] if o["profile_file"] is not None
+                   else CurvatureProfile.constant(o["curvature"]))
+        ambient = AmbientSpace.warped(
+            o["dim"], solve_warping(profile, o["r_max"], step=o["step"]))
+    geometry = (spec.geometry["path"] if spec.builtin is None
+                else spec.builtin.build(ambient, spec.geometry))
+    return Domain(geometry, ambient, spec.geometry["quadrature_order"])
 
 
 # ---------------------------------------------------------------------------
@@ -521,26 +540,21 @@ def _write_outputs(records, json_path, csv_path, echo_json):
         Path(json_path).write_text(text + "\n")
     if echo_json:
         print(text)
-    if csv_path:
-        rows = [r for r in records if r.get("type") == "report"]
-        if rows:
-            flat = []
-            for r in rows:
-                flat.append({
-                    "id": r["id"], "level": r.get("level", 0),
-                    "ratio": r["ratio"], "lhs_total": r["lhs_total"],
-                    "rhs_total": r["rhs_total"],
-                    "quadrature_error": r["quadrature_error"],
-                    "slack": r["slack"], "satisfied": int(r["satisfied"]),
-                    "degenerate": int(r["degenerate"]),
-                    "generator": r["mesh_stats"].get("generator", ""),
-                    "cells": r["mesh_stats"].get("cells", 0),
-                })
-            buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=list(flat[0].keys()))
-            writer.writeheader()
-            writer.writerows(flat)
-            Path(csv_path).write_text(buf.getvalue())
+    flat = [{"id": r["id"], "level": r.get("level", 0),
+             "ratio": r["ratio"], "lhs_total": r["lhs_total"],
+             "rhs_total": r["rhs_total"],
+             "quadrature_error": r["quadrature_error"],
+             "slack": r["slack"], "satisfied": int(r["satisfied"]),
+             "degenerate": int(r["degenerate"]),
+             "generator": r["mesh_stats"].get("generator", ""),
+             "cells": r["mesh_stats"].get("cells", 0)}
+            for r in records if r.get("type") == "report"]
+    if csv_path and flat:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(flat[0]))
+        writer.writeheader()
+        writer.writerows(flat)
+        Path(csv_path).write_text(buf.getvalue())
 
 
 def worker_count() -> int:
@@ -560,19 +574,20 @@ _FLAG_BOUNDS = {"levels": 0, "seed": 0, "budget": 1, "slack": 0}
 
 
 def _load_cases(args, search=False):
-    """Validated ``(case, options)`` pairs and the sweep's worker count (1
-    for ``search``), or Nones after a config error.  For ``search``, each
+    """The parsed cases and the sweep's worker count (1 for ``search``), or
+    Nones after a config error.  The flags are checked first: ``--seed``
+    draws the cases' ``random_smooth`` members.  For ``search``, each
     case's start member must lie in its family's search box, which the
     search would otherwise clip without a word."""
     try:
-        cases = expand_sweep(load_config(resolve_config_path(args.config)))
-        parsed = [(case, validate_case(case)) for case in cases]
-        n_workers = 1 if search else worker_count()
         for flag, least in _FLAG_BOUNDS.items():
             value = getattr(args, flag, None)
             if value is not None and not value >= least:
                 raise ConfigError(f"--{flag} must be >= {least}, got {value}")
-        for field in (build_field(c, args.seed) for c in cases if search):
+        cases = [validate_case(case, args.seed) for case in
+                 expand_sweep(load_config(resolve_config_path(args.config)))]
+        n_workers = 1 if search else worker_count()
+        for field in (c.field for c in cases if search):
             for x, (lo, hi) in zip(field.dof, FAMILIES[field.kind].bounds):
                 if not lo <= x <= hi:
                     raise ConfigError(
@@ -582,9 +597,9 @@ def _load_cases(args, search=False):
         print(f"config error: {exc}", file=sys.stderr)
         return None, None
     if args.slack is not None:
-        for _, options in parsed:
-            options["slack"] = args.slack
-    return parsed, n_workers
+        for case in cases:
+            case.options["slack"] = args.slack
+    return cases, n_workers
 
 
 def _evaluation_failed(exc: CknLabError) -> int:
@@ -599,44 +614,35 @@ def _evaluation_failed(exc: CknLabError) -> int:
 
 
 def cmd_verify(args) -> int:
-    parsed, n_workers = _load_cases(args)
-    if parsed is None:
+    cases, n_workers = _load_cases(args)
+    if cases is None:
         return EXIT_CONFIG
-    records = []
-    failures = []
-    numerical = []
-
-    def run_case(item):
-        case, options = item
-        ineq_id, field = case["inequality"]["id"], build_field(case, args.seed)
-        return [{**evaluate(ineq_id, domain, field, options).to_dict(),
+    def run_case(case):
+        return [{**evaluate(case.id, domain, case.field,
+                            case.options).to_dict(),
                  "level": level, "seed": args.seed}
-                for level, domain in refinements(build_domain(case),
+                for level, domain in refinements(build_domain(case.domain),
                                                  args.levels)]
 
     try:
-        if n_workers > 1 and len(parsed) > 1:
+        if n_workers > 1 and len(cases) > 1:
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                chunks = list(pool.map(run_case, parsed))
+                chunks = list(pool.map(run_case, cases))
         else:
             # a pool thread would contend for the GIL with bench/run.py's probe
-            chunks = [run_case(item) for item in parsed]
+            chunks = [run_case(case) for case in cases]
     except CknLabError as exc:
         return _evaluation_failed(exc)
-    for chunk in chunks:
-        for rec in chunk:
-            records.append(rec)
-            if not math.isfinite(rec["ratio"]) and not rec["degenerate"]:
-                numerical.append(rec)
-            elif not rec["satisfied"]:
-                failures.append(rec)
-
+    records = [rec for chunk in chunks for rec in chunk]
     _write_outputs(records, args.out, args.csv, args.json)
+    numerical = [rec for rec in records
+                 if not math.isfinite(rec["ratio"]) and not rec["degenerate"]]
     if numerical:
         print(f"{len(numerical)} report(s) numerically invalid",
               file=sys.stderr)
         return EXIT_NUMERICAL
+    failures = [rec for rec in records if not rec["satisfied"]]
     if failures:
         print(f"{len(failures)} report(s) violate their inequality:",
               file=sys.stderr)
@@ -652,29 +658,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    parsed, _ = _load_cases(args, search=True)
-    if parsed is None:
+    cases, _ = _load_cases(args, search=True)
+    if cases is None:
         return EXIT_CONFIG
     records = []
     results = []
     # consecutive cases on the same geometry share its domain, and with it
     # the graded site tables; only the current domain is kept
-    domain = geometry = None
+    domain = source = None
     try:
-        for case, options in parsed:
-            budget = (_read("run", case.get("run", {}), _RUN)["budget"]
-                      if args.budget is None else args.budget)
-            key = (case.get("ambient"), case.get("geometry"))
-            if key != geometry:
+        for case in cases:
+            if case.source != source:
                 domain = None
-                domain, geometry = build_domain(case), key
-            family = build_field(case, args.seed)
-            result = maximize_ratio(case["inequality"]["id"], domain, family,
-                                    options, budget=budget, seed=args.seed,
-                                    refine_levels=args.levels)
-            rec = result.to_dict()
-            rec["seed"] = args.seed
-            records.append(rec)
+                domain, source = build_domain(case.domain), case.source
+            result = maximize_ratio(
+                case.id, domain, case.field, case.options,
+                budget=case.budget if args.budget is None else args.budget,
+                seed=args.seed, refine_levels=args.levels)
+            records.append({**result.to_dict(), "seed": args.seed})
             results.append(result)
     except CknLabError as exc:
         return _evaluation_failed(exc)
@@ -714,14 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("constants", help="print closed-form constants")
     pc.add_argument("--k", required=True)
     pc.add_argument("--p", required=True)
-    pc.add_argument("--z")
-    pc.add_argument("--alpha")
-    pc.add_argument("--sigma")
-    pc.add_argument("--q")
-    pc.add_argument("--a")
-    pc.add_argument("--beta")
-    pc.add_argument("--gamma")
-    pc.add_argument("--t")
+    for flag in ("z", "alpha", "sigma", "q", "a", "beta", "gamma", "t"):
+        pc.add_argument(f"--{flag}")
     pc.add_argument("--hprime", default="1")
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(fn=cmd_constants)

@@ -4,8 +4,9 @@ Builds a seeded set of admissible configurations covering every catalog id,
 all four test-function families and a spread of geometries (flat disks,
 tilted planes, spheres, caps, a curved graph, geodesic disks and balls in a
 positively curved model), and runs the sweep one geometry per worker task.
-Each geometry is a configuration of one of the CLI's ``BUILTINS``, built by
-:func:`cknlab.cli.build_domain` as a config file's case would be.
+Each geometry is a configuration of one of the CLI's ``BUILTINS``, parsed by
+:func:`cknlab.cli.parse_domain` and built by :func:`cknlab.cli.build_domain`,
+as a config file's case would be.
 
 Parameter draws are kept strictly admissible: weight exponents stay half a
 unit below the integrability threshold on through-pole domains, and the
@@ -22,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .cli import BUILTINS, build_domain, worker_count
+from .cli import BUILTINS, build_domain, parse_domain, worker_count
 from .geometry.fields import FAMILIES, make_field
 from .inequalities import evaluate
 
@@ -75,7 +76,7 @@ def _options(name: str) -> dict:
 
 def corpus_geometries() -> dict:
     """Name -> lazy builder of each corpus geometry's Domain."""
-    return {name: partial(build_domain, case)
+    return {name: partial(build_domain, parse_domain(case))
             for name, case in GEOMETRIES.items()}
 
 

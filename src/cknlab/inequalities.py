@@ -343,8 +343,7 @@ def _sobolev_side_conditions(domain: Domain, field, inj_radius):
     vol = float(np.sum(_band0(domain, field, "density")[np.abs(psi) > 0]))
     jbar = ((k + 1) / cn.unit_ball_volume(k) * vol) ** (1.0 / k)
     amb = domain.ambient
-    b = (math.sqrt(amb.warp.profile.max_b_squared) if amb.kind == "warped"
-         else 0.0)
+    b = math.sqrt(amb.warp.max_b_squared) if amb.kind == "warped" else 0.0
     status = "verified"
     if b > 0 and jbar >= 1.0 / b:
         status = "unverified"

@@ -64,11 +64,14 @@ class CurvatureProfile:
             return math.inf
         return self.samples[-1][0]
 
-    @property
-    def max_b_squared(self) -> float:
-        """The largest value, the constant or the largest sample: it bounds
-        every sectional curvature on the increasing branch."""
-        return max([self.b_squared] + [v for _, v in self.samples])
+    def max_b_squared(self, r_max: float) -> float:
+        """The largest value on [0, r_max]: the constant, or the samples
+        inside it and the value at ``r_max``.  It bounds every sectional
+        curvature there on the increasing branch."""
+        if self.kind == "constant":
+            return self.b_squared
+        return max([v for r, v in self.samples if r <= r_max]
+                   + [float(self(r_max))])
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -122,6 +125,12 @@ class WarpingFunction:
     _grid: np.ndarray = field(default=None, repr=False)
     _h: np.ndarray = field(default=None, repr=False)
     _hp: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def max_b_squared(self) -> float:
+        """The profile's largest value on the solved range."""
+        return self.profile.max_b_squared(
+            math.inf if self._grid is None else self._grid[-1])
 
     # -- evaluation ---------------------------------------------------------
 

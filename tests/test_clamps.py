@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from cknlab.cli import BUILTINS, build_domain
+from cknlab.cli import BUILTINS, build_domain, parse_domain
 from cknlab.geometry.fields import _clamp
 from cknlab.quadrature import box_rule
 from geometry_checks import chart_clamp, chart_column_lengths
@@ -42,8 +42,9 @@ NAMES = sorted(set(BUILTINS) - {"sphere_mesh", "sphere_patch"}
 
 def _domain(name):
     builtin, ambient, options = VARIANTS.get(name, (name, {}, {}))
-    return build_domain({"ambient": ambient or {"kind": "euclidean"},
-                         "geometry": {"builtin": builtin, **options}})
+    return build_domain(parse_domain(
+        {"ambient": ambient or {"kind": "euclidean"},
+         "geometry": {"builtin": builtin, **options}}))
 
 
 def _chart_sites(domain):

@@ -192,6 +192,32 @@ def test_verify_violation_exit_code(tmp_path, capsys):
     assert "violate" in err
 
 
+def test_search_violation_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cone.cfg"
+    cfg.write_text(DISK_CONE_CFG)
+    code, _, err = run(["search", str(cfg), "--budget", "1", "--slack",
+                        "1e-9"], capsys)
+    assert code == 2
+    assert re.fullmatch(r"search found ratio 1\.00\d+ beyond 1 \+ 1e-09\n",
+                        err)
+
+
+# a cap of the unit sphere has |H| = 2: its minimality check fails
+MINIMAL_CAP_CFG = DISK_CONE_CFG.replace(
+    "builtin = disk_mesh\nradius = 1.0\nrings = 12",
+    "builtin = sphere_patch\ntheta1 = 1.0\ncells_theta = 2\ncells_phi = 4"
+).replace("gamma = 1\n", "gamma = 1\nminimal = true\n")
+
+
+def test_failed_minimality_check_is_a_numerical_failure(tmp_path, capsys):
+    for code, out, err in _verify_and_search(tmp_path, capsys,
+                                             MINIMAL_CAP_CFG):
+        assert code == 3
+        assert out == ""
+        assert err == ("evaluation error: max |H| = 2.000e+00 exceeds the "
+                       "minimality tolerance\n")
+
+
 def test_verify_json_deterministic(tmp_path, capsys):
     cfg = tmp_path / "cone.cfg"
     cfg.write_text(DISK_CONE_CFG)
@@ -475,6 +501,25 @@ def test_sobolev_side_conditions_read_a_tabulated_curvature(tmp_path,
     assert "support volume too large for the curvature bound" in statuses[0][1]
 
 
+@pytest.mark.parametrize("table", ["0 1\n1.6 1\n5 100\n", "0 1\n2 1\n"],
+                         ids=["rising_beyond_r_max", "constant"])
+def test_sobolev_curvature_bound_reads_the_profile_up_to_r_max(
+        tmp_path, capsys, table):
+    # curvature 1 on all of [0, r_max]; the first table rises only beyond
+    profile = tmp_path / "profile.txt"
+    profile.write_text(table)
+    cfg = tmp_path / "sobolev.cfg"
+    cfg.write_text(SOBOLEV_CURVED_CFG.format(
+        curvature=f"profile_file = {profile}").replace("radius = 0.9",
+                                                       "radius = 0.5"))
+    out_path = tmp_path / "out.json"
+    code, _, _ = run(["verify", str(cfg), "--out", str(out_path)], capsys)
+    assert code == 0
+    status = json.loads(out_path.read_text())["records"][0][
+        "hypothesis_status"]
+    assert status["status"] == "verified"
+
+
 def test_verify_mesh_file_geometry(tmp_path, capsys):
     from cknlab.geometry.mesh import disk_mesh, write_mesh
     mesh_path = tmp_path / "disk.mesh"
@@ -538,16 +583,17 @@ def test_levels_evaluate_on_the_refined_domain(tmp_path, capsys, geometry,
         "builtin = disk_mesh\nradius = 1.0\nrings = 12", geometry).replace(
         "p = 1\ngamma = 1", exponents))
     case = cli.expand_sweep(cli.load_config(cfg))[0]
-    options = cli.validate_case(case)
-    refined = cli.build_domain(case).refined()
+    parsed = cli.validate_case(case)
+    refined = cli.build_domain(parsed.domain).refined()
 
     def on_refined(field):
-        return evaluate(case["inequality"]["id"], refined, field, options)
+        return evaluate(parsed.id, refined, field, parsed.options)
 
     code, out, _ = run(["verify", str(cfg), "--levels", "1", "--seed", "2",
                         "--json"], capsys)
     assert code == 0
-    expected = {**on_refined(cli.build_field(case, 2)).to_dict(),
+    seeded = cli.validate_case(case, seed=2).field
+    expected = {**on_refined(seeded).to_dict(),
                 "level": 1, "seed": 2}
     assert (json.dumps(json.loads(out)["records"][1], sort_keys=True)
             == json.dumps(expected, sort_keys=True))
@@ -556,7 +602,7 @@ def test_levels_evaluate_on_the_refined_domain(tmp_path, capsys, geometry,
                         "--json"], capsys)
     assert code == 0
     record = json.loads(out)["records"][0]
-    argmax = cli.build_field(case, 0).with_dof(record["argmax_dof"])
+    argmax = parsed.field.with_dof(record["argmax_dof"])
     assert record["refinement_trace"][1] == [
         1, on_refined(argmax).ratio]
 
@@ -803,6 +849,95 @@ def test_misspelled_name_is_found_before_geometry(tmp_path, capsys,
         assert message in err
 
 
+def test_unknown_builtin_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_domain", _never_build)
+    text = DISK_CONE_CFG.replace("builtin = disk_mesh", "builtin = torus")
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert err == ("config error: unknown geometry builtin 'torus'; "
+                       f"choices: {sorted(cli.BUILTINS)}\n")
+
+
+# -- booleans take configparser's words; anything else is refused
+
+def _parsed(tmp_path, text):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    return cli.validate_case(cli.expand_sweep(cli.load_config(cfg))[0])
+
+
+@pytest.mark.parametrize("word,value", [
+    ("1", True), ("Yes", True), ("TRUE", True), ("on", True),
+    ("0", False), ("no", False), ("False", False), ("OFF", False)])
+def test_boolean_words(tmp_path, word, value):
+    parsed = _parsed(tmp_path, DISK_CONE_CFG.replace(
+        "boundary_vanishing = true", f"boundary_vanishing = {word}")
+        + f"minimal = {word}\n")
+    assert parsed.field.boundary_vanishing is value
+    assert parsed.options["minimal"] is value
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("boundary_vanishing = true", "boundary_vanishing = ture",
+     "[field] boundary_vanishing = 'ture': must be one of 1, yes, true, on, "
+     "0, no, false, off"),
+    ("gamma = 1\n", "gamma = 1\nminimal = yse\n",
+     "[inequality] minimal = 'yse': must be one of 1, yes, true, on, 0, no, "
+     "false, off"),
+], ids=["boundary_vanishing", "minimal"])
+def test_malformed_boolean_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                             old, new, message):
+    monkeypatch.setattr(cli, "build_domain", _never_build)
+    text = DISK_CONE_CFG.replace(old, new)
+    assert new in text
+    for code, _, err in _verify_and_search(tmp_path, capsys, text):
+        assert code == 1
+        assert err == f"config error: {message}\n"
+
+
+# -- [geometry] poly: natural exponents, each pair once
+
+POLY_CFG = DISK_CONE_CFG.replace(
+    "builtin = disk_mesh\nradius = 1.0\nrings = 12",
+    "builtin = poly_graph\ncells = 4\npoly = {poly}")
+
+
+def test_poly_reaches_the_patch(tmp_path, capsys, monkeypatch):
+    seen = []
+    real = cli.poly_graph_patch
+
+    def recording(ambient, poly, half_width, cells):
+        seen.append(poly)
+        return real(ambient, poly, half_width, cells)
+
+    monkeypatch.setattr(cli, "poly_graph_patch", recording)
+    cfg = tmp_path / "poly.cfg"
+    cfg.write_text(POLY_CFG.format(poly="2 0 0.25; 1 1 -0.5 ;0 3 1e-1"))
+    code, _, _ = run(["verify", str(cfg)], capsys)
+    assert code == 0
+    assert seen == [{(2, 0): 0.25, (1, 1): -0.5, (0, 3): 0.1}]
+
+
+@pytest.mark.parametrize("poly,message", [
+    ("-1 0 1", "term '-1 0 1' has a negative exponent"),
+    ("2 0 1; 0 -2 1", "term '0 -2 1' has a negative exponent"),
+    ("2 0 1; 2 0 3",
+     "term '2 0 3' repeats the exponents of an earlier term"),
+    ("2 0", "term '2 0' must be 'i j coefficient'"),
+    ("2 0 1;", "term '' must be 'i j coefficient'"),
+    ("2 0.5 1", "term '2 0.5 1' must be 'i j coefficient'"),
+    ("2 0 nan", "'nan' is not finite"),
+], ids=["negative", "negative_second", "repeated", "two_fields",
+        "empty_term", "fractional_exponent", "nan_coefficient"])
+def test_malformed_poly_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                          poly, message):
+    monkeypatch.setattr(cli, "build_domain", _never_build)
+    for code, _, err in _verify_and_search(tmp_path, capsys,
+                                           POLY_CFG.format(poly=poly)):
+        assert code == 1
+        assert err == f"config error: [geometry] poly = {poly!r}: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_verify_refuses_a_malformed_thread_count(tmp_path, capsys,
                                                  monkeypatch, value):
@@ -1041,9 +1176,9 @@ def test_search_reuses_the_domain_of_a_geometry(tmp_path, capsys, monkeypatch,
     built = []
     real_build = cli.build_domain
 
-    def counting_build(case):
-        built.append(case["geometry"]["rings"])
-        return real_build(case)
+    def counting_build(spec):
+        built.append(spec.geometry["rings"])
+        return real_build(spec)
 
     monkeypatch.setattr(cli, "build_domain", counting_build)
     records = _search_records(tmp_path, capsys, base + "\n[sweep]\n" + sweep,
@@ -1061,17 +1196,51 @@ def test_search_reuses_the_domain_of_a_geometry(tmp_path, capsys, monkeypatch,
     assert len(built) == builds + len(cases)
 
 
+# -- the config stage reads each file and builds each field once per case
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("source", ["path", "profile_file"])
+@pytest.mark.parametrize("command", ["verify", "search"])
+def test_each_case_reads_its_file_and_builds_its_field_once(
+        tmp_path, capsys, monkeypatch, source, command):
+    from collections import Counter
+    from cknlab.geometry.mesh import disk_mesh, write_mesh
+    calls = Counter()
+    for name in ("read_mesh", "load_profile", "make_field"):
+        monkeypatch.setattr(cli, name, _counting(calls, name,
+                                                 getattr(cli, name)))
+    if source == "path":
+        path = tmp_path / "disk.mesh"
+        write_mesh(disk_mesh(1.0, rings=4), path)
+        text, reader = MESH_FILE_CFG.format(path=path), "read_mesh"
+    else:
+        path = tmp_path / "profile.txt"
+        path.write_text("0 1.0\n2 1.0\n")
+        text, reader = PROFILE_CFG.format(path=path), "load_profile"
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    code, _, _ = run([command, str(cfg), "--budget", "2"]
+                     if command == "search" else [command, str(cfg)], capsys)
+    assert code == 0
+    assert calls == {reader: 1, "make_field": 1}
+
+
 # -- a seeded config fuzz ends in an exit code, never in a traceback
 
 # the options validate_case reads, in a fixed order
 FUZZ_KEYS = {
-    "ambient": [*cli._AMBIENT, "profile_file"],
+    "ambient": [*cli._AMBIENT],
     "geometry": list(dict.fromkeys(
-        ["builtin", "path", *cli._ORDER,
+        ["builtin", *cli._PATH,
          *(o for b in cli.BUILTINS.values() for o in b.options)])),
-    "inequality": ["id", "p", "gamma", "alpha", "sigma", "beta", "q", "a",
-                   "t", "r0", "slack", "inj_radius", "minimal"],
-    "field": [*cli._FIELD, "dof"],
+    "inequality": [*cli._INEQUALITY],
+    "field": [*cli._FIELD],
     "run": [*cli._RUN],
 }
 FUZZ_NUMBERS = ["1", "0.5", "1.5", "2", "0", "-1", "abc", "1e400", "nan"]

@@ -4,7 +4,8 @@
 and reads methods from the class ``__dict__``, so a refactor that drops or
 moves one of them breaks ``bench/run.py --trace 1``.  This test installs
 the tracer on the program, runs one evaluation through the wrappers and
-checks that uninstalling restores every original.
+checks that uninstalling restores every original.  A traced ``verify``
+of a mesh file shows the config stage reading the mesh, once.
 """
 
 import sys
@@ -18,6 +19,7 @@ import cknlab.corpus  # noqa: F401
 from cknlab import inequalities
 from cknlab.geometry import AmbientSpace, Domain, disk_mesh, patch
 from cknlab.geometry.fields import make_field
+from cknlab.geometry.mesh import write_mesh
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -80,3 +82,29 @@ def test_tracer_counts_each_chart_jet_once(monkeypatch):
         tracer.uninstall()
     assert metrics["patch.jet_calls"] == 2
     assert metrics["patch.jet_points"] == 10
+
+
+def test_tracer_sees_the_config_stage_read_a_mesh_once(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    mesh_path = tmp_path / "disk.mesh"
+    write_mesh(disk_mesh(1.0, rings=4), mesh_path)
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(f"[geometry]\npath = {mesh_path}\n\n"
+                   "[field]\nkind = radial_power\ndof = 1.0\n\n"
+                   "[inequality]\nid = hardy\np = 1\ngamma = 1\n")
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = cknlab.cli.main(["verify", str(cfg)])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and capsys.readouterr().out.startswith("ok hardy")
+    names = [span[0] for span in tracer.spans]
+    assert names.count("mesh.generate") == 1
+    assert names.count("cli.build_domain") == 1
+    reads = names.index("mesh.generate")
+    parent = tracer.spans[reads][3]
+    assert tracer.spans[parent][0] == "cli.config"

@@ -60,6 +60,18 @@ def test_slope_monotone_and_below_flat():
     assert np.all(w.h(ts) <= ts + 1e-12)
 
 
+def test_largest_curvature_reads_the_solved_range_only():
+    table = CurvatureProfile.tabulated([(0.0, 1.0), (1.0, 3.0), (2.0, 0.5),
+                                        (5.0, 100.0)])
+    assert table.max_b_squared(0.5) == 2.0       # interpolated at r_max
+    assert table.max_b_squared(1.55) == 3.0      # a sample inside
+    assert table.max_b_squared(5.0) == 100.0
+    assert solve_warping(table, 1.55).max_b_squared == 3.0
+    constant = CurvatureProfile.constant(4.0)
+    assert constant.max_b_squared(0.5) == 4.0
+    assert solve_warping(constant, 0.5).max_b_squared == 4.0
+
+
 def test_argument_validation():
     with pytest.raises(InvalidArgument):
         solve_warping(CurvatureProfile.constant(1.0), -1.0)
