@@ -860,19 +860,15 @@ def test_unknown_builtin_is_a_config_error(tmp_path, capsys, monkeypatch):
 
 # -- booleans take configparser's words; anything else is refused
 
-def _parsed(tmp_path, text):
-    cfg = tmp_path / "case.cfg"
-    cfg.write_text(text)
-    return cli.validate_case(cli.expand_sweep(cli.load_config(cfg))[0])
-
-
 @pytest.mark.parametrize("word,value", [
     ("1", True), ("Yes", True), ("TRUE", True), ("on", True),
     ("0", False), ("no", False), ("False", False), ("OFF", False)])
 def test_boolean_words(tmp_path, word, value):
-    parsed = _parsed(tmp_path, DISK_CONE_CFG.replace(
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(DISK_CONE_CFG.replace(
         "boundary_vanishing = true", f"boundary_vanishing = {word}")
         + f"minimal = {word}\n")
+    parsed = cli.validate_case(cli.expand_sweep(cli.load_config(cfg))[0])
     assert parsed.field.boundary_vanishing is value
     assert parsed.options["minimal"] is value
 
