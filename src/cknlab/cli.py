@@ -11,11 +11,13 @@ Subcommands:
 
 The config stage parses each case once, before any geometry work:
 :func:`validate_case` reads its mesh or profile file, builds its field and
-returns a :class:`ParsedCase`, from which the run stage builds the domain.
+returns a :class:`ParsedCase`.  The run stage, :func:`run_cases`, builds
+the domain of each geometry once and runs its cases on it, for ``verify``,
+``search`` and the corpus alike.
 
 Exit codes: 0 pass, 1 configuration error (a malformed command line too),
 2 inequality violation, 3 numerical failure (a failed ``minimal`` check
-too).  ``CKN_LAB_THREADS``, a positive integer, sets the sweep's workers.
+too).  ``CKN_LAB_THREADS``, a positive integer, sets the run's workers.
 """
 
 from __future__ import annotations
@@ -107,6 +109,8 @@ def cmd_constants(args) -> int:
         if args.z is not None:
             rows["S_kpz"] = cn.hoffman_spruck_constant(k, pf, float(_frac(args.z)))
         hp = float(_frac(args.hprime))
+        if not 0 < hp <= 1:
+            raise ConfigError(f"--hprime must lie in (0, 1], got {hp:g}")
         if args.alpha is not None:
             alpha = float(_frac(args.alpha))
             wc = cn.weighted_sobolev_constants(k, pf, alpha, hp)
@@ -143,7 +147,9 @@ def cmd_constants(args) -> int:
                     params, hp, cn.hoffman_spruck_optimal(k, pf))
                 rows["Lambda"] = lam
                 rows["C"] = comb
-    except CknLabError as exc:
+    except (CknLabError, OverflowError, ZeroDivisionError) as exc:
+        if not isinstance(exc, CknLabError):
+            exc = f"a constant at k = {k}, p = {pf:g} is beyond a float"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.json:
@@ -321,13 +327,14 @@ def _read(section: str, values: dict, table: dict) -> dict:
     return out
 
 
-# one option table per section; [geometry]'s is its builtin's or _PATH.  The
-# file readers are looked up when a case is parsed, so a wrapper installed
-# on one after import also wraps these calls.
-_AMBIENT = {"kind": (_choice("euclidean", "warped"), "euclidean", None),
-            "dim": (int, 3, _POSITIVE), "r_max": (_finite, 1.5, None),
-            "step": (_finite, 1e-3, None), "curvature": (_finite, 1.0, None),
-            "profile_file": (lambda path: load_profile(path), None, None)}
+# one option table per section; [ambient]'s is its kind's, [geometry]'s its
+# builtin's or _PATH.  The file readers are looked up when a case is parsed,
+# so a wrapper installed on one after import also wraps these calls.
+_AMBIENT = {"euclidean": {}, "warped": {
+    "r_max": (_finite, 1.5, None), "step": (_finite, 1e-3, None),
+    "curvature": (_finite, 1.0, None),
+    "profile_file": (lambda path: load_profile(path), None, None)}}
+_KIND = {"kind": (_choice(*_AMBIENT), "euclidean", None)}
 _FIELD = {"kind": (_choice(*FAMILIES), "radial_power", None),
           "boundary_vanishing": (_flag, True, None),
           "seed": (int, None, _at_least(0)), "dof": (_dof, None, None)}
@@ -427,7 +434,7 @@ def _check_names(case: dict):
 
     [geometry] knows the options of every builtin, so a sweep across
     builtins may set options that only some of them read."""
-    known = {"ambient": _AMBIENT,
+    known = {"ambient": {*_KIND, *(o for t in _AMBIENT.values() for o in t)},
              "geometry": {"builtin", *_PATH,
                           *(o for b in BUILTINS.values() for o in b.options)},
              "field": _FIELD, "inequality": _INEQUALITY, "run": _RUN}
@@ -456,7 +463,7 @@ class ParsedCase(NamedTuple):
     id: str
     options: dict     # the inequality's options
     budget: int
-    source: tuple     # the raw [ambient] and [geometry]: search's reuse key
+    source: tuple     # the raw [ambient] and [geometry], as sorted items
 
 
 def parse_domain(case: dict) -> DomainSpec:
@@ -470,13 +477,17 @@ def parse_domain(case: dict) -> DomainSpec:
         raise ConfigError(f"unknown geometry builtin {name!r}; "
                           f"choices: {sorted(BUILTINS)}")
     table = _PATH if builtin is None else {**builtin.options, **_ORDER}
-    ambient = _read("ambient", case.get("ambient", {}), _AMBIENT)
-    options = _read("geometry", geo, table)
-    if builtin is None and options["path"].n != ambient["dim"]:
-        raise ConfigError(f"[geometry] path: the mesh has "
-                          f"{options['path'].n}-d vertices in a "
-                          f"{ambient['dim']}-d ambient")
-    return DomainSpec(ambient, builtin, options)
+    values = case.get("ambient", {})
+    kind = _read("ambient", values, _KIND)["kind"]
+    for option in values:
+        if option not in (*_KIND, *_AMBIENT[kind]):
+            raise ConfigError(f"[ambient] {option} is not an option of "
+                              f"kind = {kind}")
+    if "curvature" in values and "profile_file" in values:
+        raise ConfigError("[ambient] curvature is not read beside a "
+                          "profile_file")
+    ambient = {"kind": kind, **_read("ambient", values, _AMBIENT[kind])}
+    return DomainSpec(ambient, builtin, _read("geometry", geo, table))
 
 
 def validate_case(case: dict, seed: int = 0) -> ParsedCase:
@@ -511,19 +522,22 @@ def validate_case(case: dict, seed: int = 0) -> ParsedCase:
     except InvalidArgument as exc:
         raise ConfigError(f"[field] dof: {exc}") from exc
     return ParsedCase(domain, field, ineq_id, options, budget,
-                      (case.get("ambient"), case.get("geometry")))
+                      tuple(tuple(sorted(case.get(section, {}).items()))
+                            for section in ("ambient", "geometry")))
 
 
 def build_domain(spec: DomainSpec) -> Domain:
-    """The Domain of a parsed [ambient] and [geometry]."""
+    """The Domain of a parsed [ambient] and [geometry]: every builtin lies in
+    3-space, and a mesh file in the space of its vertices."""
     o = spec.ambient
+    dim = 3 if spec.builtin else spec.geometry["path"].n
     if o["kind"] == "euclidean":
-        ambient = AmbientSpace.euclidean(o["dim"])
+        ambient = AmbientSpace.euclidean(dim)
     else:
         profile = (o["profile_file"] if o["profile_file"] is not None
                    else CurvatureProfile.constant(o["curvature"]))
         ambient = AmbientSpace.warped(
-            o["dim"], solve_warping(profile, o["r_max"], step=o["step"]))
+            dim, solve_warping(profile, o["r_max"], step=o["step"]))
     geometry = (spec.geometry["path"] if spec.builtin is None
                 else spec.builtin.build(ambient, spec.geometry))
     return Domain(geometry, ambient, spec.geometry["quadrature_order"])
@@ -558,7 +572,7 @@ def _write_outputs(records, json_path, csv_path, echo_json):
 
 
 def worker_count() -> int:
-    """Sweep workers: ``CKN_LAB_THREADS`` when set, else up to 4 cores.
+    """Workers of a run: ``CKN_LAB_THREADS`` when set, else up to 4 cores.
     Raises :class:`ConfigError` unless the variable is a positive integer."""
     env = os.environ.get("CKN_LAB_THREADS")
     if not env:
@@ -573,12 +587,36 @@ def worker_count() -> int:
 _FLAG_BOUNDS = {"levels": 0, "seed": 0, "budget": 1, "slack": 0}
 
 
-def _load_cases(args, search=False):
-    """The parsed cases and the sweep's worker count (1 for ``search``), or
-    Nones after a config error.  The flags are checked first: ``--seed``
-    draws the cases' ``random_smooth`` members.  For ``search``, each
-    case's start member must lie in its family's search box, which the
-    search would otherwise clip without a word."""
+def run_cases(cases, key, build, run, threads: int) -> list:
+    """``run(case, domain)`` of each case, in case order.  The cases of one
+    ``key(case)`` run in order on one domain, built by ``build`` from the
+    first of them and dropped after the last.  With several keys and
+    several workers, the groups go to a pool of ``threads``; the first
+    error in group order propagates."""
+    groups = {}
+    for case in cases:
+        groups.setdefault(key(case), []).append(case)
+
+    def run_group(group):
+        domain = build(group[0])
+        return iter([run(case, domain) for case in group])
+
+    if threads > 1 and len(groups) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(run_group, groups.values()))
+    else:
+        # a pool thread would contend for the GIL with bench/run.py's probe
+        done = map(run_group, groups.values())
+    results = dict(zip(groups, done))
+    return [next(results[key(case)]) for case in cases]
+
+
+def _run(args, run, search=False):
+    """``run(case, domain)`` of each case of the config, by
+    :func:`run_cases`, or the exit code of a failure.  The flags are checked
+    first: ``--seed`` draws the cases' ``random_smooth`` members.  For
+    ``search``, each start member must lie in its family's search box."""
     try:
         for flag, least in _FLAG_BOUNDS.items():
             value = getattr(args, flag, None)
@@ -586,7 +624,7 @@ def _load_cases(args, search=False):
                 raise ConfigError(f"--{flag} must be >= {least}, got {value}")
         cases = [validate_case(case, args.seed) for case in
                  expand_sweep(load_config(resolve_config_path(args.config)))]
-        n_workers = 1 if search else worker_count()
+        n_workers = worker_count()
         for field in (c.field for c in cases if search):
             for x, (lo, hi) in zip(field.dof, FAMILIES[field.kind].bounds):
                 if not lo <= x <= hi:
@@ -595,45 +633,32 @@ def _load_cases(args, search=False):
                         f"search bounds [{lo:g}, {hi:g}]")
     except (CknLabError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return None, None
+        return EXIT_CONFIG
     if args.slack is not None:
         for case in cases:
             case.options["slack"] = args.slack
-    return cases, n_workers
-
-
-def _evaluation_failed(exc: CknLabError) -> int:
-    """Report an error raised while evaluating; its exit code."""
-    if isinstance(exc, (InvalidArgument, PreconditionViolated,
-                        ParameterConflict, InconsistentParameters,
-                        InsufficientStencil)):
+    try:
+        return run_cases(cases, lambda c: c.source,
+                         lambda c: build_domain(c.domain), run, n_workers)
+    except (InvalidArgument, PreconditionViolated, ParameterConflict,
+            InconsistentParameters, InsufficientStencil) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"evaluation error: {exc}", file=sys.stderr)
-    return EXIT_NUMERICAL
+    except CknLabError as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def cmd_verify(args) -> int:
-    cases, n_workers = _load_cases(args)
-    if cases is None:
-        return EXIT_CONFIG
-    def run_case(case):
-        return [{**evaluate(case.id, domain, case.field,
+    def run_case(case, domain):
+        return [{**evaluate(case.id, refined, case.field,
                             case.options).to_dict(),
                  "level": level, "seed": args.seed}
-                for level, domain in refinements(build_domain(case.domain),
-                                                 args.levels)]
+                for level, refined in refinements(domain, args.levels)]
 
-    try:
-        if n_workers > 1 and len(cases) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                chunks = list(pool.map(run_case, cases))
-        else:
-            # a pool thread would contend for the GIL with bench/run.py's probe
-            chunks = [run_case(case) for case in cases]
-    except CknLabError as exc:
-        return _evaluation_failed(exc)
+    chunks = _run(args, run_case)
+    if isinstance(chunks, int):
+        return chunks
     records = [rec for chunk in chunks for rec in chunk]
     _write_outputs(records, args.out, args.csv, args.json)
     numerical = [rec for rec in records
@@ -658,30 +683,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cases, _ = _load_cases(args, search=True)
-    if cases is None:
-        return EXIT_CONFIG
-    records = []
-    results = []
-    # consecutive cases on the same geometry share its domain, and with it
-    # the graded site tables; only the current domain is kept
-    domain = source = None
-    try:
-        for case in cases:
-            if case.source != source:
-                domain = None
-                domain, source = build_domain(case.domain), case.source
-            result = maximize_ratio(
-                case.id, domain, case.field, case.options,
-                budget=case.budget if args.budget is None else args.budget,
-                seed=args.seed, refine_levels=args.levels)
-            records.append({**result.to_dict(), "seed": args.seed})
-            results.append(result)
-    except CknLabError as exc:
-        return _evaluation_failed(exc)
+    def search_case(case, domain):
+        return maximize_ratio(
+            case.id, domain, case.field, case.options,
+            budget=case.budget if args.budget is None else args.budget,
+            seed=args.seed, refine_levels=args.levels)
+
+    results = _run(args, search_case, search=True)
+    if isinstance(results, int):
+        return results
+    records = [{**result.to_dict(), "seed": args.seed} for result in results]
     _write_outputs(records, args.out, None, args.json)
-    if not all(math.isfinite(r.best_ratio) for r in results):
-        return EXIT_NUMERICAL
     beyond = [r for r in results if r.best_ratio > 1.0 + r.slack]
     if beyond:
         for r in beyond:

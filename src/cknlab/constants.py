@@ -180,6 +180,8 @@ def weighted_sobolev_constants(k: int, p: float, alpha: float,
 def hardy_endpoint_coeff(k: int, p: float, alpha: float,
                          h_prime_r0: float = 1.0) -> float:
     """Coefficient of the pure-Hardy endpoint of the interpolation family."""
+    if not 0 < h_prime_r0 <= 1:
+        raise InvalidArgument("h'(r0) must lie in (0, 1]")
     g = p * (alpha + 1.0)
     if g >= k:
         raise ConstantUndefined(f"p*(alpha+1) = {g} must be below k = {k}")

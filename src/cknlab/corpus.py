@@ -3,10 +3,10 @@
 Builds a seeded set of admissible configurations covering every catalog id,
 all four test-function families and a spread of geometries (flat disks,
 tilted planes, spheres, caps, a curved graph, geodesic disks and balls in a
-positively curved model), and runs the sweep one geometry per worker task.
-Each geometry is a configuration of one of the CLI's ``BUILTINS``, parsed by
-:func:`cknlab.cli.parse_domain` and built by :func:`cknlab.cli.build_domain`,
-as a config file's case would be.
+positively curved model), and runs it by :func:`cknlab.cli.run_cases`, as
+``verify`` runs a config file's cases: each geometry is one of the CLI's
+``BUILTINS``, parsed by :func:`cknlab.cli.parse_domain`, built once by
+:func:`cknlab.cli.build_domain` and shared by its cases.
 
 Parameter draws are kept strictly admissible: weight exponents stay half a
 unit below the integrability threshold on through-pole domains, and the
@@ -17,13 +17,13 @@ argument needs it).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .cli import BUILTINS, build_domain, parse_domain, worker_count
+from . import cli
+from .cli import BUILTINS, parse_domain, run_cases, worker_count
 from .geometry.fields import FAMILIES, make_field
 from .inequalities import evaluate
 
@@ -76,7 +76,7 @@ def _options(name: str) -> dict:
 
 def corpus_geometries() -> dict:
     """Name -> lazy builder of each corpus geometry's Domain."""
-    return {name: partial(build_domain, parse_domain(case))
+    return {name: partial(cli.build_domain, parse_domain(case))
             for name, case in GEOMETRIES.items()}
 
 
@@ -204,25 +204,10 @@ def build_corpus(seed: int = 0, draws: int = 50) -> list[Case]:
 
 
 def run_corpus(cases, threads: int = None):
-    """Evaluate all cases; the reports come back in case order.
-
-    One task per geometry builds its Domain, evaluates its cases in case
-    order and drops it, so at most one domain per worker is alive.
-    """
+    """Evaluate all cases on ``threads`` workers (default: the CLI's
+    ``worker_count()``); the reports come back in case order."""
     builders = corpus_geometries()
-    names = dict.fromkeys(case.geometry for case in cases)
-
-    def run_geometry(name):
-        domain = builders[name]()
-        return iter([evaluate(c.inequality, domain, c.field, c.options)
-                     for c in cases if c.geometry == name])
-
-    n = threads or worker_count()
-    if n <= 1:
-        # a pool thread would contend for the GIL with bench/run.py's probe
-        done = map(run_geometry, names)
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            done = list(pool.map(run_geometry, names))
-    reports = dict(zip(names, done))
-    return [next(reports[case.geometry]) for case in cases]
+    return run_cases(
+        cases, lambda c: c.geometry, lambda c: builders[c.geometry](),
+        lambda c, domain: evaluate(c.inequality, domain, c.field, c.options),
+        threads or worker_count())

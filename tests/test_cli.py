@@ -148,6 +148,26 @@ def test_constants_overflowing_number_is_an_error(capsys, flag):
     assert "cannot parse number '1e400'" in err
 
 
+# flags on which a closed form divided by zero or overflowed a float
+@pytest.mark.parametrize("flags,message", [
+    ("--k 3 --p 2 --sigma 0.5 --hprime 0", "--hprime must lie in (0, 1], "
+                                           "got 0"),
+    ("--k 1000 --p 2 --sigma 1/3 --hprime 1e-300", "k = 1000, p = 2"),
+    ("--k 1 --p 1e300 --alpha -1 --t 3", "k = 1, p = 1e+300"),
+    ("--k 171 --p 7 --alpha 1e-300 --beta 1e300", "k = 171, p = 7"),
+    ("--k 4 --p 1000 --gamma 100 --t 3 --alpha -1", "k = 4, p = 1000"),
+    ("--k 1000 --p 2.5 --beta 0.5 --alpha 1e-300 --hprime 1e-300 --q 0 "
+     "--sigma 2.5", "k = 1000, p = 2.5"),
+], ids=["hprime_zero", "tiny_hprime", "huge_p", "tiny_alpha", "huge_p_t",
+        "tiny_hprime_q"])
+def test_constants_beyond_a_float_exit_1(capsys, flags, message):
+    code, out, err = run(["constants", *flags.split()], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: {message}\n" if "hprime" in message else
+                   f"error: a constant at {message} is beyond a float\n")
+
+
 def test_verify_scenario_disk_equality(tmp_path, capsys):
     out_path = tmp_path / "out.json"
     code, _, _ = run(["verify", "disk_equality.cfg", "--out", str(out_path)],
@@ -939,12 +959,11 @@ def test_verify_refuses_a_malformed_thread_count(tmp_path, capsys,
                                                  monkeypatch, value):
     monkeypatch.setattr(cli, "build_domain", _never_build)
     monkeypatch.setenv("CKN_LAB_THREADS", value)
-    cfg = tmp_path / "case.cfg"
-    cfg.write_text(DISK_CONE_CFG)
-    code, _, err = run(["verify", str(cfg)], capsys)
-    assert code == 1
-    assert err == ("config error: CKN_LAB_THREADS must be a positive "
-                   f"integer, got {value!r}\n")
+    # search reads the variable too
+    for code, _, err in _verify_and_search(tmp_path, capsys, DISK_CONE_CFG):
+        assert code == 1
+        assert err == ("config error: CKN_LAB_THREADS must be a positive "
+                       f"integer, got {value!r}\n")
 
 
 def test_vol_threshold_is_an_unknown_option(tmp_path, capsys):
@@ -1021,9 +1040,7 @@ MESH_FILE_CFG = DISK_CONE_CFG.replace(
     ("", "is empty"),
     ("3 1 0\n0 0 0\n1 0 0\n0 1 0\n0 1 3\n", "names no vertex"),
     ("3 1 0\n0 0 0\n1 0\n0 1 0\n0 1 2\n", "malformed vertex rows"),
-    ("3 1 0\n0 0\n1 0\n0 1\n0 1 2\n", "2-d vertices in a 3-d ambient"),
-], ids=["missing", "header_only", "empty", "bad_index", "ragged",
-        "planar_vertices"])
+], ids=["missing", "header_only", "empty", "bad_index", "ragged"])
 def test_malformed_mesh_file_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                content, message):
     monkeypatch.setattr(cli, "build_domain", _never_build)
@@ -1136,39 +1153,66 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys, monkeypatch,
         assert "config error" in err and message in err
 
 
-def test_mesh_in_an_ambient_of_another_dimension_is_a_config_error(
-        tmp_path, capsys):
-    # disk_mesh makes 3-d vertices; the domain refuses them in a 2-d ambient
-    text = DISK_CONE_CFG.replace("kind = euclidean",
-                                 "kind = euclidean\ndim = 2")
+# -- [ambient] reads the options of its kind; its dimension is the mesh's
+
+@pytest.mark.parametrize("cfg,old,new,message", [
+    (DISK_CONE_CFG, "kind = euclidean", "kind = euclidean\ncurvature = 5\n"
+     "r_max = 0.1", "curvature is not an option of kind = euclidean"),
+    (DISK_CONE_CFG, "kind = euclidean", "kind = euclidean\nstep = 0.01",
+     "step is not an option of kind = euclidean"),
+    (DISK_CONE_CFG, "kind = euclidean", "profile_file = {path}",
+     "profile_file is not an option of kind = euclidean"),
+    (PROFILE_CFG, "kind = warped", "kind = warped\ncurvature = 4",
+     "curvature is not read beside a profile_file"),
+], ids=["euclidean_curvature", "euclidean_step", "euclidean_profile",
+        "warped_curvature_and_profile"])
+def test_ambient_option_its_kind_does_not_read_is_a_config_error(
+        tmp_path, capsys, monkeypatch, cfg, old, new, message):
+    monkeypatch.setattr(cli, "build_domain", _never_build)
+    path = tmp_path / "profile.txt"
+    path.write_text("0 1.0\n2 1.0\n")
+    text = cfg.replace(old, new.format(path=path), 1)
     for code, _, err in _verify_and_search(tmp_path, capsys, text):
         assert code == 1
-        assert ("config error: the mesh has 3-d vertices in a 2-d ambient"
-                in err)
+        assert err == f"config error: [ambient] {message}\n"
 
 
-# -- search builds one domain per run of cases on the same geometry
+def test_planar_mesh_file_needs_no_ambient_section(tmp_path, capsys):
+    from cknlab.geometry.mesh import SimplicialMesh, disk_mesh, write_mesh
+    mesh = disk_mesh(1.0, rings=6)
+    write_mesh(SimplicialMesh(mesh.vertices[:, :2], mesh.cells,
+                              mesh.boundary_facets), tmp_path / "flat.mesh")
+    write_mesh(mesh, tmp_path / "disk.mesh")
+    ratios = []
+    for name in ("flat.mesh", "disk.mesh"):
+        text = MESH_FILE_CFG.format(path=tmp_path / name).replace(
+            "[ambient]\nkind = euclidean\n", "")
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        code, out, _ = run(["verify", str(cfg), "--json"], capsys)
+        assert code == 0
+        ratios.append(json.loads(out)["records"][0]["ratio"])
+    # the disk in the plane is the disk in 3-space's plane z = 0
+    assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
+
+
+# -- verify and search build one domain per geometry of a sweep
 
 FIELD_KINDS = ("radial_power", "radial_bump", "polynomial", "random_smooth")
+TWO_KINDS = ("radial_power", "polynomial")
 
 
-def _search_records(tmp_path, capsys, text, name):
+def _records(tmp_path, capsys, command, text, name="case"):
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(text)
-    code, out, _ = run(["search", str(cfg), "--budget", "12", "--seed", "3",
-                        "--json"], capsys)
+    flags = ["--budget", "12", "--seed", "3"] if command == "search" else []
+    code, out, _ = run([command, str(cfg), *flags, "--json"], capsys)
     assert code == 0
     return json.loads(out)["records"]
 
 
-@pytest.mark.parametrize("sweep,builds", [
-    ("field.kind = " + ", ".join(FIELD_KINDS), 1),
-    ("geometry.rings = 6, 8\nfield.kind = radial_power, polynomial", 2),
-], ids=["one_geometry", "two_geometries"])
-def test_search_reuses_the_domain_of_a_geometry(tmp_path, capsys, monkeypatch,
-                                                sweep, builds):
-    base = (DISK_CONE_CFG.replace("rings = 12", "rings = 6")
-            .replace("kind = radial_power\ndof = 1.0\n", ""))
+def _counting_builds(monkeypatch):
+    """The rings of each domain that ``cli.build_domain`` builds."""
     built = []
     real_build = cli.build_domain
 
@@ -1177,19 +1221,59 @@ def test_search_reuses_the_domain_of_a_geometry(tmp_path, capsys, monkeypatch,
         return real_build(spec)
 
     monkeypatch.setattr(cli, "build_domain", counting_build)
-    records = _search_records(tmp_path, capsys, base + "\n[sweep]\n" + sweep,
-                              "sweep")
+    return built
+
+
+@pytest.mark.parametrize("sweep,cases", [
+    ("field.kind = " + ", ".join(FIELD_KINDS),
+     [(6, kind) for kind in FIELD_KINDS]),
+    ("geometry.rings = 6, 8\nfield.kind = radial_power, polynomial",
+     [(rings, kind) for rings in (6, 8) for kind in TWO_KINDS]),
+    ("field.kind = radial_power, polynomial\ngeometry.rings = 6, 8",
+     [(rings, kind) for kind in TWO_KINDS for rings in (6, 8)]),
+], ids=["one_geometry", "two_geometries", "geometry_varies_fastest"])
+def test_search_reuses_the_domain_of_a_geometry(tmp_path, capsys, monkeypatch,
+                                                sweep, cases):
+    base = (DISK_CONE_CFG.replace("rings = 12", "rings = 6")
+            .replace("kind = radial_power\ndof = 1.0\n", ""))
+    built = _counting_builds(monkeypatch)
+    records = _records(tmp_path, capsys, "search",
+                       base + "\n[sweep]\n" + sweep, "sweep")
+    builds = len({rings for rings, _ in cases})
     assert len(built) == builds
     # each case on a domain of its own gives the same records
-    cases = [(rings, kind) for rings in sorted(set(built))
-             for kind in (FIELD_KINDS if builds == 1
-                          else ("radial_power", "polynomial"))]
     assert len(records) == len(cases)
     for rec, (rings, kind) in zip(records, cases):
         alone = base.replace("rings = 6", f"rings = {rings}").replace(
             "[field]\n", f"[field]\nkind = {kind}\n")
-        assert _search_records(tmp_path, capsys, alone, "alone") == [rec]
+        assert _records(tmp_path, capsys, "search", alone, "alone") == [rec]
     assert len(built) == builds + len(cases)
+
+
+def test_verify_builds_the_domain_of_a_sweep_once(tmp_path, capsys,
+                                                  monkeypatch):
+    base = DISK_CONE_CFG.replace("rings = 12", "rings = 6")
+    built = _counting_builds(monkeypatch)
+    records = _records(tmp_path, capsys, "verify", base + (
+        "\n[sweep]\ninequality.gamma = 0.5, 1, 1.5\n"), "sweep")
+    assert built == [6]
+    assert len(records) == 3
+    for rec, gamma in zip(records, ("0.5", "1", "1.5")):
+        alone = base.replace("gamma = 1", f"gamma = {gamma}")
+        assert _records(tmp_path, capsys, "verify", alone, "alone") == [rec]
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+def test_records_do_not_depend_on_the_thread_count(tmp_path, capsys,
+                                                   monkeypatch, command):
+    text = DISK_CONE_CFG + (
+        "\n[sweep]\ngeometry.rings = 6, 8\ninequality.gamma = 0.5, 1\n")
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CKN_LAB_THREADS", threads)
+        outs.append(_records(tmp_path, capsys, command, text))
+    assert len(outs[0]) == 4
+    assert outs[0] == outs[1]
 
 
 # -- the config stage reads each file and builds each field once per case
@@ -1231,7 +1315,8 @@ def test_each_case_reads_its_file_and_builds_its_field_once(
 
 # the options validate_case reads, in a fixed order
 FUZZ_KEYS = {
-    "ambient": [*cli._AMBIENT],
+    "ambient": list(dict.fromkeys(
+        [*cli._KIND, *(o for kind in cli._AMBIENT.values() for o in kind)])),
     "geometry": list(dict.fromkeys(
         ["builtin", *cli._PATH,
          *(o for b in cli.BUILTINS.values() for o in b.options)])),

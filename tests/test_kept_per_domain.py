@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cknlab import corpus
+from cknlab import cli, corpus
 from cknlab import inequalities as iq
 from cknlab.geometry import (
     AmbientSpace,
@@ -352,7 +352,7 @@ def _reports_case_by_case():
 def test_corpus_keeps_a_domain_per_worker(threads, monkeypatch):
     picked = _two_cases_per_geometry()
     alive, most = [], []
-    real = corpus.build_domain
+    real = cli.build_domain
 
     def recording(case):
         domain = real(case)
@@ -360,7 +360,9 @@ def test_corpus_keeps_a_domain_per_worker(threads, monkeypatch):
         most.append(sum(ref() is not None for ref in alive))
         return domain
 
-    monkeypatch.setattr(corpus, "build_domain", recording)
+    # the corpus looks the builder up in the CLI when it runs, as the
+    # benchmark's tracer expects
+    monkeypatch.setattr(cli, "build_domain", recording)
     reports = corpus.run_corpus(picked, threads=threads)
     assert len(alive) == len(corpus.GEOMETRIES)
     assert max(most) <= threads

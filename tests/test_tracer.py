@@ -5,7 +5,8 @@ and reads methods from the class ``__dict__``, so a refactor that drops or
 moves one of them breaks ``bench/run.py --trace 1``.  This test installs
 the tracer on the program, runs one evaluation through the wrappers and
 checks that uninstalling restores every original.  A traced ``verify``
-of a mesh file shows the config stage reading the mesh, once.
+of a mesh file shows the config stage reading the mesh, once, and a traced
+``verify`` of a sweep on one geometry shows its one domain build.
 """
 
 import sys
@@ -108,3 +109,27 @@ def test_tracer_sees_the_config_stage_read_a_mesh_once(tmp_path, capsys,
     reads = names.index("mesh.generate")
     parent = tracer.spans[reads][3]
     assert tracer.spans[parent][0] == "cli.config"
+
+
+def test_tracer_sees_a_sweep_build_its_domain_once(tmp_path, capsys,
+                                                   monkeypatch):
+    # the run stage looks build_domain up when it runs, so the tracer's
+    # wrapper sees every build
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[geometry]\nbuiltin = disk_mesh\nrings = 4\n\n"
+                   "[field]\nkind = radial_power\ndof = 1.0\n\n"
+                   "[inequality]\nid = hardy\np = 1\ngamma = 1\n\n"
+                   "[sweep]\ninequality.gamma = 0.5, 1, 1.5\n")
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = cknlab.cli.main(["verify", str(cfg)])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and len(capsys.readouterr().out.splitlines()) == 3
+    names = [span[0] for span in tracer.spans]
+    assert names.count("cli.build_domain") == 1
+    assert names.count("inequalities.evaluate") == 3
