@@ -223,6 +223,13 @@ def test_weighted_integral_validation(disk_domain):
         weighted_integral(disk_domain, 1.0, 0.0, "mystery_weight")
 
 
+def test_mesh_in_an_ambient_of_another_dimension_is_refused():
+    # the CLI derives the ambient's dimension; a library caller may not
+    with pytest.raises(InvalidArgument,
+                       match="3-d vertices in a 2-d ambient"):
+        Domain(disk_mesh(1.0, rings=4), AmbientSpace.euclidean(2))
+
+
 @pytest.mark.parametrize("name", ["disk_domain", "disk_patch_domain",
                                   "ball_domain_euclid"])
 def test_sites_refuse_a_non_integrable_weight(request, name):
