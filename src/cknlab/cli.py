@@ -92,7 +92,10 @@ def _frac(text):
 def cmd_constants(args) -> int:
     rows = {}
     try:
-        k = int(args.k) if args.k.strip().isdecimal() else 0
+        digits = args.k.strip()
+        if digits.isdecimal() and len(digits.lstrip("0")) > 309:
+            raise ConfigError(f"--k of {len(digits)} digits is beyond a float")
+        k = int(digits) if digits.isdecimal() else 0
         if k < 1:
             raise ConfigError(f"--k must be a positive integer, got {args.k!r}")
         p = _frac(args.p)

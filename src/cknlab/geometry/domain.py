@@ -13,7 +13,8 @@ along its best axis) and a rule's sites on pieces.  The subdivision runs
 level by level, one batched corner evaluation per depth, and lists the
 pieces in the order a depth-first recursion would.  Every integral is
 evaluated with a high- and a lower-order rule on the same decomposition,
-and the difference feeds the quadrature error estimate.
+and the difference feeds the quadrature error estimate.  On a mesh the low
+rule's sites nest in the high rule's, whose field and integrand values serve.
 
 The tables are kept per weight band, band ``ceil(|gamma|)``.  Band 0 keeps
 every cell whole and is built first; cell ``c`` holds rows ``c * q`` to
@@ -50,6 +51,7 @@ import numpy as np
 from ..errors import InvalidArgument, NonIntegrableWeight
 from ..quadrature import (
     box_rule,
+    nested_rows,
     product_rule,
     product_weights,
     simplex_rule,
@@ -135,6 +137,7 @@ class SiteBatch:
     # pole tables only: (k - 1, radial nodes t, their product_rule fit, the
     # node under each of one cell's sites)
     radial_rule: tuple = None
+    nested: np.ndarray = None  # mesh lo tables: each site's hi table row
 
     def __post_init__(self):
         # what is derived from this table's columns alone, filled by
@@ -225,7 +228,7 @@ class Domain:
         self.order = order
         self.metadata = dict(geometry.metadata)
         # site tables per band, "pole" and "b" (boundary): the keys of their
-        # copies in a binding
+        # copies in a binding; and the "refined" domain
         self._tables = {}
         self._grading = {}
         # site tables are built lazily; the lock keeps threads sharing a
@@ -343,9 +346,9 @@ class Domain:
         return bool(self._faces)
 
     def refined(self) -> "Domain":
-        if self.kind == "mesh":
-            return Domain(self.mesh.refine(), self.ambient, self.order)
-        return Domain(self.patch.refined(), order=self.order)
+        return self._cached("refined", lambda: Domain((
+            self.mesh.refine() if self.kind == "mesh"
+            else self.patch.refined()), self.ambient, self.order))
 
     def describe(self) -> dict:
         return {"kind": self.kind, "k": self.k, "n": self.n,
@@ -404,17 +407,23 @@ class Domain:
                                        "pole", bound_field)
         return tables
 
-    def _with_field(self, tables, key, bound_field, base=()):
-        """``tables`` with the field's values, kept in its binding.  The
-        first ones view ``base``, the bound tables they were made from, and
-        share their values and ``kept``."""
+    def _with_field(self, tables, key, bound_field, base=(), at=None):
+        """``tables`` with the field's values by ``at`` (``at_sites``), kept
+        in its binding.  The first ones view ``base``, the bound tables they
+        were made from; a nested lo table reads its hi table's at its rows."""
         if bound_field is None:
             return tables
-        return kept(bound_field.kept, key, lambda: tuple(
-            view.with_field(b.psi, b.grad_psi, b.kept)
-            for view, b in zip(tables, base)) + tuple(
-            t.with_field(*bound_field.at_sites(t))
-            for t in tables[len(base):]))
+
+        def bind():
+            out = [view.with_field(b.psi, b.grad_psi, b.kept)
+                   for view, b in zip(tables, base)]
+            for t in tables[len(base):]:
+                out.append(t.with_field(*(
+                    (at or bound_field.at_sites)(t) if t.nested is None
+                    else (c if c is None else c[t.nested]
+                          for c in (out[-1].psi, out[-1].grad_psi)))))
+            return tuple(out)
+        return kept(bound_field.kept, key, bind)
 
     def _band0_view(self, rule, cells) -> SiteBatch:
         """Band 0's table of ``rule``, with density only at ``cells``."""
@@ -530,17 +539,24 @@ class Domain:
             lo, hi = pieces if band else self.patch.cell_boxes()
             return tuple(out + [self._box_sites(box_rule(self.k, npts), lo, hi)
                                 for npts in (self.order, self.order - 1)])
-        # the pieces' cells, corners and volumes, shared by both rules
         cells = owner if band else whole
         corners = self.mesh.vertices[self.mesh.cells[cells]]
         vols = (simplex_volume(pieces[0] @ corners) if band
                 else self._volumes[cells])
-        for s_index in self._simplex_indices():
-            bary, wts = simplex_rule(self.k, s_index)
-            out.append(self._simplex_sites(
-                (bary @ pieces[0] if band else bary, wts), cells, corners,
-                vols))
-        return tuple(out)
+        bary, wts = simplex_rule(self.k, self._simplex_indices()[0])
+        return tuple(out) + self._nested_pair(self._simplex_sites(
+            (bary @ pieces[0] if band else bary, wts), cells, corners, vols),
+            vols, self.k)
+
+    def _nested_pair(self, hi, vols, k):
+        """``hi`` and the low rule's table: ``hi`` at :func:`nested_rows`."""
+        s_hi, s_lo = self._simplex_indices()
+        nested = (np.arange(len(vols))[:, None] * len(simplex_rule(k, s_hi)[1])
+                  + nested_rows(k, s_hi)).reshape(-1)
+        cols = {f.name: getattr(hi, f.name)[nested] for f in dc_fields(hi)
+                if getattr(hi, f.name) is not None}
+        return hi, SiteBatch(**dict(cols, nested=nested, density=(
+            vols[:, None] * simplex_rule(k, s_lo)[1]).reshape(-1)))
 
     def _simplex_sites(self, rule, cells, corners, vols) -> SiteBatch:
         """The sites of ``rule`` on pieces of ``cells``: barycentrics in the
@@ -699,10 +715,10 @@ class Domain:
         tables = self._cached("b", self._build_mesh_boundary
                               if self.kind == "mesh"
                               else self._build_patch_boundary)
-        if bound_field is None or tables[0] is None:
+        if tables[0] is None:
             return tables
-        return kept(bound_field.kept, "b", lambda: tuple(
-            t.with_field(bound_field.at_boundary(t)) for t in tables))
+        return self._with_field(tables, "b", bound_field, at=lambda t: (
+            bound_field.at_boundary(t),))
 
     def _build_mesh_boundary(self):
         mesh = self.mesh
@@ -710,18 +726,14 @@ class Domain:
             return None, None
         corners = mesh.vertices[mesh.boundary_facets]         # (B, k, n)
         vols = simplex_volume(corners)
-        conormals = mesh.boundary_conormals()
-        out = []
-        for s_index in self._simplex_indices():
-            bary, wts = simplex_rule(self.k - 1, s_index)
-            pts = np.einsum("qb,fbn->fqn", bary, corners).reshape(-1, self.n)
-            r, h, hp, u = self._radial(pts)
-            conorm = np.repeat(conormals, len(wts), axis=0)
-            out.append(SiteBatch(
-                points=pts, density=(vols[:, None] * wts[None, :]).reshape(-1),
-                r=r, h=h, hp=hp,
-                conormal_dot=np.einsum("sn,sn->s", u, conorm)))
-        return tuple(out)
+        bary, wts = simplex_rule(self.k - 1, self._simplex_indices()[0])
+        pts = np.einsum("qb,fbn->fqn", bary, corners).reshape(-1, self.n)
+        r, h, hp, u = self._radial(pts)
+        conorm = np.repeat(mesh.boundary_conormals(), len(wts), axis=0)
+        return self._nested_pair(SiteBatch(
+            points=pts, density=(vols[:, None] * wts[None, :]).reshape(-1),
+            r=r, h=h, hp=hp, conormal_dot=np.einsum("sn,sn->s", u, conorm)),
+            vols, self.k - 1)
 
     def _build_patch_boundary(self):
         """Sites on the boundary faces: face, then cell, then node order.
@@ -856,8 +868,9 @@ def weighted_integral(domain: Domain, integrand, gamma: float,
     """Integral of ``integrand * h'(r)^{0|1} / h(r)^gamma`` over the domain.
 
     ``integrand`` is a callable mapping a :class:`SiteBatch` to nonnegative
-    per-site values (or a constant).  With the pole on the domain the weight
-    exponent must stay below the dimension.
+    per-site values (or a constant), the value at a site depending on that
+    site's row alone (a nested lo table reads its hi table's values).  With
+    the pole on the domain the weight exponent must stay below the dimension.
     """
     if weight_kind not in ("h_power", "h_power_times_hprime"):
         raise InvalidArgument(f"unknown weight kind {weight_kind!r}")
@@ -891,12 +904,15 @@ def boundary_integral(domain: Domain, integrand, weight_exponent: float,
 
 
 def _reduce(tables, weights, integrand, message) -> Qty:
-    """Hi/lo sums of ``weights * integrand`` (per table: its weighted
-    densities).  ``tables`` alternates hi and lo, the band's then the
-    pole's; each rule is checked, clipped of roundoff below zero and summed
-    over all of its tables before the two rules are compared."""
-    values = [np.asarray(integrand(t) if callable(integrand) else integrand,
-                         dtype=float) for t in tables]
+    """Hi/lo sums of ``weights * integrand`` over ``tables``, hi and lo
+    alternating (a nested lo table reads its hi table's values).  Each rule
+    is checked, clipped of roundoff below zero and summed over all of its
+    tables before the two rules are compared."""
+    values = []
+    for t in tables:
+        f = integrand if not callable(integrand) else (
+            integrand(t) if t.nested is None else values[-1][t.nested])
+        values.append(np.asarray(f, dtype=float))
     sums = []
     for rule in (0, 1):
         # a constant takes no value on a table without sites

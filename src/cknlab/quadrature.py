@@ -32,7 +32,9 @@ def simplex_rule(k: int, s: int):
     """Grundmann-Moller rule of index ``s`` (degree 2s+1) on the k-simplex.
 
     Returns ``(bary, weights)`` with ``bary`` of shape (m, k+1) barycentric
-    coordinates and ``weights`` summing to 1 (some may be negative).
+    coordinates and ``weights`` summing to 1 (some may be negative).  The
+    rules nest (Grundmann & Moller, SIAM J. Numer. Anal. 15, 1978): term
+    ``i`` of index ``s - 1`` has term ``i + 1``'s points (:func:`nested_rows`).
     """
     d = 2 * s + 1
     pts = []
@@ -47,6 +49,15 @@ def simplex_rule(k: int, s: int):
     bary = np.array(pts)
     weights = np.array(wts) * math.factorial(k)  # normalize to sum 1
     return bary, weights
+
+
+@cache
+def nested_rows(k: int, s: int):
+    """The rows of ``simplex_rule(k, s)`` holding index ``s - 1``'s points."""
+    (hi, _), (lo, _) = simplex_rule(k, s), simplex_rule(k, s - 1)
+    if not np.array_equal(hi[len(hi) - len(lo):], lo):
+        raise ValueError(f"index {s - 1} does not nest in index {s}")
+    return np.arange(len(hi) - len(lo), len(hi))
 
 
 @cache

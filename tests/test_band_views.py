@@ -187,16 +187,23 @@ def _rows(table, rows):
 
 
 def _band0_in_two_pairs(real):
-    """``Domain.sites`` with band 0 as two (hi, lo) pairs, each of half the
-    rows of its rule's table."""
+    """``Domain.sites`` with band 0 as two (hi, lo) pairs, each of about half
+    the rows of its rule's table; a nested lo table's halves hold the sites
+    of their hi half, at its rows."""
 
     def sites(self, gamma=0.0, bound_field=None):
         tables = real(self, gamma, bound_field)
         if gamma != 0.0:
             return tables
-        hi, lo = ([_rows(t, slice(None, len(t.r) // 2)),
-                   _rows(t, slice(len(t.r) // 2, None))] for t in tables)
-        return hi[0], lo[0], hi[1], lo[1]
+        hi, lo = tables
+        cut = len(hi.r) // 2
+        lo_cut = (len(lo.r) // 2 if lo.nested is None
+                  else np.searchsorted(lo.nested, cut))
+        second = _rows(lo, slice(lo_cut, None))
+        if lo.nested is not None:
+            second.nested = second.nested - cut
+        return (_rows(hi, slice(None, cut)), _rows(lo, slice(None, lo_cut)),
+                _rows(hi, slice(cut, None)), second)
 
     return sites
 

@@ -713,7 +713,10 @@ def test_band_copies_whole_cells_from_band0(monkeypatch, name):
     sizes = _rule_sizes(domain)
     # and, through the pole, the pole's pair once
     pole = domain.sites(-band)[len(band_tables(domain, -band)):]
-    assert rows == [graded * q for q in sizes] + [len(t.r) for t in pole]
+    # a mesh's low rule reads the high rule's sites (nested), so only the
+    # high rule builds sites on the graded pieces
+    built = sizes[:1] if domain.kind == "mesh" else sizes
+    assert rows == [graded * q for q in built] + [len(t.r) for t in pole]
     assert len(whole) > 0
     for table, base, q in zip(tables, band0, sizes):
         assert len(table.r) == (len(whole) + graded) * q

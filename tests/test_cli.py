@@ -118,6 +118,16 @@ def test_constants_rows_up_to_k_100_do_not_move(capsys):
         "fd071fddb826a9753c1988462159d07532c6428b8e2a253d9b14ea2623737fa4")
 
 
+@pytest.mark.parametrize("digits", [310, 4400])
+def test_constants_k_beyond_a_float_is_refused(capsys, digits):
+    # 4400 digits exceed int()'s default limit on a decimal string
+    k = "9" * digits
+    code, out, err = run(["constants", "--k", k, "--p", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --k of {digits} digits is beyond a float\n"
+
+
 @pytest.mark.parametrize("k,p", [("1000", "2"), ("1000", "3/2")])
 def test_constants_at_large_k_are_finite(capsys, k, p):
     code, out, err = run(["constants", "--k", k, "--p", p, "--json"], capsys)
@@ -1202,11 +1212,12 @@ FIELD_KINDS = ("radial_power", "radial_bump", "polynomial", "random_smooth")
 TWO_KINDS = ("radial_power", "polynomial")
 
 
-def _records(tmp_path, capsys, command, text, name="case"):
+def _records(tmp_path, capsys, command, text, name="case", levels=0):
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(text)
     flags = ["--budget", "12", "--seed", "3"] if command == "search" else []
-    code, out, _ = run([command, str(cfg), *flags, "--json"], capsys)
+    code, out, _ = run([command, str(cfg), *flags, "--levels", str(levels),
+                        "--json"], capsys)
     assert code == 0
     return json.loads(out)["records"]
 
@@ -1261,6 +1272,24 @@ def test_verify_builds_the_domain_of_a_sweep_once(tmp_path, capsys,
     for rec, gamma in zip(records, ("0.5", "1", "1.5")):
         alone = base.replace("gamma = 1", f"gamma = {gamma}")
         assert _records(tmp_path, capsys, "verify", alone, "alone") == [rec]
+
+
+def test_verify_refines_each_level_of_a_sweep_once(tmp_path, capsys,
+                                                   monkeypatch):
+    from cknlab.geometry.mesh import SimplicialMesh
+    refined, real = [], SimplicialMesh.refine
+    monkeypatch.setattr(SimplicialMesh, "refine", lambda self: (
+        refined.append(len(self.cells)), real(self))[1])
+    records = _records(tmp_path, capsys, "verify", DISK_CONE_CFG + (
+        "\n[sweep]\ninequality.gamma = 0.5, 1, 1.5\n"), "sweep", levels=2)
+    # the three cases share the domain and its two refinements
+    assert len(refined) == 2
+    assert [rec["level"] for rec in records] == [0, 1, 2] * 3
+    for i, gamma in enumerate(("0.5", "1", "1.5")):
+        alone = DISK_CONE_CFG.replace("gamma = 1", f"gamma = {gamma}")
+        assert _records(tmp_path, capsys, "verify", alone, "alone",
+                        levels=2) == records[3 * i:3 * i + 3]
+    assert len(refined) == 2 + 3 * 2
 
 
 @pytest.mark.parametrize("command", ["verify", "search"])

@@ -322,10 +322,12 @@ def test_kept_planar_coordinates_match_the_points(kind):
     domain = DOMAINS["disk_mesh"]()
     iq.evaluate("hardy", domain, make_field(kind), {"p": 1.0, "gamma": 1.0})
     scale = domain.coord_scale
-    # band 0's tables, band 1's graded pieces and the pole pair
+    # band 0's and band 1's graded pieces' hi tables and the pole pair; the
+    # lo tables read their hi tables' values (nested) and keep nothing
+    band0, graded = domain.sites(0.0), domain.sites(1.0)[2:4]
+    assert not band0[1].kept and not graded[1].kept
     held = [(t.kept["xy"], t.points)
-            for t in domain.sites(0.0) + domain.sites(1.0)[2:4]
-            + domain._tables["pole"]]
+            for t in (band0[0], graded[0]) + domain._tables["pole"]]
     held.append((domain.mesh.kept["xy"], domain.mesh.vertices))
     for (x, y), points in held:
         want_x, want_y = _scaled_xy(points, scale)

@@ -7,6 +7,7 @@ from cknlab.quadrature import (
     box_rule,
     gauss_rule,
     jacobi_rule,
+    nested_rows,
     product_rule,
     product_weights,
     simplex_rule,
@@ -47,6 +48,16 @@ def test_simplex_rule_weights_sum_to_one():
         for s in (0, 1, 2):
             _, wts = simplex_rule(k, s)
             assert np.sum(wts) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_grundmann_moller_rules_nest(k, s):
+    # every point of index s - 1 is a point of index s, equal as a float
+    rows = nested_rows(k, s)
+    assert np.array_equal(simplex_rule(k, s)[0][rows],
+                          simplex_rule(k, s - 1)[0])
+    assert len(set(rows.tolist())) == len(rows)
 
 
 def test_gauss_rule_exactness():

@@ -19,7 +19,7 @@ both pole tables must agree bit for bit, for each ``gamma``.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -39,7 +39,9 @@ from cknlab.geometry import (
 )
 from cknlab.geometry import domain as domain_mod
 from cknlab.geometry.domain import SiteBatch
+from cknlab.corpus import GEOMETRIES, corpus_geometries
 from cknlab.geometry.fields import make_field
+from cknlab.quadrature import simplex_volume
 from geometry_checks import band_pair
 from cknlab.quadrature import (box_rule, gauss_rule, jacobi_rule,
                                product_rule, product_weights, simplex_rule)
@@ -308,27 +310,29 @@ def test_field_columns_survive_concatenation(disk_patch_domain):
                           np.concatenate([hi.grad_psi, lo.grad_psi]))
 
 
-def _assert_table_columns(domain, interior, boundary):
+def _assert_table_columns(domain, interior, boundary, lo=frozenset()):
     """Band 0's, band 2's and the pole's tables carry the interior columns,
-    the boundary's its own."""
-    kinds = {"band 0": (domain.sites(0.0), interior),
-             "band 2": (band_pair(domain, 1.5), interior),
-             "pole": (domain.sites(1.5)[-2:], interior | {"radial_rule"}),
-             "boundary": (domain.boundary_sites(), boundary)}
+    the boundary's its own; the lo tables but the pole's also ``lo``."""
+    pole = interior | {"radial_rule"}
+    kinds = {"band 0": (domain.sites(0.0), (interior, interior | lo)),
+             "band 2": (band_pair(domain, 1.5), (interior, interior | lo)),
+             "pole": (domain.sites(1.5)[-2:], (pole, pole)),
+             "boundary": (domain.boundary_sites(), (boundary, boundary | lo))}
     for kind, (tables, columns) in kinds.items():
         assert len(tables) == 2, kind
-        for table in tables:
-            assert len(table.r) and _set_columns(table) == columns, kind
+        for table, want in zip(tables, columns):
+            assert len(table.r) and _set_columns(table) == want, kind
 
 
 def test_mesh_tables_carry_their_columns(disk_domain_coarse):
     # the sites keep |H| only; the boundary keeps the conormal product only,
-    # a field's values there coming from the field itself
+    # a field's values there coming from the field itself; a lo table keeps
+    # the rows of its hi table that hold its sites (nested)
     _assert_table_columns(
         disk_domain_coarse,
         {"points", "density", "r", "h", "hp", "perp", "h_norm", "tan_sq",
          "cell_ids"},
-        set(BOUNDARY_COLUMNS))
+        set(BOUNDARY_COLUMNS), {"nested"})
 
 
 @pytest.mark.parametrize("name", ["flat_disk_patch", "plane_rect"])
@@ -339,6 +343,72 @@ def test_patch_tables_carry_their_columns(euclid3, warped3, name):
         {"points", "density", "r", "h", "hp", "perp", "h_norm", "tan_sq",
          "dF", "metric_ginv"},
         set(BOUNDARY_COLUMNS))
+
+
+# -- nested mesh rules -------------------------------------------------------
+
+def _lo_references(domain, gamma):
+    """The lo tables of ``domain.sites(gamma)`` built on their own, as
+    every lo table was before the rules were nested: band 0's table (above
+    band 0 its view at the cells kept whole), then the graded pieces'."""
+    mesh, k = domain.mesh, domain.k
+    bary, wts = simplex_rule(k, domain._simplex_indices()[1])
+    cells = np.arange(len(mesh.cells))
+    band0 = domain._simplex_sites((bary, wts), cells,
+                                  mesh.vertices[mesh.cells], domain._volumes)
+    band = domain._gamma_band(gamma)
+    if not band:
+        return [band0]
+    whole, pieces, owner, _ = domain._pieces(band)
+    corners = mesh.vertices[mesh.cells[owner]]
+    keep = np.isin(cells, whole).repeat(len(wts))
+    return [replace(band0, density=np.where(keep, band0.density, 0.0))] * (
+        len(whole) > 0) + [
+        domain._simplex_sites((bary @ pieces[0], wts), owner, corners,
+                              simplex_volume(pieces[0] @ corners))]
+
+
+def _boundary_lo_reference(domain):
+    mesh = domain.mesh
+    bary, wts = simplex_rule(domain.k - 1, domain._simplex_indices()[1])
+    corners = mesh.vertices[mesh.boundary_facets]
+    pts = np.einsum("qb,fbn->fqn", bary, corners).reshape(-1, domain.n)
+    r, h, hp, u = domain._radial(pts)
+    conorm = np.repeat(mesh.boundary_conormals(), len(wts), axis=0)
+    return SiteBatch(
+        points=pts,
+        density=(simplex_volume(corners)[:, None] * wts[None, :]).reshape(-1),
+        r=r, h=h, hp=hp, conormal_dot=np.einsum("sn,sn->s", u, conorm))
+
+
+def _same_bits(got, want):
+    for f in fields(SiteBatch):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "nested":
+            assert a is not None and b is None
+        elif b is None:
+            assert a is None, f.name
+        else:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+
+
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("name", sorted(
+    name for name, case in GEOMETRIES.items()
+    if case["geometry"]["builtin"].endswith("_mesh")))
+def test_nested_lo_tables_match_the_tables_built_alone(name, order):
+    built = corpus_geometries()[name]()
+    domain = Domain(built.mesh, built.ambient, order=order)
+    for gamma in (0.0, 1.5):
+        lo = [t for t in domain.sites(gamma) if t.nested is not None]
+        refs = _lo_references(domain, gamma)
+        assert len(lo) == len(refs) == 1 + (gamma > 0)
+        for got, want in zip(lo, refs):
+            _same_bits(got, want)
+    hi, lo = domain.boundary_sites()
+    if hi is not None:
+        _same_bits(lo, _boundary_lo_reference(domain))
 
 
 # -- mesh quadrature order ----------------------------------------------------
