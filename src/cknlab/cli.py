@@ -63,8 +63,7 @@ from .geometry import (
 )
 from .geometry.fields import FAMILIES, Field, make_field
 from .geometry.mesh import read_mesh
-from .inequalities import (CATALOG, CATALOG_IDS, _ckn_params, _single_params,
-                           evaluate, require_options)
+from .inequalities import CATALOG, CATALOG_IDS, evaluate, require_options
 from .search import maximize_ratio, refinements
 from .warp import CurvatureProfile, load_profile, solve_warping
 
@@ -139,9 +138,9 @@ def cmd_constants(args) -> int:
             o.update((key, _frac(getattr(args, key)))
                      for key in ("q", "a", "t")
                      if getattr(args, key) is not None)
-            params = _ckn_params(k, o)
+            params = CATALOG["ckn"].check(k, o)
         elif args.sigma is not None:
-            params = _single_params(k, o)
+            params = CATALOG["ckn_single"].check(k, o)
         if params is not None:
             for name, value in params.as_floats().items():
                 rows.setdefault(name, value)

@@ -29,6 +29,19 @@ from .errors import (
 _IDENTITY_TOL = 1e-12
 
 
+def finite(name: str, compute):
+    """``compute()``, a closed form or a tuple of them, refused with
+    :class:`ConstantUndefined` naming ``name`` when it leaves the floats."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not all(map(math.isfinite, value if isinstance(value, tuple)
+                   else (value,))):
+        raise ConstantUndefined(f"{name} overflows a float")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Two-term power comparison
 # ---------------------------------------------------------------------------
@@ -92,16 +105,10 @@ def hoffman_spruck_constant(k: int, p: float, z: float,
     lead = 1.0 if flat_ambient else math.pi / 2.0
     # (omega_k^{-1} / (1-z))^{1/k} through exp/log to stay overflow-safe
     root = math.exp((-log_unit_ball_volume(k) - math.log(1.0 - z)) / k)
-    try:
-        value = (lead * (2.0 ** k * k) / (z * (k - 1)) * root
-                 * 2.0 ** (p - 1.0) * (p * (k - 1) / (k - p)) ** p)
-    except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise ConstantUndefined(
-            f"the dimensional Sobolev constant at k = {k}, p = {p} "
-            "overflows a float")
-    return value
+    return finite(
+        f"the dimensional Sobolev constant at k = {k}, p = {p}",
+        lambda: (lead * (2.0 ** k * k) / (z * (k - 1)) * root
+                 * 2.0 ** (p - 1.0) * (p * (k - 1) / (k - p)) ** p))
 
 
 def hoffman_spruck_optimal(k: int, p: float, flat_ambient: bool = False) -> float:
@@ -147,29 +154,34 @@ def weighted_sobolev_constants(k: int, p: float, alpha: float,
     g = p * (alpha + 1.0)
     if g >= k:
         raise ConstantUndefined(f"p*(alpha+1) = {g} must be below k = {k}")
-    a_p = pair_power_upper(p)
-    b_p = pair_power_flip(p)
     hp = h_prime_r0
     aa = abs(alpha)
-    big_a = a_p / hp ** (p - 1.0) * p ** p / (k - g) ** p
-    big_b = g * p / (k - g)
-    if aa == 0.0:
-        eps_opt = math.inf
-    else:
-        eps_opt = (aa ** ((p - 2.0) / 2.0) * b_p * big_a) ** (-1.0 / (p + 2.0))
-    # factored form of the gradient coefficient
-    bracket = (hp ** (2.0 * (p - 1.0) / (p + 2.0))
-               + aa ** (2.0 * p / (2.0 + p))
-               * 2.0 ** (abs(p - 2.0) / (p + 2.0))
-               * (p / (k - g)) ** (2.0 * p / (p + 2.0)))
-    grad_coeff = hp ** (1.0 - p) * a_p * bracket ** ((p + 2.0) / 2.0)
-    inner = (aa ** (2.0 * p / (2.0 + p))
-             + 2.0 ** (-abs(p - 2.0) / (p + 2.0))
-             * hp ** (2.0 * (p - 1.0) / (p + 2.0))
-             * (p / (k - g)) ** (-2.0 * p / (p + 2.0)))
-    perp_sq_coeff = (2.0 ** (abs(p - 2.0) / 2.0) * big_b
-                     * inner ** (p / 2.0) * aa ** (2.0 * p / (2.0 + p)))
-    perp_p_coeff = a_p * inner ** (p / 2.0) * aa ** (2.0 * p / (2.0 + p))
+
+    def coefficients():
+        a_p = pair_power_upper(p)
+        big_a = a_p / hp ** (p - 1.0) * p ** p / (k - g) ** p
+        big_b = g * p / (k - g)
+        # factored form of the gradient coefficient
+        bracket = (hp ** (2.0 * (p - 1.0) / (p + 2.0))
+                   + aa ** (2.0 * p / (2.0 + p))
+                   * 2.0 ** (abs(p - 2.0) / (p + 2.0))
+                   * (p / (k - g)) ** (2.0 * p / (p + 2.0)))
+        grad_coeff = hp ** (1.0 - p) * a_p * bracket ** ((p + 2.0) / 2.0)
+        inner = (aa ** (2.0 * p / (2.0 + p))
+                 + 2.0 ** (-abs(p - 2.0) / (p + 2.0))
+                 * hp ** (2.0 * (p - 1.0) / (p + 2.0))
+                 * (p / (k - g)) ** (-2.0 * p / (p + 2.0)))
+        perp_sq_coeff = (2.0 ** (abs(p - 2.0) / 2.0) * big_b
+                         * inner ** (p / 2.0) * aa ** (2.0 * p / (2.0 + p)))
+        perp_p_coeff = a_p * inner ** (p / 2.0) * aa ** (2.0 * p / (2.0 + p))
+        return big_a, big_b, grad_coeff, perp_sq_coeff, perp_p_coeff
+
+    name = f"a weighted Sobolev coefficient at k = {k}, p = {p:g}"
+    big_a, big_b, grad_coeff, perp_sq_coeff, perp_p_coeff = finite(
+        name, coefficients)
+    eps_opt = math.inf if aa == 0.0 else finite(name, lambda: (
+        aa ** ((p - 2.0) / 2.0) * pair_power_flip(p) * big_a)
+        ** (-1.0 / (p + 2.0)))
     return WeightedConstants(k=k, p=p, alpha=alpha, h_prime_r0=hp,
                              hardy_factor=big_a, perp_factor=big_b,
                              eps_opt=eps_opt, grad_coeff=grad_coeff,
@@ -185,7 +197,9 @@ def hardy_endpoint_coeff(k: int, p: float, alpha: float,
     g = p * (alpha + 1.0)
     if g >= k:
         raise ConstantUndefined(f"p*(alpha+1) = {g} must be below k = {k}")
-    return pair_power_upper(p) * p ** p * h_prime_r0 ** (-p) / (k - g) ** p
+    return finite(f"the Hardy endpoint coefficient at k = {k}, p = {p:g}",
+                  lambda: pair_power_upper(p) * p ** p * h_prime_r0 ** (-p)
+                  / (k - g) ** p)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +391,7 @@ def interpolation_constants(params: ParameterSet, h_prime_r0: float,
     c = float(params.c)
     s = float(params.s)
     p_star = float(params.p_star)
-    combined = ((lam / h_prime_r0) ** (p * (1.0 - c) / s)
-                * (sobolev_const * wc.grad_coeff) ** (p_star * c / s))
-    return lam, combined
+    return lam, finite(
+        f"the interpolation constant at k = {k}, p = {p:g}",
+        lambda: ((lam / h_prime_r0) ** (p * (1.0 - c) / s)
+                 * (sobolev_const * wc.grad_coeff) ** (p_star * c / s)))

@@ -14,7 +14,7 @@ level by level, one batched corner evaluation per depth, and lists the
 pieces in the order a depth-first recursion would.  Every integral is
 evaluated with a high- and a lower-order rule on the same decomposition,
 and the difference feeds the quadrature error estimate.  On a mesh the low
-rule's sites nest in the high rule's, whose field and integrand values serve.
+rule's table keeps only its rows of the high rule's table and its weights.
 
 The tables are kept per weight band, band ``ceil(|gamma|)``.  Band 0 keeps
 every cell whole and is built first; cell ``c`` holds rows ``c * q`` to
@@ -410,20 +410,14 @@ class Domain:
     def _with_field(self, tables, key, bound_field, base=(), at=None):
         """``tables`` with the field's values by ``at`` (``at_sites``), kept
         in its binding.  The first ones view ``base``, the bound tables they
-        were made from; a nested lo table reads its hi table's at its rows."""
+        were made from; a nested lo table passes as it is."""
         if bound_field is None:
             return tables
-
-        def bind():
-            out = [view.with_field(b.psi, b.grad_psi, b.kept)
-                   for view, b in zip(tables, base)]
-            for t in tables[len(base):]:
-                out.append(t.with_field(*(
-                    (at or bound_field.at_sites)(t) if t.nested is None
-                    else (c if c is None else c[t.nested]
-                          for c in (out[-1].psi, out[-1].grad_psi)))))
-            return tuple(out)
-        return kept(bound_field.kept, key, bind)
+        return kept(bound_field.kept, key, lambda: tuple(
+            t if t.nested is not None
+            else t.with_field(b.psi, b.grad_psi, b.kept) if b is not None
+            else t.with_field(*(at or bound_field.at_sites)(t))
+            for t, b in zip(tables, base + (None,) * len(tables))))
 
     def _band0_view(self, rule, cells) -> SiteBatch:
         """Band 0's table of ``rule``, with density only at ``cells``."""
@@ -483,9 +477,13 @@ class Domain:
         h = self.ambient.h_values(r)[0].reshape(count, -1)
         # one float power per row: numpy's ** takes fast paths (square,
         # SIMD pow) whose rounding need not match pow()
-        return np.array([math.inf if lo <= 0.0 else (hi / lo) ** band
-                         for lo, hi in zip(h.min(axis=1).tolist(),
-                                           h.max(axis=1).tolist())])
+        try:
+            return np.array([math.inf if lo <= 0.0 else (hi / lo) ** band
+                             for lo, hi in zip(h.min(axis=1).tolist(),
+                                               h.max(axis=1).tolist())])
+        except OverflowError:
+            raise InvalidArgument(f"at |gamma| near {band:.3g} the weight "
+                                  "overflows a float across a cell") from None
 
     def _split(self, pieces, owner, band):
         """Every piece's children, grouped by piece, and their variations.
@@ -549,14 +547,14 @@ class Domain:
             vols, self.k)
 
     def _nested_pair(self, hi, vols, k):
-        """``hi`` and the low rule's table: ``hi`` at :func:`nested_rows`."""
+        """``hi`` and the low rule's table: its rows of ``hi`` and weights."""
         s_hi, s_lo = self._simplex_indices()
         nested = (np.arange(len(vols))[:, None] * len(simplex_rule(k, s_hi)[1])
                   + nested_rows(k, s_hi)).reshape(-1)
-        cols = {f.name: getattr(hi, f.name)[nested] for f in dc_fields(hi)
-                if getattr(hi, f.name) is not None}
-        return hi, SiteBatch(**dict(cols, nested=nested, density=(
-            vols[:, None] * simplex_rule(k, s_lo)[1]).reshape(-1)))
+        cols = {c: v[nested] for c in ("r", "h", "hp", "conormal_dot")
+                if (v := getattr(hi, c)) is not None}
+        return hi, SiteBatch(**cols, points=None, nested=nested, density=(
+            vols[:, None] * simplex_rule(k, s_lo)[1]).reshape(-1))
 
     def _simplex_sites(self, rule, cells, corners, vols) -> SiteBatch:
         """The sites of ``rule`` on pieces of ``cells``: barycentrics in the

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -276,9 +277,12 @@ def _hardy(id: str, domain: Domain, field, o: dict) -> InequalityReport:
         _minimality(domain, minimal)
     r0, hp0 = _resolve_r0(domain,
                           None if id == "hardy_hadamard" else o.get("r0"))
-    c1 = (k - gamma) ** p * hp0 ** (p - 1.0) / p ** p
-    c2 = gamma * ((k - gamma) * hp0) ** (p - 1.0) / p ** (p - 1.0)
-    cb = ((k - gamma) * hp0) ** (p - 1.0) / p ** (p - 1.0)
+    c1, c2, cb = cn.finite(
+        f"a Hardy coefficient at k = {k}, p = {p:g}, gamma = {gamma:g}",
+        lambda: (
+            (k - gamma) ** p * hp0 ** (p - 1.0) / p ** p,
+            gamma * ((k - gamma) * hp0) ** (p - 1.0) / p ** (p - 1.0),
+            ((k - gamma) * hp0) ** (p - 1.0) / p ** (p - 1.0)))
     i1 = weighted_integral(domain, lambda b: b.abs_psi_pow(p), gamma,
                            "h_power_times_hprime", field=field)
     i2 = weighted_integral(domain,
@@ -437,15 +441,6 @@ def _weighted_sobolev(id: str, domain: Domain, field,
 # Interpolation family
 # ---------------------------------------------------------------------------
 
-_DERIVED_IDS = ("mss_weighted", "hardy_derived", "gagliardo_nirenberg",
-                "nash", "heisenberg_pauli_weyl")
-_INTERPOLATION_NOTES = {
-    "ckn_single": "single-factor path: a = 1, t = s, gamma = sigma",
-    **{which: f"specialization of the two-factor inequality ({which})"
-       for which in _DERIVED_IDS},
-}
-
-
 def _interpolate(id: str, domain: Domain, field, o: dict) -> InequalityReport:
     """Two-factor interpolation inequality for boundary-vanishing functions.
 
@@ -457,13 +452,8 @@ def _interpolate(id: str, domain: Domain, field, o: dict) -> InequalityReport:
     """
     params = _admit(id, domain, field, o)
     r0, hp0 = _resolve_r0(domain, o.get("r0"))
-    p = float(params.p)
-    q = float(params.q)
-    t = float(params.t)
-    a = float(params.a)
-    alpha = float(params.alpha)
-    beta = float(params.beta)
-    gamma = float(params.gamma)
+    p, q, t, a, alpha, beta, gamma = map(float, attrgetter(
+        "p", "q", "t", "a", "alpha", "beta", "gamma")(params))
     s_const = _sobolev_constant(domain, p)
     lam, c_single = cn.interpolation_constants(params, hp0, s_const)
     c_eff = c_single ** (a / p)
@@ -491,57 +481,53 @@ def _interpolate(id: str, domain: Domain, field, o: dict) -> InequalityReport:
         notes=[note] if note else None)
 
 
-def derived_parameters(which: str, k: int, p: float = None, q: float = None,
-                       a: float = None, alpha: float = None,
-                       gamma: float = None) -> cn.ParameterSet:
-    """Exponent tuple of one of the classical specializations."""
-    if which == "mss_weighted":
-        if a not in (None, 1.0):
-            raise ParameterConflict("the weighted critical case fixes a = 1")
-        if alpha not in (None, 0.0):
-            raise ParameterConflict("the weighted critical case fixes alpha = 0")
-        gamma = 0.5 if gamma is None else gamma
-        if not 0.0 <= gamma <= 1.0:
-            raise ParameterConflict("weight exponent must lie in [0, 1]")
-        p = 2.0 if p is None else p
-        return cn.solve_balance(k=k, p=p, alpha=0.0, sigma=gamma)
-    if which == "hardy_derived":
-        p = 2.0 if p is None else p
-        alpha = 0.0 if alpha is None else alpha
-        if a not in (None, 1.0):
-            raise ParameterConflict("the Hardy specialization fixes a = 1")
-        return cn.solve_balance(k=k, p=p, alpha=alpha, sigma=alpha + 1.0)
-    if which == "gagliardo_nirenberg":
-        p = 2.0 if p is None else p
-        q = 1.0 if q is None else q
-        a = 0.5 if a is None else a
-        if alpha not in (None, 0.0) or gamma not in (None, 0.0):
+def _unweighted(x):
+    return dict(p=x["p"], q=x["q"], alpha=0.0, beta=0.0, sigma=0.0, a=x["a"])
+
+
+# the specializations of the two-factor inequality, one row each: least
+# dimension, the exponents it fixes in dimension k, the defaults of the free
+# ones, their admissible ranges, and its balance closure's known values
+_SPECIALIZATIONS = {
+    "mss_weighted": (1, lambda k: {"a": 1.0, "alpha": 0.0},
+                     {"p": 2.0, "gamma": 0.5}, {"gamma": (0.0, 1.0)},
+                     lambda x: dict(p=x["p"], alpha=0.0, sigma=x["gamma"])),
+    "hardy_derived": (1, lambda k: {"a": 1.0}, {"p": 2.0, "alpha": 0.0}, {},
+                      lambda x: dict(p=x["p"], alpha=x["alpha"],
+                                     sigma=x["alpha"] + 1.0)),
+    "gagliardo_nirenberg": (1, lambda k: {"alpha": 0.0, "gamma": 0.0},
+                            {"p": 2.0, "q": 1.0, "a": 0.5}, {}, _unweighted),
+    "nash": (3, lambda k: {"p": 2.0, "q": 1.0, "a": k / (k + 2.0)}, {}, {},
+             _unweighted),
+    "heisenberg_pauli_weyl": (
+        3, lambda k: {"p": 2.0, "q": 2.0, "a": 0.5, "alpha": 0.0,
+                      "gamma": 0.0}, {}, {},
+        lambda x: dict(p=2.0, q=2.0, alpha=0.0, beta=-1.0, gamma=0.0, t=2.0)),
+}
+_INTERPOLATION_NOTES = {
+    "ckn_single": "single-factor path: a = 1, t = s, gamma = sigma",
+    **{which: f"specialization of the two-factor inequality ({which})"
+       for which in _SPECIALIZATIONS},
+}
+
+
+def derived_parameters(which: str, k: int, **given) -> cn.ParameterSet:
+    """Exponent tuple of one of the classical specializations, from the
+    caller's ``p``, ``q``, ``a``, ``alpha`` and ``gamma`` (None: unset)."""
+    if which not in _SPECIALIZATIONS:
+        raise InvalidArgument(f"unknown derived inequality {which!r}")
+    least_k, fixed, defaults, ranges, closure = _SPECIALIZATIONS[which]
+    if k < least_k:
+        raise ParameterConflict(f"{which} needs k >= {least_k}")
+    x = {**defaults, **{key: v for key, v in given.items() if v is not None}}
+    for key, want in fixed(k).items():
+        if x.setdefault(key, want) != want:
+            raise ParameterConflict(f"{which} fixes {key} = {want:g}")
+    for key, (lo, hi) in ranges.items():
+        if not lo <= x[key] <= hi:
             raise ParameterConflict(
-                "the interpolation specialization fixes alpha = gamma = 0")
-        return cn.solve_balance(k=k, p=p, q=q, alpha=0.0, beta=0.0,
-                                sigma=0.0, a=a)
-    if which == "nash":
-        if k < 3:
-            raise ParameterConflict("the sharp-exponent case needs k >= 3")
-        for name, val, want in (("p", p, 2.0), ("q", q, 1.0)):
-            if val not in (None, want):
-                raise ParameterConflict(f"this specialization fixes {name} = {want}")
-        a_nash = k / (k + 2.0)
-        if a not in (None, a_nash):
-            raise ParameterConflict("this specialization fixes a = k/(k+2)")
-        return cn.solve_balance(k=k, p=2.0, q=1.0, alpha=0.0, beta=0.0,
-                                sigma=0.0, a=a_nash)
-    if which == "heisenberg_pauli_weyl":
-        if k < 3:
-            raise ParameterConflict("the uncertainty-type case needs k >= 3")
-        for name, val, want in (("p", p, 2.0), ("q", q, 2.0),
-                                ("a", a, 0.5), ("alpha", alpha, 0.0),
-                                ("gamma", gamma, 0.0)):
-            if val not in (None, want):
-                raise ParameterConflict(f"this specialization fixes {name} = {want}")
-        return cn.solve_balance(k=k, p=2.0, q=2.0, alpha=0.0, beta=-1.0,
-                                gamma=0.0, t=2.0)
-    raise InvalidArgument(f"unknown derived inequality {which!r}")
+                f"{which} needs {key} in [{lo:g}, {hi:g}]")
+    return cn.solve_balance(k=k, **closure(x))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +560,7 @@ CATALOG = {
                         _interpolate),
     **{which: CatalogEntry((), partial(_derived_params, which), True,
                            _interpolate)
-       for which in _DERIVED_IDS},
+       for which in _SPECIALIZATIONS},
 }
 CATALOG_IDS = tuple(CATALOG)
 

@@ -29,14 +29,27 @@ def band_tables(domain: Domain, gamma: float, bound_field=None):
     return tables
 
 
+def full_columns(hi: SiteBatch, lo: SiteBatch) -> SiteBatch:
+    """``lo`` as a table of its own sites: a nested lo table takes every
+    column of ``hi``, its hi table, at its rows, and keeps its density."""
+    if lo.nested is None:
+        return lo
+    return SiteBatch(**{
+        f.name: lo.density if f.name == "density"
+        else None if f.name == "nested" or getattr(hi, f.name) is None
+        else getattr(hi, f.name)[lo.nested] for f in fields(SiteBatch)})
+
+
 def band_pair(domain: Domain, gamma: float, bound_field=None):
     """The band's own tables of ``domain.sites(gamma)`` as one ``(hi, lo)``
-    pair.
+    pair, with every column of their sites (:func:`full_columns`).
 
     Above band 0 each rule's table is rebuilt as one: the rows of band 0's
     view that keep a density, then the graded pieces' rows.
     """
     tables = band_tables(domain, gamma, bound_field)
+    tables = tuple(t for hi, lo in zip(tables[::2], tables[1::2])
+                   for t in (hi, full_columns(hi, lo)))
     if len(tables) == 2:
         return tables
     return tuple(

@@ -28,7 +28,7 @@ from cknlab.geometry import domain as domain_mod
 from cknlab.geometry.domain import SiteBatch
 from cknlab.geometry.fields import make_field
 from cknlab.quadrature import product_rule, product_weights
-from geometry_checks import band_pair, band_tables
+from geometry_checks import band_pair, band_tables, full_columns
 
 EUCLID = AmbientSpace.euclidean(3)
 # the pole at a mesh vertex, on a polar chart's face and at a chart corner
@@ -71,10 +71,15 @@ def test_views_share_band0_columns(name, gamma):
         keep = view.density != 0.0
         assert 0 < np.count_nonzero(keep) < len(keep)
         assert np.array_equal(view.density[keep], table.density[keep])
-    # a binding's copies of the views take band 0's values and kept powers
+    # a binding's copies of the views take band 0's values and kept powers;
+    # a nested lo view, like its table, passes unbound
     bound = domain.bind(FIELDS["radial_power"])
     views = domain.sites(gamma, bound)[:2]
-    for view, table in zip(views, domain.sites(0.0, bound)):
+    for view, table, unbound in zip(views, domain.sites(0.0, bound),
+                                    domain.sites(gamma)):
+        if view.nested is not None:
+            assert view is unbound and table.psi is None
+            continue
         assert view.psi is table.psi and view.grad_psi is table.grad_psi
         assert view.kept is table.kept
         assert view.abs_psi_pow(1.5) is table.abs_psi_pow(1.5)
@@ -85,7 +90,11 @@ def test_views_share_band0_columns(name, gamma):
 def test_excluded_rows_add_exactly_nothing(name, gamma):
     domain = _domain(name)
     bound = domain.bind(FIELDS["polynomial"])
+    hi = domain.sites(gamma, bound)[0]
     for view in domain.sites(gamma, bound)[:2]:
+        if view.nested is not None:
+            # a nested lo view's values are its hi view's at its rows
+            view = full_columns(hi, view)
         w = view.density * view.weight(gamma, True)
         out = view.density == 0.0
         assert out.any()

@@ -158,24 +158,29 @@ def test_constants_overflowing_number_is_an_error(capsys, flag):
     assert "cannot parse number '1e400'" in err
 
 
-# flags on which a closed form divided by zero or overflowed a float
+# flags on which a closed form divided by zero or overflowed a float: a
+# closed form that overflows names itself
 @pytest.mark.parametrize("flags,message", [
     ("--k 3 --p 2 --sigma 0.5 --hprime 0", "--hprime must lie in (0, 1], "
                                            "got 0"),
-    ("--k 1000 --p 2 --sigma 1/3 --hprime 1e-300", "k = 1000, p = 2"),
-    ("--k 1 --p 1e300 --alpha -1 --t 3", "k = 1, p = 1e+300"),
-    ("--k 171 --p 7 --alpha 1e-300 --beta 1e300", "k = 171, p = 7"),
-    ("--k 4 --p 1000 --gamma 100 --t 3 --alpha -1", "k = 4, p = 1000"),
+    ("--k 1000 --p 2 --sigma 1/3 --hprime 1e-300",
+     "the Hardy endpoint coefficient at k = 1000, p = 2 overflows a float"),
+    ("--k 1 --p 1e300 --alpha -1 --t 3",
+     "a weighted Sobolev coefficient at k = 1, p = 1e+300 overflows a "
+     "float"),
+    ("--k 171 --p 7 --alpha 1e-300 --beta 1e300",
+     "a constant at k = 171, p = 7 is beyond a float"),
+    ("--k 4 --p 1000 --gamma 100 --t 3 --alpha -1",
+     "a weighted Sobolev coefficient at k = 4, p = 1000 overflows a float"),
     ("--k 1000 --p 2.5 --beta 0.5 --alpha 1e-300 --hprime 1e-300 --q 0 "
-     "--sigma 2.5", "k = 1000, p = 2.5"),
+     "--sigma 2.5", "a constant at k = 1000, p = 2.5 is beyond a float"),
 ], ids=["hprime_zero", "tiny_hprime", "huge_p", "tiny_alpha", "huge_p_t",
         "tiny_hprime_q"])
 def test_constants_beyond_a_float_exit_1(capsys, flags, message):
     code, out, err = run(["constants", *flags.split()], capsys)
     assert code == 1
     assert out == ""
-    assert err == (f"error: {message}\n" if "hprime" in message else
-                   f"error: a constant at {message} is beyond a float\n")
+    assert err == f"error: {message}\n"
 
 
 def test_verify_scenario_disk_equality(tmp_path, capsys):
@@ -331,6 +336,62 @@ field.kind = radial_power, radial_bump
     assert code == 0
     data = json.loads(out_path.read_text())
     assert len(data["records"]) == 4
+
+
+def _small_cone_cfg(tmp_path, inequality, rings=4):
+    """The cone config on ``rings`` rings with dof 2 and ``inequality`` as
+    its ``[inequality]`` section's lines."""
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(DISK_CONE_CFG.replace("rings = 12", f"rings = {rings}")
+                   .replace("dof = 1.0", "dof = 2.0")
+                   .replace("id = hardy\np = 1\ngamma = 1", inequality))
+    return str(cfg)
+
+
+# a closed-form constant, or the weight the grading reads, beyond a float
+OVERFLOWS = {
+    "hardy_p150": ("id = hardy\np = 150\ngamma = 1",
+                   "a Hardy coefficient at k = 2, p = 150, gamma = 1 "
+                   "overflows a float"),
+    "hardy_signed_p150": ("id = hardy_signed\np = 150\ngamma = 1",
+                          "a Hardy coefficient at k = 2, p = 150, gamma = 1 "
+                          "overflows a float"),
+    "hardy_gamma": ("id = hardy\np = 2\ngamma = -1e200",
+                    "a Hardy coefficient at k = 2, p = 2, gamma = -1e+200 "
+                    "overflows a float"),
+    "hadamard_gamma": ("id = hardy_hadamard\np = 1.5\ngamma = -1e200",
+                       "at |gamma| near 1e+200 the weight overflows a "
+                       "float across a cell"),
+    "weighted_alpha": ("id = weighted_sobolev\np = 1.2\nalpha = -1e100",
+                       "at |gamma| near 3e+100 the weight overflows a "
+                       "float across a cell"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_verify_refuses_what_overflows_a_float(tmp_path, capsys, case):
+    inequality, message = OVERFLOWS[case]
+    code, out, err = run(["verify", _small_cone_cfg(tmp_path, inequality)],
+                         capsys)
+    assert (code, out, err) == (1, "", f"config error: {message}\n")
+
+
+def test_search_refuses_what_overflows_a_float(tmp_path, capsys):
+    inequality, message = OVERFLOWS["hardy_p150"]
+    code, out, err = run(["search", _small_cone_cfg(tmp_path, inequality),
+                          "--budget", "2"], capsys)
+    assert (code, out, err) == (1, "", f"config error: {message}\n")
+
+
+def test_verify_exits_3_on_a_numerically_invalid_report(tmp_path, capsys):
+    # at p = 140 the Hardy coefficients stay finite, and the pole's radial
+    # weights for t ** 140 do not; on one ring every cell is at the pole, so
+    # no cell is graded for the weight exponent gamma - p = -139
+    cfg = _small_cone_cfg(tmp_path, "id = hardy\np = 140\ngamma = 1",
+                          rings=1)
+    code, _, err = run(["verify", cfg], capsys)
+    assert code == 3
+    assert err.endswith("1 report(s) numerically invalid\n")
 
 
 def test_verify_levels_flag(tmp_path, capsys):

@@ -336,6 +336,34 @@ def test_derived_rejects_conflicting_overrides(ball_domain_euclid):
         iq.evaluate("nash", ball_domain_euclid, bump, {"p": 3.0})
 
 
+@pytest.mark.parametrize("which,k,given,match", [
+    ("mss_weighted", 3, {"a": 0.5}, "fixes a = 1"),
+    ("mss_weighted", 3, {"alpha": 0.3}, "fixes alpha = 0"),
+    ("mss_weighted", 3, {"gamma": 1.5}, r"\[0, 1\]"),
+    ("mss_weighted", 3, {"gamma": -0.5}, r"\[0, 1\]"),
+    ("hardy_derived", 3, {"a": 0.5}, "fixes a = 1"),
+    ("gagliardo_nirenberg", 3, {"alpha": 0.1}, "fixes alpha"),
+    ("gagliardo_nirenberg", 3, {"gamma": 0.1}, "gamma = 0"),
+    ("nash", 2, {}, "needs k >= 3"),
+    ("nash", 3, {"q": 2.0}, "fixes q = 1"),
+    ("nash", 3, {"a": 0.5}, "fixes a = "),
+    ("heisenberg_pauli_weyl", 2, {}, "needs k >= 3"),
+    ("heisenberg_pauli_weyl", 3, {"alpha": 0.5}, "fixes alpha = 0"),
+])
+def test_derived_parameter_conflicts(which, k, given, match):
+    # one row per refusal of a specialization; the fixed values themselves
+    # pass, and the free ones take their defaults
+    with pytest.raises(ParameterConflict, match=match):
+        iq.derived_parameters(which, k, **given)
+    fixed = {"p": 2.0, "q": 1.0, "a": 3.0 / 5.0} if which == "nash" else {}
+    assert iq.derived_parameters(which, 3, **fixed).k == 3
+
+
+def test_derived_parameters_refuse_an_unknown_id():
+    with pytest.raises(InvalidArgument, match="unknown derived"):
+        iq.derived_parameters("nope", 3)
+
+
 # ---------------------------------------------------------------------------
 # the interpolation step as a standalone inequality
 # ---------------------------------------------------------------------------
@@ -511,6 +539,22 @@ def test_sobolev_side_conditions_verified_small_support(geodesic_domain):
                       {"p": 1.0, "inj_radius": math.pi})
     assert rep.hypothesis_status["status"] == "verified"
     assert rep.satisfied
+
+
+@pytest.mark.parametrize("options,status,reasons", [
+    ({}, "unverified", ["injectivity radius not declared"]),
+    ({"inj_radius": 0.1}, "unverified",
+     ["support too large for the declared injectivity radius"]),
+    ({"inj_radius": math.pi}, "verified", []),
+], ids=["undeclared", "too_small", "pi"])
+def test_sobolev_side_conditions_read_the_injectivity_radius(
+        warped3, options, status, reasons):
+    from cknlab.geometry import geodesic_disk
+    dom = Domain(geodesic_disk(warped3, 0.5, cells=(4, 8)))
+    rep = iq.evaluate("sobolev_hs", dom, make_field("radial_power", (1.5,)),
+                      {"p": 1.0, **options})
+    assert rep.hypothesis_status["status"] == status
+    assert rep.hypothesis_status["reasons"] == reasons + [iq._VOLUME_REASON]
 
 
 def test_geodesic_disk_signed_hardy_minimal(geodesic_domain):

@@ -42,7 +42,7 @@ from cknlab.geometry.domain import SiteBatch
 from cknlab.corpus import GEOMETRIES, corpus_geometries
 from cknlab.geometry.fields import make_field
 from cknlab.quadrature import simplex_volume
-from geometry_checks import band_pair
+from geometry_checks import band_tables, full_columns
 from cknlab.quadrature import (box_rule, gauss_rule, jacobi_rule,
                                product_rule, product_weights, simplex_rule)
 
@@ -310,14 +310,17 @@ def test_field_columns_survive_concatenation(disk_patch_domain):
                           np.concatenate([hi.grad_psi, lo.grad_psi]))
 
 
-def _assert_table_columns(domain, interior, boundary, lo=frozenset()):
+def _assert_table_columns(domain, interior, boundary, nested=None):
     """Band 0's, band 2's and the pole's tables carry the interior columns,
-    the boundary's its own; the lo tables but the pole's also ``lo``."""
+    the boundary's its own; with ``nested`` the lo tables but the pole's
+    carry only those columns (the boundary's also its conormal product)."""
     pole = interior | {"radial_rule"}
-    kinds = {"band 0": (domain.sites(0.0), (interior, interior | lo)),
-             "band 2": (band_pair(domain, 1.5), (interior, interior | lo)),
+    lo, b_lo = ((interior, boundary) if nested is None
+                else (nested, nested | {"conormal_dot"}))
+    kinds = {"band 0": (domain.sites(0.0), (interior, lo)),
+             "band 2": (band_tables(domain, 1.5)[-2:], (interior, lo)),
              "pole": (domain.sites(1.5)[-2:], (pole, pole)),
-             "boundary": (domain.boundary_sites(), (boundary, boundary | lo))}
+             "boundary": (domain.boundary_sites(), (boundary, b_lo))}
     for kind, (tables, columns) in kinds.items():
         assert len(tables) == 2, kind
         for table, want in zip(tables, columns):
@@ -327,12 +330,13 @@ def _assert_table_columns(domain, interior, boundary, lo=frozenset()):
 def test_mesh_tables_carry_their_columns(disk_domain_coarse):
     # the sites keep |H| only; the boundary keeps the conormal product only,
     # a field's values there coming from the field itself; a lo table keeps
-    # the rows of its hi table that hold its sites (nested)
+    # the rows of its hi table that hold its sites (nested), its density and
+    # the columns its weights read
     _assert_table_columns(
         disk_domain_coarse,
         {"points", "density", "r", "h", "hp", "perp", "h_norm", "tan_sq",
          "cell_ids"},
-        set(BOUNDARY_COLUMNS), {"nested"})
+        set(BOUNDARY_COLUMNS), {"nested", "density", "r", "h", "hp"})
 
 
 @pytest.mark.parametrize("name", ["flat_disk_patch", "plane_rect"])
@@ -381,16 +385,23 @@ def _boundary_lo_reference(domain):
         r=r, h=h, hp=hp, conormal_dot=np.einsum("sn,sn->s", u, conorm))
 
 
-def _same_bits(got, want):
+def _same_bits(got, want, hi):
+    """``got``, a nested lo table, holds the columns its weights read, each
+    ``hi``'s at its rows and bit for bit ``want``'s, the table built alone;
+    it carries no other column."""
+    kept = {"density", "r", "h", "hp", "conormal_dot"}
     for f in fields(SiteBatch):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if f.name == "nested":
             assert a is not None and b is None
-        elif b is None:
+        elif f.name not in kept or b is None:
             assert a is None, f.name
         else:
             assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
             assert a.tobytes() == b.tobytes(), f.name
+            if f.name != "density":
+                assert a.tobytes() == getattr(hi, f.name)[
+                    got.nested].tobytes(), f.name
 
 
 @pytest.mark.parametrize("order", [4, 6])
@@ -401,14 +412,24 @@ def test_nested_lo_tables_match_the_tables_built_alone(name, order):
     built = corpus_geometries()[name]()
     domain = Domain(built.mesh, built.ambient, order=order)
     for gamma in (0.0, 1.5):
-        lo = [t for t in domain.sites(gamma) if t.nested is not None]
+        tables = domain.sites(gamma)
+        pairs = [(hi, lo) for hi, lo in zip(tables[::2], tables[1::2])
+                 if lo.nested is not None]
         refs = _lo_references(domain, gamma)
-        assert len(lo) == len(refs) == 1 + (gamma > 0)
-        for got, want in zip(lo, refs):
-            _same_bits(got, want)
+        assert len(pairs) == len(refs) == 1 + (gamma > 0)
+        for (hi, got), want in zip(pairs, refs):
+            _same_bits(got, want, hi)
     hi, lo = domain.boundary_sites()
     if hi is not None:
-        _same_bits(lo, _boundary_lo_reference(domain))
+        _same_bits(lo, _boundary_lo_reference(domain), hi)
+    # a binding copies every table but the nested lo tables
+    bound = domain.bind(make_field("polynomial"))
+    pairs = [(domain.sites(g, bound), domain.sites(g)) for g in (0.0, 1.5)]
+    if hi is not None:
+        pairs.append((domain.boundary_sites(bound), (hi, lo)))
+    for got, tables in pairs:
+        for a, table in zip(got, tables):
+            assert (a is table) == (table.nested is not None)
 
 
 # -- mesh quadrature order ----------------------------------------------------
@@ -421,7 +442,8 @@ def test_mesh_order_picks_grundmann_moller_indices(euclid3, order, indices):
     mesh = disk_mesh(1.0, rings=4, center=(0.0, 0.0, 0.5))
     domain = Domain(mesh, euclid3, order=order)
     cells = len(mesh.cells)
-    for batch, s_index in zip(domain.sites(0.0), indices):
+    hi, lo = domain.sites(0.0)
+    for batch, s_index in zip((hi, full_columns(hi, lo)), indices):
         bary, _ = simplex_rule(2, s_index)
         assert len(batch.r) == cells * len(bary)
         np.testing.assert_allclose(batch.points[:len(bary)],
